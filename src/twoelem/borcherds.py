@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import Lattice, direct_sum, rescale, standard_lattice
+from .lattices import Lattice, _rational_inverse, direct_sum, rescale, standard_lattice
 from .vvmf import VVForm
 from .weil import disc_data
 
@@ -94,22 +94,6 @@ def short_vectors(A, bound):
 
     descend(n - 1, float(bound))
     return out
-
-
-def _rational_inverse(gram):
-    n = len(gram)
-    aug = [[Fraction(gram[i][j]) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +235,7 @@ def _component_coeff(F: VVForm, data, nn: int, N: int, m, exponent: Fraction):
             f"product needs coefficient at exponent {exponent} beyond series "
             f"truncation {ser.trunc}; rebuild F with a larger order"
         )
-    c = ser.terms.get(exponent)
-    if c is None:
-        return 0.0
-    return float(c.rational_value())
+    return float(ser.coeff(exponent))
 
 
 _GINV_CACHE = {}
@@ -360,7 +341,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
                           for i in range(n)]
             cls = data.group.element_from_dual_vector(lam_primal)
             ser = F.components[cls.coords]
-            if not ser.terms.get(Fraction(lam2, 2)):
+            if not ser.coeff(Fraction(lam2, 2)):
                 continue
         if p1 == 0 or p2 == 0:
             raise ValueError(f"endpoint lies on the wall {m} (degenerate case)")

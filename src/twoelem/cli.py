@@ -10,25 +10,14 @@ Subcommands:
     export-graph                 write the transition graph (dot or json)
 
 All output is deterministic: repeated runs with the same flags produce
-byte-identical bytes.  TWOELEM_THREADS (if set) caps internal parallelism;
-the current series kernels are sequential, so any cap is honored trivially.
+byte-identical bytes.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
-
-
-def max_threads() -> int:
-    """Parallelism cap from TWOELEM_THREADS (>= 1; default 1)."""
-    raw = os.environ.get("TWOELEM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_order(text: str) -> Fraction:

@@ -360,10 +360,6 @@ def signature(L: Lattice):
                 for c in range(n):
                     m[k][c] += m[j][c]
         eliminate(k)
-        # symmetrize trailing block (eliminate only wrote rows below)
-        for i in range(k + 1, n):
-            for j in range(i + 1, n):
-                m[i][j] = m[i][j]
         k += 1
     return pos, neg
 

@@ -7,7 +7,10 @@ theta(tau) = sum q^{(n+s)^2} (s in {0, 1/2}), the weight -4+k/2 blocks
     f1(k) = -16 eta(4t)^8 * theta_{1/2}^k / eta(2t)^16       = -2^{k+4} q^{k/4} (1 + ...)
 
 their quarter-exponent slices g_i(k), and the Eisenstein series E4.  All
-expansions are exact with explicit truncation orders.
+expansions are exact integer series (see `series`) with explicit truncation
+orders.  Each factor of a product is built to exactly the order the product
+needs: a factor with leading exponent l, in a product with leading exponent L
+that must hold below `order`, is needed below l + (order - L).
 """
 from __future__ import annotations
 
@@ -16,96 +19,65 @@ from functools import lru_cache
 
 from .series import QSeries
 
-# pessimistic margin added to intermediate factors so that products keep the
-# requested validity order
-_MARGIN = 4
 
-
-@lru_cache(maxsize=None)
-def _euler_product(scale: int, order_num: int, order_den: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{scale*n}) to exponents < order."""
-    order = Fraction(order_num, order_den)
-    terms = {Fraction(0): 1}
-    k = 1
-    while True:
-        hit = False
-        for kk in (k, -k):
-            # generalized pentagonal numbers kk*(3*kk - 1)/2
-            e = Fraction(scale * kk * (3 * kk - 1), 2)
-            if e < order:
-                terms[e] = terms.get(e, 0) + (-1) ** (kk % 2)
-                hit = True
-        if not hit:
-            break
+def _euler_product(scale: int, order) -> QSeries:
+    """prod_{n>=1} (1 - q^{scale*n}) to exponents < order, by Euler's
+    pentagonal-number theorem."""
+    terms = {}
+    k = 0
+    while scale * k * (3 * k - 1) // 2 < order:
+        # generalized pentagonal numbers kk*(3*kk - 1)/2, kk = k and -k
+        for kk in {k, -k}:
+            terms[scale * kk * (3 * kk - 1) // 2] = (-1) ** k
         k += 1
     return QSeries(terms, order)
 
 
 def eta_power(m: int, e: int, order) -> QSeries:
     """q^{e*m/24} * prod_{n>=1} (1 - q^{mn})^e, valid below `order`."""
-    order = Fraction(order)
     offset = Fraction(e * m, 24)
-    inner_order = order - offset + _MARGIN
-    base = _euler_product(m, inner_order.numerator, inner_order.denominator)
-    powed = base ** e
-    return powed.shift(offset).truncate(order)
-
-
-def eta_quotient(factors, order) -> QSeries:
-    """Product of eta_power(m, e) over (m, e) pairs."""
-    acc = QSeries.one()
-    for m, e in factors:
-        acc = acc * eta_power(m, e, Fraction(order) + _MARGIN)
-    return acc.truncate(order)
+    # the product keeps its constant term even when order <= offset
+    base = _euler_product(m, max(Fraction(order) - offset, 1))
+    return (base ** e).shift(offset).truncate(order)
 
 
 def theta_a1(shift, order) -> QSeries:
     """sum_{n in Z} q^{(n+shift)^2}; shift in {0, 1/2}."""
-    order = Fraction(order)
     shift = Fraction(shift)
-    if shift not in (Fraction(0), Fraction(1, 2)):
+    if shift not in (0, Fraction(1, 2)):
         raise ValueError("shift must be 0 or 1/2")
     terms = {}
     n = 0
-    while True:
-        hit = False
-        for nn in ({0} if n == 0 else {n, -n}):
-            ee = (nn + shift) ** 2
-            if ee < order:
-                terms[ee] = terms.get(ee, 0) + 1
-                hit = True
-        if not hit and n > 1:
-            break
+    while (n + shift) ** 2 < order:
+        terms[(n + shift) ** 2] = 2 if n + shift else 1   # from n + shift and -(n + shift)
         n += 1
     return QSeries(terms, order)
 
 
+def _eta_theta(factors, shift, k: int, order: Fraction) -> QSeries:
+    """prod eta(m t)^e over (m, e) in factors, times theta_shift^k, below order."""
+    lead = sum(Fraction(e * m, 24) for m, e in factors) + k * shift * shift
+    # every factor keeps its leading term, so the product's order holds
+    rel = max(order - lead, 1)
+    acc = theta_a1(shift, shift * shift + rel) ** k
+    for m, e in factors:
+        acc = acc * eta_power(m, e, Fraction(e * m, 24) + rel)
+    return acc.truncate(order)
+
+
 @lru_cache(maxsize=None)
-def _f0_cached(k: int, order_num: int, order_den: int) -> QSeries:
-    order = Fraction(order_num, order_den)
-    quot = eta_quotient([(2, 8), (1, -8), (4, -8)], order + _MARGIN)
-    th = theta_a1(0, order + _MARGIN + 2)
-    return (quot * th ** k).truncate(order)
+def _f0_cached(k: int, order: Fraction) -> QSeries:
+    return _eta_theta([(2, 8), (1, -8), (4, -8)], 0, k, order)
 
 
 def f0(k: int, order) -> QSeries:
     """The weight -4+k/2 block with principal part q^{-1}; constant term 8+2k."""
-    order = Fraction(order)
-    return _f0_cached(k, order.numerator, order.denominator)
-
-
-@lru_cache(maxsize=None)
-def _f1_cached(k: int, order_num: int, order_den: int) -> QSeries:
-    order = Fraction(order_num, order_den)
-    quot = eta_quotient([(4, 8), (2, -16)], order + _MARGIN)
-    th = theta_a1(Fraction(1, 2), order + _MARGIN + 2)
-    return (quot * th ** k * (-16)).truncate(order)
+    return _f0_cached(k, Fraction(order))
 
 
 def f1(k: int, order) -> QSeries:
     """-16 eta(4t)^8 theta_{1/2}^k / eta(2t)^16 = -2^{k+4} q^{k/4}(1 + ...)."""
-    order = Fraction(order)
-    return _f1_cached(k, order.numerator, order.denominator)
+    return _eta_theta([(4, 8), (2, -16)], Fraction(1, 2), k, Fraction(order)) * -16
 
 
 def g_i(k: int, i: int, order) -> QSeries:
@@ -116,22 +88,14 @@ def g_i(k: int, i: int, order) -> QSeries:
     if i not in (0, 1, 2, 3):
         raise ValueError("slice index must be 0..3")
     order = Fraction(order)
-    full = f0(k, 4 * order)
-    terms = {}
-    for e, c in full.terms.items():
-        assert e.denominator == 1
-        if e.numerator % 4 == i:
-            terms[e / 4] = c
-    return QSeries(terms, order)
+    return QSeries({e / 4: c for e, c in f0(k, 4 * order).items() if e % 4 == i}, order)
 
 
 def eisenstein_e4(order) -> QSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n."""
-    order = Fraction(order)
-    terms = {Fraction(0): 1}
+    terms = {0: 1}
     n = 1
     while n < order:
-        s3 = sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
-        terms[Fraction(n)] = 240 * s3
+        terms[n] = 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
         n += 1
     return QSeries(terms, order)

@@ -1,120 +1,177 @@
-"""Sparse Laurent series in q with fractional exponents and Q(zeta_8) coefficients.
+"""Truncated Laurent series in q with fractional exponents and rational coefficients.
 
-A QSeries stores a finite map exponent -> coefficient together with an explicit
-truncation order `trunc`: coefficients are known exactly for all exponents
-strictly below `trunc` and unknown at or above it.  All arithmetic propagates
-`trunc` pessimistically, so equality of two series is only ever asserted below
-their common validity order.
+A QSeries is a dense list of coefficients (Python ints, or Fractions where a
+coefficient is not integral) on the exponent grid start/denom, (start+1)/denom,
+..., together with a truncation order `trunc`: coefficients are known exactly
+for all exponents strictly below `trunc` and unknown at or above it, and
+`trunc=None` marks an exact finite sum.  All arithmetic propagates `trunc`
+pessimistically, so equality of two series is only ever asserted below their
+common validity order.
+
+Products use Kronecker substitution (one big-integer multiply per product);
+integer powers, the inverse included, use the power recurrence
+n a_0 f_n = sum_{k>=1} ((alpha+1) k - n) a_k f_{n-k} for f = a^alpha.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 import mpmath
 
-from .cyc8 import Cyc8, cyc8_embed
 
-_INF = Fraction(10**12)  # sentinel "no truncation" for exact finite sums
+def _num(x):
+    """A rational as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
-def _as_coeff(x) -> Cyc8:
-    if isinstance(x, Cyc8):
-        return x
-    return Cyc8(Fraction(x))
+def _clear(xs):
+    """(ints, d) with xs[i] = ints[i] / d."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _plus(x, y):
+    return None if x is None or y is None else x + y
+
+
+def _least(*xs):
+    return min((x for x in xs if x is not None), default=None)
+
+
+def _kronecker(a, b):
+    """Full product of two nonempty rational lists by one big-integer multiply."""
+    (a, da), (b, db) = _clear(a), _clear(b)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1   # bytes per slot, top bit left for the sign
+
+    def pack(xs):
+        pos = b"".join(max(x, 0).to_bytes(width, "little") for x in xs)
+        neg = b"".join(max(-x, 0).to_bytes(width, "little") for x in xs)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    m = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    # adding `half` to every slot makes each slot nonnegative before unpacking
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
+    raw = (pack(a) * pack(b) + bias).to_bytes(width * m, "little")
+    out = [int.from_bytes(raw[i:i + width], "little") - half
+           for i in range(0, width * m, width)]
+    d = da * db
+    return out if d == 1 else [_num(Fraction(c, d)) for c in out]
 
 
 class QSeries:
-    """A truncated sparse series sum_e c_e q^e, exponents in (1/denom)Z."""
+    """A truncated series sum_i coeffs[i] q^{(start+i)/denom}."""
 
-    __slots__ = ("denom", "terms", "trunc")
+    __slots__ = ("denom", "start", "coeffs", "trunc")
 
-    def __init__(self, terms=None, trunc=_INF, denom=None):
-        trunc = Fraction(trunc)
-        tt = {}
-        max_den = 1
-        for e, c in (terms or {}).items():
-            e = Fraction(e)
-            c = _as_coeff(c)
-            if c.is_zero():
-                continue
-            if e >= trunc:
-                continue
-            tt[e] = c
-            max_den = lcm(max_den, e.denominator)
-        if denom is None:
-            denom = max_den
-        else:
-            denom = lcm(int(denom), max_den)
-        self.denom = denom
-        self.terms = tt
-        self.trunc = trunc
+    def __init__(self, terms=None, trunc=None, denom=None):
+        """From a map exponent -> rational coefficient.  Terms at or above
+        `trunc` are dropped; the grid is the lcm of `denom` and the
+        denominators of the nonzero terms' exponents."""
+        terms = {Fraction(e): _num(Fraction(c)) for e, c in (terms or {}).items()}
+        terms = {e: c for e, c in terms.items() if c}
+        denom = lcm(denom or 1, *(e.denominator for e in terms))
+        idx = {int(e * denom): c for e, c in terms.items()}
+        start = min(idx, default=0)
+        coeffs = [0] * (max(idx, default=-1) - start + 1)
+        for i, c in idx.items():
+            coeffs[i - start] = c
+        self._set(denom, start, coeffs, None if trunc is None else Fraction(trunc))
+
+    def _set(self, denom, start, coeffs, trunc):
+        if trunc is not None:
+            coeffs = coeffs[:max(ceil(trunc * denom) - start, 0)]
+        nz = [i for i, c in enumerate(coeffs) if c]
+        self.denom, self.trunc = denom, trunc
+        self.start = start + nz[0] if nz else 0
+        self.coeffs = coeffs[nz[0]:nz[-1] + 1] if nz else []
+
+    @staticmethod
+    def _grid(denom, start, coeffs, trunc) -> "QSeries":
+        """The series sum coeffs[i] q^{(start+i)/denom} below trunc."""
+        s = object.__new__(QSeries)
+        s._set(denom, start, coeffs, trunc)
+        return s
+
+    def _on(self, denom):
+        """(start, coeffs) on the grid 1/denom, a multiple of self.denom."""
+        f = denom // self.denom
+        out = [0] * ((len(self.coeffs) - 1) * f + 1) if self.coeffs else []
+        out[::f] = self.coeffs
+        return self.start * f, out
 
     # -- helpers ------------------------------------------------------
 
     @staticmethod
-    def zero(trunc=_INF, denom=1) -> "QSeries":
+    def zero(trunc=None, denom=1) -> "QSeries":
         return QSeries({}, trunc, denom)
 
     @staticmethod
-    def one(trunc=_INF) -> "QSeries":
-        return QSeries({Fraction(0): Cyc8(1)}, trunc)
+    def one(trunc=None) -> "QSeries":
+        return QSeries({0: 1}, trunc)
 
     @staticmethod
-    def monomial(e, c=1, trunc=_INF) -> "QSeries":
-        return QSeries({Fraction(e): _as_coeff(c)}, trunc)
+    def monomial(e, c=1, trunc=None) -> "QSeries":
+        return QSeries({e: c}, trunc)
 
     def min_exp(self):
         """Smallest stored exponent, or None for the (known-)zero series."""
-        return min(self.terms) if self.terms else None
+        return Fraction(self.start, self.denom) if self.coeffs else None
 
-    def _low_bound(self) -> Fraction:
-        """A lower bound for every exponent this series can carry."""
-        m = self.min_exp()
-        return min(m, self.trunc) if m is not None else self.trunc
+    def _low_bound(self):
+        """A lower bound for every exponent this series can carry (None: none)."""
+        return self.min_exp() if self.coeffs else self.trunc
 
-    def coeff(self, e) -> Cyc8:
+    def coeff(self, e):
         e = Fraction(e)
-        if e >= self.trunc:
+        if self.trunc is not None and e >= self.trunc:
             raise ValueError(f"coefficient at {e} is beyond trunc {self.trunc}")
-        return self.terms.get(e, Cyc8(0))
+        i = e * self.denom - self.start
+        if i.denominator != 1 or not 0 <= i < len(self.coeffs):
+            return 0
+        return self.coeffs[int(i)]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
-    def sorted_items(self):
-        return sorted(self.terms.items())
+    def items(self):
+        """(exponent, coefficient) for the nonzero terms, by increasing exponent."""
+        return [(Fraction(self.start + i, self.denom), c)
+                for i, c in enumerate(self.coeffs) if c]
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyc8)):
+        if isinstance(other, (int, Fraction)):
             other = QSeries.monomial(0, other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Cyc8(0)) + c
-        return QSeries(out, trunc, lcm(self.denom, other.denom))
+        denom = lcm(self.denom, other.denom)
+        (sa, a), (sb, b) = self._on(denom), other._on(denom)
+        lo = min(sa if a else sb, sb if b else sa)
+        out = [0] * (max(sa + len(a), sb + len(b)) - lo)
+        for s, xs in ((sa, a), (sb, b)):
+            for i, c in enumerate(xs, s - lo):
+                out[i] += c
+        return QSeries._grid(denom, lo, out, _least(self.trunc, other.trunc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries({e: -c for e, c in self.terms.items()}, self.trunc, self.denom)
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyc8)):
-            other = QSeries.monomial(0, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyc8)):
-            c = _as_coeff(other)
-            return QSeries({e: v * c for e, v in self.terms.items()}, self.trunc, self.denom)
+        if isinstance(other, (int, Fraction)):
+            return QSeries._grid(self.denom, self.start,
+                                 [_num(c * other) for c in self.coeffs], self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         return qseries_mul(self, other)
@@ -124,81 +181,57 @@ class QSeries:
     def shift(self, e) -> "QSeries":
         """Multiply by q^e."""
         e = Fraction(e)
-        return QSeries({x + e: c for x, c in self.terms.items()}, self.trunc + e, None)
+        return QSeries({x + e: c for x, c in self.items()}, _plus(self.trunc, e))
 
     def scale_exponents(self, factor) -> "QSeries":
         """Substitute q -> q^factor (exponent map e -> e*factor), factor > 0."""
         factor = Fraction(factor)
         if factor <= 0:
             raise ValueError("exponent scale factor must be positive")
-        return QSeries(
-            {e * factor: c for e, c in self.terms.items()}, self.trunc * factor, None
-        )
+        trunc = None if self.trunc is None else self.trunc * factor
+        return QSeries({e * factor: c for e, c in self.items()}, trunc)
 
     def truncate(self, trunc) -> "QSeries":
-        trunc = min(Fraction(trunc), self.trunc)
-        return QSeries({e: c for e, c in self.terms.items() if e < trunc}, trunc, self.denom)
+        return QSeries._grid(self.denom, self.start, self.coeffs,
+                             _least(Fraction(trunc), self.trunc))
 
     def inverse(self) -> "QSeries":
-        """Inverse of a series with invertible leading coefficient.
+        """Inverse, valid to order trunc - 2*min_exp."""
+        return self ** -1
 
-        Valid to order trunc - 2*min_exp (the standard pessimistic rule).
+    def __pow__(self, alpha: int) -> "QSeries":
+        """self^alpha for any integer alpha, by the power recurrence.
+
+        With leading exponent e0 the result is valid to order
+        alpha*e0 + (trunc - e0): it has as many known terms as self.
         """
-        e0 = self.min_exp()
-        if e0 is None:
-            raise ZeroDivisionError("cannot invert the zero series")
-        if self.trunc <= e0:
-            raise ZeroDivisionError("series has no known leading term")
-        n = lcm(self.denom, e0.denominator)
-        a0 = self.terms[e0]
-        a0inv = a0.inverse()
-        # work on the integer grid k -> exponent e0 + k/n
-        steps = int((self.trunc - e0) * n)
-        a = {}
-        for e, c in self.terms.items():
-            a[int((e - e0) * n)] = c
-        nz = sorted(k for k in a if k != 0)
-        r = {0: a0inv}
-        for k in range(1, steps):
-            acc = Cyc8(0)
-            for j in nz:
-                if j > k:
-                    break
-                rv = r.get(k - j)
-                if rv is not None:
-                    acc = acc + a[j] * rv
-            if not acc.is_zero():
-                r[k] = -(a0inv * acc)
-        out = {(-e0) + Fraction(k, n): c for k, c in r.items() if not c.is_zero()}
-        return QSeries(out, self.trunc - 2 * e0, n)
-
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
+        if alpha == 0:
             return QSeries.one()
-        base = self
-        acc = None
-        # square-and-multiply; trunc propagation is handled by qseries_mul
-        while n:
-            if n & 1:
-                acc = base if acc is None else qseries_mul(acc, base)
-            n >>= 1
-            if n:
-                base = qseries_mul(base, base)
-        return acc
+        a, trunc = self.coeffs, self.trunc
+        if alpha < 0 and (not a or trunc is None):
+            raise ZeroDivisionError("inverse needs a known leading term and a truncation order")
+        if not a:
+            return QSeries.zero(None if trunc is None else alpha * trunc, self.denom)
+        if trunc is None:
+            n_out = alpha * (len(a) - 1) + 1
+        else:
+            n_out = ceil(trunc * self.denom) - self.start
+            trunc += (alpha - 1) * self.min_exp()
+        nonzero = [(k, c) for k, c in enumerate(a[1:n_out], 1) if c]
+        f = [_num(Fraction(a[0]) ** alpha)]
+        for n in range(1, n_out):
+            s = sum(((alpha + 1) * k - n) * c * f[n - k] for k, c in nonzero if k <= n)
+            q, r = divmod(s, n * a[0])
+            f.append(Fraction(s, n * a[0]) if r else q)
+        return QSeries._grid(self.denom, alpha * self.start, f, trunc)
 
     # -- comparison ---------------------------------------------------
 
     def eq_below(self, other: "QSeries", order=None) -> bool:
         """Exact coefficient equality below min(truncs[, order])."""
-        bound = min(self.trunc, other.trunc)
-        if order is not None:
-            bound = min(bound, Fraction(order))
-        for e in set(self.terms) | set(other.terms):
-            if e < bound and self.terms.get(e, Cyc8(0)) != other.terms.get(e, Cyc8(0)):
-                return False
-        return True
+        bound = _least(self.trunc, other.trunc, order)
+        return ([t for t in self.items() if bound is None or t[0] < bound]
+                == [t for t in other.items() if bound is None or t[0] < bound])
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -206,19 +239,17 @@ class QSeries:
         return self.eq_below(other)
 
     def __repr__(self):
-        items = self.sorted_items()
-        head = ", ".join(f"q^{e}: {c}" for e, c in items[:6])
-        more = " ..." if len(items) > 6 else ""
+        head = ", ".join(f"q^{e}: {c}" for e, c in self.items()[:6])
+        more = " ..." if len(self.items()) > 6 else ""
         return f"QSeries({{{head}{more}}}, trunc={self.trunc})"
 
     # -- serialization ------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"N={self.denom} trunc={self.trunc}"]
-        for e, c in self.sorted_items():
-            lines.append(
-                f"{e.numerator}/{e.denominator}  {c.c[0]} {c.c[1]} {c.c[2]} {c.c[3]}"
-            )
+        """`N=denom trunc=T` (T = inf for an exact sum), then one row
+        `p/q  c 0 0 0` per nonzero term: c and the zeta_8 coordinates 0."""
+        lines = [f"N={self.denom} trunc={'inf' if self.trunc is None else self.trunc}"]
+        lines += [f"{e.numerator}/{e.denominator}  {c} 0 0 0" for e, c in self.items()]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -226,35 +257,30 @@ class QSeries:
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         header = lines[0].split()
         denom = int(header[0].split("=")[1])
-        trunc = Fraction(header[1].split("=")[1])
+        trunc = header[1].split("=")[1]
         terms = {}
         for ln in lines[1:]:
-            parts = ln.split()
-            e = Fraction(parts[0])
-            terms[e] = Cyc8(*(Fraction(p) for p in parts[1:5]))
-        return QSeries(terms, trunc, denom)
+            e, c, *zeta = ln.split()
+            if any(Fraction(z) for z in zeta):
+                raise ValueError(f"coefficient at q^{e} is not rational: {ln.strip()!r}")
+            terms[Fraction(e)] = Fraction(c)
+        return QSeries(terms, None if trunc == "inf" else trunc, denom)
 
 
 def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product with pessimistic truncation propagation."""
-    trunc = min(a.trunc + b._low_bound(), b.trunc + a._low_bound())
-    out = {}
-    bi = b.sorted_items()
-    for ea, ca in a.sorted_items():
-        for eb, cb in bi:
-            e = ea + eb
-            if e >= trunc:
-                break
-            prod = ca * cb
-            if prod.is_zero():
-                continue
-            cur = out.get(e)
-            out[e] = prod if cur is None else cur + prod
-    return QSeries(out, trunc, lcm(a.denom, b.denom))
+    trunc = _least(_plus(a.trunc, b._low_bound()), _plus(b.trunc, a._low_bound()))
+    denom = lcm(a.denom, b.denom)
+    (sa, x), (sb, y) = a._on(denom), b._on(denom)
+    n = len(x) + len(y) - 1 if trunc is None else ceil(trunc * denom) - sa - sb
+    if n <= 0 or not x or not y:
+        return QSeries.zero(trunc, denom)
+    return QSeries._grid(denom, sa + sb, _kronecker(x[:n], y[:n]), trunc)
 
 
 def qseries_eval(a: QSeries, tau, prec: int = 53):
-    """Evaluate sum c_e exp(2*pi*i*e*tau) at tau in the upper half-plane.
+    """Evaluate sum c_e exp(2*pi*i*e*tau) at tau in the upper half-plane, by
+    Horner's rule in exp(2*pi*i*tau/denom) (one exp per call).
 
     Returns (value, tail_estimate).  The tail estimate is the documented
     heuristic geometric bound |q|^trunc/(1-|q|) * max(|c| over the last few
@@ -265,17 +291,14 @@ def qseries_eval(a: QSeries, tau, prec: int = 53):
         tau = mpmath.mpc(tau)
         if mpmath.im(tau) <= 0:
             raise ValueError("tau must lie in the upper half-plane")
+        x = mpmath.exp(2j * mpmath.pi * tau / a.denom)
+        ints, d = _clear(a.coeffs)
         acc = mpmath.mpc(0)
-        two_pi_i = 2j * mpmath.pi
-        for e, c in a.sorted_items():
-            acc += cyc8_embed(c, prec) * mpmath.exp(two_pi_i * (mpmath.mpf(e.numerator) / e.denominator) * tau)
+        for c in reversed(ints):
+            acc = acc * x + c
+        acc = acc * x ** a.start / d
+        if a.trunc is None:
+            return acc, 0.0
         absq = float(mpmath.exp(-2 * mpmath.pi * mpmath.im(tau)))
-        tail_scale = 1.0
-        recent = a.sorted_items()[-5:]
-        if recent:
-            tail_scale = max(1.0, max(float(abs(cyc8_embed(c, 53))) for _, c in recent))
-        if a.trunc >= _INF:
-            tail = 0.0
-        else:
-            tail = tail_scale * absq ** float(a.trunc) / (1 - absq)
-        return acc, tail
+        tail_scale = max([1.0] + [float(abs(c)) for c in a.coeffs if c][-5:])
+        return acc, tail_scale * absq ** float(a.trunc) / (1 - absq)

@@ -127,10 +127,11 @@ def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
 
 
 def chi_g(point: SiegelPoint, prec: int = 53):
-    """Product of the even theta constants at Sigma."""
+    """Product of the even theta constants at Sigma, taken at `prec` bits."""
     acc = mpmath.mpc(1) if prec > 53 else complex(1)
-    for ch in even_characteristics(point.g):
-        acc *= theta_constant(ch, point, prec)
+    with mpmath.workprec(prec):
+        for ch in even_characteristics(point.g):
+            acc *= theta_constant(ch, point, prec)
     return acc
 
 

@@ -17,7 +17,6 @@ from .lattices import (
 )
 from .modforms import eisenstein_e4, eta_power
 from .mp2 import evaluate_word
-from .series import QSeries
 from .vvmf import borcherds_divisor, borcherds_weight, construct_F, restrict
 from .weil import (
     closed_form_st_l_inverse_column,

@@ -56,7 +56,7 @@ class VVForm:
         for i, el in enumerate(data.elements):
             ser = self.components[el.coords]
             want = (data.qvals[i] / 2) % 1
-            for e in ser.terms:
+            for e, _c in ser.items():
                 if (e - want) % 1 != 0:
                     raise AssertionError(
                         f"support violation at {el.coords}: exponent {e}, q/2 = {want}"
@@ -182,11 +182,11 @@ def borcherds_divisor(F: VVForm) -> HeegnerSum:
     """Read the Heegner divisor off the principal part of F."""
     terms = {}
     for coords, ser in F.components.items():
-        for e, c in ser.terms.items():
+        for e, c in ser.items():
             if e < 0:
-                if not c.is_integer():
+                if c.denominator != 1:
                     raise AssertionError(f"non-integral divisor multiplicity {c}")
-                terms[(coords, e)] = int(c.rational_value())
+                terms[(coords, e)] = int(c)
     return HeegnerSum(F.lattice, terms)
 
 
@@ -206,8 +206,7 @@ def borcherds_weight(L: Lattice):
     if data.one_index == 0 and s == -8:
         closed -= 8
     F = construct_F(L, order=2)
-    c0 = F.components[data.elements[0].coords].coeff(0)
-    series = c0.rational_value() / 2
+    series = Fraction(F.components[data.elements[0].coords].coeff(0), 2)
     assert series == closed, (closed, series)
     return Fraction(closed), series
 
@@ -215,6 +214,22 @@ def borcherds_weight(L: Lattice):
 # ---------------------------------------------------------------------------
 # the coset-sum numeric oracle
 # ---------------------------------------------------------------------------
+
+def adaptive_order(imag: float, target: float = 1e-26, min_order: int = 40) -> int:
+    """Series order n with c(n) |q|^n < target at Im tau = imag, for a form
+    with principal part q^{-1}, whose coefficients grow like exp(4 pi sqrt n).
+
+    Solves n*a - b*sqrt(n) >= ln(1/target) + margin; an order above
+    min_order is rounded up to a multiple of 64, so that nearby points share
+    one cached expansion.
+    """
+    a = 2 * math.pi * imag
+    b = 4 * math.pi
+    cc = -math.log(target) + 10
+    sqrt_n = (b + math.sqrt(b * b + 4 * a * cc)) / (2 * a)
+    order = max(min_order, math.ceil(sqrt_n * sqrt_n) + 8)
+    return -(-order // 64) * 64 if order > min_order else min_order
+
 
 def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26,
                         min_order: int = 40, max_order: int = 1600):
@@ -240,17 +255,7 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26,
             imag = float(mpmath.im(gtau))
             if imag <= 0:
                 raise ValueError(f"transformed point left the upper half-plane ({name})")
-            # order n with c(n) |q|^n < target, where the coefficients of a
-            # form with principal part q^{-1} grow like exp(4*pi*sqrt(n)):
-            # solve n*a - b*sqrt(n) >= ln(1/target) + margin
-            a = 2 * math.pi * imag
-            b = 4 * math.pi
-            cc = -math.log(target) + 10
-            sqrt_n = (b + math.sqrt(b * b + 4 * a * cc)) / (2 * a)
-            order = max(min_order, int(math.ceil(sqrt_n * sqrt_n)) + 8)
-            if order > min_order:
-                # round up so repeated calls share the cached expansion
-                order = -(-order // 64) * 64
+            order = adaptive_order(imag, target, min_order)
             if order > max_order:
                 raise ValueError(
                     f"coset {name}: required series order {order} exceeds cap {max_order}"

@@ -34,7 +34,7 @@ from twoelem import (
 )
 from twoelem.k3graph import build_graph, m_triple_of_row, thm93_check, validate_row
 from twoelem.mp2 import evaluate_word, word_j
-from twoelem.vvmf import eval_vvform
+from twoelem.vvmf import adaptive_order, eval_vvform
 from twoelem.weil import (
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
@@ -46,16 +46,6 @@ from twoelem.weil import (
 def _report(num, label, ok):
     print(f"criterion {num:02d} {label}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num:02d} {label}"
-
-
-def _adaptive_order(im, target=1e-26, min_order=40):
-    # order n with c(n) |q|^n < target for coefficients growing exp(4 pi sqrt n)
-    a = 2 * math.pi * im
-    b = 4 * math.pi
-    cc = -math.log(target) + 10
-    s = (b + math.sqrt(b * b + 4 * a * cc)) / (2 * a)
-    order = max(min_order, math.ceil(s * s) + 8)
-    return -(-order // 64) * 64 if order > min_order else min_order
 
 
 def test_criterion_01_weight_table():
@@ -102,7 +92,7 @@ def test_criterion_03_slash_identities():
             w2 = k - 8  # twice the weight -4 + k/2
             # V-transform sends the 0-block to the characteristic block
             jfac, gtau = word_j([("S", 7), ("T", 2), ("S", 1)], tau)
-            order = _adaptive_order(float(mpmath.im(gtau)))
+            order = adaptive_order(float(mpmath.im(gtau)))
             lhs = qseries_eval(f0(k, order), gtau, 128)[0] * jfac ** (-w2)
             rhs = qseries_eval(f1(k, 128), tau, 128)[0]
             worst = max(worst, float(abs(lhs - rhs)))
@@ -110,10 +100,10 @@ def test_criterion_03_slash_identities():
             const = mpmath.mpc(2 ** ((8 - k) // 2)) * mpmath.mpc(1j) ** (-k // 2)
             for l_exp in range(4):
                 jfac, gtau = word_j([("S", 1), ("T", l_exp)], tau)
-                order = _adaptive_order(float(mpmath.im(gtau)))
+                order = adaptive_order(float(mpmath.im(gtau)))
                 lhs = qseries_eval(f0(k, order), gtau, 128)[0] * jfac ** (-w2)
                 arg = (tau + l_exp) / 4
-                order = _adaptive_order(float(mpmath.im(arg)))
+                order = adaptive_order(float(mpmath.im(arg)))
                 rhs = const * qseries_eval(f0(k, order), arg, 128)[0]
                 worst = max(worst, float(abs(lhs - rhs)))
     # exact closed forms for the same coset columns

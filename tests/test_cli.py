@@ -3,13 +3,160 @@ import json
 
 import pytest
 
-from twoelem.cli import main, max_threads
+from twoelem.cli import main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# `twoelem qseries NAME --order ORDER`, byte for byte
+QSERIES_TEXT = {
+    ("f0", "3"): (
+        "N=3 trunc=3\n"
+        "-1/1  1 0 0 0\n"
+        "0/1  24 0 0 0\n"
+        "1/1  276 0 0 0\n"
+        "2/1  2048 0 0 0\n"
+        "\n"
+    ),
+    ("f1", "3"): (
+        "N=12 trunc=3\n"
+        "2/1  -4096 0 0 0\n"
+        "\n"
+    ),
+    ("g0", "3"): (
+        "N=1 trunc=3\n"
+        "0/1  24 0 0 0\n"
+        "1/1  49152 0 0 0\n"
+        "2/1  5373952 0 0 0\n"
+        "\n"
+    ),
+    ("g1", "3"): (
+        "N=4 trunc=3\n"
+        "1/4  276 0 0 0\n"
+        "5/4  184024 0 0 0\n"
+        "9/4  14478180 0 0 0\n"
+        "\n"
+    ),
+    ("g2", "3"): (
+        "N=2 trunc=3\n"
+        "1/2  2048 0 0 0\n"
+        "3/2  614400 0 0 0\n"
+        "5/2  37122048 0 0 0\n"
+        "\n"
+    ),
+    ("g3", "3"): (
+        "N=4 trunc=3\n"
+        "-1/4  1 0 0 0\n"
+        "3/4  11202 0 0 0\n"
+        "7/4  1881471 0 0 0\n"
+        "11/4  91231550 0 0 0\n"
+        "\n"
+    ),
+    ("E4", "3"): (
+        "N=1 trunc=3\n"
+        "0/1  1 0 0 0\n"
+        "1/1  240 0 0 0\n"
+        "2/1  2160 0 0 0\n"
+        "\n"
+    ),
+    ("eta24", "3"): (
+        "N=1 trunc=3\n"
+        "1/1  1 0 0 0\n"
+        "2/1  -24 0 0 0\n"
+        "\n"
+    ),
+    ("theta3", "3"): (
+        "N=1 trunc=3\n"
+        "0/1  1 0 0 0\n"
+        "1/1  2 0 0 0\n"
+        "\n"
+    ),
+    ("f0", "7/2"): (
+        "N=3 trunc=7/2\n"
+        "-1/1  1 0 0 0\n"
+        "0/1  24 0 0 0\n"
+        "1/1  276 0 0 0\n"
+        "2/1  2048 0 0 0\n"
+        "3/1  11202 0 0 0\n"
+        "\n"
+    ),
+    ("f1", "7/2"): (
+        "N=12 trunc=7/2\n"
+        "2/1  -4096 0 0 0\n"
+        "\n"
+    ),
+    ("g0", "7/2"): (
+        "N=1 trunc=7/2\n"
+        "0/1  24 0 0 0\n"
+        "1/1  49152 0 0 0\n"
+        "2/1  5373952 0 0 0\n"
+        "3/1  216072192 0 0 0\n"
+        "\n"
+    ),
+    ("g1", "7/2"): (
+        "N=4 trunc=7/2\n"
+        "1/4  276 0 0 0\n"
+        "5/4  184024 0 0 0\n"
+        "9/4  14478180 0 0 0\n"
+        "13/4  495248952 0 0 0\n"
+        "\n"
+    ),
+    ("g2", "7/2"): (
+        "N=2 trunc=7/2\n"
+        "1/2  2048 0 0 0\n"
+        "3/2  614400 0 0 0\n"
+        "5/2  37122048 0 0 0\n"
+        "\n"
+    ),
+    ("g3", "7/2"): (
+        "N=4 trunc=7/2\n"
+        "-1/4  1 0 0 0\n"
+        "3/4  11202 0 0 0\n"
+        "7/4  1881471 0 0 0\n"
+        "11/4  91231550 0 0 0\n"
+        "\n"
+    ),
+    ("E4", "7/2"): (
+        "N=1 trunc=7/2\n"
+        "0/1  1 0 0 0\n"
+        "1/1  240 0 0 0\n"
+        "2/1  2160 0 0 0\n"
+        "3/1  6720 0 0 0\n"
+        "\n"
+    ),
+    ("eta24", "7/2"): (
+        "N=1 trunc=7/2\n"
+        "1/1  1 0 0 0\n"
+        "2/1  -24 0 0 0\n"
+        "3/1  252 0 0 0\n"
+        "\n"
+    ),
+    ("theta3", "7/2"): (
+        "N=1 trunc=7/2\n"
+        "0/1  1 0 0 0\n"
+        "1/1  2 0 0 0\n"
+        "\n"
+    ),
+}
+
+# `twoelem borcherds report "U+U+E8(2)" --order 2`, byte for byte
+REPORT_TEXT = (
+    "lattice          U+U+E8(2)\n"
+    "weight (closed)  12\n"
+    "weight (series)  12\n"
+    "divisor classes  (class coords, exponent) -> multiplicity\n"
+    "  (0, 0, 0, 0, 0, 0, 0, 0) q^-1: 1\n"
+    "ledger           {'dprime': 1, 'dsecond': None, 'extra_char': 0}\n"
+    "e_0 expansion    N=3 trunc=2\n"
+    "-1/1  1 0 0 0\n"
+    "0/1  24 0 0 0\n"
+    "1/1  4644 0 0 0\n"
+    "\n"
+)
 
 
 def test_lattice_info(capsys):
@@ -31,6 +178,20 @@ def test_qseries_output(capsys):
     assert code == 0
     assert "-1/1  1 0 0 0" in out       # principal part q^-1
     assert "0/1  24 0 0 0" in out       # constant term 8 + 2k
+
+
+@pytest.mark.parametrize("name,order", sorted(QSERIES_TEXT))
+def test_qseries_exact_text(capsys, name, order):
+    code, out, _ = run_cli(capsys, "qseries", name, "--order", order)
+    assert code == 0
+    assert out == QSERIES_TEXT[name, order]
+
+
+def test_borcherds_report_exact_text(capsys):
+    code, out, _ = run_cli(capsys, "borcherds", "report", "U+U+E8(2)",
+                           "--order", "2")
+    assert code == 0
+    assert out == REPORT_TEXT
 
 
 def test_qseries_unknown_name(capsys):
@@ -101,15 +262,6 @@ def test_export_graph_dot(capsys, tmp_path):
     text = p.read_text()
     assert text.startswith("digraph")
     assert "->" in text
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("TWOELEM_THREADS", "4")
-    assert max_threads() == 4
-    monkeypatch.setenv("TWOELEM_THREADS", "junk")
-    assert max_threads() == 1
-    monkeypatch.delenv("TWOELEM_THREADS")
-    assert max_threads() == 1
 
 
 def test_order_flag_validation(capsys):

@@ -50,8 +50,8 @@ def test_theta_series_against_sum():
 
 def test_f0_head_and_oracle():
     ser = f0(8, 30)
-    assert ser.coeff(-1).rational_value() == 1
-    assert ser.coeff(0).rational_value() == 8 + 2 * 8
+    assert ser.coeff(-1) == 1
+    assert ser.coeff(0) == 8 + 2 * 8
     val, _ = qseries_eval(ser, TAU, 80)
     with mpmath.workprec(80):
         want = (_eta(2 * TAU) ** 8 * _theta(0, TAU) ** 8
@@ -64,7 +64,7 @@ def test_f1_head_and_oracle():
         ser = f1(k, 30)
         lead = Fraction(k, 4)
         assert ser.min_exp() == lead
-        assert ser.coeff(lead).rational_value() == -(2 ** (k + 4))
+        assert ser.coeff(lead) == -(2 ** (k + 4))
         val, _ = qseries_eval(ser, TAU, 80)
         with mpmath.workprec(80):
             want = (-16 * _eta(4 * TAU) ** 8
@@ -84,14 +84,14 @@ def test_slices_reassemble_f0():
 def test_slice_supports():
     for i in range(4):
         ser = g_i(8, i, 6)
-        for e in ser.terms:
+        for e, _c in ser.items():
             assert (4 * e) % 4 == i
 
 
 def test_eisenstein_oracle():
     ser = eisenstein_e4(20)
-    assert ser.coeff(0).rational_value() == 1
-    assert ser.coeff(1).rational_value() == 240
+    assert ser.coeff(0) == 1
+    assert ser.coeff(1) == 240
     val, _ = qseries_eval(ser, TAU, 80)
     with mpmath.workprec(80):
         nome = mpmath.exp(1j * mpmath.pi * TAU)

@@ -1,11 +1,13 @@
-"""Sparse q-series with fractional exponents and explicit truncation."""
+"""Truncated q-series with fractional exponents: the grid kernel against
+a schoolbook Cauchy product and exact modular identities."""
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoelem import QSeries, qseries_eval
+from twoelem import QSeries, eta_power, qseries_eval, qseries_mul
 
 exponents = st.fractions(min_value=-3, max_value=6, max_denominator=4)
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -23,9 +25,9 @@ def small_series(draw):
 
 def test_monomial_basics():
     q = QSeries.monomial(1)
-    assert (q * q).coeff(2).rational_value() == 1
+    assert (q * q).coeff(2) == 1
     s = QSeries.monomial(Fraction(-1, 4), 3) + QSeries.one()
-    assert s.coeff(Fraction(-1, 4)).rational_value() == 3
+    assert s.coeff(Fraction(-1, 4)) == 3
     assert s.min_exp() == Fraction(-1, 4)
 
 
@@ -35,14 +37,14 @@ def test_truncation_propagation():
     prod = a * b
     # min(trunc_a + low_b, trunc_b + low_a) = min(5+1, 4+2) = 6
     assert prod.trunc == 6
-    assert prod.coeff(3).rational_value() == 1
+    assert prod.coeff(3) == 1
 
 
 def test_inverse_of_one_minus_q():
     s = QSeries.one(trunc=10) - QSeries.monomial(1, trunc=10)
     inv = s.inverse()
     for n in range(10):
-        assert inv.coeff(n).rational_value() == 1
+        assert inv.coeff(n) == 1
     assert (s * inv).eq_below(QSeries.one(), 10)
 
 
@@ -88,3 +90,84 @@ def test_eval_respects_fractional_exponents():
 def test_inverse_requires_invertible_lead():
     with pytest.raises(ZeroDivisionError):
         QSeries.zero(trunc=4).inverse()
+
+
+big_or_rational = st.one_of(
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.fractions(min_value=-50, max_value=50, max_denominator=9),
+)
+
+
+@st.composite
+def grid_series(draw):
+    """Up to 12 terms on a grid of denominator 2, 3 or 4, with negative,
+    above-2^64 and non-integral coefficients."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        terms[Fraction(draw(st.integers(min_value=-8, max_value=24)), d)] = draw(big_or_rational)
+    trunc = Fraction(draw(st.integers(min_value=0, max_value=30)), draw(st.sampled_from([1, 2, 3])))
+    return QSeries(terms, trunc)
+
+
+def _schoolbook(a, b, bound):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea + eb < bound:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _low(s):
+    return s.trunc if s.is_zero() else min(e for e, _c in s.items())
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid_series(), grid_series())
+def test_mul_matches_schoolbook(a, b):
+    prod = qseries_mul(a, b)
+    assert prod.trunc == min(a.trunc + _low(b), b.trunc + _low(a))
+    assert dict(prod.items()) == _schoolbook(a, b, prod.trunc)
+
+
+@settings(deadline=None, max_examples=50)
+@given(grid_series(), st.integers(min_value=1, max_value=4))
+def test_power_recurrence_matches_products(s, n):
+    if s.is_zero():
+        return
+    rep = s
+    for _ in range(n - 1):
+        rep = rep * s
+    assert (s ** n).eq_below(rep)
+    assert (s ** n).trunc == rep.trunc
+    one = s ** -n * rep
+    assert one.eq_below(QSeries.one(), one.trunc)
+
+
+def test_eta24_times_inverse_is_one():
+    prod = eta_power(1, 24, 400) * eta_power(1, -24, 400)
+    assert prod.trunc == 399   # min(400 + (-1), 400 + 1): leads q and q^-1
+    assert prod.eq_below(QSeries.one())
+    prod = eta_power(1, 24, 401) * eta_power(1, -24, 400)
+    assert prod.trunc == 400
+    assert prod.eq_below(QSeries.one())
+
+
+def test_ramanujan_tau_identities():
+    delta = eta_power(1, 24, 400)
+    tau = [delta.coeff(n) for n in range(400)]
+    assert tau[:4] == [0, 1, -24, 252]
+    for m in range(2, 400):
+        for n in range(m + 1, 400 // m + 1):
+            if m * n < 400 and gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n]
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        assert tau[p * p] == tau[p] ** 2 - p ** 11
+
+
+def test_from_text_rejects_zeta_column():
+    good = "N=1 trunc=3\n0/1  1 0 0 0\n1/1  -2 0 0 0\n"
+    assert QSeries.from_text(good).coeff(1) == -2
+    with pytest.raises(ValueError):
+        QSeries.from_text("N=1 trunc=3\n0/1  1 0 0 0\n1/1  -2 0 1 0\n")

@@ -73,6 +73,19 @@ def test_genus_one_product_is_eta_cubed():
         assert abs(val - 2 * eta ** 3) < 1e-16
 
 
+def test_chi1_eighth_power_at_high_precision():
+    # chi_1^8 = 256 eta^24: the product of the theta values keeps all 100 bits
+    tau = complex(-0.3, 1.3)
+    val = chi_g(SiegelPoint(((tau,),)), 100)
+    with mpmath.workprec(100):
+        t = mpmath.mpc(tau)
+        q = mpmath.exp(2j * mpmath.pi * t)
+        eta = mpmath.exp(1j * mpmath.pi * t / 12)
+        for n in range(1, 200):
+            eta *= 1 - q ** n
+        assert abs(val ** 8 / (256 * eta ** 24) - 1) < 1e-25
+
+
 def test_chi2_vanishes_on_split_locus():
     val = chi_g(SiegelPoint(((0.4 + 1.1j, 0.0), (0.0, -0.3 + 0.8j))), 64)
     assert abs(val) < 1e-14

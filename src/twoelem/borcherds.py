@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import Lattice, _rational_inverse, direct_sum, rescale, standard_lattice
+from .lattices import Lattice, _inverse_and_det, direct_sum, rescale, standard_lattice
 from .vvmf import VVForm
 from .weil import disc_data
 
@@ -163,7 +163,7 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
         raise ValueError("form does not live on the ambient split U(N) + L")
     data = disc_data(ambient)
     n = L.rank
-    Ginv = _rational_inverse(L.gram)
+    Ginv = _inverse_and_det(L.gram)[0]
     y = point.y()
     y2 = point.y_norm2()
     cut = Fraction(order)
@@ -246,7 +246,7 @@ def _rational_inverse_cached(ambient_gram, nL):
     key = (ambient_gram, nL)
     if key not in _GINV_CACHE:
         sub = [row[-nL:] for row in ambient_gram[-nL:]]
-        _GINV_CACHE[key] = _rational_inverse(sub)
+        _GINV_CACHE[key] = _inverse_and_det(sub)[0]
     return _GINV_CACHE[key]
 
 
@@ -310,7 +310,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     """
     n = L.rank
     G = L.gram
-    Ginv = _rational_inverse(G)
+    Ginv = _inverse_and_det(G)[0]
     v1 = [Fraction(x) for x in v1]
     v2 = [Fraction(x) for x in v2]
     for v in (v1, v2):

@@ -1,9 +1,10 @@
 """Even lattices by Gram matrix, discriminant forms, 2-elementary invariants.
 
 Everything here is exact: signatures come from symmetric pivoting over Q,
-discriminant groups from a Smith normal form over Z, and the parity invariant
-delta from an exhaustive scan of the (at most 2^12 here) discriminant
-elements.
+discriminant groups from a Smith normal form over Z.  A 2-elementary form is
+held as two integer tables on its generators, 2q(g_i) mod 4 and
+2b(g_i, g_j) mod 2 (`FormTables`); the parity invariant delta, the q-value of
+every class and the characteristic element all come from these tables.
 """
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
-from typing import Optional
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ class Lattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if n and _det(g) == 0:
+        if n and _inverse_and_det(g)[1] == 0:
             raise ValueError("gram matrix is degenerate")
 
     @property
@@ -134,7 +137,7 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
-        return _det(self.gram)
+        return _inverse_and_det(self.gram)[1]
 
     def pairing(self, x, y) -> Fraction:
         """<x, y> for rational coordinate vectors in the lattice basis."""
@@ -153,26 +156,31 @@ class Lattice:
         return f"Lattice({self.label or self.gram})"
 
 
-def _det(gram) -> int:
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _inverse_and_det(mat):
+    """(mat^{-1}, det mat) of an integer square matrix, exactly.
+
+    Fraction-free Gauss-Jordan (Bareiss): every division is exact in Z, the
+    last pivot is +-det, and the right half ends as +-adj(mat).  The inverse
+    is None when det = 0.
+    """
+    n = len(mat)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(mat)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
+            return None, 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p, pivot_row = m[k][k], m[k]
+        for r in range(n):
+            if r != k:
+                f = m[r][k]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+        prev = p
+    return [[Fraction(x, prev) for x in row[n:]] for row in m], sign * prev
 
 
 # -- constructors -----------------------------------------------------------
@@ -315,53 +323,30 @@ def lattice_from_json(data) -> Lattice:
 # ---------------------------------------------------------------------------
 
 def signature(L: Lattice):
-    """(b+, b-) by exact symmetric pivoting over Q (no floating point)."""
-    n = L.rank
+    """(b+, b-) by exact symmetric elimination over Q (no floating point).
+
+    Each step takes a nonzero diagonal pivot (after x_0 += x_j when the whole
+    diagonal is zero, which makes it 2 m_0j), counts its sign and passes to
+    the Schur complement: a congruence, so the signature is kept.
+    """
     m = [[Fraction(x) for x in row] for row in L.gram]
-    pos = neg = 0
-    idx = list(range(n))
-
-    def eliminate(k):
-        nonlocal pos, neg
+    pos = 0
+    while m:
+        k = next((i for i in range(len(m)) if m[i][i]), None)
+        if k is None:
+            j = next((j for j in range(1, len(m)) if m[0][j]), None)
+            if j is None:
+                raise ValueError("degenerate form")
+            m[0] = [a + b for a, b in zip(m[0], m[j])]
+            for row in m:
+                row[0] += row[j]
+            k = 0
         piv = m[k][k]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / piv
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-        for i in range(k + 1, n):  # keep symmetry for the trailing block
-            for j in range(k + 1, n):
-                if i > j:
-                    m[i][j] = m[j][i]
-        for j in range(k + 1, n):
-            m[k][j] = Fraction(0)
-
-    k = 0
-    while k < n:
-        if m[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-            if j is not None:
-                # swap variables k <-> j
-                for r in range(n):
-                    m[r][k], m[r][j] = m[r][j], m[r][k]
-                for c in range(n):
-                    m[k][c], m[j][c] = m[j][c], m[k][c]
-            else:
-                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if j is None:
-                    raise ValueError("degenerate form")
-                # x_k += x_j makes the diagonal entry 2*m[k][j] != 0
-                for r in range(n):
-                    m[r][k] += m[r][j]
-                for c in range(n):
-                    m[k][c] += m[j][c]
-        eliminate(k)
-        k += 1
-    return pos, neg
+        pos += piv > 0
+        rest = [i for i in range(len(m)) if i != k]
+        m = [[m[i][j] - m[i][k] * m[k][j] / piv if m[i][k] and m[k][j] else m[i][j]
+              for j in rest] for i in rest]
+    return pos, L.rank - pos
 
 
 def sigma(L: Lattice) -> int:
@@ -397,9 +382,6 @@ class DiscGroup:
         coords = tuple(int(c) % d for c, d in zip(coords, self.orders))
         return DiscElement(self, coords)
 
-    def zero(self) -> "DiscElement":
-        return self.element((0,) * len(self.orders))
-
     def elements(self):
         for coords in iproduct(*(range(d) for d in self.orders)):
             yield DiscElement(self, coords)
@@ -416,6 +398,20 @@ class DiscGroup:
             x.append(int(val))
         y = [sum(self._u[i][j] * x[j] for j in range(n)) for i in range(n)]
         return self.element(tuple(y[p] for p in self._positions))
+
+    def tables(self) -> "FormTables":
+        """The generator tables of a 2-elementary form, from one integer product.
+
+        With v_i = 2 g_i integral, v_i G v_j = 4 b(g_i, g_j), which is even.
+        """
+        if not self.is_two_elementary:
+            raise ValueError(f"lattice is not 2-elementary: orders {self.orders}")
+        l = len(self.orders)
+        V = [[int(2 * x) for x in g] for g in self.generators]
+        GV = [[sum(a * b for a, b in zip(row, v)) for row in self.parent.gram] for v in V]
+        four_b = np.array([[sum(a * b for a, b in zip(v, w)) % 8 for w in GV] for v in V],
+                          dtype=np.int64).reshape(l, l)
+        return FormTables(np.diagonal(four_b) // 2, four_b // 2 % 2)
 
     def q(self, el: "DiscElement") -> Fraction:
         """q_L(el) in Q/2Z, represented in [0, 2)."""
@@ -464,41 +460,21 @@ class DiscElement:
 def discriminant_group(L: Lattice) -> DiscGroup:
     """A_L via Smith normal form of the Gram matrix.
 
-    With U*G*V = diag(d), the classes of the columns of G^{-1}U^{-1} with
-    d_i > 1 generate A_L = Z^n / G Z^n, the i-th one of order d_i.
+    With U*G*V = diag(d), the classes of the columns of G^{-1}U^{-1} =
+    V diag(d)^{-1} with d_i > 1 generate A_L = Z^n / G Z^n, the i-th one of
+    order d_i.
     """
     n = L.rank
-    d, u, _v = smith_normal_form(L.gram)
-    ginv = _rational_inverse(L.gram)
-    uinv = _rational_inverse(u)
+    d, u, v = smith_normal_form(L.gram)
     positions = [i for i in range(n) if abs(d[i]) > 1]
     orders = [abs(d[i]) for i in positions]
-    gens = []
-    for p in positions:
-        col = [sum(ginv[i][k] * uinv[k][p] for k in range(n)) for i in range(n)]
-        gens.append([x % 1 for x in col])
+    gens = [[Fraction(v[i][p], d[p]) % 1 for i in range(n)] for p in positions]
     grp = DiscGroup(L, orders, gens, u, positions)
     total = 1
     for o in orders:
         total *= o
     assert total == abs(L.det())
     return grp
-
-
-def _rational_inverse(mat):
-    n = len(mat)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -522,41 +498,66 @@ class LatticeTriple:
             raise ValueError("delta must be 0 or 1")
 
 
+@dataclass(frozen=True)
+class FormTables:
+    """A 2-elementary (A_L, q_L) as exact integer tables on its generators g_i.
+
+    Q_i = 2q(g_i) mod 4 and B_ij = 2b(g_i, g_j) mod 2.  Because 2b is
+    integral, the class x = sum x_i g_i (x_i in {0, 1}) has
+
+        2q(x) = x.Q + 2 sum_{i<j} x_i x_j B_ij  mod 4,
+
+    so the tables fix the form (Nikulin 1979) and 2q mod 2 is linear.
+    """
+
+    Q: np.ndarray
+    B: np.ndarray
+
+    @property
+    def delta(self) -> int:
+        """1 iff some class has q not in Z, i.e. iff some 2q(g_i) is odd."""
+        return int(np.any(self.Q % 2))
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """The 2^l classes as 0/1 rows, in `DiscGroup.elements()` order."""
+        l = len(self.Q)
+        return (np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1
+
+    @cached_property
+    def two_q(self) -> np.ndarray:
+        """2q(x) mod 4 for every class x, by bit expansion."""
+        bits = self.bits
+        cross = ((bits @ np.triu(self.B, 1)) * bits).sum(axis=1)
+        return (bits @ self.Q + 2 * cross) % 4
+
+    @cached_property
+    def characteristic(self) -> tuple:
+        """Coordinates of the unique class gamma with b(gamma, x) = q(x) mod Z.
+
+        gamma solves B gamma = Q mod 2 over F2; the defining property,
+        2b(gamma, x) = 2q(x) mod 2, is then checked on every class x.
+        """
+        gamma = np.array(_solve_f2(self.B.tolist(), (self.Q % 2).tolist()), dtype=np.int64)
+        if np.any((self.bits @ (self.B @ gamma) - self.two_q) % 2):
+            raise ArithmeticError("characteristic element fails on some class")
+        return tuple(int(c) for c in gamma)
+
+
 def two_elementary_invariants(L: Lattice) -> LatticeTriple:
     """(r, l, delta); errors if L is not 2-elementary.
 
-    delta is decided by scanning all 2^l discriminant classes for a
-    non-integral q-value (q is not linear, so generator inspection would not
-    be conclusive; the scan is cheap at l <= 12).
+    q mod Z is additive on a 2-elementary form, so delta is read off the
+    generators: delta = 1 iff some generator has q(g_i) not in Z.
     """
     A = discriminant_group(L)
-    if not A.is_two_elementary:
-        raise ValueError(f"lattice is not 2-elementary: orders {A.orders}")
-    delta = 0
-    for el in A.elements():
-        if A.q(el) % 1 != 0:
-            delta = 1
-            break
-    return LatticeTriple(L.rank, len(A.orders), delta)
+    return LatticeTriple(L.rank, len(A.orders), A.tables().delta)
 
 
 def characteristic_element(L: Lattice) -> DiscElement:
     """The unique class with b(gamma, x) = q(x) mod Z for all x (F2 solve)."""
     A = discriminant_group(L)
-    if not A.is_two_elementary:
-        raise ValueError("characteristic element needs a 2-elementary lattice")
-    l = len(A.orders)
-    if l == 0:
-        return A.zero()
-    gens = [A.element(tuple(int(i == j) for j in range(l))) for i in range(l)]
-    # B_ij = 2*b(g_i, g_j) in F2, target t_j = 2*q(g_j) mod 2 in F2
-    B = [[int(2 * A.b(gi, gj)) % 2 for gj in gens] for gi in gens]
-    t = [int(2 * A.q(gj)) % 2 for gj in gens]
-    x = _solve_f2(B, t)
-    gamma = A.element(tuple(x))
-    for el in A.elements():  # assert the defining property
-        assert (A.b(gamma, el) - A.q(el)) % 1 == 0
-    return gamma
+    return A.element(A.tables().characteristic)
 
 
 def _solve_f2(B, t):

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyc8 import Cyc8
-from .lattices import Lattice, discriminant_group, characteristic_element, sigma as lattice_sigma
+from .lattices import Lattice, discriminant_group, sigma as lattice_sigma
 from .mp2 import Mp2Element, mp2_word
 
 _DENSE_L_CAP = 8
@@ -42,7 +42,6 @@ class DiscData:
     lattice: Lattice
     group: "object"
     elements: list          # DiscElement, fixed order; index 0 is the zero class
-    index: dict             # coords tuple -> position
     qvals: list             # Fraction in [0,2): q of each element
     tvals: list             # integer zeta-exponent 4*q mod 8 (phase of rho(T))
     sign_matrix: np.ndarray  # (-1)^{2 b(g,d)} as int64
@@ -67,24 +66,24 @@ def _build_disc_data(L: Lattice) -> DiscData:
     l = len(A.orders)
     if l > _COLUMN_L_CAP:
         raise ValueError(f"discriminant group too large (l={l} > {_COLUMN_L_CAP})")
-    elements = list(A.elements())
-    index = {el.coords: i for i, el in enumerate(elements)}
-    qvals = [A.q(el) for el in elements]
-    tvals = [int(4 * q) % 8 for q in qvals]
-    # bilinear form on generators, in units of 1/2 -> F2 matrix
-    gens = [A.element(tuple(int(i == j) for j in range(l))) for i in range(l)]
-    B = np.array(
-        [[int(2 * A.b(gi, gj)) % 2 for gj in gens] for gi in gens], dtype=np.int64
-    )
-    bits = np.array([el.coords for el in elements], dtype=np.int64)
-    if l:
-        parity = (bits @ B @ bits.T) % 2
-    else:
-        parity = np.zeros((1, 1), dtype=np.int64)
-    signs = 1 - 2 * parity
-    s = lattice_sigma(L)
-    one = characteristic_element(L)
-    return DiscData(L, A, elements, index, qvals, tvals, signs, s, l, index[one.coords])
+    tables = A.tables()
+    two_q = tables.two_q.tolist()
+    qvals = [Fraction(t, 2) for t in two_q]
+    tvals = [2 * t for t in two_q]
+    # (-1)^{2b(x, y)} = (-1)^{popcount(x & By)} with x, y as packed class
+    # indices; filled by row blocks, so the result is the only 2^l x 2^l array
+    bits = tables.bits
+    n = len(bits)
+    weights = 1 << np.arange(l - 1, -1, -1)
+    packed_by = (tables.B @ bits.T % 2).T @ weights
+    sign_of = 1 - 2 * (bits.sum(axis=1) % 2)
+    signs = np.empty((n, n), dtype=np.int64)
+    rows = np.arange(n)[:, None]
+    for r in range(0, n, 256):
+        # indices are in range; "clip" only skips the copy "raise" makes of out
+        np.take(sign_of, rows[r:r + 256] & packed_by, out=signs[r:r + 256], mode="clip")
+    return DiscData(L, A, list(A.elements()), qvals, tvals, signs, lattice_sigma(L), l,
+                    int(np.array(tables.characteristic, dtype=np.int64) @ weights))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +292,7 @@ def closed_form_st_l_inverse_column(L: Lattice, l_exp: int):
     where v_k sums the classes with q = k/2 mod 2.
     """
     data = disc_data(L)
-    scal = Cyc8.zeta(data.sigma)  # i^{sigma/2}
-    scal = scal * Fraction(1, 2 ** (data.l // 2))
-    if data.l % 2:
-        scal = scal * Cyc8.sqrt2() * Fraction(1, 2)
+    scal = _s_scalar(data).conj()  # i^{sigma/2} 2^{-l/2}: 2^{-l/2} is real
     out = []
     for q in data.qvals:
         k = int(2 * q) % 4

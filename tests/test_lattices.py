@@ -1,6 +1,7 @@
 """Even lattices, discriminant forms, and the (r, l, delta) triple calculus."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from twoelem import (
     standard_lattice,
     two_elementary_invariants,
 )
+from twoelem.weil import disc_data
 
 
 def test_standard_grams():
@@ -76,6 +78,45 @@ def test_characteristic_element_property():
             assert (A.b(char, x) - A.q(x)) % 1 == 0
     # delta = 0 forces the zero class
     assert characteristic_element(parse_lattice_expr("U(2)")).is_zero()
+
+
+# 2-ranks of the summands drawn below
+_SUMMAND_L = {"U": 0, "U(2)": 2, "A1": 1, "A1+": 1, "D4": 2, "E8(2)": 8}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from(sorted(_SUMMAND_L)), min_size=1, max_size=6)
+       .filter(lambda names: sum(_SUMMAND_L[n] for n in names) <= 8))
+def test_tables_match_exhaustive_scan(names):
+    # the generator tables against the Fraction scan over every class
+    L = parse_lattice_expr("+".join(names))
+    A = discriminant_group(L)
+    data = disc_data(L)
+    elements = list(A.elements())
+    assert [el.coords for el in data.elements] == [el.coords for el in elements]
+    qvals = [A.q(el) for el in elements]
+    assert data.qvals == qvals
+    assert data.tvals == [int(4 * q) % 8 for q in qvals]
+    assert two_elementary_invariants(L).delta == int(any(q % 1 for q in qvals))
+    char = elements[data.one_index]
+    assert all((A.b(char, x) - A.q(x)) % 1 == 0 for x in elements)
+    # 4b(x, y) of every pair of class representatives, from the Gram matrix
+    reps = np.array([[int(2 * c) for c in el.rep()] for el in elements], dtype=np.int64)
+    four_b = reps @ np.array(L.gram, dtype=np.int64) @ reps.T
+    assert (data.sign_matrix == 1 - 2 * (four_b // 2 % 2)).all()
+
+
+@pytest.mark.parametrize("expr, delta, char", [
+    ("A1+^2+A1^10", 1, (1,) * 12),
+    ("U(2)+D4+A1+^2+A1^6", 1, (0, 0, 0, 0) + (1,) * 8),
+    ("U+D4+E8(2)+A1+^2", 1, (0,) * 8 + (1, 1, 0, 0)),
+])
+def test_invariants_at_two_rank_12(expr, delta, char):
+    # values computed by the exhaustive scan before the tables replaced it
+    L = parse_lattice_expr(expr)
+    t = two_elementary_invariants(L)
+    assert (t.l, t.delta) == (12, delta)
+    assert characteristic_element(L).coords == char
 
 
 def test_pairing_and_norm():

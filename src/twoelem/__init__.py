@@ -42,7 +42,7 @@ from .lattices import (
 )
 from .modforms import eta_power, theta_a1, f0, f1, g_i, eisenstein_e4
 from .mp2 import Mp2Element, mp2_word, MP2_S, MP2_T, MP2_Z, MP2_V
-from .weil import weil_generator, weil_rep, weil_column, invariant_vector_check
+from .weil import weil_rep, weil_column, invariant_vector_check
 from .vvmf import (
     VVForm,
     HeegnerSum,

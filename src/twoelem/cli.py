@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _parse_order(text: str) -> Fraction:
@@ -205,6 +206,7 @@ def cmd_export_graph(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoelem",

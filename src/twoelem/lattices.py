@@ -473,7 +473,8 @@ def discriminant_group(L: Lattice) -> DiscGroup:
     total = 1
     for o in orders:
         total *= o
-    assert total == abs(L.det())
+    if total != abs(L.det()):
+        raise ArithmeticError(f"product of orders {total} != |det| {abs(L.det())}")
     return grp
 
 

@@ -2,18 +2,22 @@
 
 An element is (A, branch) with A in SL_2(Z); its automorphy factor is
 j(g, tau) = (-1)^branch * sqrt(c*tau + d) with the principal square root.
-Branch composition is fixed by evaluating the square-root cocycle at tau = i,
-which is deterministic and well separated from the branch cut for every
-integer matrix.
+Branch composition is an integer sign rule: for tau in H, arg(c*tau + d)
+lies in (0, pi] or (-pi, 0) or is 0, by the signs of c and d alone, and
+the principal square roots multiply correctly unless the two arguments
+add up past the cut (see `_half_plane`).
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 
 
-def _principal_sqrt(z: complex) -> complex:
-    return cmath.sqrt(z)
+def _half_plane(c: int, d: int) -> int:
+    """Where arg(c*tau + d) lies for tau in H: 1 for (0, pi], -1 for (-pi, 0), 0 at 0."""
+    if c:
+        return 1 if c > 0 else -1
+    return 1 if d < 0 else 0
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class Mp2Element:
 
     def j(self, tau: complex) -> complex:
         """j(g, tau) = (-1)^branch * principal sqrt(c*tau + d)."""
-        return (-1) ** self.branch * _principal_sqrt(self.c * tau + self.d)
+        return _sqrt_like(self, tau)
 
     def apply(self, tau: complex) -> complex:
         return (self.a * tau + self.b) / (self.c * tau + self.d)
@@ -47,19 +51,17 @@ class Mp2Element:
         b = self.a * other.b + self.b * other.d
         c = self.c * other.a + self.d * other.c
         d = self.c * other.b + self.d * other.d
-        # fix the branch so that j(gh, i) = j(g, h.i) * j(h, i)
-        tau = 1j
-        target = self.j(other.apply(tau)) * other.j(tau)
-        plain = _principal_sqrt(c * tau + d)
-        branch = 0 if abs(plain - target) < abs(-plain - target) else 1
-        return Mp2Element(a, b, c, d, branch)
+        # j(gh, tau) = j(g, h.tau) * j(h, tau) up to the sign of the cocycle:
+        # the two arguments sum past the cut iff both lie in (0, pi] and the
+        # product's lies in (-pi, 0], or both lie in (-pi, 0) and the
+        # product's lies in (0, pi] (two arguments 0 sum to the product's 0)
+        wrap = _half_plane(self.c, self.d) == _half_plane(other.c, other.d) != _half_plane(c, d)
+        return Mp2Element(a, b, c, d, self.branch ^ other.branch ^ wrap)
 
     def inverse(self) -> "Mp2Element":
-        inv = Mp2Element(self.d, -self.b, -self.c, self.a, 0)
-        if (self * inv) != MP2_ONE:
-            inv = Mp2Element(self.d, -self.b, -self.c, self.a, 1)
-        assert self * inv == MP2_ONE
-        return inv
+        # the cocycle of g with g^-1 is -1 only for -(1 b; 0 1): both arguments are pi
+        flip = self.c == 0 and self.d < 0
+        return Mp2Element(self.d, -self.b, -self.c, self.a, self.branch ^ flip)
 
     def __pow__(self, n: int) -> "Mp2Element":
         if n < 0:
@@ -115,25 +117,16 @@ def word_j(word, tau):
 
 def _sqrt_like(el: Mp2Element, tau):
     """(-1)^branch sqrt(c tau + d) evaluated with tau's own arithmetic."""
-    val = el.c * tau + el.d
-    try:
-        root = val ** 0.5
-    except Exception:  # mpmath mpc prefers sqrt()
-        import mpmath
-
-        root = mpmath.sqrt(val)
-    return (-1) ** el.branch * root
+    return (-1) ** el.branch * (el.c * tau + el.d) ** 0.5
 
 
 def mp2_word(g: Mp2Element):
     """Decompose g into a word in S and T (with integer exponents).
 
     The matrix part is peeled by the Euclidean algorithm on the first column;
-    a trailing power of Z = S^2 fixes sign and branch.  Evaluating the word
-    reproduces g exactly.
+    a trailing Z = S^2 fixes the sign and a trailing Z^2 = S^4 the branch.
+    Evaluating the word reproduces g exactly.
     """
-    from fractions import Fraction
-
     a, b, c, d = g.a, g.b, g.c, g.d
     word = []
     # Invariant: g = product(word) * (a b; c d), up to a central power of Z.
@@ -151,10 +144,7 @@ def mp2_word(g: Mp2Element):
         a, d, b = 1, 1, -b
     if b:
         word.append(("T", b))
-    # fix the central power of Z (matrix sign is already right; the branch
-    # may still differ)
-    for _ in range(4):
-        if evaluate_word(word) == g:
-            return word
-        word.append(("S", 2))
-    raise AssertionError("word reconstruction failed")
+    # the matrix is right; Z^2 = (I, branch 1) fixes the branch
+    if evaluate_word(word).branch != g.branch:
+        word.append(("S", 4))
+    return word

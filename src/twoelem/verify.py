@@ -16,13 +16,14 @@ from .lattices import (
     two_elementary_invariants,
 )
 from .modforms import eisenstein_e4, eta_power
-from .mp2 import evaluate_word
+from .mp2 import MP2_S, MP2_T, evaluate_word
 from .vvmf import borcherds_divisor, borcherds_weight, construct_F, restrict
 from .weil import (
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
+    is_unitary,
     weil_column_of,
-    weil_generator,
+    weil_rep,
 )
 
 SUITES = ("series", "weil", "borcherds", "siegel", "graph")
@@ -86,10 +87,10 @@ def suite_weil():
             all((a - b).is_zero() for a, b in zip(word_col, closed)),
             "exact cyclotomic equality",
         ))
-        for gen in ("S", "T"):
+        for gen, g in (("S", MP2_S), ("T", MP2_T)):
             checks.append(_check(
                 f"rho({gen}) unitary on {expr}",
-                weil_generator(L, gen).is_unitary(),
+                is_unitary(weil_rep(L, g)),
                 "exact",
             ))
     return checks

@@ -191,7 +191,7 @@ def borcherds_divisor(F: VVForm) -> HeegnerSum:
 
 
 def borcherds_weight(L: Lattice):
-    """The lift's weight, computed two ways and asserted equal.
+    """The lift's weight, computed two ways and checked equal.
 
     Closed form (signature (2, r-2)):  (12+sigma) * (2^{(4-sigma-l)/2} + 1),
     minus 8 when delta = 0 and sigma = -8 (the constant term of the
@@ -207,7 +207,8 @@ def borcherds_weight(L: Lattice):
         closed -= 8
     F = construct_F(L, order=2)
     series = Fraction(F.components[data.elements[0].coords].coeff(0), 2)
-    assert series == closed, (closed, series)
+    if series != closed:
+        raise ArithmeticError((closed, series))
     return Fraction(closed), series
 
 

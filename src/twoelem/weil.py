@@ -12,12 +12,10 @@ and sqrt(2) = zeta - zeta^3.  This holds for odd sigma as well, which the
 coset-sum oracle needs (e.g. U + A1plus has sigma = 1); no parity guard is
 imposed.
 
-Two representations are provided:
-
-* dense WeilMatrix over Cyc8 for small discriminant groups (l <= 8);
-* a fast column evaluator (`weil_column`) that applies a word to e_0,
-  keeping an integer numpy state plus one exact Cyc8 prefactor, usable up
-  to l = 12.
+One evaluator serves every use: `weil_column` applies a word in S and T to
+a basis vector e_j, keeping an integer numpy state plus one exact Cyc8
+prefactor, up to l = 12.  The dense matrix `weil_rep` (l <= 8) is the list
+of its columns.
 """
 from __future__ import annotations
 
@@ -168,105 +166,30 @@ def weil_column_of(L: Lattice, g: Mp2Element, start: int = 0):
     return weil_column(L, mp2_word(g), start)
 
 
-# ---------------------------------------------------------------------------
-# dense matrices (small l)
-# ---------------------------------------------------------------------------
-
-class WeilMatrix:
-    """A dense |A| x |A| matrix over Cyc8."""
-
-    __slots__ = ("lattice", "rows")
-
-    def __init__(self, lattice: Lattice, rows):
-        self.lattice = lattice
-        self.rows = [list(r) for r in rows]
-
-    def __matmul__(self, other: "WeilMatrix") -> "WeilMatrix":
-        n = len(self.rows)
-        bt = [[other.rows[k][j] for k in range(n)] for j in range(n)]
-        out = []
-        for row in self.rows:
-            out.append([
-                sum((row[k] * col[k] for k in range(n)), Cyc8(0)) for col in bt
-            ])
-        return WeilMatrix(self.lattice, out)
-
-    def __eq__(self, other):
-        return isinstance(other, WeilMatrix) and self.rows == other.rows
-
-    def conj_transpose(self) -> "WeilMatrix":
-        n = len(self.rows)
-        return WeilMatrix(
-            self.lattice,
-            [[self.rows[j][i].conj() for j in range(n)] for i in range(n)],
-        )
-
-    def is_unitary(self) -> bool:
-        n = len(self.rows)
-        prod = self @ self.conj_transpose()
-        for i in range(n):
-            for j in range(n):
-                want = Cyc8(1) if i == j else Cyc8(0)
-                if prod.rows[i][j] != want:
-                    return False
-        return True
-
-    def column(self, j: int):
-        return [row[j] for row in self.rows]
-
-    def apply(self, vec):
-        return [sum((r[k] * vec[k] for k in range(len(vec))), Cyc8(0)) for r in self.rows]
-
-    @staticmethod
-    def identity(lattice: Lattice, n: int) -> "WeilMatrix":
-        return WeilMatrix(
-            lattice, [[Cyc8(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
-
-def weil_generator(L: Lattice, which: str) -> WeilMatrix:
-    """Exact generator matrix rho(S) or rho(T) (dense; needs l <= 8)."""
+def weil_rep(L: Lattice, g: Mp2Element):
+    """rho(g) as a dense exact matrix, a list of columns: cols[j] = rho(g) e_j."""
     data = disc_data(L)
     if data.l > _DENSE_L_CAP:
         raise ValueError(
             f"dense Weil matrices capped at l <= {_DENSE_L_CAP}; use weil_column"
         )
-    n = len(data.elements)
-    if which == "T":
-        rows = [
-            [Cyc8.zeta(data.tvals[i]) if i == j else Cyc8(0) for j in range(n)]
-            for i in range(n)
-        ]
-        return WeilMatrix(L, rows)
-    if which == "S":
-        scal = _s_scalar(data)
-        rows = [
-            [scal * int(data.sign_matrix[j][i]) for i in range(n)] for j in range(n)
-        ]
-        return WeilMatrix(L, rows)
-    raise ValueError("which must be 'S' or 'T'")
-
-
-def weil_rep(L: Lattice, g: Mp2Element) -> WeilMatrix:
-    """rho(g) as a dense exact matrix, via the word decomposition of g."""
     word = mp2_word(g)
-    data = disc_data(L)
-    n = len(data.elements)
-    matS = weil_generator(L, "S")
-    matT = weil_generator(L, "T")
-    acc = WeilMatrix.identity(L, n)
-    for gen, exp in word:
-        base = matS if gen == "S" else matT
-        e = exp % 8
-        for _ in range(e):
-            acc = acc @ base
-    return acc
+    return [weil_column(L, word, j) for j in range(len(data.elements))]
+
+
+def is_unitary(cols) -> bool:
+    """Whether the columns are orthonormal under the exact Hermitian product."""
+    conj = [[x.conj() for x in col] for col in cols]
+    return all(
+        sum((x * y for x, y in zip(cols[i], conj[j])), Cyc8(0)) == Cyc8(int(i == j))
+        for i in range(len(cols)) for j in range(i + 1)
+    )
 
 
 def invariant_vector_check(L: Lattice, g: Mp2Element) -> Cyc8:
     """The scalar lambda with rho(g) e_0 = lambda e_0, for g with c = 0 mod 4.
 
-    Errors if e_0 is not an eigenvector; asserts lambda^8 = 1.
+    Errors if e_0 is not an eigenvector or if lambda^8 != 1.
     """
     if g.c % 4:
         raise ValueError("invariant_vector_check needs lower-left entry = 0 mod 4")
@@ -277,13 +200,14 @@ def invariant_vector_check(L: Lattice, g: Mp2Element) -> Cyc8:
             raise AssertionError(
                 f"e_0 is not an eigenvector of rho(g): component {i} = {entry}"
             )
-    assert lam ** 8 == Cyc8(1), f"eigenvalue {lam} is not an 8th root of unity"
+    if lam ** 8 != Cyc8(1):
+        raise ArithmeticError(f"eigenvalue {lam} is not an 8th root of unity")
     return lam
 
 
 # ---------------------------------------------------------------------------
 # closed forms used by the coset-sum construction (and tested against the
-# word-product route)
+# word evaluator)
 # ---------------------------------------------------------------------------
 
 def closed_form_st_l_inverse_column(L: Lattice, l_exp: int):

@@ -12,13 +12,15 @@ from twoelem import (
     invariant_vector_check,
     mp2_word,
     parse_lattice_expr,
-    weil_generator,
+    weil_column,
     weil_rep,
 )
-from twoelem.mp2 import evaluate_word, word_j
+from twoelem.mp2 import MP2_ONE, evaluate_word, word_j
 from twoelem.weil import (
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
+    disc_data,
+    is_unitary,
     weil_column_of,
 )
 
@@ -59,23 +61,43 @@ def test_word_decomposition_roundtrip(word):
     assert g == again
 
 
+# words whose products reach c = 0, d = -1 (S^2, S^4 and negative powers)
+TOKENS = st.one_of(
+    st.tuples(st.sampled_from("ST"), st.integers(min_value=-4, max_value=4)),
+    st.tuples(st.just("S"), st.sampled_from([2, 4, -2])),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(TOKENS, min_size=0, max_size=7))
+def test_branch_rule_matches_factorwise_j(word):
+    word = list(word)
+    g = evaluate_word(word)
+    with mpmath.workprec(100):
+        tau = mpmath.mpc("0.2718281828", "0.9141592653")
+        j, _ = word_j(word, tau)
+        # a wrong branch is off by 2|j|, far above the rounding error
+        assert abs(g.j(tau) - j) < 1e-20
+    assert g * g.inverse() == MP2_ONE
+    assert g.inverse() * g == MP2_ONE
+    assert evaluate_word(mp2_word(g)) == g
+
+
 @pytest.mark.parametrize("expr", LATTICES)
 def test_generators_unitary(expr):
     L = parse_lattice_expr(expr)
-    for gen in ("S", "T"):
-        assert weil_generator(L, gen).is_unitary()
+    for g in (MP2_S, MP2_T):
+        assert is_unitary(weil_rep(L, g))
 
 
 @pytest.mark.parametrize("expr", LATTICES)
 def test_representation_relations(expr):
     L = parse_lattice_expr(expr)
-    S = weil_generator(L, "S")
-    T = weil_generator(L, "T")
-    # rho(S)^2 = rho(Z) commutes with everything and rho((ST)^3) = rho(Z)
-    Zm = S @ S
-    assert Zm @ T == T @ Zm
-    st3 = (S @ T) @ (S @ T) @ (S @ T)
-    assert st3 == Zm
+    # rho((ST)^3) = rho(S^2) = rho(Z), and rho(Z) commutes with rho(T)
+    for j in range(len(disc_data(L).elements)):
+        assert weil_column(L, [("S", 1), ("T", 1)] * 3, j) == weil_column(L, [("S", 2)], j)
+        assert (weil_column(L, [("S", 2), ("T", 1)], j)
+                == weil_column(L, [("T", 1), ("S", 2)], j))
 
 
 @pytest.mark.parametrize("expr", LATTICES)
@@ -94,10 +116,17 @@ def test_closed_form_columns(expr):
 
 def test_word_product_matches_matrix_route():
     L = parse_lattice_expr("U(2)")
-    g = evaluate_word([("T", 2), ("S", 1), ("T", 1), ("S", 3)])
-    col = weil_column_of(L, g)
-    mat = weil_rep(L, g)
-    assert all((a - b).is_zero() for a, b in zip(col, mat.column(0)))
+    word = [("T", 2), ("S", 1), ("T", 1), ("S", 3)]
+    mats = {"S": weil_rep(L, MP2_S), "T": weil_rep(L, MP2_T)}
+    # rho(word) e_0 by dense matrix-vector products, right to left
+    vec = [Cyc8(int(i == 0)) for i in range(len(mats["S"]))]
+    for gen, exp in reversed(word):
+        for _ in range(exp):
+            cols = mats[gen]
+            vec = [sum((cols[k][i] * vec[k] for k in range(len(vec))), Cyc8(0))
+                   for i in range(len(vec))]
+    col = weil_column_of(L, evaluate_word(word))
+    assert all((a - b).is_zero() for a, b in zip(col, vec))
 
 
 def test_invariant_vector_eigenvalue():

@@ -14,6 +14,7 @@ from twoelem import (
     parse_lattice_expr,
     restrict,
 )
+from twoelem import vvmf
 from twoelem.vvmf import eval_vvform
 from twoelem.weil import disc_data
 
@@ -27,6 +28,20 @@ def test_support_and_symmetry():
 def test_weight_guard_needs_signature_two():
     with pytest.raises(ValueError):
         borcherds_weight(parse_lattice_expr("A1"))
+
+
+def test_weight_mismatch_raises(monkeypatch):
+    real = vvmf.construct_F
+
+    def wrong_e0(L, order):
+        F = real(L, order=order)
+        e0 = disc_data(L).elements[0].coords
+        F.components[e0] = F.components[e0] + 2  # the weight is half this constant term
+        return F
+
+    monkeypatch.setattr(vvmf, "construct_F", wrong_e0)
+    with pytest.raises(ArithmeticError):
+        borcherds_weight(parse_lattice_expr("U+U+E8(2)"))
 
 
 @pytest.mark.parametrize("expr, want", [

@@ -39,7 +39,7 @@ class Mp2Element:
 
     def j(self, tau: complex) -> complex:
         """j(g, tau) = (-1)^branch * principal sqrt(c*tau + d)."""
-        return _sqrt_like(self, tau)
+        return (-1) ** self.branch * (self.c * tau + self.d) ** 0.5
 
     def apply(self, tau: complex) -> complex:
         return (self.a * tau + self.b) / (self.c * tau + self.d)
@@ -109,15 +109,10 @@ def word_j(word, tau):
     point = tau
     # accumulate right-to-left: j(g1 g2, tau) = j(g1, g2 tau) * j(g2, tau)
     for el in reversed(elements):
-        factor = _sqrt_like(el, point)
+        factor = el.j(point)
         point = el.apply(point)
         j = factor if j is None else j * factor
     return (j if j is not None else tau ** 0), point
-
-
-def _sqrt_like(el: Mp2Element, tau):
-    """(-1)^branch sqrt(c tau + d) evaluated with tau's own arithmetic."""
-    return (-1) ** el.branch * (el.c * tau + el.d) ** 0.5
 
 
 def mp2_word(g: Mp2Element):

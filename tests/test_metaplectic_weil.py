@@ -93,11 +93,14 @@ def test_generators_unitary(expr):
 @pytest.mark.parametrize("expr", LATTICES)
 def test_representation_relations(expr):
     L = parse_lattice_expr(expr)
-    # rho((ST)^3) = rho(S^2) = rho(Z), and rho(Z) commutes with rho(T)
+    # rho(S) rho(S) (two sign-matrix steps) commutes with rho(T), equals
+    # rho((ST)^3), and equals the central shortcut rho(S^2) = rho(Z)
+    S, T = ("S", 1), ("T", 1)
     for j in range(len(disc_data(L).elements)):
-        assert weil_column(L, [("S", 1), ("T", 1)] * 3, j) == weil_column(L, [("S", 2)], j)
-        assert (weil_column(L, [("S", 2), ("T", 1)], j)
-                == weil_column(L, [("T", 1), ("S", 2)], j))
+        ss = weil_column(L, [S, S], j)
+        assert weil_column(L, [S, S, T], j) == weil_column(L, [T, S, S], j)
+        assert weil_column(L, [S, T] * 3, j) == ss
+        assert ss == weil_column(L, [("S", 2)], j)
 
 
 @pytest.mark.parametrize("expr", LATTICES)

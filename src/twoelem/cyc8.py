@@ -49,25 +49,10 @@ class Cyc8:
     def sqrt2() -> "Cyc8":
         return Cyc8(0, 1, 0, -1)
 
-    @staticmethod
-    def from_rational(x) -> "Cyc8":
-        return Cyc8(Fraction(x))
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.c)
-
-    def is_rational(self) -> bool:
-        return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self!r}")
-        return self.c[0]
-
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.c[0].denominator == 1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -106,7 +91,7 @@ class Cyc8:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.c, other.c
-        # fast path: both rational (the common case for series coefficients)
+        # fast path: one factor rational, as for the Weil scalars 2^(-l/2)
         if a[1] == 0 and a[2] == 0 and a[3] == 0:
             x = a[0]
             return Cyc8(x * b[0], x * b[1], x * b[2], x * b[3])
@@ -131,43 +116,9 @@ class Cyc8:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyc8":
-        """Multiplicative inverse, by solving the 4x4 linear system x*y = 1."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
-        if self.is_rational():
-            return Cyc8(1 / self.c[0])
-        # columns of M are self * zeta^j in the power basis
-        cols = [(self * Cyc8.zeta(j)).c for j in range(4)]
-        m = [[cols[j][i] for j in range(4)] for i in range(4)]
-        rhs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-        # Gaussian elimination with partial (nonzero) pivoting
-        for col in range(4):
-            piv = next(r for r in range(col, 4) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            rhs[col] *= inv
-            for r in range(4):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                    rhs[r] -= f * rhs[col]
-        return Cyc8(*rhs)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("Cyc8 powers take a nonnegative exponent")
         result = Cyc8(1)
         base = self
         while n:

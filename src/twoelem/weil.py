@@ -16,6 +16,14 @@ One evaluator serves every use: `weil_column` applies a word in S and T to
 a basis vector e_j, keeping an integer numpy state plus one exact Cyc8
 prefactor, up to l = 12.  The dense matrix `weil_rep` (l <= 8) is the list
 of its columns.
+
+The state is a (4, 2^l) int64 block: row k holds the z^k coefficients over
+the classes, indexed by their packed bit vectors.  rho(T) multiplies each
+column by a power of zeta_8, which permutes and negates the rows.  rho(S)
+is, up to its scalar, an unnormalised Walsh-Hadamard transform followed by
+the index map y -> By, since (-1)^{2b(x, y)} = (-1)^{popcount(x & By)}.
+After each S step the block is divided by the gcd of its entries, which
+moves into the prefactor, so its entries stay small on words of any length.
 """
 from __future__ import annotations
 
@@ -42,7 +50,7 @@ class DiscData:
     elements: list          # DiscElement, fixed order; index 0 is the zero class
     qvals: list             # Fraction in [0,2): q of each element
     tvals: list             # integer zeta-exponent 4*q mod 8 (phase of rho(T))
-    sign_matrix: np.ndarray  # (-1)^{2 b(g,d)} as int64
+    packed_by: np.ndarray   # packed By of each class y: rho(S) is fwht then y -> By
     sigma: int
     l: int
     one_index: int          # position of the characteristic element
@@ -68,19 +76,10 @@ def _build_disc_data(L: Lattice) -> DiscData:
     two_q = tables.two_q.tolist()
     qvals = [Fraction(t, 2) for t in two_q]
     tvals = [2 * t for t in two_q]
-    # (-1)^{2b(x, y)} = (-1)^{popcount(x & By)} with x, y as packed class
-    # indices; filled by row blocks, so the result is the only 2^l x 2^l array
     bits = tables.bits
-    n = len(bits)
     weights = 1 << np.arange(l - 1, -1, -1)
     packed_by = (tables.B @ bits.T % 2).T @ weights
-    sign_of = 1 - 2 * (bits.sum(axis=1) % 2)
-    signs = np.empty((n, n), dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    for r in range(0, n, 256):
-        # indices are in range; "clip" only skips the copy "raise" makes of out
-        np.take(sign_of, rows[r:r + 256] & packed_by, out=signs[r:r + 256], mode="clip")
-    return DiscData(L, A, list(A.elements()), qvals, tvals, signs, lattice_sigma(L), l,
+    return DiscData(L, A, list(A.elements()), qvals, tvals, packed_by, lattice_sigma(L), l,
                     int(np.array(tables.characteristic, dtype=np.int64) @ weights))
 
 
@@ -98,17 +97,20 @@ def _s_scalar(data: DiscData) -> Cyc8:
     return scal
 
 
-def _rotate(comp: np.ndarray, mask: np.ndarray, t: int) -> np.ndarray:
-    """Multiply the masked entries (4-vectors over the zeta-power basis) by zeta^t."""
-    out = comp[:, mask]
-    res = np.zeros_like(out)
-    for i in range(4):
-        k = (i + t) % 8
-        if k >= 4:
-            res[k - 4] -= out[i]
-        else:
-            res[k] += out[i]
-    return res
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform along the last axis, in place.
+
+    Entry k of the result is sum_x a[..., x] * (-1)^{popcount(x & k)}.
+    `a` must be C-contiguous, so that each reshape below is a view of it.
+    """
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        v = a.reshape(*a.shape[:-1], n // (2 * h), 2, h)
+        x, y = v[..., 0, :], v[..., 1, :]
+        v[..., 0, :], v[..., 1, :] = x + y, x - y
+        h *= 2
+    return a
 
 
 class _ColumnState:
@@ -120,19 +122,23 @@ class _ColumnState:
         self.prefactor = Cyc8(1)
 
     def apply_T(self, n: int):
-        tphase = np.array(self.data.tvals, dtype=np.int64) * (n % 8) % 8
-        for t in range(8):
-            mask = tphase == t
-            if t and mask.any():
-                self.comp[:, mask] = _rotate(self.comp, mask, t)
+        # zeta^t shifts the coefficients of z^0..z^7, and z^{k+4} = -z^k
+        t = np.array(self.data.tvals, dtype=np.int64) * (n % 8)
+        ext = np.concatenate([self.comp, -self.comp])
+        self.comp = np.take_along_axis(ext, (np.arange(4)[:, None] - t) % 8, axis=0)
 
     def apply_Z(self, k: int):
         # rho(Z) = i^{-sigma} * (e_g -> e_{-g}) and -g = g here
         self.prefactor = self.prefactor * Cyc8.zeta((-2 * self.data.sigma * k) % 8)
 
     def apply_S(self):
-        self.comp = self.comp @ self.data.sign_matrix
-        self.prefactor = self.prefactor * _s_scalar(self.data)
+        # the transform grows entries by at most a factor 2^l; refuse to wrap
+        if np.abs(self.comp).max() >= 2 ** (62 - self.data.l):
+            raise OverflowError("Weil column state too large for an int64 transform")
+        comp = _fwht(self.comp)[:, self.data.packed_by]
+        g = np.gcd.reduce(comp, axis=None)
+        self.comp = comp // g
+        self.prefactor = self.prefactor * _s_scalar(self.data) * int(g)
 
     def apply_token(self, gen: str, exp: int):
         if gen == "T":

@@ -19,14 +19,8 @@ def test_zeta_powers():
     assert z ** 2 == Cyc8.i_pow(1)
     assert Cyc8.sqrt2() ** 2 == Cyc8(2)
     assert Cyc8.sqrt2() == z - z ** 3
-
-
-def test_rational_detection():
-    assert Cyc8(Fraction(3, 2)).is_rational()
-    assert Cyc8(Fraction(3, 2)).rational_value() == Fraction(3, 2)
-    assert not Cyc8.zeta().is_rational()
-    assert Cyc8(2).is_integer()
-    assert not Cyc8(Fraction(1, 2)).is_integer()
+    with pytest.raises(ValueError):
+        z ** -1
 
 
 @settings(deadline=None, max_examples=60)
@@ -36,16 +30,6 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
-
-
-@settings(deadline=None, max_examples=60)
-@given(elements)
-def test_inverse_roundtrip(a):
-    if a.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    else:
-        assert a * a.inverse() == Cyc8(1)
 
 
 @settings(deadline=None, max_examples=60)

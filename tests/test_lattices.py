@@ -21,7 +21,7 @@ from twoelem import (
     standard_lattice,
     two_elementary_invariants,
 )
-from twoelem.weil import disc_data
+from twoelem.weil import _ColumnState, _s_scalar, disc_data
 
 
 def test_standard_grams():
@@ -103,7 +103,13 @@ def test_tables_match_exhaustive_scan(names):
     # 4b(x, y) of every pair of class representatives, from the Gram matrix
     reps = np.array([[int(2 * c) for c in el.rep()] for el in elements], dtype=np.int64)
     four_b = reps @ np.array(L.gram, dtype=np.int64) @ reps.T
-    assert (data.sign_matrix == 1 - 2 * (four_b // 2 % 2)).all()
+    # rho(S) e_j is its scalar times the signs (-1)^{2b(x_j, y)} over all y
+    for j in range(len(elements)):
+        state = _ColumnState(data, j)
+        state.apply_S()
+        assert (state.comp[0] == 1 - 2 * (four_b[j] // 2 % 2)).all()
+        assert not state.comp[1:].any()
+        assert state.prefactor == _s_scalar(data)
 
 
 @pytest.mark.parametrize("expr, delta, char", [

@@ -1,4 +1,6 @@
 """The metaplectic double cover and the Weil representation on (Z/2)^l."""
+import tracemalloc
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,8 @@ from twoelem import (
 )
 from twoelem.mp2 import MP2_ONE, evaluate_word, word_j
 from twoelem.weil import (
+    _build_disc_data,
+    _ColumnState,
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
     disc_data,
@@ -93,7 +97,7 @@ def test_generators_unitary(expr):
 @pytest.mark.parametrize("expr", LATTICES)
 def test_representation_relations(expr):
     L = parse_lattice_expr(expr)
-    # rho(S) rho(S) (two sign-matrix steps) commutes with rho(T), equals
+    # rho(S) rho(S) (two Walsh-Hadamard steps) commutes with rho(T), equals
     # rho((ST)^3), and equals the central shortcut rho(S^2) = rho(Z)
     S, T = ("S", 1), ("T", 1)
     for j in range(len(disc_data(L).elements)):
@@ -101,6 +105,34 @@ def test_representation_relations(expr):
         assert weil_column(L, [S, S, T], j) == weil_column(L, [T, S, S], j)
         assert weil_column(L, [S, T] * 3, j) == ss
         assert ss == weil_column(L, [("S", 2)], j)
+
+
+@pytest.mark.parametrize("expr", ["A1+^2+A1^4", "A1+^2+A1^8"])
+@pytest.mark.parametrize("r", [6, 10])
+def test_long_words_stay_exact(expr, r):
+    # (ST)^3 = S^2 in Mp2(Z); without renormalisation 3r S steps wrap int64
+    L = parse_lattice_expr(expr)
+    long_word = [("S", 1), ("T", 1)] * (3 * r)
+    assert weil_column(L, long_word, 0) == weil_column(L, [("S", 2 * r % 8)], 0)
+
+
+def test_s_step_refuses_to_wrap():
+    state = _ColumnState(disc_data(parse_lattice_expr("A1^2")), 0)
+    state.comp[0, 0] = 2 ** 60
+    with pytest.raises(OverflowError):
+        state.apply_S()
+
+
+def test_disc_data_makes_no_square_table():
+    # at l = 12 one 2^l x 2^l int64 table alone would take 128 MiB
+    L = parse_lattice_expr("A1+^2+A1^10")
+    tracemalloc.start()
+    try:
+        _build_disc_data(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("expr", LATTICES)

@@ -9,10 +9,11 @@ is, up to the Weyl-vector prefactor,
     prod_{n mod N} prod_{lam in L^v, <lam, Im z> > 0}
         (1 - e(<lam, z> + n/N)) ^ c_{(n/N, 0, lam)}(lam^2 / 2).
 
-Index enumeration is exact: the positive-definite majorant
-Q(x) = 2<x,y>^2/y^2 - x^2 (y = Im z) is decomposed by a rational LDL^t
-factorization and short vectors are listed Fincke-Pohst style, with floats
-used only to round the layer bounds outward.
+Index enumeration is exact: with y the exact binary value of Im z, the
+positive-definite majorant Q(x) = 2<x,y>^2/y^2 - x^2 is decomposed by a
+rational LDL^t factorization and short vectors are listed Fincke-Pohst style,
+with floats used only to round the layer bounds outward.  Indices lam stay in
+their integer dual coordinates m = G lam, which give the class of lam directly.
 """
 from __future__ import annotations
 
@@ -116,15 +117,11 @@ class TubePoint:
             raise ValueError("(Im z)^2 must be positive")
 
     def y(self):
-        # small-denominator rationals: keeps the exact slab pivoting cheap;
-        # the search bound is inflated to cover the rounding (see product_eval)
-        return [Fraction(w.imag).limit_denominator(10 ** 6) for w in self.z]
+        """Im z exactly: the binary value of each float as a Fraction."""
+        return [Fraction(w.imag) for w in self.z]
 
     def y_norm2(self) -> Fraction:
-        y = self.y()
-        G = self.L.gram
-        n = self.L.rank
-        return sum(G[i][j] * y[i] * y[j] for i in range(n) for j in range(n))
+        return self.L.norm(self.y())
 
     def ambient(self) -> Lattice:
         return direct_sum(rescale(standard_lattice("U"), self.N), self.L)
@@ -145,7 +142,8 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
                  min_margin: float = 0.05):
     """Evaluate the truncated product at the tube point.
 
-    `order` bounds <lam, Im z> for the enumerated indices.  Returns
+    `order` bounds <lam, Im z> exactly: an index is taken in iff
+    0 < <lam, y> <= order for the exact binary value y of Im z.  Returns
     (value, tail_bound): with `weyl_vector` (rational vector in ambient tube
     coordinates, paired against z) the full local expansion; without it only
     the product part, which is enough for vanishing-slope and ratio tests.
@@ -163,32 +161,35 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
         raise ValueError("form does not live on the ambient split U(N) + L")
     data = disc_data(ambient)
     n = L.rank
-    Ginv = _inverse_and_det(L.gram)[0]
+    Ginv, dual_norm = _dual_norm(L.gram)
     y = point.y()
     y2 = point.y_norm2()
     cut = Fraction(order)
+    # y = Y / den with Y integral, so pair_y = den <lam, y> = m.Y is an integer
+    den = math.lcm(*(yi.denominator for yi in y))
+    Y = [int(yi * den) for yi in y]
+    cut_den = cut * den
     # majorant in dual coordinates m (lam = G^{-1} m): <lam,y> = m.y,
     # lam^2 = m^t G^{-1} m
     A = [[2 * y[i] * y[j] / y2 - Ginv[i][j] for j in range(n)] for i in range(n)]
-    # 1/8 headroom: y is a rounded rational, so search a slightly larger slab
-    B = (2 * cut ** 2 / y2 + 2) * Fraction(9, 8)
+    B = 2 * cut ** 2 / y2 + 2
     log_acc = 0.0 + 0.0j
     factors = []
     worst_margin = None
     for m in short_vectors(A, B):
-        pair_y = sum(mi * yi for mi, yi in zip(m, y))
-        if pair_y <= 0 or pair_y > cut:
+        pair_y = sum(mi * yi for mi, yi in zip(m, Y))
+        if pair_y <= 0 or pair_y > cut_den:
             continue
-        lam2 = sum(m[i] * Ginv[i][j] * m[j] for i in range(n) for j in range(n))
+        lam2 = dual_norm(m)
         pair_z = sum(mi * zi for mi, zi in zip(m, point.z))
         hit = False
         for nn in range(N):
-            coeff = _component_coeff(F, data, nn, N, m, Fraction(lam2, 2))
+            coeff = _component_coeff(F, data, nn, m, lam2 / 2)
             if coeff:
                 hit = True
                 factors.append((pair_y, pair_z, Fraction(nn, N), coeff))
         if hit:
-            margin = float(pair_y) - 2 * math.sqrt(max(float(lam2), 0.0) / 2)
+            margin = pair_y / den - 2 * math.sqrt(max(float(lam2), 0.0) / 2)
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
     if worst_margin is not None and worst_margin < min_margin:
@@ -198,9 +199,9 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
         )
     # constant factors from lam = 0, n != 0
     for nn in range(1, N):
-        coeff = _component_coeff(F, data, nn, N, (0,) * n, Fraction(0))
+        coeff = _component_coeff(F, data, nn, (0,) * n, Fraction(0))
         if coeff:
-            factors.append((Fraction(0), 0.0 + 0.0j, Fraction(nn, N), coeff))
+            factors.append((0, 0.0 + 0.0j, Fraction(nn, N), coeff))
     factors.sort(key=lambda f: (f[0], f[2], f[1].real, f[1].imag))
     for _, pair_z, shift, coeff in factors:
         w = cmath.exp(2j * cmath.pi * (pair_z + float(shift)))
@@ -216,38 +217,29 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
     return value, tail
 
 
-def _component_coeff(F: VVForm, data, nn: int, N: int, m, exponent: Fraction):
-    """Fourier coefficient c_{(n/N, 0, lam)}(exponent) of F, as a float."""
-    # dual vector of the class (n/N, 0, lam): primal coordinates of any
-    # representative; lam in dual coordinates m -> primal G^{-1} m of L
-    key = (F.lattice.gram, nn, N, m)
-    coords = _CLASS_CACHE.get(key)
-    if coords is None:
-        nL = len(m)
-        GL = _rational_inverse_cached(F.lattice.gram, nL)
-        lam_primal = [sum(GL[i][j] * m[j] for j in range(nL)) for i in range(nL)]
-        v = [Fraction(nn, N), Fraction(0)] + lam_primal
-        coords = data.group.element_from_dual_vector(v).coords
-        _CLASS_CACHE[key] = coords
-    ser = F.components[coords]
+def _dual_norm(G):
+    """(G^{-1}, m -> lam^2) for lam = G^{-1} m given by its dual coordinates m.
+
+    lam^2 = m^t adj(G) m / det G, with the integer adjugate det G * G^{-1}.
+    """
+    Ginv, det = _inverse_and_det(G)
+    adj = [[int(x * det) for x in row] for row in Ginv]
+    return Ginv, lambda m: Fraction(
+        sum(mi * sum(a * mj for a, mj in zip(row, m)) for mi, row in zip(m, adj)), det)
+
+
+def _component_coeff(F: VVForm, data, nn: int, m, exponent: Fraction):
+    """Fourier coefficient c_{(n/N, 0, lam)}(exponent) of F, as a float.
+
+    lam has dual coordinates m; (n/N, 0) in U(N) has dual coordinates (0, n).
+    """
+    ser = F.components[data.group.class_of((0, nn) + m).coords]
     if exponent >= ser.trunc:
         raise ValueError(
             f"product needs coefficient at exponent {exponent} beyond series "
             f"truncation {ser.trunc}; rebuild F with a larger order"
         )
     return float(ser.coeff(exponent))
-
-
-_GINV_CACHE = {}
-_CLASS_CACHE = {}
-
-
-def _rational_inverse_cached(ambient_gram, nL):
-    key = (ambient_gram, nL)
-    if key not in _GINV_CACHE:
-        sub = [row[-nL:] for row in ambient_gram[-nL:]]
-        _GINV_CACHE[key] = _inverse_and_det(sub)[0]
-    return _GINV_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +297,19 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     exactly; completeness for the segment [v1, v2] holds once pairing_bound
     is at least the largest realized |<lam, v_i>|, which is reported in the
     result.  With F given, only walls whose principal-part coefficient
-    c_{lam}(lam^2/2) is nonzero are kept.  Returns (walls, realized_bound).
-    Raises if either endpoint lies on a candidate wall.
+    c_{lam}(lam^2/2) is nonzero are kept; F must live on L itself.
+    Returns (walls, realized_bound).  Raises if either endpoint lies on a
+    candidate wall.
     """
     n = L.rank
     G = L.gram
-    Ginv = _inverse_and_det(G)[0]
+    if F is not None and F.lattice.gram != G:
+        raise ValueError("form does not live on the lattice L")
+    Ginv, dual_norm = _dual_norm(G)
     v1 = [Fraction(x) for x in v1]
     v2 = [Fraction(x) for x in v2]
-    for v in (v1, v2):
-        nrm = sum(G[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-        if nrm <= 0:
-            raise ValueError("endpoints must have positive norm")
+    if L.norm(v1) <= 0 or L.norm(v2) <= 0:
+        raise ValueError("endpoints must have positive norm")
     norm_set = {Fraction(x) for x in norm_set}
     worst = -min(norm_set)
     Pb = Fraction(pairing_bound)
@@ -329,7 +322,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     realized = Fraction(0)
     seen = set()
     for m in short_vectors(A, B):
-        lam2 = sum(m[i] * Ginv[i][j] * m[j] for i in range(n) for j in range(n))
+        lam2 = dual_norm(m)
         if lam2 not in norm_set:
             continue
         p1 = sum(mi * x for mi, x in zip(m, v1))
@@ -337,11 +330,8 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
         if abs(p1) > Pb or abs(p2) > Pb:
             continue
         if F is not None:
-            lam_primal = [sum(Ginv[i][j] * m[j] for j in range(n))
-                          for i in range(n)]
-            cls = data.group.element_from_dual_vector(lam_primal)
-            ser = F.components[cls.coords]
-            if not ser.coeff(Fraction(lam2, 2)):
+            ser = F.components[data.group.class_of(m).coords]
+            if not ser.coeff(lam2 / 2):
                 continue
         if p1 == 0 or p2 == 0:
             raise ValueError(f"endpoint lies on the wall {m} (degenerate case)")

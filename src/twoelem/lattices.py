@@ -386,18 +386,20 @@ class DiscGroup:
         for coords in iproduct(*(range(d) for d in self.orders)):
             yield DiscElement(self, coords)
 
-    def element_from_dual_vector(self, v) -> "DiscElement":
-        """Class of a dual vector given by rational coordinates in the L-basis."""
-        L = self.parent
-        n = L.rank
-        x = []
-        for i in range(n):
-            val = sum(Fraction(L.gram[i][j]) * Fraction(v[j]) for j in range(n))
-            if val.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-            x.append(int(val))
-        y = [sum(self._u[i][j] * x[j] for j in range(n)) for i in range(n)]
-        return self.element(tuple(y[p] for p in self._positions))
+    def class_of(self, x) -> "DiscElement":
+        """Class of the dual vector v with integer coordinates x = G v.
+
+        With U G V = diag(d), v = sum_p (U x)_p g_p, so the class is
+        (U x)[positions] mod orders.  Raises ValueError unless x has the
+        lattice's rank and integral entries (v in L^dual).
+        """
+        if len(x) != self.parent.rank:
+            raise ValueError("vector length must match lattice rank")
+        if any(xi != int(xi) for xi in x):
+            raise ValueError("vector is not in the dual lattice")
+        x = [int(xi) for xi in x]
+        return self.element(tuple(sum(a * b for a, b in zip(self._u[p], x))
+                                  for p in self._positions))
 
     def tables(self) -> "FormTables":
         """The generator tables of a 2-elementary form, from one integer product.

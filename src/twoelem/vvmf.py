@@ -116,10 +116,11 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
     comps = {}
     for el in data_small.elements:
         rep = el.rep()
+        x_small = [sum(g * r for g, r in zip(row, rep)) for row in L_small.gram]
         acc = None
         for n in range(N):
-            v = [Fraction(n, N), Fraction(0)] + list(rep)
-            cls = data_big.group.element_from_dual_vector(v)
+            # (n/N, 0) in U(N) has integer coordinates (0, n)
+            cls = data_big.group.class_of([0, n] + x_small)
             ser = F.components[cls.coords]
             acc = ser if acc is None else acc + ser
         comps[el.coords] = acc

@@ -68,6 +68,23 @@ def test_discriminant_group_sizes():
     assert len(discriminant_group(standard_lattice("D4"))) == 4
 
 
+@pytest.mark.parametrize("expr", ["U(2)+U+D4", "U+U(2)+A1^3", "A1+^2+A1^6"])
+def test_class_of_inverts_rep(expr):
+    L = parse_lattice_expr(expr)
+    A = discriminant_group(L)
+    for el in A.elements():
+        x = [sum(g * r for g, r in zip(row, el.rep())) for row in L.gram]
+        assert A.class_of(x) == el
+
+
+def test_class_of_rejects_non_dual_vectors():
+    A = discriminant_group(parse_lattice_expr("U+U(2)+A1^3"))
+    with pytest.raises(ValueError):
+        A.class_of([0, 0, 0, 0, Fraction(1, 2), 0, 0])
+    with pytest.raises(ValueError):
+        A.class_of([0, 0, 0, 0, 1, 0])
+
+
 def test_characteristic_element_property():
     # b(char, x) = q(x) mod 1 for every class x
     for expr in ["A1", "A1++A1", "U+U+E8(2)+A1", "U(2)+A1"]:

@@ -7,13 +7,17 @@ import pytest
 from twoelem import (
     TubePoint,
     construct_F,
+    direct_sum,
     parse_lattice_expr,
     petersson_norm_point,
     product_eval,
+    rescale,
     separating_walls,
     standard_lattice,
 )
 from twoelem.borcherds import short_vectors
+from twoelem.lattices import _inverse_and_det
+from twoelem.weil import disc_data
 
 
 def test_short_vectors_identity_form():
@@ -131,3 +135,56 @@ def test_separating_walls_degenerate_endpoint():
     L = parse_lattice_expr("U+A1")
     with pytest.raises(ValueError):
         separating_walls(L, [1, 1, 0], [1, 2, Fraction(-1, 3)], pairing_bound=6)
+
+
+def test_separating_walls_checks_lattice_of_F():
+    L = parse_lattice_expr("U+A1")
+    F = construct_F(parse_lattice_expr("U+U+A1+"), order=4)
+    with pytest.raises(ValueError):
+        separating_walls(L, [1, 2, Fraction(1, 3)], [1, 2, Fraction(-1, 3)],
+                         pairing_bound=10, F=F)
+
+
+def test_separating_walls_filtered_by_F():
+    # kept walls are exactly those whose class has c_lam(lam^2/2) != 0; the
+    # class is found by scanning the coset representatives
+    L = parse_lattice_expr("U+U(2)+A1")
+    F = construct_F(L, 2)
+    v1 = [1, 2, Fraction(1, 7), Fraction(1, 11), Fraction(1, 3)]
+    v2 = [Fraction(1, 5), Fraction(1, 13), Fraction(3, 2), Fraction(5, 3), Fraction(-1, 3)]
+    walls, _ = separating_walls(L, v1, v2, pairing_bound=3)
+    kept, _ = separating_walls(L, v1, v2, pairing_bound=3, F=F)
+    Ginv = _inverse_and_det(L.gram)[0]
+    reps = [(el, el.rep()) for el in disc_data(L).elements]
+
+    def coeff(w):
+        lam = [sum(a * m for a, m in zip(row, w.dual_coords)) for row in Ginv]
+        el = next(el for el, r in reps if all((a - b).denominator == 1
+                                               for a, b in zip(lam, r)))
+        return F.components[el.coords].coeff(w.norm / 2)
+
+    want = [w for w in walls if coeff(w)]
+    assert 0 < len(want) < len(walls)
+    assert [w.dual_coords for w in kept] == [w.dual_coords for w in want]
+
+
+def test_product_cut_is_exact():
+    # <lam, Im z> = 2 + 1e-9 for m = (1, 0): outside the cut 2, inside 2 + 2e-9
+    L = parse_lattice_expr("U")
+    F = construct_F(parse_lattice_expr("U+U"), order=8)
+    p = TubePoint(1, L, (1j * (2 + 1e-9), 2.1j))
+    below, _ = product_eval(F, p, order=2, min_margin=0.0)
+    above, _ = product_eval(F, p, order=Fraction(2) + Fraction(2, 10 ** 9),
+                            min_margin=0.0)
+    assert abs(below - above) > 1e-5
+
+
+def test_product_eval_pinned_at_wall_approach():
+    # criterion-10 point at t = 0.01; the acceptance test checks only a slope
+    L = parse_lattice_expr("U+E8(2)")
+    amb = direct_sum(rescale(standard_lattice("U"), 2), L)
+    F = construct_F(amb, order=2)
+    p = TubePoint(2, L, tuple([1j * (2.5 + 0.01), 1j * (2.5 - 0.01)] + [0j] * 8))
+    val, _ = product_eval(F, p, order=2, min_margin=0.0)
+    want = 7739.0559118505635 - 7.582088040696155e-12j
+    assert abs(val - want) <= 1e-15 * abs(want)

@@ -7,6 +7,13 @@ Truncation: the lattice sum over Z^g is cut at radius
 R = ceil(sqrt((prec+16) ln 2 / (pi lambda_min))) + g with lambda_min the
 smallest eigenvalue of Im Sigma, which dominates the Gaussian tail by a
 geometric series in exp(-pi lambda_min).
+
+One grid pass per a serves every b: since exp(2 pi i (n+a).b) =
+i^{popcount(2a & 2b)} (-1)^{n.2b}, theta_{a,b} is i^{popcount(2a & 2b)} times
+entry 2b of the Walsh-Hadamard transform of the sums of exp(pi i (n+a)^t
+Sigma (n+a)) over the 2^g classes of n mod 2, each added by |term| ascending.
+Only the term evaluation depends on the precision (numpy to 53 bits, mpmath
+above).  Bit vectors put the first coordinate in the most significant bit.
 """
 from __future__ import annotations
 
@@ -18,6 +25,8 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from .weil import _fwht
 
 _G_CAP = 5  # 528 even characteristics at g = 5; enough for every genus here
 
@@ -35,6 +44,8 @@ class ThetaChar:
         for x in self.a + self.b:
             if x not in (Fraction(0), Fraction(1, 2)):
                 raise ValueError("characteristic entries must be 0 or 1/2")
+        if len(self.a) != len(self.b):
+            raise ValueError("characteristic a and b must have the same length")
 
     @property
     def is_even(self) -> bool:
@@ -93,45 +104,50 @@ def _radius(point: SiegelPoint, prec: int) -> int:
     return math.ceil(math.sqrt((prec + 16) * math.log(2) / (math.pi * lam))) + point.g
 
 
+def _packed(halves) -> int:
+    return sum(int(2 * x) << k for k, x in enumerate(reversed(halves)))
+
+
+def _theta_row(a, point: SiegelPoint, prec: int) -> list:
+    """[theta_{a,b}(Sigma) for 2b = 0 .. 2^g - 1], from one pass over the grid."""
+    g = point.g
+    if g == 0:
+        return [mpmath.mpc(1) if prec > 53 else complex(1)]
+    R = _radius(point, prec)
+    n = np.indices((2 * R + 1,) * g).reshape(g, -1).T - R
+    cls = (n % 2) @ (1 << np.arange(g - 1, -1, -1))
+    v = n + np.array([float(x) for x in a])  # exact: half-integers
+    with mpmath.workprec(prec):
+        if prec <= 53:
+            S = np.array(point.sigma, dtype=complex)
+            terms = np.exp(1j * np.pi * np.einsum("ki,ij,kj->k", v, S, v))
+        else:
+            S = [[mpmath.mpc(x) for x in row] for row in point.sigma]
+            ws = ([mpmath.mpf(x) for x in row] for row in v.tolist())
+            quads = (sum(w[i] * S[i][j] * w[j] for i in range(g) for j in range(g)) for w in ws)
+            terms = np.array([mpmath.exp(1j * mpmath.pi * q) for q in quads], dtype=object)
+        order = np.lexsort((np.abs(terms), cls))  # class, then |term| ascending
+        sums = np.add.reduceat(terms[order], np.searchsorted(cls[order], np.arange(2 ** g)))
+        return [z * (1, 1j, -1, -1j)[bin(_packed(a) & beta).count("1") % 4]
+                for beta, z in enumerate(_fwht(sums).tolist())]
+
+
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
     """theta_{a,b}(Sigma) = sum over n in Z^g of
     exp(pi i (n+a)^t Sigma (n+a) + 2 pi i (n+a).b)."""
-    g = point.g
-    if len(ch.a) != g:
+    if len(ch.a) != point.g:
         raise ValueError("characteristic size must match the matrix")
-    if g == 0:
-        return mpmath.mpc(1) if prec > 53 else complex(1)
-    R = _radius(point, prec)
-    if prec <= 53:
-        S = np.array(point.sigma, dtype=complex)
-        a = np.array([float(x) for x in ch.a])
-        b = np.array([float(x) for x in ch.b])
-        grids = np.meshgrid(*[np.arange(-R, R + 1)] * g, indexing="ij")
-        n = np.stack([gr.ravel() for gr in grids], axis=1) + a
-        quad = np.einsum("ki,ij,kj->k", n, S, n)
-        phase = np.exp(1j * np.pi * quad + 2j * np.pi * (n @ b))
-        # deterministic summation order: sorted by |term| ascending
-        order = np.argsort(np.abs(phase), kind="stable")
-        return complex(phase[order].sum())
-    with mpmath.workprec(prec):
-        S = [[mpmath.mpc(x) for x in row] for row in point.sigma]
-        terms = []
-        for n in itertools.product(range(-R, R + 1), repeat=g):
-            v = [mpmath.mpf(ni) + mpmath.mpf(ai.numerator) / ai.denominator
-                 for ni, ai in zip(n, ch.a)]
-            quad = sum(v[i] * S[i][j] * v[j] for i in range(g) for j in range(g))
-            lin = sum(v[i] * float(bi) for i, bi in enumerate(ch.b))
-            terms.append(mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * lin))
-        terms.sort(key=lambda z: abs(z))
-        return sum(terms, mpmath.mpc(0))
+    return _theta_row(ch.a, point, prec)[_packed(ch.b)]
 
 
 def chi_g(point: SiegelPoint, prec: int = 53):
     """Product of the even theta constants at Sigma, taken at `prec` bits."""
     acc = mpmath.mpc(1) if prec > 53 else complex(1)
     with mpmath.workprec(prec):
-        for ch in even_characteristics(point.g):
-            acc *= theta_constant(ch, point, prec)
+        for a, same_a in itertools.groupby(even_characteristics(point.g), lambda ch: ch.a):
+            row = _theta_row(a, point, prec)
+            for ch in same_a:
+                acc *= row[_packed(ch.b)]
     return acc
 
 

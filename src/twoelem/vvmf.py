@@ -55,7 +55,7 @@ class VVForm:
         data = disc_data(self.lattice)
         for i, el in enumerate(data.elements):
             ser = self.components[el.coords]
-            want = (data.qvals[i] / 2) % 1
+            want = Fraction(data.two_q[i], 4)
             for e, _c in ser.items():
                 if (e - want) % 1 != 0:
                     raise AssertionError(
@@ -89,7 +89,7 @@ def construct_F(L: Lattice, order=10) -> VVForm:
     char_extra = f1(k, order)
     comps = {}
     for i, el in enumerate(data.elements):
-        ser = scaled[int(2 * data.qvals[i]) % 4]
+        ser = scaled[data.two_q[i]]
         if i == 0:
             ser = (ser + e0_extra).truncate(order)
         if i == data.one_index:
@@ -159,7 +159,7 @@ class HeegnerSum:
         half_classes = [
             el.coords
             for i, el in enumerate(data.elements)
-            if data.qvals[i] % 2 == Fraction(3, 2)
+            if data.two_q[i] == 3
         ]
         generic = None
         extra_char = 0

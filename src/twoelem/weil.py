@@ -48,8 +48,7 @@ class DiscData:
     lattice: Lattice
     group: "object"
     elements: list          # DiscElement, fixed order; index 0 is the zero class
-    qvals: list             # Fraction in [0,2): q of each element
-    tvals: list             # integer zeta-exponent 4*q mod 8 (phase of rho(T))
+    two_q: list             # 2q mod 4 of each element; rho(T) multiplies by zeta^{2 two_q}
     packed_by: np.ndarray   # packed By of each class y: rho(S) is fwht then y -> By
     sigma: int
     l: int
@@ -73,13 +72,10 @@ def _build_disc_data(L: Lattice) -> DiscData:
     if l > _COLUMN_L_CAP:
         raise ValueError(f"discriminant group too large (l={l} > {_COLUMN_L_CAP})")
     tables = A.tables()
-    two_q = tables.two_q.tolist()
-    qvals = [Fraction(t, 2) for t in two_q]
-    tvals = [2 * t for t in two_q]
     bits = tables.bits
     weights = 1 << np.arange(l - 1, -1, -1)
     packed_by = (tables.B @ bits.T % 2).T @ weights
-    return DiscData(L, A, list(A.elements()), qvals, tvals, packed_by, lattice_sigma(L), l,
+    return DiscData(L, A, list(A.elements()), tables.two_q.tolist(), packed_by, lattice_sigma(L), l,
                     int(np.array(tables.characteristic, dtype=np.int64) @ weights))
 
 
@@ -123,7 +119,7 @@ class _ColumnState:
 
     def apply_T(self, n: int):
         # zeta^t shifts the coefficients of z^0..z^7, and z^{k+4} = -z^k
-        t = np.array(self.data.tvals, dtype=np.int64) * (n % 8)
+        t = 2 * np.array(self.data.two_q, dtype=np.int64) * (n % 8)
         ext = np.concatenate([self.comp, -self.comp])
         self.comp = np.take_along_axis(ext, (np.arange(4)[:, None] - t) % 8, axis=0)
 
@@ -223,11 +219,7 @@ def closed_form_st_l_inverse_column(L: Lattice, l_exp: int):
     """
     data = disc_data(L)
     scal = _s_scalar(data).conj()  # i^{sigma/2} 2^{-l/2}: 2^{-l/2} is real
-    out = []
-    for q in data.qvals:
-        k = int(2 * q) % 4
-        out.append(scal * Cyc8.i_pow((-l_exp * k) % 4))
-    return out
+    return [scal * Cyc8.i_pow((-l_exp * k) % 4) for k in data.two_q]
 
 
 def closed_form_v_inverse_column(L: Lattice):

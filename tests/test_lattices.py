@@ -112,8 +112,7 @@ def test_tables_match_exhaustive_scan(names):
     elements = list(A.elements())
     assert [el.coords for el in data.elements] == [el.coords for el in elements]
     qvals = [A.q(el) for el in elements]
-    assert data.qvals == qvals
-    assert data.tvals == [int(4 * q) % 8 for q in qvals]
+    assert data.two_q == [2 * q for q in qvals]
     assert two_elementary_invariants(L).delta == int(any(q % 1 for q in qvals))
     char = elements[data.one_index]
     assert all((A.b(char, x) - A.q(x)) % 1 == 0 for x in elements)

@@ -1,4 +1,5 @@
 """Theta constants with characteristics, the even product, and degenerations."""
+import itertools
 import math
 
 import mpmath
@@ -22,6 +23,8 @@ def test_characteristic_parity():
     assert not ThetaChar((0.5,), (0.5,)).is_even
     with pytest.raises(ValueError):
         ThetaChar((0.25,), (0,))
+    with pytest.raises(ValueError, match="same length"):
+        ThetaChar((0, 0.5), (0.5,))
 
 
 def test_even_counts():
@@ -53,6 +56,54 @@ def test_float_and_mp_paths_agree():
         fast = theta_constant(ch, pt, 53)
         slow = theta_constant(ch, pt, 90)
         assert abs(complex(slow) - fast) < 1e-13
+
+
+def _reference_theta(ch, point, prec, R):
+    """The direct sum over n in [-R, R]^g, one characteristic at a time:
+    exp(pi i (n+a)^t Sigma (n+a) + 2 pi i (n+a).b)."""
+    g = point.g
+    with mpmath.workprec(prec):
+        S = [[mpmath.mpc(x) for x in row] for row in point.sigma]
+        total = mpmath.mpc(0)
+        for n in itertools.product(range(-R, R + 1), repeat=g):
+            v = [mpmath.mpf(ni + float(ai)) for ni, ai in zip(n, ch.a)]
+            quad = sum(v[i] * S[i][j] * v[j] for i in range(g) for j in range(g))
+            lin = sum(vi * float(bi) for vi, bi in zip(v, ch.b))
+            total += mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * lin)
+        return total
+
+
+# (Sigma, R): every term outside the box [-R, R]^g is below 2^-100.  The
+# entries are all distinct, so a permuted b or a dropped phase shows.
+_REFERENCE_POINTS = [
+    (((0.37 + 1.21j,),), 5),
+    (((0.3 + 1.1j, -0.2 + 0.4j), (-0.2 + 0.4j, 0.1 + 1.3j)), 5),
+    (((0.31 + 5.9j, -0.17 + 0.3j, 0.05 + 0.1j),
+      (-0.17 + 0.3j, -0.22 + 6.1j, 0.13 - 0.25j),
+      (0.05 + 0.1j, 0.13 - 0.25j, 0.4 + 5.7j)), 2),
+]
+
+
+@pytest.mark.parametrize("sigma, R", _REFERENCE_POINTS)
+@pytest.mark.parametrize("prec, tol", [(53, 1e-13), (80, 1e-20)])
+def test_theta_matches_direct_sum(sigma, R, prec, tol):
+    point = SiegelPoint(sigma)
+    for a in itertools.product((0, 0.5), repeat=point.g):
+        for b in itertools.product((0, 0.5), repeat=point.g):
+            ch = ThetaChar(a, b)
+            val = theta_constant(ch, point, prec)
+            assert abs(val - _reference_theta(ch, point, prec, R)) < tol, (a, b)
+            if not ch.is_even:
+                assert abs(val) < tol, (a, b)
+
+
+@pytest.mark.parametrize("sigma, R", _REFERENCE_POINTS[1:])
+def test_chi_g_is_product_of_even_thetas(sigma, R):
+    point = SiegelPoint(sigma)
+    prod = complex(1)
+    for ch in even_characteristics(point.g):
+        prod *= theta_constant(ch, point, 53)
+    assert abs(chi_g(point, 53) - prod) <= 1e-14 * abs(prod)
 
 
 def test_odd_characteristic_vanishes():

@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for even 2-elementary lattices.
 
-The library computes, with exact rational / Q(zeta_8) arithmetic wherever the
+The library computes, with exact rational / Z[zeta_8] arithmetic wherever the
 mathematics is exact:
 
 * lattice invariants (rank, 2-rank, parity delta, signature) and discriminant
@@ -19,7 +19,6 @@ Numerics (multiprecision complex evaluation) are confined to mpmath; all
 series, matrices and divisors are exact.
 """
 
-from .cyc8 import Cyc8, cyc8_embed
 from .series import QSeries, qseries_mul, qseries_eval
 from .lattices import (
     Lattice,
@@ -42,7 +41,7 @@ from .lattices import (
 )
 from .modforms import eta_power, theta_a1, f0, f1, g_i, eisenstein_e4
 from .mp2 import Mp2Element, mp2_word, MP2_S, MP2_T, MP2_Z, MP2_V
-from .weil import weil_rep, weil_column, invariant_vector_check
+from .weil import WeilColumn, weil_rep, weil_column, invariant_vector_check
 from .vvmf import (
     VVForm,
     HeegnerSum,

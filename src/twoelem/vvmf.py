@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from .cyc8 import cyc8_embed
 from .lattices import Lattice, direct_sum, rescale, standard_lattice, signature
 from .modforms import f0, f1, g_i
 from .mp2 import evaluate_word, mp2_word, word_j
@@ -67,10 +67,12 @@ class VVForm:
         return True
 
 
-def construct_F(L: Lattice, order=10) -> VVForm:
-    """Assemble the distinguished form of weight sigma/2 (valid below `order`)."""
-    order = Fraction(order)
-    data = disc_data(L)
+def _components(data, order: Fraction):
+    """The component series of F below `order`, as a function of the class index.
+
+    Classes with equal q share one series object: the form only depends on
+    q(g) and membership in {0, char}.
+    """
     s, l = data.sigma, data.l
     if s < -12:
         raise ValueError("construction requires sigma >= -12")
@@ -82,20 +84,24 @@ def construct_F(L: Lattice, order=10) -> VVForm:
     if s_exp < 0:
         raise ValueError("construction requires (4 - sigma - l)/2 >= 0")
     scale = Fraction(2) ** s_exp
-    # classes with equal q share one series object (the form only depends on
-    # q(g) and membership in {0, char})
     scaled = [(g_i(k, i, order) * scale).truncate(order) for i in range(4)]
-    e0_extra = f0(k, order)
-    char_extra = f1(k, order)
-    comps = {}
-    for i, el in enumerate(data.elements):
+
+    def component(i: int) -> QSeries:
         ser = scaled[data.two_q[i]]
         if i == 0:
-            ser = (ser + e0_extra).truncate(order)
+            ser = (ser + f0(k, order)).truncate(order)
         if i == data.one_index:
-            ser = (ser + char_extra).truncate(order)
-        comps[el.coords] = ser
-    return VVForm(L, Fraction(s, 2), comps)
+            ser = (ser + f1(k, order)).truncate(order)
+        return ser
+    return component
+
+
+def construct_F(L: Lattice, order=10) -> VVForm:
+    """Assemble the distinguished form of weight sigma/2 (valid below `order`)."""
+    data = disc_data(L)
+    component = _components(data, Fraction(order))
+    comps = {el.coords: component(i) for i, el in enumerate(data.elements)}
+    return VVForm(L, Fraction(data.sigma, 2), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +212,7 @@ def borcherds_weight(L: Lattice):
     closed = (12 + s) * (2 ** ((4 - s - l) // 2) + 1)
     if data.one_index == 0 and s == -8:
         closed -= 8
-    F = construct_F(L, order=2)
-    series = Fraction(F.components[data.elements[0].coords].coeff(0), 2)
+    series = Fraction(_components(data, Fraction(2))(0).coeff(0), 2)
     if series != closed:
         raise ArithmeticError((closed, series))
     return Fraction(closed), series
@@ -251,6 +256,8 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26,
             raise ValueError("tau must lie in the upper half-plane")
         n = len(data.elements)
         values = [mpmath.mpc(0)] * n
+        zeta = mpmath.expjpi(mpmath.mpf(1) / 4)
+        zeta_pows = [zeta ** j for j in range(4)]
         for name, word in COSET_WORDS.items():
             g = evaluate_word(word)
             jfac, gtau = word_j(word, tau)
@@ -266,9 +273,9 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26,
             # weight sigma/2, so the slash factor is j(g, tau)^{-sigma}
             slash = phi_val * jfac ** (-data.sigma)
             col = weil_column(L, mp2_word(g.inverse()))
-            for i, entry in enumerate(col):
-                if not entry.is_zero():
-                    values[i] += slash * cyc8_embed(entry, prec)
+            factor = slash * mpmath.mpf(col.scale.numerator) / col.scale.denominator
+            for i in np.flatnonzero(col.comp.any(axis=0)):
+                values[i] += factor * sum(int(c) * z for c, z in zip(col.comp[:, i], zeta_pows))
         return values, data
 
 

@@ -6,24 +6,27 @@ group by
     rho(T) e_g = exp(pi*i*q(g)) e_g
     rho(S) e_g = i^{-sigma/2} / sqrt(|A|) * sum_d exp(-2*pi*i*b(g,d)) e_d
 
-All scalars lie in Q(zeta_8): the quadratic form q takes values in (1/2)Z
-mod 2Z, so exp(pi*i*q) is a power of zeta_8, i^{-sigma/2} = zeta_8^{-sigma},
-and sqrt(2) = zeta - zeta^3.  This holds for odd sigma as well, which the
-coset-sum oracle needs (e.g. U + A1plus has sigma = 1); no parity guard is
-imposed.
+All scalars lie in 2^{-l/2} Z[zeta_8]: the quadratic form q takes values in
+(1/2)Z mod 2Z, so exp(pi*i*q) is a power of zeta_8, i^{-sigma/2} =
+zeta_8^{-sigma}, and sqrt(2) = zeta - zeta^3.  This holds for odd sigma as
+well, which the coset-sum oracle needs (e.g. U + A1plus has sigma = 1); no
+parity guard is imposed.
+
+A column is a `WeilColumn`: a positive Fraction `scale` times an int64 block
+`comp` of shape (4, 2^l), whose row k holds the zeta_8^k coefficients over
+the classes, indexed by their packed bit vectors.  The block is primitive
+(the gcd of its entries is 1), so the pair is canonical: two columns are
+equal iff their scales are equal and their blocks are.
 
 One evaluator serves every use: `weil_column` applies a word in S and T to
-a basis vector e_j, keeping an integer numpy state plus one exact Cyc8
-prefactor, up to l = 12.  The dense matrix `weil_rep` (l <= 8) is the list
-of its columns.
-
-The state is a (4, 2^l) int64 block: row k holds the z^k coefficients over
-the classes, indexed by their packed bit vectors.  rho(T) multiplies each
-column by a power of zeta_8, which permutes and negates the rows.  rho(S)
-is, up to its scalar, an unnormalised Walsh-Hadamard transform followed by
-the index map y -> By, since (-1)^{2b(x, y)} = (-1)^{popcount(x & By)}.
-After each S step the block is divided by the gcd of its entries, which
-moves into the prefactor, so its entries stay small on words of any length.
+a basis vector e_j, up to l = 12, and the dense matrix `weil_rep` (l <= 8)
+is the list of its columns.  Every step stays in integers.  rho(T)
+multiplies each class by a power of zeta_8, a gather of signed rows, and
+rho(Z) = rho(S^2) is the same gather with one shift for all classes.
+rho(S) is an unnormalised Walsh-Hadamard transform followed by the index map
+y -> By, since (-1)^{2b(x, y)} = (-1)^{popcount(x & By)}; then the gather
+by -sigma, for odd l the integer map that multiplies by sqrt(2), the factor
+2^{-ceil(l/2)} in the scale, and the block's gcd moved into the scale.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyc8 import Cyc8
 from .lattices import Lattice, discriminant_group, sigma as lattice_sigma
 from .mp2 import Mp2Element, mp2_word
 
@@ -80,18 +82,54 @@ def _build_disc_data(L: Lattice) -> DiscData:
 
 
 # ---------------------------------------------------------------------------
-# fast column evaluation
+# integer maps on Z[zeta_8] blocks (rows: the coefficients of zeta^0..zeta^3)
 # ---------------------------------------------------------------------------
 
-def _s_scalar(data: DiscData) -> Cyc8:
-    """i^{-sigma/2} / |A|^{1/2} as an exact Cyc8 scalar."""
-    scal = Cyc8.zeta(-data.sigma)  # i^{-sigma/2} = zeta^{-sigma}
-    l = data.l
-    scal = scal * Fraction(1, 2 ** (l // 2))
-    if l % 2:
-        scal = scal * Cyc8.sqrt2() * Fraction(1, 2)  # extra 1/sqrt(2)
-    return scal
+def _zeta_shift(comp: np.ndarray, t) -> np.ndarray:
+    """comp times zeta^t, with t one integer or one per class: z^{k+4} = -z^k."""
+    idx = np.broadcast_to((np.arange(4)[:, None] - t) % 8, comp.shape)
+    return np.take_along_axis(np.concatenate([comp, -comp]), idx, axis=0)
 
+
+def _times_sqrt2(comp: np.ndarray) -> np.ndarray:
+    """comp times sqrt(2) = zeta - zeta^3."""
+    c0, c1, c2, c3 = comp
+    return np.stack([c1 - c3, c0 + c2, c1 + c3, c2 - c0])
+
+
+def _conj(comp: np.ndarray) -> np.ndarray:
+    """Complex conjugation along axis -2: zeta^k -> zeta^{-k} = -zeta^{4-k}."""
+    return np.stack([comp[..., 0, :], -comp[..., 3, :], -comp[..., 2, :], -comp[..., 1, :]], axis=-2)
+
+
+# _MUL[k, m] is zeta^k * zeta^m = +-zeta^r as a row vector over r
+_MUL = np.array([[[((k + m) % 4 == r) * (1 if k + m < 4 else -1) for r in range(4)]
+                  for m in range(4)] for k in range(4)], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class WeilColumn:
+    """The column scale * sum_k comp[k] zeta_8^k, canonical: scale > 0, comp primitive."""
+
+    scale: Fraction
+    comp: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, WeilColumn) and self.scale == other.scale
+                and np.array_equal(self.comp, other.comp))
+
+
+def _canonical(scale: Fraction, comp: np.ndarray, l: int = 0) -> WeilColumn:
+    """scale * 2^{-l/2} * comp with the gcd of the block moved into the scale."""
+    if l % 2:
+        comp = _times_sqrt2(comp)
+    g = np.gcd.reduce(comp, axis=None)
+    return WeilColumn(scale * Fraction(int(g), 2 ** ((l + 1) // 2)), comp // g)
+
+
+# ---------------------------------------------------------------------------
+# fast column evaluation
+# ---------------------------------------------------------------------------
 
 def _fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along the last axis, in place.
@@ -115,26 +153,23 @@ class _ColumnState:
         n = len(data.elements)
         self.comp = np.zeros((4, n), dtype=np.int64)
         self.comp[0, start] = 1
-        self.prefactor = Cyc8(1)
+        self.scale = Fraction(1)
 
     def apply_T(self, n: int):
-        # zeta^t shifts the coefficients of z^0..z^7, and z^{k+4} = -z^k
-        t = 2 * np.array(self.data.two_q, dtype=np.int64) * (n % 8)
-        ext = np.concatenate([self.comp, -self.comp])
-        self.comp = np.take_along_axis(ext, (np.arange(4)[:, None] - t) % 8, axis=0)
+        self.comp = _zeta_shift(self.comp, 2 * np.array(self.data.two_q, dtype=np.int64) * (n % 8))
 
     def apply_Z(self, k: int):
         # rho(Z) = i^{-sigma} * (e_g -> e_{-g}) and -g = g here
-        self.prefactor = self.prefactor * Cyc8.zeta((-2 * self.data.sigma * k) % 8)
+        self.comp = _zeta_shift(self.comp, -2 * self.data.sigma * k)
 
     def apply_S(self):
-        # the transform grows entries by at most a factor 2^l; refuse to wrap
-        if np.abs(self.comp).max() >= 2 ** (62 - self.data.l):
+        # the transform grows entries by at most 2^l and sqrt(2) by 2; refuse to wrap
+        l = self.data.l
+        if np.abs(self.comp).max() >= 2 ** (61 - l):
             raise OverflowError("Weil column state too large for an int64 transform")
-        comp = _fwht(self.comp)[:, self.data.packed_by]
-        g = np.gcd.reduce(comp, axis=None)
-        self.comp = comp // g
-        self.prefactor = self.prefactor * _s_scalar(self.data) * int(g)
+        comp = _zeta_shift(_fwht(self.comp)[:, self.data.packed_by], -self.data.sigma)
+        col = _canonical(self.scale, comp, l)
+        self.scale, self.comp = col.scale, col.comp
 
     def apply_token(self, gen: str, exp: int):
         if gen == "T":
@@ -147,24 +182,17 @@ class _ColumnState:
         else:
             raise ValueError(f"unknown generator {gen!r}")
 
-    def to_cyc8(self):
-        out = []
-        for j in range(self.comp.shape[1]):
-            c = Cyc8(*(int(x) for x in self.comp[:, j]))
-            out.append(self.prefactor * c if not c.is_zero() else Cyc8(0))
-        return out
 
-
-def weil_column(L: Lattice, word, start: int = 0):
-    """rho(word) e_start as an exact list of Cyc8, word applied right-to-left."""
+def weil_column(L: Lattice, word, start: int = 0) -> WeilColumn:
+    """rho(word) e_start as an exact `WeilColumn`, word applied right-to-left."""
     data = disc_data(L)
     st = _ColumnState(data, start)
     for gen, exp in reversed(list(word)):
         st.apply_token(gen, exp)
-    return st.to_cyc8()
+    return WeilColumn(st.scale, st.comp)
 
 
-def weil_column_of(L: Lattice, g: Mp2Element, start: int = 0):
+def weil_column_of(L: Lattice, g: Mp2Element, start: int = 0) -> WeilColumn:
     return weil_column(L, mp2_word(g), start)
 
 
@@ -180,31 +208,42 @@ def weil_rep(L: Lattice, g: Mp2Element):
 
 
 def is_unitary(cols) -> bool:
-    """Whether the columns are orthonormal under the exact Hermitian product."""
-    conj = [[x.conj() for x in col] for col in cols]
-    return all(
-        sum((x * y for x, y in zip(cols[i], conj[j])), Cyc8(0)) == Cyc8(int(i == j))
-        for i in range(len(cols)) for j in range(i + 1)
-    )
+    """Whether the columns are orthonormal under the exact Hermitian product.
+
+    The Gram matrix of the blocks over Z[zeta_8] is one integer product of
+    the blocks against their conjugates, reduced by zeta^4 = -1; it must
+    equal delta_ij / (s_i s_j) for the scales s_i.
+    """
+    blocks = np.stack([c.comp for c in cols])
+    if blocks.shape[-1] * 16 * int(np.abs(blocks).max()) ** 2 >= 2 ** 63:
+        raise OverflowError("Weil column blocks too large for an int64 Gram matrix")
+    prod = np.einsum("ikx,jmx->ikjm", blocks, _conj(blocks), optimize=True)
+    gram = np.einsum("ikjm,kmr->ijr", prod, _MUL)
+    n = len(cols)
+    diag = gram[np.arange(n), np.arange(n), 0]
+    gram[np.arange(n), np.arange(n), 0] = 0
+    return not gram.any() and all(int(d) * c.scale ** 2 == 1 for d, c in zip(diag, cols))
 
 
-def invariant_vector_check(L: Lattice, g: Mp2Element) -> Cyc8:
-    """The scalar lambda with rho(g) e_0 = lambda e_0, for g with c = 0 mod 4.
+def invariant_vector_check(L: Lattice, g: Mp2Element) -> int:
+    """The k with rho(g) e_0 = zeta_8^k e_0, for g with c = 0 mod 4.
 
-    Errors if e_0 is not an eigenvector or if lambda^8 != 1.
+    Errors if e_0 is not an eigenvector or if the eigenvalue is no power of
+    zeta_8.
     """
     if g.c % 4:
         raise ValueError("invariant_vector_check needs lower-left entry = 0 mod 4")
     col = weil_column_of(L, g, start=0)
-    lam = col[0]
-    for i, entry in enumerate(col):
-        if i and not entry.is_zero():
-            raise AssertionError(
-                f"e_0 is not an eigenvector of rho(g): component {i} = {entry}"
-            )
-    if lam ** 8 != Cyc8(1):
-        raise ArithmeticError(f"eigenvalue {lam} is not an 8th root of unity")
-    return lam
+    others = np.flatnonzero(col.comp[:, 1:].any(axis=0))
+    if len(others):
+        raise AssertionError(
+            f"e_0 is not an eigenvector of rho(g): component {others[0] + 1} is nonzero"
+        )
+    lam = col.comp[:, 0]
+    rows = np.flatnonzero(lam)
+    if col.scale != 1 or len(rows) != 1 or abs(lam[rows[0]]) != 1:
+        raise ArithmeticError(f"eigenvalue {col.scale} * {lam.tolist()} is not an 8th root of unity")
+    return int(rows[0]) + 4 * int(lam[rows[0]] < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +251,21 @@ def invariant_vector_check(L: Lattice, g: Mp2Element) -> Cyc8:
 # word evaluator)
 # ---------------------------------------------------------------------------
 
-def closed_form_st_l_inverse_column(L: Lattice, l_exp: int):
+def closed_form_st_l_inverse_column(L: Lattice, l_exp: int) -> WeilColumn:
     """rho((S T^l)^{-1}) e_0 = i^{sigma/2} 2^{-l(L)/2} sum_k i^{-l*k} v_k
 
     where v_k sums the classes with q = k/2 mod 2.
     """
     data = disc_data(L)
-    scal = _s_scalar(data).conj()  # i^{sigma/2} 2^{-l/2}: 2^{-l/2} is real
-    return [scal * Cyc8.i_pow((-l_exp * k) % 4) for k in data.two_q]
+    ones = np.zeros((4, len(data.elements)), dtype=np.int64)
+    ones[0] = 1
+    t = data.sigma - 2 * l_exp * np.array(data.two_q, dtype=np.int64)
+    return _canonical(Fraction(1), _zeta_shift(ones, t), data.l)
 
 
-def closed_form_v_inverse_column(L: Lattice):
+def closed_form_v_inverse_column(L: Lattice) -> WeilColumn:
     """rho(V^{-1}) e_0 = e_{1_L} (characteristic element)."""
     data = disc_data(L)
-    out = [Cyc8(0)] * len(data.elements)
-    out[data.one_index] = Cyc8(1)
-    return out
+    comp = np.zeros((4, len(data.elements)), dtype=np.int64)
+    comp[0, data.one_index] = 1
+    return WeilColumn(Fraction(1), comp)

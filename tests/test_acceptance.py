@@ -112,14 +112,10 @@ def test_criterion_03_slash_identities():
         L = parse_lattice_expr(expr)
         for l_exp in range(4):
             g = evaluate_word([("S", 1), ("T", l_exp)]).inverse()
-            exact_ok = exact_ok and all(
-                (a - b).is_zero() for a, b in zip(
-                    weil_column_of(L, g),
-                    closed_form_st_l_inverse_column(L, l_exp)))
+            exact_ok = exact_ok and (
+                weil_column_of(L, g) == closed_form_st_l_inverse_column(L, l_exp))
         gV = evaluate_word([("S", 7), ("T", 2), ("S", 1)]).inverse()
-        exact_ok = exact_ok and all(
-            (a - b).is_zero() for a, b in zip(
-                weil_column_of(L, gV), closed_form_v_inverse_column(L)))
+        exact_ok = exact_ok and weil_column_of(L, gV) == closed_form_v_inverse_column(L)
     _report(3, f"slash identities, worst |diff| = {worst:.2e}, exact columns",
             worst < 1e-20 and exact_ok)
 

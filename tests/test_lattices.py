@@ -1,4 +1,5 @@
 """Even lattices, discriminant forms, and the (r, l, delta) triple calculus."""
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from twoelem import (
     standard_lattice,
     two_elementary_invariants,
 )
-from twoelem.weil import _ColumnState, _s_scalar, disc_data
+from twoelem.weil import _ColumnState, disc_data
 
 
 def test_standard_grams():
@@ -119,13 +120,15 @@ def test_tables_match_exhaustive_scan(names):
     # 4b(x, y) of every pair of class representatives, from the Gram matrix
     reps = np.array([[int(2 * c) for c in el.rep()] for el in elements], dtype=np.int64)
     four_b = reps @ np.array(L.gram, dtype=np.int64) @ reps.T
-    # rho(S) e_j is its scalar times the signs (-1)^{2b(x_j, y)} over all y
+    # rho(S) e_j is i^{-sigma/2} 2^{-l/2} times the signs (-1)^{2b(x_j, y)} over all y
+    scalar = cmath.exp(-1j * cmath.pi * data.sigma / 4) / 2 ** (data.l / 2)
+    zeta_pows = np.exp(1j * np.pi * np.arange(4) / 4)
     for j in range(len(elements)):
         state = _ColumnState(data, j)
         state.apply_S()
-        assert (state.comp[0] == 1 - 2 * (four_b[j] // 2 % 2)).all()
-        assert not state.comp[1:].any()
-        assert state.prefactor == _s_scalar(data)
+        signs = 1 - 2 * (four_b[j] // 2 % 2)
+        assert (state.comp == state.comp[:, :1] * signs).all()
+        assert abs(float(state.scale) * zeta_pows @ state.comp[:, 0] - scalar) < 1e-12
 
 
 @pytest.mark.parametrize("expr, delta, char", [

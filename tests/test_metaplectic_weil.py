@@ -1,7 +1,10 @@
 """The metaplectic double cover and the Weil representation on (Z/2)^l."""
+import cmath
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,11 +12,12 @@ from twoelem import (
     MP2_S,
     MP2_T,
     MP2_Z,
-    Cyc8,
-    cyc8_embed,
+    WeilColumn,
+    discriminant_group,
     invariant_vector_check,
     mp2_word,
     parse_lattice_expr,
+    sigma,
     weil_column,
     weil_rep,
 )
@@ -21,6 +25,7 @@ from twoelem.mp2 import MP2_ONE, evaluate_word, word_j
 from twoelem.weil import (
     _build_disc_data,
     _ColumnState,
+    _zeta_shift,
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
     disc_data,
@@ -29,6 +34,12 @@ from twoelem.weil import (
 )
 
 LATTICES = ["A1", "A1+", "U(2)", "U+A1+", "A1++A1"]
+ZETA_POWS = np.exp(1j * np.pi * np.arange(4) / 4)
+
+
+def _embed(col):
+    """The column as complex numbers, one per class."""
+    return float(col.scale) * (ZETA_POWS @ col.comp)
 
 
 def test_group_relations():
@@ -94,6 +105,28 @@ def test_generators_unitary(expr):
         assert is_unitary(weil_rep(L, g))
 
 
+@pytest.mark.parametrize("g", [MP2_S, MP2_T], ids=["S", "T"])
+def test_generators_unitary_at_dense_cap(g):
+    # l = 8: 256 columns, the largest dense matrix
+    assert is_unitary(weil_rep(parse_lattice_expr("E8(2)"), g))
+
+
+@pytest.mark.parametrize("expr", ["A1", "A1+", "U+A1+", "U(2)", "U(2)+U(2)", "U+A1+^3"])
+def test_generators_match_fraction_scan(expr):
+    # rho(S) and rho(T) rebuilt numerically from the Fraction scan of b and q
+    L = parse_lattice_expr(expr)
+    A = discriminant_group(L)
+    elements = list(A.elements())
+    s_scalar = cmath.exp(-1j * cmath.pi * sigma(L) / 4) / len(elements) ** 0.5
+    rho_s, rho_t = weil_rep(L, MP2_S), weil_rep(L, MP2_T)
+    for j, g in enumerate(elements):
+        want_s = [s_scalar * cmath.exp(-2j * cmath.pi * float(A.b(g, d))) for d in elements]
+        want_t = [cmath.exp(1j * cmath.pi * float(A.q(g))) * (i == j)
+                  for i in range(len(elements))]
+        assert np.abs(_embed(rho_s[j]) - want_s).max() < 1e-12
+        assert np.abs(_embed(rho_t[j]) - want_t).max() < 1e-12
+
+
 @pytest.mark.parametrize("expr", LATTICES)
 def test_representation_relations(expr):
     L = parse_lattice_expr(expr)
@@ -117,10 +150,13 @@ def test_long_words_stay_exact(expr, r):
 
 
 def test_s_step_refuses_to_wrap():
-    state = _ColumnState(disc_data(parse_lattice_expr("A1^2")), 0)
-    state.comp[0, 0] = 2 ** 60
-    with pytest.raises(OverflowError):
-        state.apply_S()
+    # A1^3 (l = 3): 2^58 is under 2^(62 - l) but not under 2^(61 - l), which
+    # leaves room for the sqrt(2) map after the transform
+    for expr, entry in [("A1^2", 2 ** 60), ("A1^3", 2 ** 58)]:
+        state = _ColumnState(disc_data(parse_lattice_expr(expr)), 0)
+        state.comp[0, 0] = entry
+        with pytest.raises(OverflowError):
+            state.apply_S()
 
 
 def test_disc_data_makes_no_square_table():
@@ -141,34 +177,55 @@ def test_closed_form_columns(expr):
     for l_exp in range(4):
         g = evaluate_word([("S", 1), ("T", l_exp)]).inverse()
         word_col = weil_column_of(L, g)
-        closed = closed_form_st_l_inverse_column(L, l_exp)
-        assert all((a - b).is_zero() for a, b in zip(word_col, closed))
+        assert word_col == closed_form_st_l_inverse_column(L, l_exp)
     gV = evaluate_word([("S", 7), ("T", 2), ("S", 1)]).inverse()
-    closed = closed_form_v_inverse_column(L)
-    assert all((a - b).is_zero()
-               for a, b in zip(weil_column_of(L, gV), closed))
+    assert weil_column_of(L, gV) == closed_form_v_inverse_column(L)
+
+
+def _mul(a, b):
+    """Product in Q(zeta_8) of coefficient 4-tuples, with zeta^4 = -1."""
+    out = [Fraction(0)] * 4
+    for k in range(4):
+        for m in range(4):
+            sign = 1 if k + m < 4 else -1
+            out[(k + m) % 4] += sign * a[k] * b[m]
+    return out
+
+
+def _entries(col):
+    """The column as exact coefficient 4-tuples, one per class."""
+    return [[col.scale * int(c) for c in col.comp[:, i]] for i in range(col.comp.shape[1])]
 
 
 def test_word_product_matches_matrix_route():
     L = parse_lattice_expr("U(2)")
     word = [("T", 2), ("S", 1), ("T", 1), ("S", 3)]
-    mats = {"S": weil_rep(L, MP2_S), "T": weil_rep(L, MP2_T)}
+    mats = {"S": [_entries(c) for c in weil_rep(L, MP2_S)],
+            "T": [_entries(c) for c in weil_rep(L, MP2_T)]}
     # rho(word) e_0 by dense matrix-vector products, right to left
-    vec = [Cyc8(int(i == 0)) for i in range(len(mats["S"]))]
+    n = len(mats["S"])
+    vec = [[Fraction(int(i == 0)), 0, 0, 0] for i in range(n)]
     for gen, exp in reversed(word):
         for _ in range(exp):
             cols = mats[gen]
-            vec = [sum((cols[k][i] * vec[k] for k in range(len(vec))), Cyc8(0))
-                   for i in range(len(vec))]
-    col = weil_column_of(L, evaluate_word(word))
-    assert all((a - b).is_zero() for a, b in zip(col, vec))
+            vec = [[sum(x) for x in zip(*(_mul(cols[k][i], vec[k]) for k in range(n)))]
+                   for i in range(n)]
+    assert _entries(weil_column_of(L, evaluate_word(word))) == vec
 
 
 def test_invariant_vector_eigenvalue():
     L = parse_lattice_expr("A1")
     g = evaluate_word([("T", 1), ("S", 1), ("T", 4), ("S", 7)])
     assert g.c % 4 == 0
-    lam = invariant_vector_check(L, g)
-    assert lam ** 8 == Cyc8(1)
-    # numeric magnitude 1
-    assert abs(abs(complex(cyc8_embed(lam, 64))) - 1) < 1e-15
+    k = invariant_vector_check(L, g)
+    assert 0 <= k < 8
+    e0 = np.zeros((4, 2), dtype=np.int64)
+    e0[0, 0] = 1
+    assert weil_column_of(L, g) == WeilColumn(Fraction(1), _zeta_shift(e0, k))
+    # numeric check against the dense matrices
+    mats = {"S": np.array([_embed(c) for c in weil_rep(L, MP2_S)]).T,
+            "T": np.array([_embed(c) for c in weil_rep(L, MP2_T)]).T}
+    vec = np.array([1, 0], dtype=complex)
+    for gen, exp in reversed([("T", 1), ("S", 1), ("T", 4), ("S", 7)]):
+        vec = np.linalg.matrix_power(mats[gen], exp) @ vec
+    assert abs(vec[0] - cmath.exp(1j * cmath.pi * k / 4)) < 1e-12 and abs(vec[1]) < 1e-12

@@ -31,15 +31,14 @@ def test_weight_guard_needs_signature_two():
 
 
 def test_weight_mismatch_raises(monkeypatch):
-    real = vvmf.construct_F
+    real = vvmf._components
 
-    def wrong_e0(L, order):
-        F = real(L, order=order)
-        e0 = disc_data(L).elements[0].coords
-        F.components[e0] = F.components[e0] + 2  # the weight is half this constant term
-        return F
+    def wrong_e0(data, order):
+        component = real(data, order)
+        # the weight is half the constant term of e_0
+        return lambda i: component(i) + 2 if i == 0 else component(i)
 
-    monkeypatch.setattr(vvmf, "construct_F", wrong_e0)
+    monkeypatch.setattr(vvmf, "_components", wrong_e0)
     with pytest.raises(ArithmeticError):
         borcherds_weight(parse_lattice_expr("U+U+E8(2)"))
 

@@ -30,7 +30,7 @@ from .lattices import (
     signature,
     two_elementary_invariants,
 )
-from .vvmf import borcherds_weight, borcherds_divisor, construct_F
+from .vvmf import borcherds_weight, divisor_ledger
 
 EDGE_KINDS = ("odd", "even_wu", "even_nonwu")
 
@@ -267,7 +267,7 @@ def thm91_consistency(row: Table1Row, ell: int = 1) -> dict:
     checks = {}
     checks["weight_balance"] = pg1 * w == pg1 * (2 ** g + 1) * (r_m - 6)
     checks["dprime_balance"] = pg1 + 2 * two ** (2 * g - 2) == pg1 * (2 ** g + 1)
-    ledger = borcherds_divisor(construct_F(L, order=2)).delta_ledger()
+    ledger = divisor_ledger(L)
     if ledger["dsecond"] is None:
         checks["dsecond_balance"] = "vacuous (Delta'' empty)"
     else:

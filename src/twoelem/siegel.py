@@ -12,8 +12,24 @@ One grid pass per a serves every b: since exp(2 pi i (n+a).b) =
 i^{popcount(2a & 2b)} (-1)^{n.2b}, theta_{a,b} is i^{popcount(2a & 2b)} times
 entry 2b of the Walsh-Hadamard transform of the sums of exp(pi i (n+a)^t
 Sigma (n+a)) over the 2^g classes of n mod 2, each added by |term| ascending.
-Only the term evaluation depends on the precision (numpy to 53 bits, mpmath
-above).  Bit vectors put the first coordinate in the most significant bit.
+The grid is built once in the smallest integer type that holds it, and the
+class of n is read off its low bits.  Bit vectors put the first coordinate in
+the most significant bit.
+
+Only the terms depend on the precision.  Up to 53 bits they are one numpy
+einsum and exp, sorted by their float modulus.  Above, the grid is walked
+line by line in the last coordinate k: with v = n + a,
+exp(pi i (v+e_k)^t Sigma (v+e_k)) = exp(pi i v^t Sigma v) r,
+r = exp(2 pi i (Sigma v)_k + pi i Sigma_kk), and r then steps by
+exp(2 pi i Sigma_kk).  That is two mpmath exp calls per line of 2R+1 terms
+and two complex products per term.  Each product adds one rounding at the
+working precision, and the j-th term of a line inherits the roundings of all
+j ratios before it, about j^2/2 <= (2R+1)^2/2 in all; the rounded exponent
+pi i v^t Sigma v of a line's first term adds a relative error that also grows
+like |v|^2.  So the walk runs 2 bitlen(2R+1) + 8 bits above `prec` and rounds
+each term back to `prec` before the class sums.  Those terms are sorted by
+the float exponent -v^t (Im Sigma) v, which is log|term| / pi, so no modulus
+is taken of an mpmath number.
 """
 from __future__ import annotations
 
@@ -25,6 +41,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import mpc_mul, mpc_pos
 
 from .weil import _fwht
 
@@ -74,6 +91,8 @@ class SiegelPoint:
 
     def __post_init__(self):
         mat = tuple(tuple(complex(x) for x in row) for row in self.sigma)
+        if not all(cmath.isfinite(x) for row in mat for x in row):
+            raise ValueError("matrix entries must be finite")
         g = len(mat)
         for row in mat:
             if len(row) != g:
@@ -108,25 +127,56 @@ def _packed(halves) -> int:
     return sum(int(2 * x) << k for k, x in enumerate(reversed(halves)))
 
 
+def _line_terms(starts, point: SiegelPoint, prec: int, m: int) -> list:
+    """exp(pi i v^t Sigma v) rounded to `prec` bits, for v = w, w + e_k, ...,
+    w + (m-1) e_k (k the last coordinate) and each line start w in turn: the
+    line walk of the module docstring, on raw libmp values in the inner loop.
+    """
+    g = point.g
+    wp = prec + 2 * m.bit_length() + 8  # guard bits: see the module docstring
+    make = mpmath.mp.make_mpc
+    out = []
+    with mpmath.workprec(wp):
+        S = [[mpmath.mpc(x) for x in row] for row in point.sigma]
+        pi_i = mpmath.mpc(0, mpmath.pi)
+        step = mpmath.exp(2 * pi_i * S[-1][-1])._mpc_
+        for w in starts:
+            w = [mpmath.mpf(x) for x in w]
+            Sw = [sum(S[i][j] * w[j] for j in range(g)) for i in range(g)]
+            z = mpmath.exp(pi_i * sum(x * y for x, y in zip(w, Sw)))._mpc_
+            r = mpmath.exp(pi_i * (2 * Sw[-1] + S[-1][-1]))._mpc_
+            for _ in range(m):
+                out.append(make(mpc_pos(z, prec, "n")))
+                z = mpc_mul(z, r, wp, "n")
+                r = mpc_mul(r, step, wp, "n")
+    return out
+
+
 def _theta_row(a, point: SiegelPoint, prec: int) -> list:
     """[theta_{a,b}(Sigma) for 2b = 0 .. 2^g - 1], from one pass over the grid."""
     g = point.g
     if g == 0:
         return [mpmath.mpc(1) if prec > 53 else complex(1)]
     R = _radius(point, prec)
-    n = np.indices((2 * R + 1,) * g).reshape(g, -1).T - R
-    cls = (n % 2) @ (1 << np.arange(g - 1, -1, -1))
-    v = n + np.array([float(x) for x in a])  # exact: half-integers
+    m = 2 * R + 1
+    n = np.indices((m,) * g, dtype=np.min_scalar_type(-max(m, 2 ** g))).reshape(g, -1)
+    n -= R
+    cls = np.zeros_like(n[0])
+    for row in n:
+        cls <<= 1
+        cls |= row & 1
+    v = n.T + np.array([float(x) for x in a])  # exact: half-integers
+    del n
+    if prec <= 53:
+        S = np.array(point.sigma, dtype=complex)
+        terms = np.exp(1j * np.pi * np.einsum("ki,ij,kj->k", v, S, v))
+        key = np.abs(terms)
+    else:
+        key = -np.einsum("ki,ij,kj->k", v, point.imag_part(), v)  # log|term| / pi
+        terms = np.array(_line_terms(v[::m].tolist(), point, prec, m), dtype=object)
+    del v
     with mpmath.workprec(prec):
-        if prec <= 53:
-            S = np.array(point.sigma, dtype=complex)
-            terms = np.exp(1j * np.pi * np.einsum("ki,ij,kj->k", v, S, v))
-        else:
-            S = [[mpmath.mpc(x) for x in row] for row in point.sigma]
-            ws = ([mpmath.mpf(x) for x in row] for row in v.tolist())
-            quads = (sum(w[i] * S[i][j] * w[j] for i in range(g) for j in range(g)) for w in ws)
-            terms = np.array([mpmath.exp(1j * mpmath.pi * q) for q in quads], dtype=object)
-        order = np.lexsort((np.abs(terms), cls))  # class, then |term| ascending
+        order = np.lexsort((key, cls))  # class, then |term| ascending
         sums = np.add.reduceat(terms[order], np.searchsorted(cls[order], np.arange(2 ** g)))
         return [z * (1, 1j, -1, -1j)[bin(_packed(a) & beta).count("1") % 4]
                 for beta, z in enumerate(_fwht(sums).tolist())]

@@ -185,16 +185,30 @@ class HeegnerSum:
         return {"dprime": m0, "dsecond": m0 + generic, "extra_char": extra_char}
 
 
-def borcherds_divisor(F: VVForm) -> HeegnerSum:
-    """Read the Heegner divisor off the principal part of F."""
+def _heegner_terms(components) -> dict:
+    """(coords, n) -> multiplicity for the n < 0 terms of (coords, series) pairs."""
     terms = {}
-    for coords, ser in F.components.items():
+    for coords, ser in components:
         for e, c in ser.items():
             if e < 0:
                 if c.denominator != 1:
                     raise AssertionError(f"non-integral divisor multiplicity {c}")
                 terms[(coords, e)] = int(c)
-    return HeegnerSum(F.lattice, terms)
+    return terms
+
+
+def borcherds_divisor(F: VVForm) -> HeegnerSum:
+    """Read the Heegner divisor off the principal part of F."""
+    return HeegnerSum(F.lattice, _heegner_terms(F.components.items()))
+
+
+def divisor_ledger(L: Lattice) -> dict:
+    """borcherds_divisor(construct_F(L, order)).delta_ledger(), from the
+    principal parts of the components alone (series cut at order 0)."""
+    data = disc_data(L)
+    component = _components(data, Fraction(0))
+    pairs = ((el.coords, component(i)) for i, el in enumerate(data.elements))
+    return HeegnerSum(L, _heegner_terms(pairs)).delta_ledger()
 
 
 def borcherds_weight(L: Lattice):

@@ -227,10 +227,12 @@ def test_siegel_eval(capsys, tmp_path):
 
 def test_siegel_eval_bad_matrix(capsys, tmp_path):
     mat = tmp_path / "sigma.json"
-    mat.write_text(json.dumps([[[0.0, 1.0], [0.5, 0.0]]]))
-    code, _, err = run_cli(capsys, "siegel", "eval", "--sigma", str(mat))
-    assert code == 2
-    assert "error" in err
+    for raw, msg in [([[[0.0, 1.0], [0.5, 0.0]]], "error"),
+                     ([[[float("nan"), 1.0]]], "must be finite")]:
+        mat.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "siegel", "eval", "--sigma", str(mat))
+        assert code == 2
+        assert msg in err
 
 
 def test_verify_suite_json(capsys):

@@ -1,6 +1,7 @@
 """Theta constants with characteristics, the even product, and degenerations."""
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -15,7 +16,7 @@ from twoelem import (
     theta_constant,
     vanishing_order_fit,
 )
-from twoelem.siegel import chi8_weight
+from twoelem.siegel import _theta_row, chi8_weight
 
 
 def test_characteristic_parity():
@@ -38,6 +39,9 @@ def test_point_validation():
         SiegelPoint(((1j, 0.5), (0.4, 1j)))      # not symmetric
     with pytest.raises(ValueError):
         SiegelPoint(((1j, 0.9j), (0.9j, 0.5j)))  # Im not positive definite
+    for z in (complex(math.nan, 1), complex(0, math.inf), complex(0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SiegelPoint(((z,),))
     p = SiegelPoint(((0.2 + 1j, 0.1), (0.1, 1.5j)))
     assert p.g == 2
 
@@ -84,8 +88,15 @@ _REFERENCE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("sigma, R", _REFERENCE_POINTS)
-@pytest.mark.parametrize("prec, tol", [(53, 1e-13), (80, 1e-20)])
+# (prec, tol, index into _REFERENCE_POINTS): every point at 53 and 80 bits,
+# the genus-2 one also at 64 and 100 bits
+_DIRECT_SUM_CASES = [(prec, tol, i) for prec, tol in [(53, 1e-13), (80, 1e-20)]
+                     for i in range(len(_REFERENCE_POINTS))] + [(64, 1e-17, 1), (100, 1e-27, 1)]
+
+
+@pytest.mark.parametrize("sigma, R, prec, tol", [
+    pytest.param(*_REFERENCE_POINTS[i], prec, tol, id=f"{prec}-{tol}-sigma{i}-{_REFERENCE_POINTS[i][1]}")
+    for prec, tol, i in _DIRECT_SUM_CASES])
 def test_theta_matches_direct_sum(sigma, R, prec, tol):
     point = SiegelPoint(sigma)
     for a in itertools.product((0, 0.5), repeat=point.g):
@@ -95,6 +106,32 @@ def test_theta_matches_direct_sum(sigma, R, prec, tol):
             assert abs(val - _reference_theta(ch, point, prec, R)) < tol, (a, b)
             if not ch.is_even:
                 assert abs(val) < tol, (a, b)
+
+
+@pytest.mark.parametrize("tau", [0.3 + 0.05j, -0.45 + 0.03j])
+@pytest.mark.parametrize("prec", [64, 100, 200])
+def test_theta_walk_keeps_precision(tau, prec):
+    # near the real axis each grid line has 41-83 terms, each reached by a
+    # walk of products from the line's first term
+    val = theta_constant(ThetaChar((0,), (0,)), SiegelPoint(((tau,),)), prec)
+    with mpmath.workprec(prec + 60):
+        ref = mpmath.jtheta(3, 0, mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau)))
+        assert abs(val - ref) <= 2 ** (4 - prec) * abs(ref)
+
+
+def test_theta_row_grid_memory():
+    # g = 4, R = 9: 130,321 grid points; four 8-byte copies of the grid
+    # coordinates alone would take 16 MB
+    g = 4
+    point = SiegelPoint(tuple(tuple(complex(0.1 * abs(i - j), 0.15) if i != j else 1.1j
+                                    for j in range(g)) for i in range(g)))
+    tracemalloc.start()
+    try:
+        _theta_row((0.5, 0, 0, 0), point, 53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2 ** 20
 
 
 @pytest.mark.parametrize("sigma, R", _REFERENCE_POINTS[1:])

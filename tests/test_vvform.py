@@ -13,6 +13,7 @@ from twoelem import (
     lift_oracle_numeric,
     parse_lattice_expr,
     restrict,
+    table1,
 )
 from twoelem import vvmf
 from twoelem.vvmf import eval_vvform
@@ -101,6 +102,14 @@ def test_divisor_ledger_signed_rank13():
     mults = {m for (coords, e), m in div.terms.items()
              if e == Fraction(-1, 4) and coords != char}
     assert mults == {4}
+
+
+def test_divisor_ledger_without_F():
+    # the ledger read from the principal parts alone equals the one read off F
+    exprs = [row.perp_expr for row in table1()] + ["U+U+A1", "U+A1++A1", "U+U+E8(2)+A1"]
+    for expr in exprs:
+        L = parse_lattice_expr(expr)
+        assert vvmf.divisor_ledger(L) == borcherds_divisor(construct_F(L, order=2)).delta_ledger(), expr
 
 
 def test_divisor_multiplicities_integral():

@@ -10,10 +10,10 @@ is, up to the Weyl-vector prefactor,
         (1 - e(<lam, z> + n/N)) ^ c_{(n/N, 0, lam)}(lam^2 / 2).
 
 Index enumeration is exact: with y the exact binary value of Im z, the
-positive-definite majorant Q(x) = 2<x,y>^2/y^2 - x^2 is decomposed by a
-rational LDL^t factorization and short vectors are listed Fincke-Pohst style,
-with floats used only to round the layer bounds outward.  Indices lam stay in
-their integer dual coordinates m = G lam, which give the class of lam directly.
+positive-definite majorant Q(x) = 2<x,y>^2/y^2 - x^2 is enumerated by an
+integer Fincke-Pohst search on the pivots of the one fraction-free
+elimination of `lattices`; no float enters it.  Indices lam stay in their
+integer dual coordinates m = G lam, which give the class of lam directly.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import Lattice, _inverse_and_det, direct_sum, rescale, standard_lattice
+from .lattices import Lattice, _eliminate, direct_sum, rescale, standard_lattice
 from .vvmf import VVForm
 from .weil import disc_data
 
@@ -31,69 +31,46 @@ from .weil import disc_data
 # exact short-vector enumeration
 # ---------------------------------------------------------------------------
 
-def _ldlt(A):
-    """A = R^t D R with R unit upper triangular, exact over Q; A pos def."""
-    n = len(A)
-    R = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    D = []
-    for i in range(n):
-        d = A[i][i] - sum(D[j] * R[j][i] ** 2 for j in range(i))
-        if d <= 0:
-            raise ValueError("matrix is not positive definite")
-        D.append(d)
-        for k in range(i + 1, n):
-            off = A[i][k] - sum(D[j] * R[j][i] * R[j][k] for j in range(i))
-            R[i][k] = off / d
-    return D, R
-
-
 def short_vectors(A, bound):
-    """All integer m != 0 with m^t A m <= bound (A rational pos def).
+    """All integer m != 0 with m^t A m <= bound (A rational symmetric pos def).
 
-    The LDL^t pivoting is exact; the layer intervals of the search use
-    floating point rounded outward (with slack), and every candidate is
-    accepted or rejected by an exact integer comparison, so the result is
-    exact.
+    Integer Fincke-Pohst on den*A: with its leading minors d_k and pivot rows
+    a_k from `_eliminate`, den m^t A m = sum_k t_k^2 / (d_{k-1} d_k) with
+    t_k = d_k m_k + sum_{j>k} a_kj m_j.  The rest of the bound is an integer
+    over the scale lcm(d_{k-1} d_k), so each interval comes from one `isqrt`
+    and holds exactly the admissible m_k; m_0 comes out as a line [lo, hi].
     """
     n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
     bound = Fraction(bound)
     if bound < 0:
         return []
-    D, R = _ldlt(A)
-    Df = [float(d) for d in D]
-    Rf = [[float(x) for x in row] for row in R]
-    # integer form of A for the exact final test
-    den = 1
-    for row in A:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    Aint = [[int(x * den) for x in row] for row in A]
-    Bint_num = (bound * den).numerator
-    Bint_den = (bound * den).denominator
-    out = []
-    m = [0] * n
-    slack = 1e-7
+    den = math.lcm(*(x.denominator for row in A for x in row))
+    det, _, minors, pivots = _eliminate([[int(x * den) for x in row] for row in A])
+    if det <= 0 or any(d <= 0 for d in minors):
+        raise ValueError("matrix is not positive definite")
+    prods = [a * b for a, b in zip([1] + minors, minors)]
+    scale = math.lcm(*prods)
+    weight = [scale // p for p in prods]
+    out, m = [], [0] * n
 
-    def descend(i, rem):
-        if i < 0:
-            if any(m):
-                q = sum(Aint[a][b] * m[a] * m[b] for a in range(n) for b in range(n))
-                if q * Bint_den <= Bint_num:
-                    out.append(tuple(m))
+    def descend(k, rest):   # scale (floor(den bound) - sum_{j>k} t_j^2 / (d_{j-1} d_j))
+        d = minors[k]
+        c = sum(a * x for a, x in zip(pivots[k][k + 1:], m[k + 1:]))
+        s = math.isqrt(rest // weight[k])
+        lo, hi = -((s + c) // d), (s - c) // d
+        if k == 0:
+            tail = tuple(m[1:])
+            out.extend((v,) + tail for v in range(lo, hi + 1) if v or any(tail))
             return
-        c = sum(Rf[i][k] * m[k] for k in range(i + 1, n))
-        half = math.sqrt(max(rem, 0.0) / Df[i]) * (1 + slack) + slack
-        lo = math.ceil(-c - half)
-        hi = math.floor(-c + half)
         for v in range(lo, hi + 1):
-            m[i] = v
-            used = Df[i] * (v + c) ** 2
-            if used <= rem * (1 + slack) + slack:
-                descend(i - 1, rem - used)
-        m[i] = 0
+            m[k] = v
+            t = d * v + c
+            descend(k - 1, rest - weight[k] * t * t)
+        m[k] = 0
 
-    descend(n - 1, float(bound))
+    if n:
+        descend(n - 1, scale * math.floor(bound * den))
     return out
 
 
@@ -172,7 +149,9 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
     # majorant in dual coordinates m (lam = G^{-1} m): <lam,y> = m.y,
     # lam^2 = m^t G^{-1} m
     A = [[2 * y[i] * y[j] / y2 - Ginv[i][j] for j in range(n)] for i in range(n)]
-    B = 2 * cut ** 2 / y2 + 2
+    # c(lam^2/2) != 0 needs lam^2 >= 2 min(0, lowest exponent of F)
+    low = min([0] + [ser.min_exp() for ser in F.components.values() if ser.coeffs])
+    B = 2 * cut ** 2 / y2 - 2 * low
     log_acc = 0.0 + 0.0j
     factors = []
     worst_margin = None
@@ -220,10 +199,10 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
 def _dual_norm(G):
     """(G^{-1}, m -> lam^2) for lam = G^{-1} m given by its dual coordinates m.
 
-    lam^2 = m^t adj(G) m / det G, with the integer adjugate det G * G^{-1}.
+    lam^2 = m^t adj(G) m / det G, with the integer adjugate from `_eliminate`.
     """
-    Ginv, det = _inverse_and_det(G)
-    adj = [[int(x * det) for x in row] for row in Ginv]
+    det, adj, _, _ = _eliminate(G)
+    Ginv = [[Fraction(a, det) for a in row] for row in adj]
     return Ginv, lambda m: Fraction(
         sum(mi * sum(a * mj for a, mj in zip(row, m)) for mi, row in zip(m, adj)), det)
 

@@ -1,10 +1,11 @@
 """Even lattices by Gram matrix, discriminant forms, 2-elementary invariants.
 
-Everything here is exact: signatures come from symmetric pivoting over Q,
-discriminant groups from a Smith normal form over Z.  A 2-elementary form is
-held as two integer tables on its generators, 2q(g_i) mod 4 and
-2b(g_i, g_j) mod 2 (`FormTables`); the parity invariant delta, the q-value of
-every class and the characteristic element all come from these tables.
+Everything here is exact: det, adjugate and signature come from one
+fraction-free symmetric elimination (`_eliminate`), discriminant groups from
+a Smith normal form over Z.  A 2-elementary form is held as two integer
+tables on its generators, 2q(g_i) mod 4 and 2b(g_i, g_j) mod 2
+(`FormTables`); the parity invariant delta, the q-value of every class and
+the characteristic element all come from these tables.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ class Lattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if n and _inverse_and_det(g)[1] == 0:
+        if n and _eliminate(g)[0] == 0:
             raise ValueError("gram matrix is degenerate")
 
     @property
@@ -137,7 +138,7 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
-        return _inverse_and_det(self.gram)[1]
+        return _eliminate(self.gram)[0]
 
     def pairing(self, x, y) -> Fraction:
         """<x, y> for rational coordinate vectors in the lattice basis."""
@@ -156,31 +157,53 @@ class Lattice:
         return f"Lattice({self.label or self.gram})"
 
 
-def _inverse_and_det(mat):
-    """(mat^{-1}, det mat) of an integer square matrix, exactly.
+def _eliminate(mat):
+    """(det M, adj M, minors, pivots) of a symmetric integer matrix M, exactly.
 
-    Fraction-free Gauss-Jordan (Bareiss): every division is exact in Z, the
-    last pivot is +-det, and the right half ends as +-adj(mat).  The inverse
-    is None when det = 0.
+    Fraction-free Gauss-Jordan (Bareiss) on [M | I] with diagonal pivots; a
+    zero trailing diagonal first gets the congruence x_i += x_j (m_ij != 0),
+    which makes it 2 m_ij.  With P the unimodular product of these and the
+    swaps, the run ends as E M P = d I, d = det M, so adj M = P E.  minors[k]
+    is the leading minor d_k of P^t M P and pivots[k] row k at step k:
+    P^t M P = R^t D R with D_k = d_k/d_{k-1}, R_kj = pivots[k][j]/d_k.  When
+    det M = 0, adj is None and the lists stop at the zero pivot.
     """
     n = len(mat)
     m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(mat)]
-    sign, prev = 1, 1
+    congruences = []        # the factors of P: (i, j, is_swap)
+    minors, pivots, prev = [], [], 1
     for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return None, 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
+        i = next((i for i in range(k, n) if m[i][i]), None)
+        if i is None:
+            i, j = next(((i, j) for i in range(k, n) for j in range(k, n) if m[i][j]),
+                        (None, None))
+            if i is None:
+                return 0, None, minors, pivots
+            m[i] = [a + b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
+            congruences.append((i, j, False))
+        if i != k:
+            m[i], m[k] = m[k], m[i]
+            for row in m:
+                row[i], row[k] = row[k], row[i]
+            congruences.append((i, k, True))
         p, pivot_row = m[k][k], m[k]
+        minors.append(p)
+        pivots.append(pivot_row[:n])
         for r in range(n):
             if r != k:
                 f = m[r][k]
                 m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
         prev = p
-    return [[Fraction(x, prev) for x in row[n:]] for row in m], sign * prev
+    adj = [row[n:] for row in m]
+    for i, j, is_swap in reversed(congruences):   # adj = P E, factor by factor
+        if is_swap:
+            adj[i], adj[j] = adj[j], adj[i]
+        else:
+            adj[j] = [a + b for a, b in zip(adj[j], adj[i])]
+    return prev, adj, minors, pivots
 
 
 # -- constructors -----------------------------------------------------------
@@ -323,29 +346,13 @@ def lattice_from_json(data) -> Lattice:
 # ---------------------------------------------------------------------------
 
 def signature(L: Lattice):
-    """(b+, b-) by exact symmetric elimination over Q (no floating point).
+    """(b+, b-) from the leading minors d_k of the exact elimination.
 
-    Each step takes a nonzero diagonal pivot (after x_0 += x_j when the whole
-    diagonal is zero, which makes it 2 m_0j), counts its sign and passes to
-    the Schur complement: a congruence, so the signature is kept.
+    P^t G P = R^t D R is a congruence with D_k = d_k / d_{k-1} (d_{-1} = 1),
+    so b+ counts the k with sign d_k = sign d_{k-1}.
     """
-    m = [[Fraction(x) for x in row] for row in L.gram]
-    pos = 0
-    while m:
-        k = next((i for i in range(len(m)) if m[i][i]), None)
-        if k is None:
-            j = next((j for j in range(1, len(m)) if m[0][j]), None)
-            if j is None:
-                raise ValueError("degenerate form")
-            m[0] = [a + b for a, b in zip(m[0], m[j])]
-            for row in m:
-                row[0] += row[j]
-            k = 0
-        piv = m[k][k]
-        pos += piv > 0
-        rest = [i for i in range(len(m)) if i != k]
-        m = [[m[i][j] - m[i][k] * m[k][j] / piv if m[i][k] and m[k][j] else m[i][j]
-              for j in rest] for i in rest]
+    minors = _eliminate(L.gram)[2]     # a Lattice is nondegenerate
+    pos = sum((a > 0) == (b > 0) for a, b in zip([1] + minors, minors))
     return pos, L.rank - pos
 
 

@@ -43,6 +43,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import mpc_mul, mpc_pos
 
+from .lattices import _eliminate
 from .weil import _fwht
 
 _G_CAP = 5  # 528 even characteristics at g = 5; enough for every genus here
@@ -210,15 +211,18 @@ def chi_g8_petersson(point: SiegelPoint, prec: int = 53):
     """(det Im Sigma)^{2^{g+1}(2^g+1)} |chi_g^8|^2 as an mpmath real.
 
     Returned as mpmath.mpf: the 16th power of a product of up to 528 theta
-    constants under- or overflows double floats routinely.
+    constants under- or overflows double floats routinely.  det Im Sigma is
+    exact: `_eliminate` of the integer matrix den Im Sigma, den a power of 2.
     """
     g = point.g
     if g == 0:
         return mpmath.mpf(1)
-    det = float(np.linalg.det(point.imag_part()))
+    Y = [[Fraction(x.imag) for x in row] for row in point.sigma]
+    den = math.lcm(*(y.denominator for row in Y for y in row))
+    det, w = _eliminate([[int(y * den) for y in row] for row in Y])[0], chi8_weight(g)
     val = chi_g(point, prec)
     with mpmath.workprec(max(prec, 53)):
-        return mpmath.mpf(det) ** chi8_weight(g) * abs(mpmath.mpc(val)) ** 16
+        return mpmath.mpf(det ** w) / mpmath.mpf(den) ** (g * w) * abs(mpmath.mpc(val)) ** 16
 
 
 def fay_family(g: int, psi, t):

@@ -1,10 +1,11 @@
 """Even lattices, discriminant forms, and the (r, l, delta) triple calculus."""
 import cmath
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twoelem import (
     Lattice,
@@ -22,6 +23,7 @@ from twoelem import (
     standard_lattice,
     two_elementary_invariants,
 )
+from twoelem.lattices import _eliminate
 from twoelem.weil import _ColumnState, disc_data
 
 
@@ -38,6 +40,54 @@ def test_signatures():
     assert signature(standard_lattice("E8")) == (0, 8)
     assert signature(parse_lattice_expr("U+U+E8")) == (2, 10)
     assert sigma(parse_lattice_expr("U+U+E8")) == -8
+
+
+@st.composite
+def symmetric_matrices(draw, diagonal):
+    """Small symmetric integer matrices with diagonal entries from `diagonal`."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(diagonal)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    return m
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@settings(deadline=None, max_examples=150)
+@given(symmetric_matrices(st.just(0)))
+def test_elimination_det_and_adjugate(m):
+    # zero diagonals force the x_i += x_j congruence at every pivot search
+    det, adj, minors, _ = _eliminate(m)
+    assert det == _leibniz_det(m)
+    if det == 0:
+        assert adj is None
+    else:
+        n = len(m)
+        assert len(minors) == n and minors[-1] == det
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in adj] \
+            == [[det * int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(symmetric_matrices(st.sampled_from([-4, -2, 0, 0, 2, 4])))
+def test_signature_matches_eigenvalues(m):
+    eig = np.linalg.eigvalsh(np.array(m, dtype=float))
+    assume(np.abs(eig).min() >= 1e-6)
+    assert signature(Lattice(tuple(map(tuple, m)))) == (int((eig > 0).sum()),
+                                                        int((eig < 0).sum()))
 
 
 @pytest.mark.parametrize("expr, want", [

@@ -2,6 +2,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -197,6 +198,27 @@ def test_petersson_modular_invariance_g2():
 
     assert abs(v1 / base - 1) < 1e-12
     assert abs(v2 / base - 1) < 1e-12
+
+
+@pytest.mark.parametrize("sig", [
+    ((0.23 + 1.12j, -0.41 + 0.37j), (-0.41 + 0.37j, 0.11 + 0.95j)),
+    ((0.2 + 1.1j, 0.1 + 0.2j, -0.1 + 0.15j),
+     (0.1 + 0.2j, -0.3 + 1.3j, 0.2 + 0.1j),
+     (-0.1 + 0.15j, 0.2 + 0.1j, 0.15 + 1.05j)),
+])
+def test_petersson_prefactor_keeps_high_precision(sig):
+    # the 100-bit norm against a 160-bit reference whose det Im Sigma is the
+    # exact Leibniz sum over the binary values of the entries
+    p = SiegelPoint(sig)
+    g = p.g
+    Y = [[Fraction(x.imag) for x in row] for row in sig]
+    det = sum((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+              * math.prod(Y[i][perm[i]] for i in range(g))
+              for perm in itertools.permutations(range(g)))
+    with mpmath.workprec(160):
+        ref = ((mpmath.mpf(det.numerator) / det.denominator) ** chi8_weight(g)
+               * abs(mpmath.mpc(chi_g(p, 160))) ** 16)
+        assert abs(chi_g8_petersson(p, 100) / ref - 1) < 1e-25
 
 
 def test_fay_family_validation():

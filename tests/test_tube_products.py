@@ -1,11 +1,16 @@
 """Short-vector enumeration, tube points, truncated products, wall queries."""
+import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoelem import (
+    QSeries,
     TubePoint,
+    VVForm,
     construct_F,
     direct_sum,
     parse_lattice_expr,
@@ -16,7 +21,7 @@ from twoelem import (
     standard_lattice,
 )
 from twoelem.borcherds import short_vectors
-from twoelem.lattices import _inverse_and_det
+from twoelem.lattices import _eliminate
 from twoelem.weil import disc_data
 
 
@@ -34,6 +39,63 @@ def test_short_vectors_exactness_near_boundary():
     A = [[2, 1], [1, 2]]
     vecs = short_vectors(A, 2)
     assert set(vecs) == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
+
+
+def test_short_vectors_keeps_ill_conditioned_boundary():
+    # Q(m) = (m1 + p m2 / 7)^2 + m2^2 / 3 reaches the bound 49/3 at (-p, 7)
+    p = 8611121951947
+    A = [[1, Fraction(p, 7)], [Fraction(p, 7), Fraction(p * p, 49) + Fraction(1, 3)]]
+    vecs = short_vectors(A, Fraction(49, 3))
+    assert (-p, 7) in vecs and (p, -7) in vecs
+
+
+@st.composite
+def diagonalized_forms(draw):
+    """(A, bound, D, Uinv) with A = U^t diag(D) U and U = W T unimodular.
+
+    T is upper unitriangular with entries up to 10^12, which makes A
+    ill-conditioned but keeps every search layer narrow; W is a product of
+    small shears in any direction.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    D = [Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3))) for _ in range(n)]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Uinv = [row[:] for row in U]
+
+    def shear(i, j, c):  # U <- (1 + c E_ij) U
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= c * row[i]
+
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = sorted(draw(st.permutations(range(n)))[:2])
+            shear(i, j, draw(st.integers(-10 ** 12, 10 ** 12)))
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            shear(i, j, draw(st.integers(-2, 2)))
+    A = [[sum(U[k][a] * D[k] * U[k][b] for k in range(n)) for b in range(n)]
+         for a in range(n)]
+    # a bound attained by some lattice vector, so the boundary is always hit
+    x = [draw(st.integers(-3, 3)) for _ in range(n)]
+    bound = sum(d * xi * xi for d, xi in zip(D, x))
+    return A, bound, D, Uinv
+
+
+@settings(deadline=None, max_examples=80)
+@given(diagonalized_forms())
+def test_short_vectors_match_box_scan(form):
+    # the reference scans the box |x_k| <= sqrt(bound / D_k) in x = U m
+    A, bound, D, Uinv = form
+    boxes = [range(-math.isqrt(math.floor(bound / d)), math.isqrt(math.floor(bound / d)) + 1)
+             for d in D]
+    want = set()
+    for x in itertools.product(*boxes):
+        if any(x) and sum(d * xi * xi for d, xi in zip(D, x)) <= bound:
+            want.add(tuple(sum(a * xi for a, xi in zip(row, x)) for row in Uinv))
+    got = short_vectors(A, bound)
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_short_vectors_needs_positive_definite():
@@ -77,6 +139,20 @@ def test_product_eval_order_consistency():
     v2, _ = product_eval(F, p, order=4, min_margin=0.0)
     assert abs(v1 - v2) <= max(tail1, 1e-12) * (1 + abs(v1))
     assert tail1 < 1e-3
+
+
+def test_product_eval_majorant_follows_principal_part():
+    # F = q^{-2} e_0: the two indices with lam^2 = -4 and 0 < <lam, y> <= 2
+    # have dual coordinates (-1, 2) and (2, -1)
+    L = standard_lattice("U")
+    p = TubePoint(1, L, (0.1 + 1.5j, 0.2 + 1.4j))
+    F = VVForm(p.ambient(), Fraction(0), {(): QSeries({-2: 1}, trunc=40)})
+    value, _ = product_eval(F, p, order=2, min_margin=0.0)
+    z1, z2 = p.z
+    want = (1 - cmath.exp(2j * cmath.pi * (-z1 + 2 * z2))) \
+        * (1 - cmath.exp(2j * cmath.pi * (2 * z1 - z2)))
+    assert abs(value - want) < 1e-12
+    assert abs(value - 1) > 1e-4
 
 
 def test_product_eval_rejects_shallow_points():
@@ -154,11 +230,11 @@ def test_separating_walls_filtered_by_F():
     v2 = [Fraction(1, 5), Fraction(1, 13), Fraction(3, 2), Fraction(5, 3), Fraction(-1, 3)]
     walls, _ = separating_walls(L, v1, v2, pairing_bound=3)
     kept, _ = separating_walls(L, v1, v2, pairing_bound=3, F=F)
-    Ginv = _inverse_and_det(L.gram)[0]
+    det, adj, _, _ = _eliminate(L.gram)
     reps = [(el, el.rep()) for el in disc_data(L).elements]
 
     def coeff(w):
-        lam = [sum(a * m for a, m in zip(row, w.dual_coords)) for row in Ginv]
+        lam = [Fraction(sum(a * m for a, m in zip(row, w.dual_coords)), det) for row in adj]
         el = next(el for el, r in reps if all((a - b).denominator == 1
                                                for a, b in zip(lam, r)))
         return F.components[el.coords].coeff(w.norm / 2)

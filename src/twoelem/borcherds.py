@@ -10,10 +10,10 @@ is, up to the Weyl-vector prefactor,
         (1 - e(<lam, z> + n/N)) ^ c_{(n/N, 0, lam)}(lam^2 / 2).
 
 Index enumeration is exact: with y the exact binary value of Im z, the
-positive-definite majorant Q(x) = 2<x,y>^2/y^2 - x^2 is enumerated by an
-integer Fincke-Pohst search on the pivots of the one fraction-free
-elimination of `lattices`; no float enters it.  Indices lam stay in their
-integer dual coordinates m = G lam, which give the class of lam directly.
+positive-definite majorant Q(x) = 2<x,y>^2/y^2 - x^2 is enumerated by the
+integer Fincke-Pohst search `lattices.ellipsoid_lines`; no float enters
+it.  Indices lam stay in their integer dual coordinates m = G lam, which
+give the class of lam directly.
 """
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import Lattice, _eliminate, direct_sum, rescale, standard_lattice
+from .lattices import (Lattice, _eliminate, direct_sum, ellipsoid_lines, rescale,
+                       standard_lattice)
 from .vvmf import VVForm
 from .weil import disc_data
 
@@ -34,13 +35,10 @@ from .weil import disc_data
 def short_vectors(A, bound):
     """All integer m != 0 with m^t A m <= bound (A rational symmetric pos def).
 
-    Integer Fincke-Pohst on den*A: with its leading minors d_k and pivot rows
-    a_k from `_eliminate`, den m^t A m = sum_k t_k^2 / (d_{k-1} d_k) with
-    t_k = d_k m_k + sum_{j>k} a_kj m_j.  The rest of the bound is an integer
-    over the scale lcm(d_{k-1} d_k), so each interval comes from one `isqrt`
-    and holds exactly the admissible m_k; m_0 comes out as a line [lo, hi].
+    The lines of `lattices.ellipsoid_lines` around the centre 0, on den*A
+    with den the common denominator of A: an integer Fincke-Pohst search with
+    exact interval ends, whose innermost coordinate m_0 comes out as a line.
     """
-    n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
     bound = Fraction(bound)
     if bound < 0:
@@ -49,28 +47,9 @@ def short_vectors(A, bound):
     det, _, minors, pivots = _eliminate([[int(x * den) for x in row] for row in A])
     if det <= 0 or any(d <= 0 for d in minors):
         raise ValueError("matrix is not positive definite")
-    prods = [a * b for a, b in zip([1] + minors, minors)]
-    scale = math.lcm(*prods)
-    weight = [scale // p for p in prods]
-    out, m = [], [0] * n
-
-    def descend(k, rest):   # scale (floor(den bound) - sum_{j>k} t_j^2 / (d_{j-1} d_j))
-        d = minors[k]
-        c = sum(a * x for a, x in zip(pivots[k][k + 1:], m[k + 1:]))
-        s = math.isqrt(rest // weight[k])
-        lo, hi = -((s + c) // d), (s - c) // d
-        if k == 0:
-            tail = tuple(m[1:])
-            out.extend((v,) + tail for v in range(lo, hi + 1) if v or any(tail))
-            return
-        for v in range(lo, hi + 1):
-            m[k] = v
-            t = d * v + c
-            descend(k - 1, rest - weight[k] * t * t)
-        m[k] = 0
-
-    if n:
-        descend(n - 1, scale * math.floor(bound * den))
+    out = []
+    for lo, hi, rest in ellipsoid_lines(minors, pivots, bound * den):
+        out.extend((v,) + rest for v in range(lo, hi + 1) if v or any(rest))
     return out
 
 

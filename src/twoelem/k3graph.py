@@ -30,6 +30,7 @@ from .lattices import (
     signature,
     two_elementary_invariants,
 )
+from .siegel import chi8_weight, even_characteristics
 from .vvmf import borcherds_weight, divisor_ledger
 
 EDGE_KINDS = ("odd", "even_wu", "even_nonwu")
@@ -245,14 +246,17 @@ def import_json(text: str) -> K3Graph:
 def thm91_consistency(row: Table1Row, ell: int = 1) -> dict:
     """Exact weight/divisor balance for one reference row.
 
-    With g = g(M), nu = 2^{g-1}(2^g+1) ell and w the lift weight of M-perp:
+    With g = g(M), nu = 2^{g-1}(2^g+1) ell, w the lift weight of M-perp and
+    m', m'' the D'- and D''-multiplicities of its divisor (`divisor_ledger`):
       (i)   2^{g-1} w            = 2^{g-1}(2^g+1)(r(M) - 6)
-      (ii)  2^{g-1} + 2*2^{2g-2} = 2^{g-1}(2^g+1)       (D' balance)
+      (ii)  2^{g-1} m' + 2 c     = 2^{g-1}(2^g+1)       (D' balance; c the
+            number of even characteristics with a_1 = 1/2, whose theta
+            vanish along the pinched first handle)
       (iii) 2^{g-1} * m''        = 2^{g-1}(2^g+1)       (D'' balance;
-            m'' the D''-multiplicity of the lift divisor; vacuous if
-            Delta'' is empty)
-      (iv)  2^{g+1}(2^g+1) ell   = 4 nu                 (theta-weight slot)
-    All quantities are exact rationals (g = 0 uses 2^{g-1} = 1/2).
+            vacuous if Delta'' is empty)
+      (iv)  chi8_weight(g) ell   = 4 nu                 (theta-weight slot)
+    All quantities are exact rationals (g = 0 uses 2^{g-1} = 1/2 and, with
+    no theta side, 2 c = 1/2).
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -266,17 +270,25 @@ def thm91_consistency(row: Table1Row, ell: int = 1) -> dict:
     w, _ = borcherds_weight(L)
     checks = {}
     checks["weight_balance"] = pg1 * w == pg1 * (2 ** g + 1) * (r_m - 6)
-    checks["dprime_balance"] = pg1 + 2 * two ** (2 * g - 2) == pg1 * (2 ** g + 1)
     ledger = divisor_ledger(L)
+    checks["dprime_balance"] = (pg1 * ledger["dprime"] + 2 * _pinched_count(g)
+                                == pg1 * (2 ** g + 1))
     if ledger["dsecond"] is None:
         checks["dsecond_balance"] = "vacuous (Delta'' empty)"
     else:
         checks["dsecond_balance"] = pg1 * ledger["dsecond"] == pg1 * (2 ** g + 1)
     nu = pg1 * (2 ** g + 1) * ell
-    checks["theta_weight_slot"] = two ** (g + 1) * (2 ** g + 1) * ell == 4 * nu
+    checks["theta_weight_slot"] = chi8_weight(g) * ell == 4 * nu
     ok = all(c is True or isinstance(c, str) for c in checks.values())
     return {"row": row, "g": g, "ell": ell, "nu": nu, "weight": w,
             "checks": checks, "ok": ok}
+
+
+def _pinched_count(g: int):
+    """The even characteristics with a_1 = 1/2 (1/4 at g = 0: no theta side)."""
+    if g == 0:
+        return Fraction(1, 4)
+    return sum(ch.a[0] == Fraction(1, 2) for ch in even_characteristics(g))
 
 
 def thm93_check() -> dict:
@@ -307,8 +319,11 @@ def prop92_obstruction(m_expr: str) -> dict:
 
         {2^g + 2a(2^g - 1)} ell D'  +  (2^g - 1) E     (a >= 0, ell >= 1)
 
-    which is certified nonzero effective symbolically: every coefficient is
-    nonnegative and the D' coefficient is >= 2^g >= 4 at the minimal case.
+    which is certified nonzero effective: every coefficient is nonnegative,
+    the D' coefficient is >= 2^g >= 4 at the minimal case, and D' is in the
+    lift's divisor at all, i.e. the ledger of M-perp = U + M (by Nikulin the
+    even 2-elementary lattice of signature (2, 10) with M's l and delta)
+    gives m' > 0.
     The exceptional class (r, l, delta) = (10, 10, 0) is out of scope, as is
     the l = 0 class (its genus exceeds the theta-product range).
     """
@@ -323,12 +338,14 @@ def prop92_obstruction(m_expr: str) -> dict:
         )
     g = genus_g(t)
     dprime_min = 2 ** g  # a = 0, ell = 1
+    m_prime = divisor_ledger(parse_lattice_expr("U+" + m_expr))["dprime"]
     cert = {
         "g": g,
         "dprime_coefficient": f"(2^{g} + 2a(2^{g}-1)) ell",
         "dprime_min": dprime_min,
+        "dprime_multiplicity": m_prime,
         "e_coefficient": 2 ** g - 1,
-        "nonzero_effective": dprime_min > 0 and 2 ** g - 1 >= 0,
+        "nonzero_effective": m_prime > 0 and dprime_min > 0 and 2 ** g - 1 >= 0,
     }
     return cert
 

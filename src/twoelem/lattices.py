@@ -1,15 +1,18 @@
 """Even lattices by Gram matrix, discriminant forms, 2-elementary invariants.
 
 Everything here is exact: det, adjugate and signature come from one
-fraction-free symmetric elimination (`_eliminate`), discriminant groups from
-a Smith normal form over Z.  A 2-elementary form is held as two integer
-tables on its generators, 2q(g_i) mod 4 and 2b(g_i, g_j) mod 2
-(`FormTables`); the parity invariant delta, the q-value of every class and
-the characteristic element all come from these tables.
+fraction-free symmetric elimination (`_eliminate`, run once per `Lattice`),
+the lattice points of an ellipsoid from an integer Fincke-Pohst search on
+its pivots (`ellipsoid_lines`), discriminant groups from a Smith normal form
+over Z.  A 2-elementary form is held as two integer tables on its
+generators, 2q(g_i) mod 4 and 2b(g_i, g_j) mod 2 (`FormTables`); the parity
+invariant delta, the q-value of every class and the characteristic element
+all come from these tables.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -117,6 +120,7 @@ class Lattice:
 
     gram: tuple
     label: str = ""
+    _elim: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -130,7 +134,8 @@ class Lattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if n and _eliminate(g)[0] == 0:
+        object.__setattr__(self, "_elim", _eliminate(g))
+        if n and self._elim[0] == 0:
             raise ValueError("gram matrix is degenerate")
 
     @property
@@ -138,7 +143,7 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
-        return _eliminate(self.gram)[0]
+        return self._elim[0]
 
     def pairing(self, x, y) -> Fraction:
         """<x, y> for rational coordinate vectors in the lattice basis."""
@@ -204,6 +209,47 @@ def _eliminate(mat):
         else:
             adj[j] = [a + b for a, b in zip(adj[j], adj[i])]
     return prev, adj, minors, pivots
+
+
+def ellipsoid_lines(minors, pivots, bound, centre=None):
+    """The integer m with (m - c)^t M (m - c) <= bound, line by line.
+
+    M is a positive definite integer matrix given by the leading minors d_k
+    and pivot rows a_k of its `_eliminate` run, `bound` a rational and the
+    centre c a rational vector (0 when None).  Integer Fincke-Pohst: with q
+    the common denominator of c and x = q (m - c), q^2 (m-c)^t M (m-c) =
+    sum_k t_k^2 / (d_{k-1} d_k), t_k = d_k x_k + sum_{j>k} a_kj x_j.  Over
+    the scale lcm(d_{k-1} d_k) the budget left for layer k is an integer, so
+    each interval comes from one `isqrt` and holds exactly the admissible
+    m_k.  Yields (lo, hi, rest), the points (m_0, *rest) with lo <= m_0 <= hi;
+    every line is nonempty, and the last coordinate varies slowest.
+    """
+    n = len(minors)
+    centre = [Fraction(x) for x in centre] if centre is not None else [Fraction(0)] * n
+    q = math.lcm(*(x.denominator for x in centre))
+    p = [int(x * q) for x in centre]
+    prods = [a * b for a, b in zip([1] + minors, minors)]
+    scale = math.lcm(*prods)
+    weight = [scale // w for w in prods]
+    m, x = [0] * n, [0] * n
+
+    def descend(k, rest):   # scale q^2 bound - sum_{j>k} weight_j t_j^2
+        d = minors[k]
+        c = sum(a * y for a, y in zip(pivots[k][k + 1:], x[k + 1:])) - d * p[k]
+        s = math.isqrt(rest // weight[k])
+        lo, hi = -((s + c) // (d * q)), (s - c) // (d * q)
+        if k == 0:
+            if lo <= hi:
+                yield lo, hi, tuple(m[1:])
+            return
+        for v in range(lo, hi + 1):
+            m[k], x[k] = v, q * v - p[k]
+            t = d * q * v + c
+            yield from descend(k - 1, rest - weight[k] * t * t)
+
+    bound = math.floor(q * q * Fraction(bound))
+    if n and bound >= 0:
+        yield from descend(n - 1, scale * bound)
 
 
 # -- constructors -----------------------------------------------------------
@@ -351,7 +397,7 @@ def signature(L: Lattice):
     P^t G P = R^t D R is a congruence with D_k = d_k / d_{k-1} (d_{-1} = 1),
     so b+ counts the k with sign d_k = sign d_{k-1}.
     """
-    minors = _eliminate(L.gram)[2]     # a Lattice is nondegenerate
+    minors = L._elim[2]     # a Lattice is nondegenerate
     pos = sum((a > 0) == (b > 0) for a, b in zip([1] + minors, minors))
     return pos, L.rank - pos
 

@@ -20,6 +20,7 @@ from twoelem import (
     construct_F,
     eisenstein_e4,
     eta_power,
+    even_characteristics,
     f0,
     f1,
     fay_family,
@@ -164,9 +165,13 @@ def test_criterion_06_divisor_ledger():
 def test_criterion_07_siegel_slopes():
     t0 = time.monotonic()
     grid = [10 ** (-(3 + 0.5 * j)) for j in range(11)]
+    # a Fay family's slope is the number of even theta characteristics with
+    # a_1 = 1/2, whose theta vanish along the pinched first handle
+    pinched = [sum(ch.a[0] == Fraction(1, 2) for ch in even_characteristics(g))
+               for g in (1, 2)]
     fams = [
-        (1, lambda t: fay_family(1, [[0.1 + 0.2j]], t)),
-        (4, lambda t: fay_family(
+        (pinched[0], lambda t: fay_family(1, [[0.1 + 0.2j]], t)),
+        (pinched[1], lambda t: fay_family(
             2, [[0.1 + 0.3j, 0.15 + 0.05j], [0.15 + 0.05j, 0.2 + 1.1j]], t)),
         (8, lambda t: SiegelPoint(((0.1 + 1.5j, t), (t, -0.2 + 1.2j)))),
     ]

@@ -17,7 +17,9 @@ from twoelem import (
     theta_constant,
     vanishing_order_fit,
 )
-from twoelem.siegel import _theta_row, chi8_weight
+import numpy as np
+
+from twoelem.siegel import _theta_row, _truncation, chi8_weight
 
 
 def test_characteristic_parity():
@@ -45,6 +47,29 @@ def test_point_validation():
             SiegelPoint(((z,),))
     p = SiegelPoint(((0.2 + 1j, 0.1), (0.1, 1.5j)))
     assert p.g == 2
+
+
+def _exact_det(sig):
+    (p, q), (_, r) = [[Fraction(x.imag) for x in row] for row in sig]
+    return p * r - q * q
+
+
+@pytest.mark.parametrize("sig, positive", [
+    (((1j, 1j), (1j, complex(0, 1 + 2.0 ** -52))), True),    # det Im = 2^-52
+    (((1j, 1j), (1j, complex(0, 1 - 2.0 ** -52))), False),   # det Im = -2^-52
+    # float eigenvalues say 0 and 5.6e-17: the signs of the exact dets differ
+    (((0.8431433319056789j, 1.2716405512785594j),
+      (1.2716405512785594j, 1.9179060433308834j)), True),
+    (((0.8496266753863589j, 0.8479616122881385j),
+      (0.8479616122881385j, 0.8462998123114764j)), False),
+])
+def test_point_positive_definiteness_is_exact(sig, positive):
+    assert (_exact_det(sig) > 0) == positive
+    if positive:
+        assert SiegelPoint(sig).g == 2
+    else:
+        with pytest.raises(ValueError, match="positive definite"):
+            SiegelPoint(sig)
 
 
 def test_theta_value_at_i():
@@ -133,6 +158,132 @@ def test_theta_row_grid_memory():
     finally:
         tracemalloc.stop()
     assert peak < 11 * 2 ** 20
+
+
+def _roadmap_point(g):
+    # diagonal 1.1i, off-diagonal 0.1|i-j| + 0.15i
+    return SiegelPoint(tuple(tuple(complex(0.1 * abs(i - j), 0.15) if i != j else 1.1j
+                                   for j in range(g)) for i in range(g)))
+
+
+def _ellipsoid_points(point, bound, a):
+    return [(n0,) + rest for lo, hi, rest in point._lines(bound, a) for n0 in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("sigma, prec", [
+    pytest.param(sig, prec, id=f"g{len(sig)}-{prec}")
+    for sig, prec in [(s, p) for s, _ in _REFERENCE_POINTS for p in (53, 100)]
+    + [(_roadmap_point(4).sigma, 53)]])
+def test_theta_within_bound_of_doubled_radius(sigma, prec):
+    # the sum over the ellipsoid of twice the radius R differs from the
+    # truncated one by its shell, whose terms are summed here directly; the
+    # row itself is held to that wider sum within the bound plus rounding
+    point = SiegelPoint(sigma)
+    g = point.g
+    S = np.array(point.sigma)
+    bits = np.array(list(itertools.product((0, 1), repeat=g)))   # 2b, first coordinate high
+    for a in itertools.product((Fraction(0), Fraction(1, 2)), repeat=g):
+        bound, eps = _truncation(a, point, prec)
+        inner = set(_ellipsoid_points(point, bound, a))
+        wide = _ellipsoid_points(point, 4 * bound, a)          # radius 2R
+        shell = np.array([n not in inner for n in wide])
+        assert len(inner) + shell.sum() == len(wide)
+        v = np.array(wide, dtype=float) + np.array([float(x) for x in a])
+        quad = np.einsum("ki,ij,kj->k", v, S, v)
+        # exp(2 pi i v.b) = i^K with K = sum (2 v_i)(2 b_i)
+        phase = 1j ** (np.rint(2 * v) @ bits.T % 4)
+        terms = np.exp(1j * np.pi * quad)[:, None] * phase
+        tail = terms[shell].sum(axis=0)
+        assert np.all(np.abs(tail) <= float(eps)), (a, tail, eps)
+        row = np.array([complex(z) for z in _theta_row(a, point, prec)[0]])
+        rounding = 1e-14 * np.abs(terms).sum(axis=0)
+        assert np.all(np.abs(row - terms.sum(axis=0)) <= float(eps) + rounding), a
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_tail_bound_premise(g):
+    # the tail bound rests on e^{-|x|^2} <= the mean of e^{-|u|^2} over the
+    # ball B(x, rho/2), for |x| >= R >= (sqrt(2g) + rho)/2; at |x| = R, with
+    # h = u - x split into t along x and the rest, that mean over e^{-|x|^2}
+    # is a one-dimensional integral
+    k = g - 1
+    with mpmath.workprec(80):
+        def ratio(d):
+            r = mpmath.sqrt(mpmath.mpf(g) / 2) + d
+
+            def perp(s):    # mean of e^{-|w|^2} over the k-ball of radius s
+                if k == 0 or s == 0:
+                    return mpmath.mpf(1)
+                return k / (2 * s ** k) * mpmath.gammainc(mpmath.mpf(k) / 2, 0, s * s)
+
+            def weight(t):
+                return (d * d - t * t) ** (mpmath.mpf(k) / 2)
+
+            num = mpmath.quad(lambda t: mpmath.exp(-2 * r * t - t * t)
+                              * perp(mpmath.sqrt(d * d - t * t)) * weight(t), [-d, 0, d])
+            return num / mpmath.quad(weight, [-d, 0, d])
+
+        for d in ("0.01", "0.1", "0.5", "2", "6"):
+            assert ratio(mpmath.mpf(d)) >= 1, d
+
+
+def test_theta_row_ellipsoid_memory():
+    # g = 5 at the ROADMAP Sigma: about 12,000 ellipsoid points, where the
+    # cube [-10, 10]^5 had 4,084,101
+    point = _roadmap_point(5)
+    tracemalloc.start()
+    try:
+        _theta_row((0.5,) * 5, point, 53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def _sp_word(sig, rng, length):
+    """sig moved by a random word in the generators of Sp(2g, Z): Sigma + B
+    (B symmetric integer), A^t Sigma A (A in GL_g(Z)) and J: -Sigma^-1; J is
+    in every word."""
+    S = np.array(sig, dtype=complex)
+    g = len(S)
+    kinds = ["J"] + [rng.choice("TAJ") for _ in range(length - 1)]
+    rng.shuffle(kinds)
+    for kind in kinds:
+        if kind == "T":
+            B = np.zeros((g, g), dtype=int)
+            for i in range(g):
+                for j in range(i, g):
+                    B[i, j] = B[j, i] = rng.randint(-1, 1)
+            S = S + B
+        elif kind == "A":
+            A = np.eye(g, dtype=int)
+            A = A[rng.sample(range(g), g)] * rng.choice((1, -1))
+            if g > 1:
+                i, j = rng.sample(range(g), 2)
+                A[i, j] = rng.choice((1, -1))
+            S = A.T @ S @ A
+        else:
+            S = -np.linalg.inv(S)
+        S = (S + S.T) / 2
+    return tuple(tuple(complex(x) for x in row) for row in S)
+
+
+@pytest.mark.parametrize("g, sig", [
+    (1, ((0.21 + 1.17j,),)),
+    (2, ((0.23 + 1.12j, -0.41 + 0.37j), (-0.41 + 0.37j, 0.11 + 0.95j))),
+    (3, ((0.2 + 1.1j, 0.1 + 0.2j, -0.1 + 0.15j),
+         (0.1 + 0.2j, -0.3 + 1.3j, 0.2 + 0.1j),
+         (-0.1 + 0.15j, 0.2 + 0.1j, 0.15 + 1.05j))),
+])
+def test_petersson_invariant_under_sp2g_words(g, sig):
+    # ||chi_g^8|| is invariant under all of Sp(2g, Z), J included; the
+    # criterion-08 points and tolerance, at 53 bits
+    import random
+    rng = random.Random(8 + g)
+    base = chi_g8_petersson(SiegelPoint(sig), 53)
+    for _ in range(6):
+        moved = chi_g8_petersson(SiegelPoint(_sp_word(sig, rng, 4)), 53)
+        assert abs(moved / base - 1) < 1e-12
 
 
 @pytest.mark.parametrize("sigma, R", _REFERENCE_POINTS[1:])

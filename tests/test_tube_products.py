@@ -21,7 +21,7 @@ from twoelem import (
     standard_lattice,
 )
 from twoelem.borcherds import short_vectors
-from twoelem.lattices import _eliminate
+from twoelem.lattices import _eliminate, ellipsoid_lines
 from twoelem.weil import disc_data
 
 
@@ -94,6 +94,36 @@ def test_short_vectors_match_box_scan(form):
         if any(x) and sum(d * xi * xi for d, xi in zip(D, x)) <= bound:
             want.add(tuple(sum(a * xi for a, xi in zip(row, x)) for row in Uinv))
     got = short_vectors(A, bound)
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+@settings(deadline=None, max_examples=80)
+@given(diagonalized_forms(), st.lists(st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]),
+                                      min_size=3, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_ellipsoid_lines_match_box_scan(form, centre, x):
+    # centre c = U^-1 c_x for a centre c_x in diagonal coordinates with
+    # entries in {0, +-1/2, +-1}, and a bound attained at U^-1 x
+    A, _, D, Uinv = form
+    n = len(D)
+    c_x, x = centre[:n], x[:n]
+    c = [sum(a * ci for a, ci in zip(row, c_x)) for row in Uinv]
+    bound = sum(d * (xi - ci) ** 2 for d, xi, ci in zip(D, x, c_x))
+    boxes = []
+    for d, ci in zip(D, c_x):
+        s = math.isqrt(math.floor(bound / d)) + 1
+        boxes.append(range(math.floor(ci) - s, math.ceil(ci) + s + 1))
+    want = set()
+    for y in itertools.product(*boxes):
+        if sum(d * (yi - ci) ** 2 for d, yi, ci in zip(D, y, c_x)) <= bound:
+            want.add(tuple(sum(a * yi for a, yi in zip(row, y)) for row in Uinv))
+    den = math.lcm(*(v.denominator for row in A for v in row))
+    _, _, minors, pivots = _eliminate([[int(v * den) for v in row] for row in A])
+    got = []
+    for lo, hi, rest in ellipsoid_lines(minors, pivots, bound * den, c):
+        assert lo <= hi
+        got.extend((m0,) + rest for m0 in range(lo, hi + 1))
     assert len(got) == len(set(got))
     assert set(got) == want
 

@@ -144,7 +144,7 @@ def cmd_borcherds_report(args) -> int:
 def cmd_siegel_eval(args) -> int:
     import mpmath
 
-    from .siegel import SiegelPoint, chi_g, chi_g8_petersson
+    from .siegel import SiegelPoint, _even_thetas, _petersson, _product
 
     try:
         with open(args.sigma) as fh:
@@ -154,8 +154,9 @@ def cmd_siegel_eval(args) -> int:
     except (OSError, ValueError, TypeError) as exc:
         print(f"error reading matrix: {exc}", file=sys.stderr)
         return 2
-    val = chi_g(point, args.prec)
-    norm = chi_g8_petersson(point, args.prec)
+    thetas = _even_thetas(point, args.prec)   # every theta row once, for both values
+    val = _product(thetas, args.prec)
+    norm = _petersson(point, thetas, args.prec)
     with mpmath.workprec(args.prec):
         lines = [
             f"genus            {point.g}",

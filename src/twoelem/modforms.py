@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .series import QSeries
 
@@ -55,14 +56,20 @@ def theta_a1(shift, order) -> QSeries:
 
 
 def _eta_theta(factors, shift, k: int, order: Fraction) -> QSeries:
-    """prod eta(m t)^e over (m, e) in factors, times theta_shift^k, below order."""
-    lead = sum(Fraction(e * m, 24) for m, e in factors) + k * shift * shift
+    """prod eta(m t)^e over (m, e) in factors, times theta_shift^k, below order.
+
+    Every factor is multiplied without its offset q^{e m/24} or q^{shift^2},
+    so on the integer grid, and the product is shifted once by their sum onto
+    the grid the offsets span."""
+    offsets = [Fraction(e * m, 24) for m, e in factors]
+    lead = sum(offsets) + k * shift * shift
     # every factor keeps its leading term, so the product's order holds
     rel = max(order - lead, 1)
-    acc = theta_a1(shift, shift * shift + rel) ** k
+    acc = theta_a1(shift, shift * shift + rel).shift(-shift * shift) ** k
     for m, e in factors:
-        acc = acc * eta_power(m, e, Fraction(e * m, 24) + rel)
-    return acc.truncate(order)
+        acc = acc * _euler_product(m, rel) ** e
+    grid = lcm(*(x.denominator for x in offsets), Fraction(shift * shift if k else 0).denominator)
+    return QSeries({x + lead: c for x, c in acc.items()}, min(order, acc.trunc + lead), grid)
 
 
 @lru_cache(maxsize=None)

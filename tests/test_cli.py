@@ -271,3 +271,17 @@ def test_order_flag_validation(capsys):
         main(["qseries", "f0", "--order", "-2"])
     with pytest.raises(SystemExit):
         main(["siegel", "eval", "--sigma", "x.json", "--prec", "10"])
+
+
+def test_siegel_eval_walks_each_theta_row_once(capsys, tmp_path, monkeypatch):
+    # chi_g and its norm come from one set of even thetas: one row per a
+    from twoelem import siegel
+    calls = []
+    row = siegel._theta_row
+    monkeypatch.setattr(siegel, "_theta_row", lambda a, *rest: calls.append(a) or row(a, *rest))
+    mat = tmp_path / "sigma.json"
+    mat.write_text(json.dumps([[[0.2, 1.1], [0.1, 0.3]], [[0.1, 0.3], [-0.1, 0.9]]]))
+    code, out, _ = run_cli(capsys, "siegel", "eval", "--sigma", str(mat), "--prec", "64")
+    assert code == 0
+    assert "petersson chi^8  5.96573191254951e-12" in out
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 4

@@ -98,3 +98,27 @@ def test_eisenstein_oracle():
         want = (mpmath.jtheta(2, 0, nome) ** 8 + mpmath.jtheta(3, 0, nome) ** 8
                 + mpmath.jtheta(4, 0, nome) ** 8) / 2
     assert abs(val - want) < 1e-22
+
+
+def _offset_product(factors, shift, k, order):
+    """The eta-theta product with every factor carrying its own offset, on the
+    grid those offsets span."""
+    lead = sum(Fraction(e * m, 24) for m, e in factors) + k * shift * shift
+    rel = max(order - lead, 1)
+    acc = theta_a1(shift, shift * shift + rel) ** k
+    for m, e in factors:
+        acc = acc * eta_power(m, e, Fraction(e * m, 24) + rel)
+    return acc.truncate(order)
+
+
+def test_blocks_on_the_integer_grid_match_the_offset_products():
+    # f0 and f1 multiply their factors on the integer grid and shift once;
+    # the series, its grid and its order are those of the offset products
+    for k in (-3, 0, 5, 8):
+        for order in (Fraction(1, 3), Fraction(5, 2), Fraction(37, 3), Fraction(60)):
+            for got, want in [
+                    (f0(k, order), _offset_product([(2, 8), (1, -8), (4, -8)], 0, k, order)),
+                    (f1(k, order),
+                     -16 * _offset_product([(4, 8), (2, -16)], Fraction(1, 2), k, order))]:
+                assert (got.denom, got.start, got.coeffs, got.trunc) == \
+                    (want.denom, want.start, want.coeffs, want.trunc), (k, order)

@@ -392,3 +392,85 @@ def test_vanishing_slope_genus1():
     slope, resid = vanishing_order_fit(fam, grid, 53)
     assert abs(slope - 1) < 0.05
     assert math.isfinite(resid)
+
+
+def _within_eps_of_higher_precision(point, a, prec):
+    """The row at `prec` against the row at prec + 64 bits: the two differ by
+    at most the sum of their returned bounds.  Returns (row, eps, ref)."""
+    row, eps = _theta_row(a, point, prec)
+    ref, eps_ref = _theta_row(a, point, prec + 64)
+    with mpmath.workprec(prec + 64):
+        for b, (z, w) in enumerate(zip(row, ref)):
+            assert abs(z - w) <= eps + eps_ref, (a, b, prec)
+    return row, eps, ref
+
+
+@pytest.mark.parametrize("sigma, prec", [
+    pytest.param(sig, prec, id=f"g{len(sig)}-{prec}")
+    for sig, prec in [(s, p) for s, _ in _REFERENCE_POINTS for p in (64, 100)]
+    + [(_roadmap_point(4).sigma, p) for p in (64, 100)]])
+def test_fixed_point_rows_within_their_bound(sigma, prec):
+    # every multiprecision row is held to one 64 bits finer within the
+    # returned bound (tail plus stated rounding)
+    point = SiegelPoint(sigma)
+    for a in itertools.product((0, 0.5), repeat=point.g):
+        _within_eps_of_higher_precision(point, a, prec)
+
+
+def test_fixed_point_row_far_below_one():
+    # the genus-3 path point of the benchmark, Im Sigma ~ 18 I: at
+    # a = (1/2, 1/2, 1/2) the largest term is about exp(-pi 18 3/4) ~ 2^-61,
+    # and the bound and the error stay relative to the row, not to 1
+    point = SiegelPoint(((0.1 + 17.9j, 0.2 + 0.05j, -0.1 + 0.02j),
+                         (0.2 + 0.05j, -0.2 + 18j, 0.3 + 0.04j),
+                         (-0.1 + 0.02j, 0.3 + 0.04j, 0.05 + 18.1j)))
+    a = (0.5, 0.5, 0.5)
+    row, eps, ref = _within_eps_of_higher_precision(point, a, 64)
+    with mpmath.workprec(128):
+        largest = max(abs(w) for w in ref)
+        assert largest < 2.0 ** -55
+        assert eps < 2.0 ** -60 * largest
+        for ch in (ThetaChar(a, b) for b in itertools.product((0, 0.5), repeat=3)):
+            if ch.is_even:
+                i = int("".join(str(int(2 * x)) for x in ch.b), 2)
+                assert abs(row[i] - ref[i]) <= 2.0 ** -60 * abs(ref[i])
+
+
+def test_even_characteristics_fresh_list_per_call():
+    first = even_characteristics(3)
+    first.clear()
+    assert len(even_characteristics(3)) == 36
+    assert even_characteristics(2) == [ThetaChar(a, b) for a in itertools.product((0, 0.5), repeat=2)
+                                       for b in itertools.product((0, 0.5), repeat=2)
+                                       if ThetaChar(a, b).is_even]
+    for g in (-1, 6):
+        with pytest.raises(ValueError, match="genus"):
+            even_characteristics(g)
+
+
+def _diagonal_point(g, diag, off):
+    return SiegelPoint(tuple(tuple(complex(0, diag if i == j else off) for j in range(g))
+                             for i in range(g)))
+
+
+@pytest.mark.parametrize("g, diag, want", [(3, 40, "1.23394383e-9673"), (5, 3, "7.68126271e-13757")])
+def test_petersson_norm_below_the_double_range(g, diag, want):
+    # the 16th power of a product of 36 or 528 thetas is far below the
+    # smallest double, yet the 53-bit norm is that of 64 bits
+    point = _diagonal_point(g, diag, 0.1)
+    lo, hi = chi_g8_petersson(point, 53), chi_g8_petersson(point, 64)
+    assert mpmath.nstr(hi, 9) == want
+    assert abs(lo / hi - 1) < 1e-10
+
+
+@pytest.mark.parametrize("prec", [53, 64])
+def test_vanishing_slope_genus3_deep(prec):
+    # a genus-3 pinched handle with Im psi = 20 I: chi_3 is below the double
+    # range on the whole grid; the slope is the count of even
+    # characteristics with a_1 = 1/2
+    psi = [[complex(0.1 if i == j == 0 else 0, 20 if i == j else 0.1) for j in range(3)]
+           for i in range(3)]
+    grid = [10 ** (-(3 + j / 2)) for j in range(8)]
+    slope, resid = vanishing_order_fit(lambda t: fay_family(3, psi, t), grid, prec)
+    assert abs(slope - 16) < 0.05
+    assert math.isfinite(resid)

@@ -32,7 +32,7 @@ for expr in ["U(2)", "A1", "U+U+E8(2)+A1"]:
 
 print("\nDiscriminant group of U(2) (four classes with their q-values):")
 A = discriminant_group(parse_lattice_expr("U(2)"))
-for el in A.elements():
+for el in A.elements:
     print(f"  class {tuple(el.coords)}: q = {A.q(el)}")
 
 print("\nFor a Lorentzian triple, g = (22-r-l)/2 counts fixed-curve genus and")

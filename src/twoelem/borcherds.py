@@ -191,7 +191,7 @@ def _component_coeff(F: VVForm, data, nn: int, m, exponent: Fraction):
 
     lam has dual coordinates m; (n/N, 0) in U(N) has dual coordinates (0, n).
     """
-    ser = F.components[data.group.class_of((0, nn) + m).coords]
+    ser = F.components[data.class_of((0, nn) + m).coords]
     if exponent >= ser.trunc:
         raise ValueError(
             f"product needs coefficient at exponent {exponent} beyond series "
@@ -288,7 +288,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
         if abs(p1) > Pb or abs(p2) > Pb:
             continue
         if F is not None:
-            ser = F.components[data.group.class_of(m).coords]
+            ser = F.components[data.class_of(m).coords]
             if not ser.coeff(lam2 / 2):
                 continue
         if p1 == 0 or p2 == 0:

@@ -4,10 +4,11 @@ Everything here is exact: det, adjugate and signature come from one
 fraction-free symmetric elimination (`_eliminate`, run once per `Lattice`),
 the lattice points of an ellipsoid from an integer Fincke-Pohst search on
 its pivots (`ellipsoid_lines`), discriminant groups from a Smith normal form
-over Z.  A 2-elementary form is held as two integer tables on its
-generators, 2q(g_i) mod 4 and 2b(g_i, g_j) mod 2 (`FormTables`); the parity
-invariant delta, the q-value of every class and the characteristic element
-all come from these tables.
+over Z, built once per Gram matrix.  A 2-elementary `DiscGroup` reads its
+form off two integer tables on its generators, 2q(g_i) mod 4 and
+2b(g_i, g_j) mod 2: the parity invariant delta, the q-value of every class,
+the map y -> By of the Weil S step and the characteristic element all come
+from one pass over these tables, kept on the group.
 """
 from __future__ import annotations
 
@@ -413,7 +414,18 @@ def sigma(L: Lattice) -> int:
 
 @dataclass
 class DiscGroup:
-    """The finite quadratic form (A_L = L^dual / L, q_L)."""
+    """The finite quadratic form (A_L = L^dual / L, q_L).
+
+    A 2-elementary form is fixed by its tables on the generators g_i,
+    Q_i = 2q(g_i) mod 4 and B_ij = 2b(g_i, g_j) mod 2 (Nikulin 1979): since
+    2b is integral, the class x = sum x_i g_i (x_i in {0, 1}) has
+
+        2q(x) = x.Q + 2 sum_{i<j} x_i x_j B_ij  mod 4,
+
+    so 2q mod 2 is linear.  `delta`, `two_q`, `packed_by`, `characteristic`
+    and `one_index` are read from them once and kept; classes are indexed in
+    `elements` order, the first coordinate the most significant bit.
+    """
 
     parent: Lattice
     orders: list          # elementary divisors > 1
@@ -422,22 +434,31 @@ class DiscGroup:
     _positions: list = field(repr=False, default=None)  # indices with d_i > 1
 
     def __len__(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return math.prod(self.orders)
 
     @property
     def is_two_elementary(self) -> bool:
         return all(d == 2 for d in self.orders)
 
+    @property
+    def l(self) -> int:
+        """The number of generators: the 2-rank of a 2-elementary form."""
+        return len(self.orders)
+
+    @cached_property
+    def sigma(self) -> int:
+        """The signature b+ - b- of the parent, which the Weil representation reads."""
+        return sigma(self.parent)
+
     def element(self, coords) -> "DiscElement":
         coords = tuple(int(c) % d for c, d in zip(coords, self.orders))
         return DiscElement(self, coords)
 
-    def elements(self):
-        for coords in iproduct(*(range(d) for d in self.orders)):
-            yield DiscElement(self, coords)
+    @cached_property
+    def elements(self) -> list:
+        """Every class; index 0 is the zero class."""
+        return [DiscElement(self, coords)
+                for coords in iproduct(*(range(d) for d in self.orders))]
 
     def class_of(self, x) -> "DiscElement":
         """Class of the dual vector v with integer coordinates x = G v.
@@ -454,19 +475,64 @@ class DiscGroup:
         return self.element(tuple(sum(a * b for a, b in zip(self._u[p], x))
                                   for p in self._positions))
 
-    def tables(self) -> "FormTables":
-        """The generator tables of a 2-elementary form, from one integer product.
+    @cached_property
+    def _tables(self) -> tuple:
+        """(Q, B) of a 2-elementary form, from one integer product.
 
         With v_i = 2 g_i integral, v_i G v_j = 4 b(g_i, g_j), which is even.
         """
         if not self.is_two_elementary:
             raise ValueError(f"lattice is not 2-elementary: orders {self.orders}")
-        l = len(self.orders)
+        l = self.l
         V = [[int(2 * x) for x in g] for g in self.generators]
         GV = [[sum(a * b for a, b in zip(row, v)) for row in self.parent.gram] for v in V]
         four_b = np.array([[sum(a * b for a, b in zip(v, w)) % 8 for w in GV] for v in V],
                           dtype=np.int64).reshape(l, l)
-        return FormTables(np.diagonal(four_b) // 2, four_b // 2 % 2)
+        return np.diagonal(four_b) // 2, four_b // 2 % 2
+
+    @cached_property
+    def delta(self) -> int:
+        """1 iff some class has q not in Z, i.e. iff some 2q(g_i) is odd."""
+        return int(np.any(self._tables[0] % 2))
+
+    @cached_property
+    def _classes(self) -> tuple:
+        """(two_q, packed_by, characteristic, one_index) from one bit expansion.
+
+        The characteristic class gamma solves B gamma = Q mod 2 over F2; its
+        defining property, 2b(gamma, x) = 2q(x) mod 2, is then checked on
+        every class x.
+        """
+        Q, B = self._tables
+        l = self.l
+        bits = (np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1
+        two_q = (bits @ Q + 2 * ((bits @ np.triu(B, 1)) * bits).sum(axis=1)) % 4
+        gamma = np.array(_solve_f2(B.tolist(), (Q % 2).tolist()), dtype=np.int64)
+        if np.any((bits @ (B @ gamma) - two_q) % 2):
+            raise ArithmeticError("characteristic element fails on some class")
+        weights = 1 << np.arange(l - 1, -1, -1)
+        return (two_q.tolist(), (bits @ B % 2) @ weights,
+                tuple(int(c) for c in gamma), int(gamma @ weights))
+
+    @cached_property
+    def two_q(self) -> list:
+        """2q(x) mod 4 of every class x."""
+        return self._classes[0]
+
+    @cached_property
+    def packed_by(self) -> np.ndarray:
+        """The packed bits of By for every class y: rho(S) is fwht then y -> By."""
+        return self._classes[1]
+
+    @cached_property
+    def characteristic(self) -> tuple:
+        """Coordinates of the unique class gamma with b(gamma, x) = q(x) mod Z."""
+        return self._classes[2]
+
+    @cached_property
+    def one_index(self) -> int:
+        """The index of the characteristic class in `elements`."""
+        return self._classes[3]
 
     def q(self, el: "DiscElement") -> Fraction:
         """q_L(el) in Q/2Z, represented in [0, 2)."""
@@ -512,24 +578,27 @@ class DiscElement:
             and self.group.parent.gram == other.group.parent.gram
 
 
+_GROUPS = {}   # Gram matrix -> DiscGroup
+
+
 def discriminant_group(L: Lattice) -> DiscGroup:
-    """A_L via Smith normal form of the Gram matrix.
+    """A_L via Smith normal form of the Gram matrix, built once per Gram matrix.
 
     With U*G*V = diag(d), the classes of the columns of G^{-1}U^{-1} =
     V diag(d)^{-1} with d_i > 1 generate A_L = Z^n / G Z^n, the i-th one of
     order d_i.
     """
+    grp = _GROUPS.get(L.gram)
+    if grp is not None:
+        return grp
     n = L.rank
     d, u, v = smith_normal_form(L.gram)
     positions = [i for i in range(n) if abs(d[i]) > 1]
     orders = [abs(d[i]) for i in positions]
     gens = [[Fraction(v[i][p], d[p]) % 1 for i in range(n)] for p in positions]
-    grp = DiscGroup(L, orders, gens, u, positions)
-    total = 1
-    for o in orders:
-        total *= o
-    if total != abs(L.det()):
-        raise ArithmeticError(f"product of orders {total} != |det| {abs(L.det())}")
+    if math.prod(orders) != abs(L.det()):
+        raise ArithmeticError(f"product of orders {math.prod(orders)} != |det| {abs(L.det())}")
+    grp = _GROUPS[L.gram] = DiscGroup(L, orders, gens, u, positions)
     return grp
 
 
@@ -554,52 +623,6 @@ class LatticeTriple:
             raise ValueError("delta must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class FormTables:
-    """A 2-elementary (A_L, q_L) as exact integer tables on its generators g_i.
-
-    Q_i = 2q(g_i) mod 4 and B_ij = 2b(g_i, g_j) mod 2.  Because 2b is
-    integral, the class x = sum x_i g_i (x_i in {0, 1}) has
-
-        2q(x) = x.Q + 2 sum_{i<j} x_i x_j B_ij  mod 4,
-
-    so the tables fix the form (Nikulin 1979) and 2q mod 2 is linear.
-    """
-
-    Q: np.ndarray
-    B: np.ndarray
-
-    @property
-    def delta(self) -> int:
-        """1 iff some class has q not in Z, i.e. iff some 2q(g_i) is odd."""
-        return int(np.any(self.Q % 2))
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """The 2^l classes as 0/1 rows, in `DiscGroup.elements()` order."""
-        l = len(self.Q)
-        return (np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1
-
-    @cached_property
-    def two_q(self) -> np.ndarray:
-        """2q(x) mod 4 for every class x, by bit expansion."""
-        bits = self.bits
-        cross = ((bits @ np.triu(self.B, 1)) * bits).sum(axis=1)
-        return (bits @ self.Q + 2 * cross) % 4
-
-    @cached_property
-    def characteristic(self) -> tuple:
-        """Coordinates of the unique class gamma with b(gamma, x) = q(x) mod Z.
-
-        gamma solves B gamma = Q mod 2 over F2; the defining property,
-        2b(gamma, x) = 2q(x) mod 2, is then checked on every class x.
-        """
-        gamma = np.array(_solve_f2(self.B.tolist(), (self.Q % 2).tolist()), dtype=np.int64)
-        if np.any((self.bits @ (self.B @ gamma) - self.two_q) % 2):
-            raise ArithmeticError("characteristic element fails on some class")
-        return tuple(int(c) for c in gamma)
-
-
 def two_elementary_invariants(L: Lattice) -> LatticeTriple:
     """(r, l, delta); errors if L is not 2-elementary.
 
@@ -607,13 +630,13 @@ def two_elementary_invariants(L: Lattice) -> LatticeTriple:
     generators: delta = 1 iff some generator has q(g_i) not in Z.
     """
     A = discriminant_group(L)
-    return LatticeTriple(L.rank, len(A.orders), A.tables().delta)
+    return LatticeTriple(L.rank, A.l, A.delta)
 
 
 def characteristic_element(L: Lattice) -> DiscElement:
     """The unique class with b(gamma, x) = q(x) mod Z for all x (F2 solve)."""
     A = discriminant_group(L)
-    return A.element(A.tables().characteristic)
+    return A.element(A.characteristic)
 
 
 def _solve_f2(B, t):

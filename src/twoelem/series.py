@@ -15,7 +15,7 @@ n a_0 f_n = sum_{k>=1} ((alpha+1) k - n) a_k f_{n-k} for f = a^alpha.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 import mpmath
 
@@ -280,7 +280,9 @@ def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
 
 def qseries_eval(a: QSeries, tau, prec: int = 53):
     """Evaluate sum c_e exp(2*pi*i*e*tau) at tau in the upper half-plane, by
-    Horner's rule in exp(2*pi*i*tau/denom) (one exp per call).
+    Horner's rule on the coarsest grid the nonzero terms span: in
+    exp(2*pi*i*tau*step/denom), step the gcd of the nonzero term offsets,
+    times exp(2*pi*i*tau*start/denom).
 
     Returns (value, tail_estimate).  The tail estimate is the documented
     heuristic geometric bound |q|^trunc/(1-|q|) * max(|c| over the last few
@@ -291,12 +293,13 @@ def qseries_eval(a: QSeries, tau, prec: int = 53):
         tau = mpmath.mpc(tau)
         if mpmath.im(tau) <= 0:
             raise ValueError("tau must lie in the upper half-plane")
-        x = mpmath.exp(2j * mpmath.pi * tau / a.denom)
-        ints, d = _clear(a.coeffs)
+        step = gcd(*(i for i, c in enumerate(a.coeffs) if c)) or 1
+        x = mpmath.exp(2j * mpmath.pi * tau * step / a.denom)
+        ints, d = _clear(a.coeffs[::step])
         acc = mpmath.mpc(0)
         for c in reversed(ints):
             acc = acc * x + c
-        acc = acc * x ** a.start / d
+        acc = acc * mpmath.exp(2j * mpmath.pi * tau * a.start / a.denom) / d
         if a.trunc is None:
             return acc, 0.0
         absq = float(mpmath.exp(-2 * mpmath.pi * mpmath.im(tau)))

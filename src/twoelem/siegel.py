@@ -140,10 +140,14 @@ class SiegelPoint:
                 if abs(mat[i][j] - mat[j][i]) > 1e-12 * (1 + abs(mat[i][j])):
                     raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "sigma", mat)
-        Y = [[(Fraction(x.imag) + Fraction(y.imag)) / 2 for x, y in zip(row, col)]
-             for row, col in zip(mat, zip(*mat))]
-        self._den = math.lcm(*(y.denominator for row in Y for y in row))
-        self._imag = [[int(y * self._den) for y in row] for row in Y]
+        # 2^K (Sigma + Sigma^t)/2 = _real + i _imag, integer matrices
+        X, Y = ([[(Fraction(getattr(x, part)) + Fraction(getattr(y, part))) / 2
+                  for x, y in zip(row, col)] for row, col in zip(mat, zip(*mat))]
+                for part in ("real", "imag"))
+        self._den = math.lcm(*(x.denominator for m in (X, Y) for row in m for x in row))
+        self._K = self._den.bit_length() - 1
+        self._real, self._imag = ([[int(x * self._den) for x in row] for row in m]
+                                  for m in (X, Y))
         self._elim = _eliminate(self._imag)
         if len(self._elim[2]) < g or any(d <= 0 for d in self._elim[2]):
             raise ValueError("Im Sigma must be positive definite")
@@ -157,15 +161,6 @@ class SiegelPoint:
         if self.g == 0:
             return 1.0
         return float(np.linalg.eigvalsh([[x.imag for x in row] for row in self.sigma]).min())
-
-    def _gaussian(self):
-        """(K, re, im): 2^K (Sigma + Sigma^t)/2 = re + i im, integer matrices."""
-        g, mat = self.g, self.sigma
-        parts = [[[(Fraction(getattr(mat[i][j], part)) + Fraction(getattr(mat[j][i], part))) / 2
-                   for j in range(g)] for i in range(g)] for part in ("real", "imag")]
-        den = math.lcm(*(x.denominator for m in parts for row in m for x in row))
-        re, im = ([[int(x * den) for x in row] for row in m] for m in parts)
-        return den.bit_length() - 1, re, im
 
     def _lines(self, bound: Fraction, a):
         """Lines of the n in Z^g with (n+a)^t (Im Sigma) (n+a) <= bound."""
@@ -262,7 +257,7 @@ def _fixed_row(lines, a, point: SiegelPoint, prec: int, eps):
     """The multiprecision `_theta_row`: the fixed-point walk of the module
     docstring, in Python integers from the line starts to the class sums."""
     g = point.g
-    K, Are, Aim = point._gaussian()
+    K, Are, Aim = point._K, point._real, point._imag
     M = point._imag
     alpha = [int(2 * x) for x in a]
     mu = point._least(a) if any(a) else 0

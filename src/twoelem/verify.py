@@ -159,10 +159,11 @@ def suite_siegel():
 
     point_i = SiegelPoint(((1j,),))
     th3 = theta_constant(ThetaChar((0,), (0,)), point_i, prec=64)
-    ref = mpmath.pi ** 0.25 / mpmath.gamma(0.75)
+    with mpmath.workprec(96):   # the reference and the difference above 64 bits
+        diff = abs(th3 - mpmath.pi ** mpmath.mpf("0.25") / mpmath.gamma(mpmath.mpf("0.75")))
     checks.append(_check(
         "theta_{0,0}(i) = pi^(1/4)/Gamma(3/4)",
-        abs(th3 - ref) < 1e-15, f"diff {abs(th3 - ref)}",
+        diff < 1e-17, f"diff {diff}",
     ))
 
     tau = 0.13 + 0.9j

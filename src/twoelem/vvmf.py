@@ -126,7 +126,7 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
         acc = None
         for n in range(N):
             # (n/N, 0) in U(N) has integer coordinates (0, n)
-            cls = data_big.group.class_of([0, n] + x_small)
+            cls = data_big.class_of([0, n] + x_small)
             ser = F.components[cls.coords]
             acc = ser if acc is None else acc + ser
         comps[el.coords] = acc
@@ -236,24 +236,27 @@ def borcherds_weight(L: Lattice):
 # the coset-sum numeric oracle
 # ---------------------------------------------------------------------------
 
-def adaptive_order(imag: float, target: float = 1e-26, min_order: int = 40) -> int:
+_MIN_ORDER = 40     # the least series order a coset is evaluated to
+_MAX_ORDER = 1600   # refuse a coset whose point needs more
+
+
+def adaptive_order(imag: float, target: float = 1e-26) -> int:
     """Series order n with c(n) |q|^n < target at Im tau = imag, for a form
     with principal part q^{-1}, whose coefficients grow like exp(4 pi sqrt n).
 
     Solves n*a - b*sqrt(n) >= ln(1/target) + margin; an order above
-    min_order is rounded up to a multiple of 64, so that nearby points share
+    _MIN_ORDER is rounded up to a multiple of 64, so that nearby points share
     one cached expansion.
     """
     a = 2 * math.pi * imag
     b = 4 * math.pi
     cc = -math.log(target) + 10
     sqrt_n = (b + math.sqrt(b * b + 4 * a * cc)) / (2 * a)
-    order = max(min_order, math.ceil(sqrt_n * sqrt_n) + 8)
-    return -(-order // 64) * 64 if order > min_order else min_order
+    order = max(_MIN_ORDER, math.ceil(sqrt_n * sqrt_n) + 8)
+    return -(-order // 64) * 64 if order > _MIN_ORDER else _MIN_ORDER
 
 
-def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26,
-                        min_order: int = 40, max_order: int = 1600):
+def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26):
     """Rebuild F(tau) as  sum_g  phi|_g(tau) * rho(g^{-1}) e_0  over the six
     coset representatives, with phi = f0(8 + sigma).
 
@@ -278,10 +281,10 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26,
             imag = float(mpmath.im(gtau))
             if imag <= 0:
                 raise ValueError(f"transformed point left the upper half-plane ({name})")
-            order = adaptive_order(imag, target, min_order)
-            if order > max_order:
+            order = adaptive_order(imag, target)
+            if order > _MAX_ORDER:
                 raise ValueError(
-                    f"coset {name}: required series order {order} exceeds cap {max_order}"
+                    f"coset {name}: required series order {order} exceeds cap {_MAX_ORDER}"
                 )
             phi_val, _tail = qseries_eval(f0(k, order), gtau, prec)
             # weight sigma/2, so the slash factor is j(g, tau)^{-sigma}

@@ -32,53 +32,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .lattices import Lattice, discriminant_group, sigma as lattice_sigma
+from .lattices import DiscGroup, Lattice, discriminant_group
 from .mp2 import Mp2Element, mp2_word
 
 _DENSE_L_CAP = 8
 _COLUMN_L_CAP = 12
 
 
-@dataclass
-class DiscData:
-    """Precomputed discriminant data shared by all Weil operations."""
-
-    lattice: Lattice
-    group: "object"
-    elements: list          # DiscElement, fixed order; index 0 is the zero class
-    two_q: list             # 2q mod 4 of each element; rho(T) multiplies by zeta^{2 two_q}
-    packed_by: np.ndarray   # packed By of each class y: rho(S) is fwht then y -> By
-    sigma: int
-    l: int
-    one_index: int          # position of the characteristic element
-
-
-@lru_cache(maxsize=None)
-def _disc_data_cached(gram: tuple) -> DiscData:
-    return _build_disc_data(Lattice(gram))
-
-
-def disc_data(L: Lattice) -> DiscData:
-    return _disc_data_cached(L.gram)
-
-
-def _build_disc_data(L: Lattice) -> DiscData:
+def disc_data(L: Lattice) -> DiscGroup:
+    """The discriminant form of L, which the Weil operations read: 2-elementary
+    with l <= 12, else ValueError."""
     A = discriminant_group(L)
     if not A.is_two_elementary:
         raise ValueError("Weil representation implemented for 2-elementary lattices only")
-    l = len(A.orders)
-    if l > _COLUMN_L_CAP:
-        raise ValueError(f"discriminant group too large (l={l} > {_COLUMN_L_CAP})")
-    tables = A.tables()
-    bits = tables.bits
-    weights = 1 << np.arange(l - 1, -1, -1)
-    packed_by = (tables.B @ bits.T % 2).T @ weights
-    return DiscData(L, A, list(A.elements()), tables.two_q.tolist(), packed_by, lattice_sigma(L), l,
-                    int(np.array(tables.characteristic, dtype=np.int64) @ weights))
+    if A.l > _COLUMN_L_CAP:
+        raise ValueError(f"discriminant group too large (l={A.l} > {_COLUMN_L_CAP})")
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +120,7 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
 
 class _ColumnState:
-    def __init__(self, data: DiscData, start: int = 0):
+    def __init__(self, data: DiscGroup, start: int = 0):
         self.data = data
         n = len(data.elements)
         self.comp = np.zeros((4, n), dtype=np.int64)

@@ -285,3 +285,23 @@ def test_siegel_eval_walks_each_theta_row_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert "petersson chi^8  5.96573191254951e-12" in out
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 4
+
+
+def test_one_smith_normal_form_per_gram_matrix(capsys, monkeypatch):
+    # the report, lattice-info and the graph's 43 rows share one form per Gram matrix
+    from twoelem import lattices
+    calls = {}
+    snf = lattices.smith_normal_form
+
+    def counted(mat):
+        key = tuple(map(tuple, mat))
+        calls[key] = calls.get(key, 0) + 1
+        return snf(mat)
+
+    monkeypatch.setattr(lattices, "_GROUPS", {})
+    monkeypatch.setattr(lattices, "smith_normal_form", counted)
+    expr = "U+U(2)+D4"
+    for argv in (["borcherds", "report", expr], ["lattice-info", expr], ["export-graph"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert lattices.parse_lattice_expr(expr).gram in calls
+    assert set(calls.values()) == {1}

@@ -123,7 +123,7 @@ def test_discriminant_group_sizes():
 def test_class_of_inverts_rep(expr):
     L = parse_lattice_expr(expr)
     A = discriminant_group(L)
-    for el in A.elements():
+    for el in A.elements:
         x = [sum(g * r for g, r in zip(row, el.rep())) for row in L.gram]
         assert A.class_of(x) == el
 
@@ -142,7 +142,7 @@ def test_characteristic_element_property():
         L = parse_lattice_expr(expr)
         A = discriminant_group(L)
         char = characteristic_element(L)
-        for x in A.elements():
+        for x in A.elements:
             assert (A.b(char, x) - A.q(x)) % 1 == 0
     # delta = 0 forces the zero class
     assert characteristic_element(parse_lattice_expr("U(2)")).is_zero()
@@ -160,7 +160,7 @@ def test_tables_match_exhaustive_scan(names):
     L = parse_lattice_expr("+".join(names))
     A = discriminant_group(L)
     data = disc_data(L)
-    elements = list(A.elements())
+    elements = A.elements
     assert [el.coords for el in data.elements] == [el.coords for el in elements]
     qvals = [A.q(el) for el in elements]
     assert data.two_q == [2 * q for q in qvals]

@@ -21,9 +21,9 @@ from twoelem import (
     weil_column,
     weil_rep,
 )
+from twoelem import lattices
 from twoelem.mp2 import MP2_ONE, evaluate_word, word_j
 from twoelem.weil import (
-    _build_disc_data,
     _ColumnState,
     _zeta_shift,
     closed_form_st_l_inverse_column,
@@ -116,7 +116,7 @@ def test_generators_match_fraction_scan(expr):
     # rho(S) and rho(T) rebuilt numerically from the Fraction scan of b and q
     L = parse_lattice_expr(expr)
     A = discriminant_group(L)
-    elements = list(A.elements())
+    elements = A.elements
     s_scalar = cmath.exp(-1j * cmath.pi * sigma(L) / 4) / len(elements) ** 0.5
     rho_s, rho_t = weil_rep(L, MP2_S), weil_rep(L, MP2_T)
     for j, g in enumerate(elements):
@@ -159,12 +159,15 @@ def test_s_step_refuses_to_wrap():
             state.apply_S()
 
 
-def test_disc_data_makes_no_square_table():
+def test_disc_data_makes_no_square_table(monkeypatch):
     # at l = 12 one 2^l x 2^l int64 table alone would take 128 MiB
+    monkeypatch.setattr(lattices, "_GROUPS", {})   # build the form afresh
     L = parse_lattice_expr("A1+^2+A1^10")
     tracemalloc.start()
     try:
-        _build_disc_data(L)
+        A = disc_data(L)
+        assert len(A.elements) == len(A.two_q) == len(A.packed_by) == 2 ** 12
+        assert A.one_index == 2 ** 12 - 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

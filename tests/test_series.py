@@ -87,6 +87,23 @@ def test_eval_respects_fractional_exponents():
     assert abs(val - want) < 1e-17
 
 
+@pytest.mark.parametrize("name", ["f0", "f1", "g1", "g3"])
+def test_eval_on_the_coarse_grid(name):
+    # f0 lies on the 1/3 grid, f1 on 1/12 and g_i on 1/4 grids, with terms
+    # only on a coarser one: the value matches the same series rebuilt with
+    # denom 1 and the sum of its terms one by one
+    from twoelem.modforms import f0, f1, g_i
+    s = {"f0": f0, "f1": f1}[name](8, 12) if name[0] == "f" else g_i(8, int(name[1]), 12)
+    rebuilt = QSeries(dict(s.items()), trunc=s.trunc, denom=1)
+    tau = mpmath.mpc(0.3, 1.1)
+    val, tail = qseries_eval(s, tau, 128)
+    with mpmath.workprec(128):
+        terms = mpmath.fsum(c * mpmath.exp(2j * mpmath.pi * e * tau) for e, c in s.items())
+        for want in (qseries_eval(rebuilt, tau, 128)[0], terms):
+            assert abs(val - want) <= 1e-28 * abs(want)
+    assert tail == qseries_eval(rebuilt, tau, 128)[1]
+
+
 def test_inverse_requires_invertible_lead():
     with pytest.raises(ZeroDivisionError):
         QSeries.zero(trunc=4).inverse()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoelem import (
     QSeries,
+    SiegelPoint,
     TubePoint,
     VVForm,
     construct_F,
@@ -17,10 +18,12 @@ from twoelem import (
     petersson_norm_point,
     product_eval,
     rescale,
+    rhs_invariant,
     separating_walls,
     standard_lattice,
 )
 from twoelem.borcherds import short_vectors
+from twoelem.vvmf import borcherds_weight
 from twoelem.lattices import _eliminate, ellipsoid_lines
 from twoelem.weil import disc_data
 
@@ -294,3 +297,17 @@ def test_product_eval_pinned_at_wall_approach():
     val, _ = product_eval(F, p, order=2, min_margin=0.0)
     want = 7739.0559118505635 - 7.582088040696155e-12j
     assert abs(val - want) <= 1e-15 * abs(want)
+
+
+def test_rhs_invariant_powers():
+    # ||Psi||^(2^g ell) ||chi_g^8||^(2 ell): ell = 2 squares ell = 1, and at
+    # g = 0 (chi_0 = 1) ell = 1 leaves (||Psi||^2)^(1/2)
+    p = TubePoint(1, standard_lattice("U"), (0.1 + 4.5j, -0.2 + 4.4j))
+    F = construct_F(p.ambient(), order=16)
+    value, _ = product_eval(F, p, order=2, min_margin=0.05)
+    w, _ = borcherds_weight(p.ambient())
+    psi_norm2 = petersson_norm_point(p.ambient(), p.period_vector(), [1, 0, 0, 0], w, value=value)
+    assert math.isclose(rhs_invariant(p, F, SiegelPoint(())), math.sqrt(psi_norm2), rel_tol=1e-12)
+    sig = SiegelPoint(((0.1 + 1.2j,),))
+    one, two = rhs_invariant(p, F, sig), rhs_invariant(p, F, sig, ell=2)
+    assert one > 0 and math.isclose(two, one ** 2, rel_tol=1e-12)

@@ -37,7 +37,6 @@ from .lattices import (
     genus_k,
     perp_transition,
     parse_lattice_expr,
-    lattice_from_json,
 )
 from .modforms import eta_power, theta_a1, f0, f1, g_i, eisenstein_e4
 from .mp2 import Mp2Element, mp2_word, MP2_S, MP2_T, MP2_Z, MP2_V

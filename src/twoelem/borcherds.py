@@ -4,7 +4,7 @@ For a split Lambda = U(N) + L with L Lorentzian of signature (1, rank-1),
 points of the symmetric domain are tube coordinates z in L (x) C with
 (Im z)^2 > 0, corresponding to the isotropic period vector
 (-z^2/2, 1/N, z).  The product attached to a vector-valued form F on Lambda
-is, up to the Weyl-vector prefactor,
+is taken without the Weyl-vector prefactor e(<rho, z>):
 
     prod_{n mod N} prod_{lam in L^v, <lam, Im z> > 0}
         (1 - e(<lam, z> + n/N)) ^ c_{(n/N, 0, lam)}(lam^2 / 2).
@@ -94,17 +94,14 @@ class TubePoint:
 # truncated product
 # ---------------------------------------------------------------------------
 
-def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
-                 min_margin: float = 0.05):
+def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05):
     """Evaluate the truncated product at the tube point.
 
     `order` bounds <lam, Im z> exactly: an index is taken in iff
     0 < <lam, y> <= order for the exact binary value y of Im z.  Returns
-    (value, tail_bound): with `weyl_vector` (rational vector in ambient tube
-    coordinates, paired against z) the full local expansion; without it only
-    the product part, which is enough for vanishing-slope and ratio tests.
-    The tail bound is the documented heuristic geometric estimate for the
-    dropped log-factors.
+    (value, tail_bound): the product part without the Weyl-vector prefactor,
+    which is enough for vanishing-slope and ratio tests.  The tail bound is
+    the documented heuristic geometric estimate for the dropped log-factors.
 
     Raises if the point is too shallow: every enumerated direction must
     satisfy <lam, y> - 2 sqrt(max(lam^2, 0)/2) >= min_margin, otherwise the
@@ -117,7 +114,7 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
         raise ValueError("form does not live on the ambient split U(N) + L")
     data = disc_data(ambient)
     n = L.rank
-    Ginv, dual_norm = _dual_norm(L.gram)
+    Ginv, dual_norm = _dual_norm(L)
     y = point.y()
     y2 = point.y_norm2()
     cut = Fraction(order)
@@ -168,19 +165,15 @@ def product_eval(F: VVForm, point: TubePoint, weyl_vector=None, order=6,
     tail_exp = -2 * math.pi * float(cut) + 4 * math.pi * math.sqrt(
         float(cut ** 2 / y2))
     tail = math.exp(min(tail_exp, 0.0)) if tail_exp < 0 else float("inf")
-    value = cmath.exp(log_acc)
-    if weyl_vector is not None:
-        rho_z = sum(float(r) * w for r, w in zip(weyl_vector, point.z))
-        value *= cmath.exp(2j * cmath.pi * rho_z)
-    return value, tail
+    return cmath.exp(log_acc), tail
 
 
-def _dual_norm(G):
+def _dual_norm(L: Lattice):
     """(G^{-1}, m -> lam^2) for lam = G^{-1} m given by its dual coordinates m.
 
-    lam^2 = m^t adj(G) m / det G, with the integer adjugate from `_eliminate`.
+    lam^2 = m^t adj(G) m / det G, with the integer adjugate kept in `L._elim`.
     """
-    det, adj, _, _ = _eliminate(G)
+    det, adj = L._elim[:2]
     Ginv = [[Fraction(a, det) for a in row] for row in adj]
     return Ginv, lambda m: Fraction(
         sum(mi * sum(a * mj for a, mj in zip(row, m)) for mi, row in zip(m, adj)), det)
@@ -204,8 +197,7 @@ def _component_coeff(F: VVForm, data, nn: int, m, exponent: Fraction):
 # Petersson norm at a period point
 # ---------------------------------------------------------------------------
 
-def petersson_norm_point(L: Lattice, eta, l_ref, p, value=1.0,
-                         tol: float = 1e-9):
+def petersson_norm_point(L: Lattice, eta, l_ref, p, value=1.0):
     """K^p |value|^2 with K = <eta, conj(eta)> / |<eta, l_ref>|^2.
 
     eta must be isotropic with <eta, conj(eta)> > 0 and pair nontrivially
@@ -213,6 +205,7 @@ def petersson_norm_point(L: Lattice, eta, l_ref, p, value=1.0,
     """
     G = L.gram
     n = L.rank
+    tol = 1e-9   # relative slack of the float isotropy and positivity tests
     eta = [complex(x) for x in eta]
     if len(eta) != n or len(l_ref) != n:
         raise ValueError("vector length must match lattice rank")
@@ -263,7 +256,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     G = L.gram
     if F is not None and F.lattice.gram != G:
         raise ValueError("form does not live on the lattice L")
-    Ginv, dual_norm = _dual_norm(G)
+    Ginv, dual_norm = _dual_norm(L)
     v1 = [Fraction(x) for x in v1]
     v2 = [Fraction(x) for x in v2]
     if L.norm(v1) <= 0 or L.norm(v2) <= 0:

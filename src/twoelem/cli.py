@@ -58,7 +58,11 @@ def cmd_lattice_info(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    t = two_elementary_invariants(L)
+    try:
+        t = two_elementary_invariants(L)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sig = signature(L)
     char = characteristic_element(L)
     lines = [
@@ -121,7 +125,11 @@ def cmd_borcherds_report(args) -> int:
         print("error: lift reports need a signature (2, r-2) lattice",
               file=sys.stderr)
         return 2
-    closed, series = borcherds_weight(L)
+    try:
+        closed, series = borcherds_weight(L)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     F = construct_F(L, order=args.order)
     div = borcherds_divisor(F)
     data = disc_data(L)
@@ -144,7 +152,7 @@ def cmd_borcherds_report(args) -> int:
 def cmd_siegel_eval(args) -> int:
     import mpmath
 
-    from .siegel import SiegelPoint, _even_thetas, _petersson, _product
+    from .siegel import SiegelPoint, _petersson, chi_g
 
     try:
         with open(args.sigma) as fh:
@@ -154,16 +162,13 @@ def cmd_siegel_eval(args) -> int:
     except (OSError, ValueError, TypeError) as exc:
         print(f"error reading matrix: {exc}", file=sys.stderr)
         return 2
-    thetas = _even_thetas(point, args.prec)   # every theta row once, for both values
-    val = _product(thetas, args.prec)
-    norm = _petersson(point, thetas, args.prec)
-    with mpmath.workprec(args.prec):
-        lines = [
-            f"genus            {point.g}",
-            f"chi_g            {mpmath.nstr(mpmath.mpc(val), 15)}",
-            f"petersson chi^8  {mpmath.nstr(norm, 15)}",
-            "",
-        ]
+    val = chi_g(point, args.prec)   # every theta row once, for both values
+    lines = [
+        f"genus            {point.g}",
+        f"chi_g            {mpmath.nstr(val, 15)}",
+        f"petersson chi^8  {mpmath.nstr(_petersson(point, val, args.prec), 15)}",
+        "",
+    ]
     _emit("\n".join(lines), args.out)
     return 0
 

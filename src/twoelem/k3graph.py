@@ -138,8 +138,9 @@ def _admissible(t: LatticeTriple) -> bool:
     return 1 <= t.r <= 20 and t.l >= 0 and (t.r - t.l) % 2 == 0 and t.l <= 22 - t.r
 
 
-def build_graph(seed_triples, depth: int = 30) -> K3Graph:
-    """Closure of the seeds under the three transitions within admissibility.
+def build_graph(seed_triples) -> K3Graph:
+    """Closure of the seeds under the three transitions within admissibility,
+    which caps r at 20; every edge raises r by 1, so the search ends.
 
     Asserts that no (source, target) pair carries two distinct edge kinds.
     """
@@ -148,7 +149,7 @@ def build_graph(seed_triples, depth: int = 30) -> K3Graph:
     edges = []
     seen_pairs = {}
     frontier = list(seeds)
-    for _ in range(depth):
+    while frontier:
         new_frontier = []
         for t in frontier:
             for kind in EDGE_KINDS:
@@ -171,8 +172,6 @@ def build_graph(seed_triples, depth: int = 30) -> K3Graph:
                 if nt not in vertices:
                     vertices[nt] = K3Vertex(nt, unverified_existence=True)
                     new_frontier.append(nt)
-        if not new_frontier:
-            break
         frontier = new_frontier
     return K3Graph(vertices, edges)
 
@@ -350,15 +349,14 @@ def prop92_obstruction(m_expr: str) -> dict:
     return cert
 
 
-def rhs_invariant(tube_point, F, sigma_point, ell: int = 1, prec: int = 53,
-                  product_order=2, min_margin: float = 0.05,
-                  weyl_vector=None, l_ref=None):
+def rhs_invariant(tube_point, F, sigma_point, ell: int = 1):
     """Modulus of the right-hand side at one point:
 
         (||Psi||^2)^{2^{g-1} ell} * (||chi_g^8||^2)^{ell}
 
-    with g read from the Siegel point.  In weyl-free mode this is defined up
-    to a z-independent chamber scale, which cancels in ratios and slopes.
+    with g read from the Siegel point: Psi at cut 2 without its Weyl
+    prefactor, chi_g^8 at 53 bits.  This is defined up to a z-independent
+    chamber scale, which cancels in ratios and slopes.
     """
     import mpmath
 
@@ -366,13 +364,11 @@ def rhs_invariant(tube_point, F, sigma_point, ell: int = 1, prec: int = 53,
     from .siegel import chi_g8_petersson
 
     g = sigma_point.g
-    val, _tail = product_eval(F, tube_point, weyl_vector=weyl_vector,
-                              order=product_order, min_margin=min_margin)
+    val, _tail = product_eval(F, tube_point, order=2)
     ambient = tube_point.ambient()
     eta = tube_point.period_vector()
-    if l_ref is None:
-        l_ref = [1] + [0] * (ambient.rank - 1)
+    l_ref = [1] + [0] * (ambient.rank - 1)
     w, _ = borcherds_weight(ambient)
     psi_norm2 = petersson_norm_point(ambient, eta, l_ref, w, value=val)
-    chi_norm2 = chi_g8_petersson(sigma_point, prec)
+    chi_norm2 = chi_g8_petersson(sigma_point, 53)
     return mpmath.mpf(psi_norm2) ** (Fraction(2) ** (g - 1) * ell) * chi_norm2 ** ell

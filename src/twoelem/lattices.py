@@ -12,7 +12,6 @@ from one pass over these tables, kept on the group.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -290,14 +289,11 @@ def rescale(a: Lattice, k: int) -> Lattice:
 def standard_lattice(name: str) -> Lattice:
     """Fixed Gram matrices for the standard names.
 
-    Accepted: U, U2 (= U(2)), A1, A1plus (= <2>), D4/D6/D8/... (even index),
-    E7, E8, E8_2 (= E8(2)).
+    Accepted: U, A1, A1plus (= <2>), D4/D6/D8/... (even index), E7, E8.
     """
     name = name.strip()
     if name == "U":
         return Lattice(((0, 1), (1, 0)), "U")
-    if name == "U2":
-        return rescale(standard_lattice("U"), 2)
     if name == "A1":
         return Lattice(((-2,),), "A1")
     if name == "A1plus":
@@ -306,8 +302,6 @@ def standard_lattice(name: str) -> Lattice:
         return Lattice(tuple(map(tuple, _cartan_e(7))), "E7")
     if name == "E8":
         return Lattice(tuple(map(tuple, _cartan_e(8))), "E8")
-    if name == "E8_2":
-        return rescale(standard_lattice("E8"), 2)
     m = re.fullmatch(r"D(\d+)", name)
     if m:
         n = int(m.group(1))
@@ -330,7 +324,7 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     return Lattice(tuple(map(tuple, g)), label)
 
 
-# -- symbolic / JSON input --------------------------------------------------
+# -- symbolic input ---------------------------------------------------------
 
 _TOKEN = re.compile(r"^(?P<base>U|A1\+|A1|D\d+|E7|E8)(?:\((?P<scale>\d+)\))?(?:\^(?P<pow>\d+))?$")
 
@@ -366,26 +360,6 @@ def parse_lattice_expr(expr: str) -> Lattice:
     if not summands:
         raise ValueError(f"empty lattice expression {expr!r}")
     return direct_sum(*summands)
-
-
-def lattice_from_json(data) -> Lattice:
-    """Build a lattice from {'sum': [...]} / {'gram': [[...]]} JSON."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if "gram" in data:
-        return Lattice(tuple(map(tuple, data["gram"])))
-    if "sum" in data:
-        parts = []
-        for item in data["sum"]:
-            if isinstance(item, str):
-                parts.append(parse_lattice_expr(item))
-            elif isinstance(item, dict) and "rescale" in item:
-                name, k = item["rescale"]
-                parts.append(rescale(parse_lattice_expr(name), int(k)))
-            else:
-                raise ValueError(f"bad summand {item!r}")
-        return direct_sum(*parts)
-    raise ValueError("lattice JSON needs 'gram' or 'sum'")
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +473,17 @@ class DiscGroup:
     def _classes(self) -> tuple:
         """(two_q, packed_by, characteristic, one_index) from one bit expansion.
 
-        The characteristic class gamma solves B gamma = Q mod 2 over F2; its
-        defining property, 2b(gamma, x) = 2q(x) mod 2, is then checked on
-        every class x.
+        The characteristic class gamma solves B gamma = Q mod 2.  b is
+        nondegenerate, so det B is odd and gamma = adj(B) Q mod 2, with the
+        adjugate from `_eliminate`; the defining property 2b(gamma, x) =
+        2q(x) mod 2 is then checked on every class x.
         """
         Q, B = self._tables
         l = self.l
         bits = (np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1
         two_q = (bits @ Q + 2 * ((bits @ np.triu(B, 1)) * bits).sum(axis=1)) % 4
-        gamma = np.array(_solve_f2(B.tolist(), (Q % 2).tolist()), dtype=np.int64)
+        adj = [[a % 2 for a in row] for row in _eliminate(B.tolist())[1]]
+        gamma = np.array(adj, dtype=np.int64).reshape(l, l) @ Q % 2
         if np.any((bits @ (B @ gamma) - two_q) % 2):
             raise ArithmeticError("characteristic element fails on some class")
         weights = 1 << np.arange(l - 1, -1, -1)
@@ -634,35 +610,9 @@ def two_elementary_invariants(L: Lattice) -> LatticeTriple:
 
 
 def characteristic_element(L: Lattice) -> DiscElement:
-    """The unique class with b(gamma, x) = q(x) mod Z for all x (F2 solve)."""
+    """The unique class with b(gamma, x) = q(x) mod Z for all x."""
     A = discriminant_group(L)
     return A.element(A.characteristic)
-
-
-def _solve_f2(B, t):
-    n = len(t)
-    m = [row[:] + [tv] for row, tv in zip(B, t)]
-    where = [-1] * n
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(n):
-            if r != row and m[r][col]:
-                m[r] = [(a + b) % 2 for a, b in zip(m[r], m[row])]
-        where[col] = row
-        row += 1
-    x = [0] * n
-    for col in range(n):
-        if where[col] >= 0:
-            x[col] = m[where[col]][n]
-    # consistency
-    for r in range(n):
-        if sum(B[r][c] * x[c] for c in range(n)) % 2 != t[r]:
-            raise ArithmeticError("no characteristic element: b is degenerate?")
-    return x
 
 
 # ---------------------------------------------------------------------------

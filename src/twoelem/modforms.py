@@ -34,14 +34,6 @@ def _euler_product(scale: int, order) -> QSeries:
     return QSeries(terms, order)
 
 
-def eta_power(m: int, e: int, order) -> QSeries:
-    """q^{e*m/24} * prod_{n>=1} (1 - q^{mn})^e, valid below `order`."""
-    offset = Fraction(e * m, 24)
-    # the product keeps its constant term even when order <= offset
-    base = _euler_product(m, max(Fraction(order) - offset, 1))
-    return (base ** e).shift(offset).truncate(order)
-
-
 def theta_a1(shift, order) -> QSeries:
     """sum_{n in Z} q^{(n+shift)^2}; shift in {0, 1/2}."""
     shift = Fraction(shift)
@@ -70,6 +62,11 @@ def _eta_theta(factors, shift, k: int, order: Fraction) -> QSeries:
         acc = acc * _euler_product(m, rel) ** e
     grid = lcm(*(x.denominator for x in offsets), Fraction(shift * shift if k else 0).denominator)
     return QSeries({x + lead: c for x, c in acc.items()}, min(order, acc.trunc + lead), grid)
+
+
+def eta_power(m: int, e: int, order) -> QSeries:
+    """eta(m t)^e = q^{e*m/24} * prod_{n>=1} (1 - q^{mn})^e, valid below `order`."""
+    return _eta_theta([(m, e)], 0, 0, order)
 
 
 @lru_cache(maxsize=None)

@@ -157,11 +157,6 @@ class SiegelPoint:
     def g(self) -> int:
         return len(self.sigma)
 
-    def min_imag_eigenvalue(self) -> float:
-        if self.g == 0:
-            return 1.0
-        return float(np.linalg.eigvalsh([[x.imag for x in row] for row in self.sigma]).min())
-
     def _lines(self, bound: Fraction, a):
         """Lines of the n in Z^g with (n+a)^t (Im Sigma) (n+a) <= bound."""
         return ellipsoid_lines(*self._elim[2:], bound * self._den, [-x for x in a])
@@ -359,38 +354,32 @@ def _even_thetas(point: SiegelPoint, prec: int) -> list:
     return out
 
 
-def _product(thetas, prec: int):
-    """chi_g from its theta factors, multiplied at `prec` bits."""
-    acc = mpmath.mpc(1) if prec > 53 else complex(1)
-    with mpmath.workprec(prec):
+def _chi(thetas, prec: int):
+    """chi_g from its theta factors, an mpmath complex multiplied at
+    max(prec, 53) + 10 bits.  Its exponent range is unbounded: a product of up
+    to 528 theta constants leaves the double range routinely."""
+    with mpmath.workprec(max(prec, 53) + 10):
+        acc = mpmath.mpc(1)
         for z in thetas:
             acc *= z
     return acc
 
 
-def _abs_chi(thetas, prec: int):
-    """|chi_g| as an mpmath real, whose exponent range is unbounded: a product
-    of up to 528 theta constants leaves the double range routinely."""
-    with mpmath.workprec(max(prec, 53) + 10):
-        acc = mpmath.mpf(1)
-        for z in thetas:
-            acc *= abs(mpmath.mpc(z))
-    return acc
-
-
-def _petersson(point: SiegelPoint, thetas, prec: int):
-    """`chi_g8_petersson` from the even theta constants at the point."""
+def _petersson(point: SiegelPoint, chi, prec: int):
+    """`chi_g8_petersson` from chi_g at the point (`_chi`)."""
     g = point.g
     if g == 0:
         return mpmath.mpf(1)
     det, den, w = point._elim[0], point._den, chi8_weight(g)
+    with mpmath.workprec(max(prec, 53) + 10):
+        modulus = abs(chi)
     with mpmath.workprec(max(prec, 53)):
-        return mpmath.mpf(det ** w) / mpmath.mpf(den) ** (g * w) * _abs_chi(thetas, prec) ** 16
+        return mpmath.mpf(det ** w) / mpmath.mpf(den) ** (g * w) * modulus ** 16
 
 
 def chi_g(point: SiegelPoint, prec: int = 53):
-    """Product of the even theta constants at Sigma, taken at `prec` bits."""
-    return _product(_even_thetas(point, prec), prec)
+    """Product of the even theta constants at Sigma, as an mpmath complex."""
+    return _chi(_even_thetas(point, prec), prec)
 
 
 def chi8_weight(g: int) -> int:
@@ -401,14 +390,14 @@ def chi8_weight(g: int) -> int:
 def chi_g8_petersson(point: SiegelPoint, prec: int = 53):
     """(det Im Sigma)^{2^{g+1}(2^g+1)} |chi_g^8|^2 as an mpmath real.
 
-    |chi_g| is the product of the moduli of the even theta constants, taken
-    as mpmath reals, so neither it nor its 16th power leaves the exponent
-    range: at g = 3 and Sigma = 40i I + 0.1i off the diagonal the norm is
-    about 1e-9673, which the product of the 36 complex doubles would flush
-    to 0.  det Im Sigma is exact: the `_eliminate` run of the integer matrix
-    den Im Sigma that `SiegelPoint` keeps, den a power of 2.
+    chi_g is the product of the even theta constants as an mpmath complex
+    (`_chi`), so neither it nor the 16th power of its modulus leaves the
+    exponent range: at g = 3 and Sigma = 40i I + 0.1i off the diagonal the
+    norm is about 1e-9673, which the product of the 36 complex doubles
+    would flush to 0.  det Im Sigma is exact: the `_eliminate` run of the
+    integer matrix den Im Sigma that `SiegelPoint` keeps, den a power of 2.
     """
-    return _petersson(point, _even_thetas(point, prec), prec)
+    return _petersson(point, _chi(_even_thetas(point, prec), prec), prec)
 
 
 def fay_family(g: int, psi, t):
@@ -428,7 +417,7 @@ def fay_family(g: int, psi, t):
 def vanishing_order_fit(family, t_grid, prec: int = 53):
     """Least-squares slope of log|chi^8|^2 against log|t|^2 on the grid.
 
-    log|chi| is taken from |chi| as an mpmath real (`_abs_chi`), so a chi far
+    log|chi| is taken from chi as an mpmath complex (`_chi`), so a chi far
     below the double range still gives a point.  The two largest-|t| points
     are dropped (they carry the slowly-decaying log log correction).  Returns
     (slope, max_residual).
@@ -439,7 +428,7 @@ def vanishing_order_fit(family, t_grid, prec: int = 53):
     pts = pts[:-2]
     xs, ys = [], []
     for t in pts:
-        aval = _abs_chi(_even_thetas(family(t), prec), prec)
+        aval = abs(_chi(_even_thetas(family(t), prec), prec))
         if not aval:
             raise ValueError(f"chi vanished to numerical zero at t = {t}")
         xs.append(2 * math.log(abs(t)))

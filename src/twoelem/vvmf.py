@@ -46,10 +46,6 @@ class VVForm:
     weight: Fraction
     components: dict  # coords tuple -> QSeries
 
-    def component(self, key) -> QSeries:
-        coords = key.coords if hasattr(key, "coords") else tuple(key)
-        return self.components[coords]
-
     def check_support_and_symmetry(self):
         """Exponent support in q(g)/2 + Z, and c_g = c_{-g} (trivial here)."""
         data = disc_data(self.lattice)

@@ -173,6 +173,16 @@ def test_lattice_info_parse_error(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [("lattice-info", "U(3)+A1"),
+                                  ("borcherds", "report", "U+U(3)+A1")])
+def test_lattice_that_is_not_two_elementary(capsys, argv):
+    # it parses, so the error comes from the invariants: one line, exit 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2-elementary" in err
+
+
 def test_qseries_output(capsys):
     code, out, _ = run_cli(capsys, "qseries", "f0", "-k", "8", "--order", "3")
     assert code == 0

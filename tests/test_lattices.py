@@ -138,7 +138,7 @@ def test_class_of_rejects_non_dual_vectors():
 
 def test_characteristic_element_property():
     # b(char, x) = q(x) mod 1 for every class x
-    for expr in ["A1", "A1++A1", "U+U+E8(2)+A1", "U(2)+A1"]:
+    for expr in ["A1", "A1++A1", "U+U+E8(2)+A1", "U(2)+A1", "U+U", "U+E8"]:
         L = parse_lattice_expr(expr)
         A = discriminant_group(L)
         char = characteristic_element(L)

@@ -12,8 +12,10 @@ is taken without the Weyl-vector prefactor e(<rho, z>):
 Index enumeration is exact: with y the exact binary value of Im z, the
 positive-definite majorant Q(x) = 2<x,y>^2/y^2 - x^2 is enumerated by the
 integer Fincke-Pohst search `lattices.ellipsoid_lines`; no float enters
-it.  Indices lam stay in their integer dual coordinates m = G lam, which
-give the class of lam directly.
+it.  Indices lam stay in their integer dual coordinates m = G lam; the
+product walks the search's lines m = (v, *rest) clipped to the cut slab,
+reading lam^2 det G, the class index (`DiscGroup.index_of`) and the
+coefficient's grid index as integers.
 """
 from __future__ import annotations
 
@@ -32,25 +34,23 @@ from .weil import disc_data
 # exact short-vector enumeration
 # ---------------------------------------------------------------------------
 
-def short_vectors(A, bound):
-    """All integer m != 0 with m^t A m <= bound (A rational symmetric pos def).
-
-    The lines of `lattices.ellipsoid_lines` around the centre 0, on den*A
-    with den the common denominator of A: an integer Fincke-Pohst search with
-    exact interval ends, whose innermost coordinate m_0 comes out as a line.
-    """
+def _lines(A, bound):
+    """The lines (lo, hi, rest) of the integer m with m^t A m <= bound, A
+    rational symmetric positive definite: those of `lattices.ellipsoid_lines`
+    around 0 on den*A, den the common denominator of A."""
     A = [[Fraction(x) for x in row] for row in A]
-    bound = Fraction(bound)
-    if bound < 0:
-        return []
+    bound = Fraction(bound)   # ellipsoid_lines yields nothing below 0
     den = math.lcm(*(x.denominator for row in A for x in row))
     det, _, minors, pivots = _eliminate([[int(x * den) for x in row] for row in A])
     if det <= 0 or any(d <= 0 for d in minors):
         raise ValueError("matrix is not positive definite")
-    out = []
-    for lo, hi, rest in ellipsoid_lines(minors, pivots, bound * den):
-        out.extend((v,) + rest for v in range(lo, hi + 1) if v or any(rest))
-    return out
+    return ellipsoid_lines(minors, pivots, bound * den)
+
+
+def short_vectors(A, bound):
+    """All integer m != 0 with m^t A m <= bound (A rational symmetric pos def)."""
+    return [(v,) + rest for lo, hi, rest in _lines(A, bound)
+            for v in range(lo, hi + 1) if v or any(rest)]
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,11 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     which is enough for vanishing-slope and ratio tests.  The tail bound is
     the documented heuristic geometric estimate for the dropped log-factors.
 
+    Each line (lo, hi, rest) of the majorant's ellipsoid is clipped by floor
+    division to the slab 0 < Y.m <= cut den (Y = den y integral).  Along it
+    num = m^t adj(G) m is an integer quadratic in v, the class index that of
+    rest XOR the mask of v's parity, and c(num / 2det) an integer division.
+
     Raises if the point is too shallow: every enumerated direction must
     satisfy <lam, y> - 2 sqrt(max(lam^2, 0)/2) >= min_margin, otherwise the
     product cannot converge along that ray (coefficients grow like
@@ -114,83 +119,89 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
         raise ValueError("form does not live on the ambient split U(N) + L")
     data = disc_data(ambient)
     n = L.rank
-    Ginv, dual_norm = _dual_norm(L)
-    y = point.y()
-    y2 = point.y_norm2()
+    det, adj = L._elim[:2]
+    if det < 0:   # so that c(num / 2det) compares with the truncation in integers
+        det, adj = -det, [[-a for a in row] for row in adj]
+    y, y2 = point.y(), point.y_norm2()
     cut = Fraction(order)
-    # y = Y / den with Y integral, so pair_y = den <lam, y> = m.Y is an integer
+    # y = Y / den with Y integral: 0 < <lam, y> <= cut iff 1 <= m.Y <= top
     den = math.lcm(*(yi.denominator for yi in y))
     Y = [int(yi * den) for yi in y]
-    cut_den = cut * den
+    top = math.floor(cut * den)
     # majorant in dual coordinates m (lam = G^{-1} m): <lam,y> = m.y,
-    # lam^2 = m^t G^{-1} m
-    A = [[2 * y[i] * y[j] / y2 - Ginv[i][j] for j in range(n)] for i in range(n)]
+    # lam^2 = m^t adj m / det
+    A = [[2 * y[i] * y[j] / y2 - Fraction(adj[i][j], det) for j in range(n)] for i in range(n)]
     # c(lam^2/2) != 0 needs lam^2 >= 2 min(0, lowest exponent of F)
     low = min([0] + [ser.min_exp() for ser in F.components.values() if ser.coeffs])
     B = 2 * cut ** 2 / y2 - 2 * low
-    log_acc = 0.0 + 0.0j
+    # (n/N, 0, lam) has dual coordinates (0, n, m), class nn_part[n] XOR that of m
+    series = [F.components[el.coords] for el in data.elements]
+    nn_part = [data.index_of((0, nn) + (0,) * n) for nn in range(N)]
+    mask0 = data.index_of((0, 0, 1) + (0,) * (n - 1))
+    two_det = 2 * det
+
+    def coeff(k, num):   # c_k(num / 2det) as a float
+        ser = series[k]
+        t = ser.trunc
+        if t is not None and num * t.denominator >= t.numerator * two_det:
+            raise ValueError(f"product needs coefficient at exponent {Fraction(num, two_det)} "
+                             f"beyond series truncation {t}; rebuild F with a larger order")
+        i, r = divmod(num * ser.denom - ser.start * two_det, two_det)
+        return 0.0 if r or not 0 <= i < len(ser.coeffs) else float(ser.coeffs[i])
+
+    Y0, Y_rest = Y[0], Y[1:]
     factors = []
-    worst_margin = None
-    for m in short_vectors(A, B):
-        pair_y = sum(mi * yi for mi, yi in zip(m, Y))
-        if pair_y <= 0 or pair_y > cut_den:
+    worst_margin = math.inf
+    for lo, hi, rest in _lines(A, B):
+        cy = sum(a * r for a, r in zip(Y_rest, rest))
+        # clip [lo, hi] to 1 <= Y0 v + cy <= top
+        if Y0 > 0:
+            lo, hi = max(lo, -((cy - 1) // Y0)), min(hi, (top - cy) // Y0)
+        elif Y0 < 0:
+            lo, hi = max(lo, -((cy - top) // Y0)), min(hi, (1 - cy) // Y0)
+        elif not 1 <= cy <= top:
             continue
-        lam2 = dual_norm(m)
-        pair_z = sum(mi * zi for mi, zi in zip(m, point.z))
-        hit = False
-        for nn in range(N):
-            coeff = _component_coeff(F, data, nn, m, lam2 / 2)
-            if coeff:
-                hit = True
-                factors.append((pair_y, pair_z, Fraction(nn, N), coeff))
-        if hit:
-            margin = pair_y / den - 2 * math.sqrt(max(float(lam2), 0.0) / 2)
-            if worst_margin is None or margin < worst_margin:
-                worst_margin = margin
-    if worst_margin is not None and worst_margin < min_margin:
+        if lo > hi:
+            continue
+        # num(v) = m^t adj(G) m = adj_00 v^2 + 2 b v + c
+        m0 = (0,) + rest
+        b, c = sum(a * r for a, r in zip(adj[0], m0)), _quad(adj, m0)
+        k_rest = data.index_of((0, 0) + m0)
+        for v in range(lo, hi + 1):
+            num = (adj[0][0] * v + 2 * b) * v + c
+            k = k_rest ^ mask0 if v & 1 else k_rest
+            hits = [(nn, cf) for nn in range(N) if (cf := coeff(k ^ nn_part[nn], num))]
+            if hits:
+                pair_y = Y0 * v + cy
+                pair_z = sum(mi * zi for mi, zi in zip((v,) + rest, point.z))
+                factors += [(pair_y, pair_z, Fraction(nn, N), cf) for nn, cf in hits]
+                margin = pair_y / den - 2 * math.sqrt(max(num / det, 0.0) / 2)
+                worst_margin = min(worst_margin, margin)
+    if worst_margin < min_margin:
         raise ValueError(
             "tube point too shallow for convergence: worst direction margin "
             f"{worst_margin:.4f} < {min_margin} (deepen Im z accordingly)"
         )
     # constant factors from lam = 0, n != 0
     for nn in range(1, N):
-        coeff = _component_coeff(F, data, nn, (0,) * n, Fraction(0))
-        if coeff:
-            factors.append((0, 0.0 + 0.0j, Fraction(nn, N), coeff))
+        cf = coeff(nn_part[nn], 0)
+        if cf:
+            factors.append((0, 0.0 + 0.0j, Fraction(nn, N), cf))
     factors.sort(key=lambda f: (f[0], f[2], f[1].real, f[1].imag))
-    for _, pair_z, shift, coeff in factors:
+    log_acc = 0.0 + 0.0j
+    for _, pair_z, shift, cf in factors:
         w = cmath.exp(2j * cmath.pi * (pair_z + float(shift)))
-        log_acc += coeff * cmath.log(1 - w)
+        log_acc += cf * cmath.log(1 - w)
     # heuristic tail: coefficients ~ exp(4 pi sqrt(m)) against e^{-2 pi <lam,y>}
     tail_exp = -2 * math.pi * float(cut) + 4 * math.pi * math.sqrt(
         float(cut ** 2 / y2))
-    tail = math.exp(min(tail_exp, 0.0)) if tail_exp < 0 else float("inf")
+    tail = math.exp(tail_exp) if tail_exp < 0 else float("inf")
     return cmath.exp(log_acc), tail
 
 
-def _dual_norm(L: Lattice):
-    """(G^{-1}, m -> lam^2) for lam = G^{-1} m given by its dual coordinates m.
-
-    lam^2 = m^t adj(G) m / det G, with the integer adjugate kept in `L._elim`.
-    """
-    det, adj = L._elim[:2]
-    Ginv = [[Fraction(a, det) for a in row] for row in adj]
-    return Ginv, lambda m: Fraction(
-        sum(mi * sum(a * mj for a, mj in zip(row, m)) for mi, row in zip(m, adj)), det)
-
-
-def _component_coeff(F: VVForm, data, nn: int, m, exponent: Fraction):
-    """Fourier coefficient c_{(n/N, 0, lam)}(exponent) of F, as a float.
-
-    lam has dual coordinates m; (n/N, 0) in U(N) has dual coordinates (0, n).
-    """
-    ser = F.components[data.class_of((0, nn) + m).coords]
-    if exponent >= ser.trunc:
-        raise ValueError(
-            f"product needs coefficient at exponent {exponent} beyond series "
-            f"truncation {ser.trunc}; rebuild F with a larger order"
-        )
-    return float(ser.coeff(exponent))
+def _quad(M, m):
+    """The integer m^t M m."""
+    return sum(mi * sum(a * mj for a, mj in zip(row, m)) for mi, row in zip(m, M))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +267,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     G = L.gram
     if F is not None and F.lattice.gram != G:
         raise ValueError("form does not live on the lattice L")
-    Ginv, dual_norm = _dual_norm(L)
+    det, adj = L._elim[:2]   # lam^2 = m^t adj m / det for lam = G^{-1} m
     v1 = [Fraction(x) for x in v1]
     v2 = [Fraction(x) for x in v2]
     if L.norm(v1) <= 0 or L.norm(v2) <= 0:
@@ -265,7 +276,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     worst = -min(norm_set)
     Pb = Fraction(pairing_bound)
     # positive-definite slab form: <lam,v1>^2 + <lam,v2>^2 - lam^2
-    A = [[v1[i] * v1[j] + v2[i] * v2[j] - Ginv[i][j] for j in range(n)]
+    A = [[v1[i] * v1[j] + v2[i] * v2[j] - Fraction(adj[i][j], det) for j in range(n)]
          for i in range(n)]
     B = 2 * Pb ** 2 + worst
     data = disc_data(L) if F is not None else None
@@ -273,7 +284,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     realized = Fraction(0)
     seen = set()
     for m in short_vectors(A, B):
-        lam2 = dual_norm(m)
+        lam2 = Fraction(_quad(adj, m), det)
         if lam2 not in norm_set:
             continue
         p1 = sum(mi * x for mi, x in zip(m, v1))
@@ -281,7 +292,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
         if abs(p1) > Pb or abs(p2) > Pb:
             continue
         if F is not None:
-            ser = F.components[data.class_of(m).coords]
+            ser = F.components[data.elements[data.index_of(m)].coords]
             if not ser.coeff(lam2 / 2):
                 continue
         if p1 == 0 or p2 == 0:

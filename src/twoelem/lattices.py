@@ -16,8 +16,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iproduct
+from operator import xor
 
 import numpy as np
 
@@ -448,6 +449,24 @@ class DiscGroup:
         x = [int(xi) for xi in x]
         return self.element(tuple(sum(a * b for a, b in zip(self._u[p], x))
                                   for p in self._positions))
+
+    @cached_property
+    def _masks(self) -> list:
+        """Per lattice coordinate i, the packed bits of (U e_i)[positions] mod 2."""
+        if not self.is_two_elementary:
+            raise ValueError(f"lattice is not 2-elementary: orders {self.orders}")
+        l = self.l
+        return [sum((self._u[p][i] % 2) << (l - 1 - k) for k, p in enumerate(self._positions))
+                for i in range(self.parent.rank)]
+
+    def index_of(self, x) -> int:
+        """Index in `elements` of `class_of(x)`, for a 2-elementary form.
+
+        The class is U x mod 2 on the positions, linear over F_2, so its
+        packed index is the XOR of the masks of the odd coordinates of x.
+        x is not validated: it must be an integral vector of the lattice's rank.
+        """
+        return reduce(xor, (mask for xi, mask in zip(x, self._masks) if xi % 2), 0)
 
     @cached_property
     def _tables(self) -> tuple:

@@ -122,7 +122,7 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
         acc = None
         for n in range(N):
             # (n/N, 0) in U(N) has integer coordinates (0, n)
-            cls = data_big.class_of([0, n] + x_small)
+            cls = data_big.elements[data_big.index_of([0, n] + x_small)]
             ser = F.components[cls.coords]
             acc = ser if acc is None else acc + ser
         comps[el.coords] = acc

@@ -1,6 +1,7 @@
 """Even lattices, discriminant forms, and the (r, l, delta) triple calculus."""
 import cmath
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -121,11 +122,18 @@ def test_discriminant_group_sizes():
 
 @pytest.mark.parametrize("expr", ["U(2)+U+D4", "U+U(2)+A1^3", "A1+^2+A1^6"])
 def test_class_of_inverts_rep(expr):
+    # index_of is the position of class_of in `elements`, on the coset
+    # representatives of every class and on random integer vectors
     L = parse_lattice_expr(expr)
     A = discriminant_group(L)
     for el in A.elements:
         x = [sum(g * r for g, r in zip(row, el.rep())) for row in L.gram]
         assert A.class_of(x) == el
+        assert A.elements[A.index_of(x)] == el
+    rng = random.Random(7)
+    for _ in range(200):
+        x = [rng.randint(-9, 9) for _ in range(L.rank)]
+        assert A.elements[A.index_of(x)] == A.class_of(x)
 
 
 def test_class_of_rejects_non_dual_vectors():

@@ -311,3 +311,84 @@ def test_rhs_invariant_powers():
     sig = SiegelPoint(((0.1 + 1.2j,),))
     one, two = rhs_invariant(p, F, sig), rhs_invariant(p, F, sig, ell=2)
     assert one > 0 and math.isclose(two, one ** 2, rel_tol=1e-12)
+
+
+def _product_eval_pointwise(F, point, order, min_margin):
+    """The per-index product: every short vector of the majorant in turn,
+    with lam^2 a Fraction, its class from `class_of` and its coefficient
+    from `QSeries.coeff`."""
+    L, N, n = point.L, point.N, point.L.rank
+    data = disc_data(point.ambient())
+    det, adj, _, _ = _eliminate(L.gram)
+    Ginv = [[Fraction(a, det) for a in row] for row in adj]
+    y, y2, cut = point.y(), point.y_norm2(), Fraction(order)
+    A = [[2 * y[i] * y[j] / y2 - Ginv[i][j] for j in range(n)] for i in range(n)]
+    low = min([0] + [ser.min_exp() for ser in F.components.values() if ser.coeffs])
+
+    def coeff(nn, m, exponent):
+        ser = F.components[data.class_of((0, nn) + m).coords]
+        if exponent >= ser.trunc:
+            raise ValueError(f"product needs coefficient at exponent {exponent} beyond series "
+                             f"truncation {ser.trunc}; rebuild F with a larger order")
+        return float(ser.coeff(exponent))
+
+    factors, worst = [], None
+    for m in short_vectors(A, 2 * cut ** 2 / y2 - 2 * low):
+        pair = sum(mi * yi for mi, yi in zip(m, y))
+        if not 0 < pair <= cut:
+            continue
+        lam2 = sum(mi * sum(g * mj for g, mj in zip(row, m)) for mi, row in zip(m, Ginv))
+        pair_z = sum(mi * zi for mi, zi in zip(m, point.z))
+        hit = False
+        for nn in range(N):
+            c = coeff(nn, m, lam2 / 2)
+            if c:
+                hit = True
+                factors.append((pair, pair_z, Fraction(nn, N), c))
+        if hit:
+            margin = float(pair) - 2 * math.sqrt(max(float(lam2), 0.0) / 2)
+            worst = margin if worst is None else min(worst, margin)
+    if worst is not None and worst < min_margin:
+        raise ValueError(
+            "tube point too shallow for convergence: worst direction margin "
+            f"{worst:.4f} < {min_margin} (deepen Im z accordingly)")
+    for nn in range(1, N):
+        c = coeff(nn, (0,) * n, Fraction(0))
+        if c:
+            factors.append((0, 0j, Fraction(nn, N), c))
+    factors.sort(key=lambda f: (f[0], f[2], f[1].real, f[1].imag))
+    log_acc = 0j
+    for _, pair_z, shift, c in factors:
+        log_acc += c * cmath.log(1 - cmath.exp(2j * cmath.pi * (pair_z + float(shift))))
+    tail_exp = -2 * math.pi * float(cut) + 4 * math.pi * math.sqrt(float(cut ** 2 / y2))
+    return cmath.exp(log_acc), (math.exp(tail_exp) if tail_exp < 0 else float("inf"))
+
+
+@pytest.mark.parametrize("expr, z", [
+    ("U+A1", (0.25 + 1.5j, -0.125 + 1.25j, 0.1 + 0.375j)),   # first Im coordinate > 0
+    ("A1+U", (0.05 - 0.25j, 0.1 + 1.5j, -0.2 + 1.25j)),       # < 0
+    ("A1+A1+", (0.1 + 0j, -0.03 + 1.25j)),                    # = 0
+])
+@pytest.mark.parametrize("N", [1, 2])
+def test_product_eval_matches_pointwise_reference(expr, z, N):
+    # the line walk clips each line to the cut slab and reads lam^2, class
+    # and coefficient in integers; the per-index loop is the reference
+    p = TubePoint(N, parse_lattice_expr(expr), z)
+    F = construct_F(p.ambient(), order=8)
+    for cut, margin in [(1, 0.0), (2, 0.0), (Fraction(5, 2), 0.0), (3, 0.0), (2, 0.05)]:
+        want = _product_eval_pointwise(F, p, cut, margin)
+        assert product_eval(F, p, order=cut, min_margin=margin) == want
+    # Im z is dyadic with denominator at most 8, so only <lam, Im z> = 5/2
+    # lies in (5/2 - 1/16, 5/2]: some index with a nonzero coefficient is on the cut
+    below = _product_eval_pointwise(F, p, Fraction(5, 2) - Fraction(1, 16), 0.0)
+    assert below != _product_eval_pointwise(F, p, Fraction(5, 2), 0.0)
+
+
+def test_product_eval_beyond_truncation():
+    # m = (1, 2) has <lam, Im z> = 4 and lam^2 / 2 = 2, the truncation of F
+    p = TubePoint(1, standard_lattice("U"), (0.1 + 1.5j, 0.2 + 1.25j))
+    F = construct_F(p.ambient(), order=2)
+    with pytest.raises(ValueError, match="beyond series truncation 2;"):
+        product_eval(F, p, order=4, min_margin=0.0)
+    with pytest.raises(ValueError, match="beyond series truncation 2;"):
+        _product_eval_pointwise(F, p, 4, 0.0)

@@ -15,8 +15,10 @@ mathematics is exact:
   edge kinds, plus the weight/divisor bookkeeping identities that tie the
   lattice side to the Siegel side.
 
-Numerics (multiprecision complex evaluation) are confined to mpmath; all
-series, matrices and divisors are exact.
+Numerics are confined to the evaluation of complex values: mpmath for
+multiprecision, and numpy floats for Siegel theta rows at up to 53 bits.
+All series, matrices, lattice invariants and divisors are exact; numpy
+otherwise holds only the exact int64 blocks of Weil columns.
 """
 
 from .series import QSeries, qseries_mul, qseries_eval

@@ -58,11 +58,7 @@ def cmd_lattice_info(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    try:
-        t = two_elementary_invariants(L)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t = two_elementary_invariants(L)
     sig = signature(L)
     char = characteristic_element(L)
     lines = [
@@ -87,25 +83,21 @@ def cmd_qseries(args) -> int:
     order = args.order
     name = args.name
     k = args.k
-    try:
-        if name == "f0":
-            ser = f0(k, order)
-        elif name == "f1":
-            ser = f1(k, order)
-        elif name in ("g0", "g1", "g2", "g3"):
-            ser = g_i(k, int(name[1]), order)
-        elif name == "E4":
-            ser = eisenstein_e4(order)
-        elif name == "eta24":
-            ser = eta_power(1, 24, order)
-        elif name == "theta3":
-            ser = theta_a1(0, order)
-        else:
-            print(f"unknown series {name!r} "
-                  "(choose f0, f1, g0..g3, E4, eta24, theta3)", file=sys.stderr)
-            return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if name == "f0":
+        ser = f0(k, order)
+    elif name == "f1":
+        ser = f1(k, order)
+    elif name in ("g0", "g1", "g2", "g3"):
+        ser = g_i(k, int(name[1]), order)
+    elif name == "E4":
+        ser = eisenstein_e4(order)
+    elif name == "eta24":
+        ser = eta_power(1, 24, order)
+    elif name == "theta3":
+        ser = theta_a1(0, order)
+    else:
+        print(f"unknown series {name!r} "
+              "(choose f0, f1, g0..g3, E4, eta24, theta3)", file=sys.stderr)
         return 2
     _emit(ser.to_text() + "\n", args.out)
     return 0
@@ -122,14 +114,8 @@ def cmd_borcherds_report(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     if signature(L)[0] != 2:
-        print("error: lift reports need a signature (2, r-2) lattice",
-              file=sys.stderr)
-        return 2
-    try:
-        closed, series = borcherds_weight(L)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("lift reports need a signature (2, r-2) lattice")
+    closed, series = borcherds_weight(L)
     F = construct_F(L, order=args.order)
     div = borcherds_divisor(F)
     data = disc_data(L)
@@ -176,11 +162,7 @@ def cmd_siegel_eval(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    try:
-        checks = run_suite(args.suite)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    checks = run_suite(args.suite)
     ok = all(c["ok"] for c in checks)
     if args.format == "json":
         text = json.dumps({"suite": args.suite, "ok": ok, "checks": checks},
@@ -268,8 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input (a ValueError) prints one `error:` line and exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ fraction-free symmetric elimination (`_eliminate`, run once per `Lattice`),
 the lattice points of an ellipsoid from an integer Fincke-Pohst search on
 its pivots (`ellipsoid_lines`), discriminant groups from a Smith normal form
 over Z, built once per Gram matrix.  A 2-elementary `DiscGroup` reads its
-form off two integer tables on its generators, 2q(g_i) mod 4 and
-2b(g_i, g_j) mod 2: the parity invariant delta, the q-value of every class,
-the map y -> By of the Weil S step and the characteristic element all come
-from one pass over these tables, kept on the group.
+form off two integer tables on its generators, 2q(g_i) mod 4 and the packed
+rows of 2b(g_i, g_j) mod 2: the parity invariant delta and the characteristic
+element come from the l generators alone, and the q-value of every class and
+the map y -> By of the Weil S step from one pass over the classes, made
+when first read and kept on the group.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product as iproduct
 from operator import xor
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +87,9 @@ def smith_normal_form(mat):
                     col_op(j, s, a[s][j] // a[s][s])
                     if a[s][j]:
                         clean = False
-            if clean and all(a[i][s] == 0 for i in range(s + 1, nrows)) and all(
-                a[s][j] == 0 for j in range(s + 1, ncols)
-            ):
-                # enforce divisibility into the trailing block
+            if clean:
+                # row s and column s are cleared (row ops leave row s, column
+                # ops column s alone); enforce divisibility into the trailing block
                 bad = None
                 for i in range(s + 1, nrows):
                     for j in range(s + 1, ncols):
@@ -387,6 +385,11 @@ def sigma(L: Lattice) -> int:
 # discriminant groups
 # ---------------------------------------------------------------------------
 
+def _pack(bits) -> int:
+    """0/1 entries as the bits of one int, the first the most significant."""
+    return reduce(lambda acc, bit: acc << 1 | bit, bits, 0)
+
+
 @dataclass
 class DiscGroup:
     """The finite quadratic form (A_L = L^dual / L, q_L).
@@ -397,9 +400,10 @@ class DiscGroup:
 
         2q(x) = x.Q + 2 sum_{i<j} x_i x_j B_ij  mod 4,
 
-    so 2q mod 2 is linear.  `delta`, `two_q`, `packed_by`, `characteristic`
-    and `one_index` are read from them once and kept; classes are indexed in
-    `elements` order, the first coordinate the most significant bit.
+    so 2q mod 2 is linear.  `delta`, `characteristic` and `one_index` read
+    the tables on the generators; `two_q` and `packed_by` list every class.
+    Classes are indexed in `elements` order, the first coordinate the most
+    significant bit, and B_i is packed in the same order.
     """
 
     parent: Lattice
@@ -455,8 +459,7 @@ class DiscGroup:
         """Per lattice coordinate i, the packed bits of (U e_i)[positions] mod 2."""
         if not self.is_two_elementary:
             raise ValueError(f"lattice is not 2-elementary: orders {self.orders}")
-        l = self.l
-        return [sum((self._u[p][i] % 2) << (l - 1 - k) for k, p in enumerate(self._positions))
+        return [_pack(self._u[p][i] % 2 for p in self._positions)
                 for i in range(self.parent.rank)]
 
     def index_of(self, x) -> int:
@@ -470,44 +473,65 @@ class DiscGroup:
 
     @cached_property
     def _tables(self) -> tuple:
-        """(Q, B) of a 2-elementary form, from one integer product.
+        """(Q, B) of a 2-elementary form: Q_i as ints, B as packed rows.
 
         With v_i = 2 g_i integral, v_i G v_j = 4 b(g_i, g_j), which is even.
+        Row B_i packs B_ij in the bit order of `elements`.
         """
         if not self.is_two_elementary:
             raise ValueError(f"lattice is not 2-elementary: orders {self.orders}")
-        l = self.l
         V = [[int(2 * x) for x in g] for g in self.generators]
         GV = [[sum(a * b for a, b in zip(row, v)) for row in self.parent.gram] for v in V]
-        four_b = np.array([[sum(a * b for a, b in zip(v, w)) % 8 for w in GV] for v in V],
-                          dtype=np.int64).reshape(l, l)
-        return np.diagonal(four_b) // 2, four_b // 2 % 2
+        four_b = [[sum(a * b for a, b in zip(v, w)) % 8 for w in GV] for v in V]
+        return ([row[i] // 2 for i, row in enumerate(four_b)],
+                [_pack(x // 2 % 2 for x in row) for row in four_b])
 
     @cached_property
     def delta(self) -> int:
         """1 iff some class has q not in Z, i.e. iff some 2q(g_i) is odd."""
-        return int(np.any(self._tables[0] % 2))
+        return int(any(x % 2 for x in self._tables[0]))
 
     @cached_property
-    def _classes(self) -> tuple:
-        """(two_q, packed_by, characteristic, one_index) from one bit expansion.
+    def characteristic(self) -> tuple:
+        """Coordinates of the unique class gamma with b(gamma, x) = q(x) mod Z.
 
-        The characteristic class gamma solves B gamma = Q mod 2.  b is
-        nondegenerate, so det B is odd and gamma = adj(B) Q mod 2, with the
-        adjugate from `_eliminate`; the defining property 2b(gamma, x) =
-        2q(x) mod 2 is then checked on every class x.
+        gamma solves B gamma = Q mod 2.  b is nondegenerate, so det B is odd
+        and gamma = adj(B) Q mod 2, with the adjugate from `_eliminate`.  Both
+        sides of 2b(gamma, x) = 2q(x) mod 2 are linear in x, so the property is
+        checked on the generators: popcount(B_i & gamma) = Q_i mod 2.
         """
         Q, B = self._tables
         l = self.l
-        bits = (np.arange(2 ** l)[:, None] >> np.arange(l - 1, -1, -1)) & 1
-        two_q = (bits @ Q + 2 * ((bits @ np.triu(B, 1)) * bits).sum(axis=1)) % 4
-        adj = [[a % 2 for a in row] for row in _eliminate(B.tolist())[1]]
-        gamma = np.array(adj, dtype=np.int64).reshape(l, l) @ Q % 2
-        if np.any((bits @ (B @ gamma) - two_q) % 2):
-            raise ArithmeticError("characteristic element fails on some class")
-        weights = 1 << np.arange(l - 1, -1, -1)
-        return (two_q.tolist(), (bits @ B % 2) @ weights,
-                tuple(int(c) for c in gamma), int(gamma @ weights))
+        bits = [[(row >> (l - 1 - j)) & 1 for j in range(l)] for row in B]
+        adj = _eliminate(bits)[1]
+        gamma = tuple(sum(a * q for a, q in zip(row, Q)) % 2 for row in adj)
+        packed = _pack(gamma)
+        if any((bin(row & packed).count("1") - q) % 2 for row, q in zip(B, Q)):
+            raise ArithmeticError("characteristic element fails on some generator")
+        return gamma
+
+    @cached_property
+    def one_index(self) -> int:
+        """The index of the characteristic class in `elements`."""
+        return _pack(self.characteristic)
+
+    @cached_property
+    def _classes(self) -> tuple:
+        """(two_q, packed_by) of every class, from one pass by lowest set bit.
+
+        With g_j the generator of the lowest set bit of y and y' = y - g_j,
+        2q(y) = 2q(y') + Q_j + 2 (By')_j mod 4 and By = By' xor B_j.
+        """
+        Q, B = self._tables
+        l = self.l
+        two_q, by = [0] * 2 ** l, [0] * 2 ** l
+        for y in range(1, 2 ** l):
+            low = y & -y
+            j = l - low.bit_length()
+            prev = by[y ^ low]
+            two_q[y] = (two_q[y ^ low] + Q[j] + (2 if prev & low else 0)) % 4
+            by[y] = prev ^ B[j]
+        return two_q, by
 
     @cached_property
     def two_q(self) -> list:
@@ -515,19 +539,9 @@ class DiscGroup:
         return self._classes[0]
 
     @cached_property
-    def packed_by(self) -> np.ndarray:
+    def packed_by(self) -> list:
         """The packed bits of By for every class y: rho(S) is fwht then y -> By."""
         return self._classes[1]
-
-    @cached_property
-    def characteristic(self) -> tuple:
-        """Coordinates of the unique class gamma with b(gamma, x) = q(x) mod Z."""
-        return self._classes[2]
-
-    @cached_property
-    def one_index(self) -> int:
-        """The index of the characteristic class in `elements`."""
-        return self._classes[3]
 
     def q(self, el: "DiscElement") -> Fraction:
         """q_L(el) in Q/2Z, represented in [0, 2)."""

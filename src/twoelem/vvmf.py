@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .lattices import Lattice, direct_sum, rescale, standard_lattice, signature
 from .modforms import f0, f1, g_i
@@ -181,30 +180,23 @@ class HeegnerSum:
         return {"dprime": m0, "dsecond": m0 + generic, "extra_char": extra_char}
 
 
-def _heegner_terms(components) -> dict:
-    """(coords, n) -> multiplicity for the n < 0 terms of (coords, series) pairs."""
+def borcherds_divisor(F: VVForm) -> HeegnerSum:
+    """Read the Heegner divisor off the principal part of F: (coords, n) ->
+    multiplicity for the n < 0 terms of its components."""
     terms = {}
-    for coords, ser in components:
+    for coords, ser in F.components.items():
         for e, c in ser.items():
             if e < 0:
                 if c.denominator != 1:
                     raise AssertionError(f"non-integral divisor multiplicity {c}")
                 terms[(coords, e)] = int(c)
-    return terms
-
-
-def borcherds_divisor(F: VVForm) -> HeegnerSum:
-    """Read the Heegner divisor off the principal part of F."""
-    return HeegnerSum(F.lattice, _heegner_terms(F.components.items()))
+    return HeegnerSum(F.lattice, terms)
 
 
 def divisor_ledger(L: Lattice) -> dict:
-    """borcherds_divisor(construct_F(L, order)).delta_ledger(), from the
-    principal parts of the components alone (series cut at order 0)."""
-    data = disc_data(L)
-    component = _components(data, Fraction(0))
-    pairs = ((el.coords, component(i)) for i, el in enumerate(data.elements))
-    return HeegnerSum(L, _heegner_terms(pairs)).delta_ledger()
+    """The D', D'' multiplicities of the lift's divisor, from the principal
+    parts of the components alone (F cut at order 0)."""
+    return borcherds_divisor(construct_F(L, 0)).delta_ledger()
 
 
 def borcherds_weight(L: Lattice):
@@ -287,7 +279,7 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
             slash = phi_val * jfac ** (-data.sigma)
             col = weil_column(L, mp2_word(g.inverse()))
             factor = slash * mpmath.mpf(col.scale.numerator) / col.scale.denominator
-            for i in np.flatnonzero(col.comp.any(axis=0)):
+            for i in col.comp.any(axis=0).nonzero()[0]:
                 values[i] += factor * sum(int(c) * z for c, z in zip(col.comp[:, i], zeta_pows))
         return values, data
 

@@ -119,49 +119,38 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _ColumnState:
-    def __init__(self, data: DiscGroup, start: int = 0):
-        self.data = data
-        n = len(data.elements)
-        self.comp = np.zeros((4, n), dtype=np.int64)
-        self.comp[0, start] = 1
-        self.scale = Fraction(1)
+def _s_step(scale: Fraction, comp: np.ndarray, data: DiscGroup, by: np.ndarray) -> WeilColumn:
+    """rho(S) applied to scale * comp, with `by` the index array of `data.packed_by`.
 
-    def apply_T(self, n: int):
-        self.comp = _zeta_shift(self.comp, 2 * np.array(self.data.two_q, dtype=np.int64) * (n % 8))
-
-    def apply_Z(self, k: int):
-        # rho(Z) = i^{-sigma} * (e_g -> e_{-g}) and -g = g here
-        self.comp = _zeta_shift(self.comp, -2 * self.data.sigma * k)
-
-    def apply_S(self):
-        # the transform grows entries by at most 2^l and sqrt(2) by 2; refuse to wrap
-        l = self.data.l
-        if np.abs(self.comp).max() >= 2 ** (61 - l):
-            raise OverflowError("Weil column state too large for an int64 transform")
-        comp = _zeta_shift(_fwht(self.comp)[:, self.data.packed_by], -self.data.sigma)
-        col = _canonical(self.scale, comp, l)
-        self.scale, self.comp = col.scale, col.comp
-
-    def apply_token(self, gen: str, exp: int):
-        if gen == "T":
-            self.apply_T(exp)
-        elif gen == "S":
-            e = exp % 8
-            self.apply_Z(e // 2)  # S^2 = Z
-            if e % 2:
-                self.apply_S()
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
+    The transform grows entries by at most 2^l and sqrt(2) by 2: a block that
+    could wrap int64 is refused.  `comp` is overwritten.
+    """
+    l = data.l
+    if np.abs(comp).max() >= 2 ** (61 - l):
+        raise OverflowError("Weil column state too large for an int64 transform")
+    return _canonical(scale, _zeta_shift(_fwht(comp)[:, by], -data.sigma), l)
 
 
 def weil_column(L: Lattice, word, start: int = 0) -> WeilColumn:
     """rho(word) e_start as an exact `WeilColumn`, word applied right-to-left."""
     data = disc_data(L)
-    st = _ColumnState(data, start)
+    two_q = np.array(data.two_q, dtype=np.int64)
+    by = np.array(data.packed_by, dtype=np.intp)
+    scale, comp = Fraction(1), np.zeros((4, len(two_q)), dtype=np.int64)
+    comp[0, start] = 1
     for gen, exp in reversed(list(word)):
-        st.apply_token(gen, exp)
-    return WeilColumn(st.scale, st.comp)
+        if gen == "T":
+            comp = _zeta_shift(comp, 2 * two_q * (exp % 8))
+        elif gen == "S":
+            e = exp % 8
+            # S^2 = Z and rho(Z) = i^{-sigma} * (e_g -> e_{-g}), with -g = g here
+            comp = _zeta_shift(comp, -2 * data.sigma * (e // 2))
+            if e % 2:
+                col = _s_step(scale, comp, data, by)
+                scale, comp = col.scale, col.comp
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    return WeilColumn(scale, comp)
 
 
 def weil_column_of(L: Lattice, g: Mp2Element, start: int = 0) -> WeilColumn:

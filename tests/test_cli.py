@@ -245,6 +245,16 @@ def test_siegel_eval_bad_matrix(capsys, tmp_path):
         assert msg in err
 
 
+def test_siegel_eval_genus_beyond_five(capsys, tmp_path):
+    # a valid period matrix of genus 6: the ValueError is one line, not a traceback
+    mat = tmp_path / "sigma.json"
+    mat.write_text(json.dumps([[[0.0, float(i == j)] for j in range(6)] for i in range(6)]))
+    code, out, err = run_cli(capsys, "siegel", "eval", "--sigma", str(mat))
+    assert code == 2
+    assert out == ""
+    assert err == "error: genus must be between 0 and 5\n"
+
+
 def test_verify_suite_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "weil", "--format", "json")
     assert code == 0

@@ -2,6 +2,7 @@
 import cmath
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,9 @@ from twoelem import (
     standard_lattice,
     two_elementary_invariants,
 )
+from twoelem import lattices
 from twoelem.lattices import _eliminate
-from twoelem.weil import _ColumnState, disc_data
+from twoelem.weil import disc_data, weil_column
 
 
 def test_standard_grams():
@@ -182,11 +184,10 @@ def test_tables_match_exhaustive_scan(names):
     scalar = cmath.exp(-1j * cmath.pi * data.sigma / 4) / 2 ** (data.l / 2)
     zeta_pows = np.exp(1j * np.pi * np.arange(4) / 4)
     for j in range(len(elements)):
-        state = _ColumnState(data, j)
-        state.apply_S()
+        col = weil_column(L, [("S", 1)], j)
         signs = 1 - 2 * (four_b[j] // 2 % 2)
-        assert (state.comp == state.comp[:, :1] * signs).all()
-        assert abs(float(state.scale) * zeta_pows @ state.comp[:, 0] - scalar) < 1e-12
+        assert (col.comp == col.comp[:, :1] * signs).all()
+        assert abs(float(col.scale) * zeta_pows @ col.comp[:, 0] - scalar) < 1e-12
 
 
 @pytest.mark.parametrize("expr, delta, char", [
@@ -200,6 +201,24 @@ def test_invariants_at_two_rank_12(expr, delta, char):
     t = two_elementary_invariants(L)
     assert (t.l, t.delta) == (12, delta)
     assert characteristic_element(L).coords == char
+
+
+@pytest.mark.parametrize("expr, l", [("A1^18", 18), ("U+A1^20", 20)])
+def test_invariants_read_no_class_table(expr, l, monkeypatch):
+    # delta and the characteristic class come from the l generators; at
+    # l = 18 a bit table over the 2^l classes alone would take 36 MiB
+    monkeypatch.setattr(lattices, "_GROUPS", {})   # build the form afresh
+    L = parse_lattice_expr(expr)
+    tracemalloc.start()
+    try:
+        t = two_elementary_invariants(L)
+        char = characteristic_element(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert (t.l, t.delta) == (l, 1)
+    assert char.coords == (1,) * l
 
 
 def test_pairing_and_norm():

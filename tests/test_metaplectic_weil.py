@@ -24,7 +24,7 @@ from twoelem import (
 from twoelem import lattices
 from twoelem.mp2 import MP2_ONE, evaluate_word, word_j
 from twoelem.weil import (
-    _ColumnState,
+    _s_step,
     _zeta_shift,
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
@@ -153,10 +153,11 @@ def test_s_step_refuses_to_wrap():
     # A1^3 (l = 3): 2^58 is under 2^(62 - l) but not under 2^(61 - l), which
     # leaves room for the sqrt(2) map after the transform
     for expr, entry in [("A1^2", 2 ** 60), ("A1^3", 2 ** 58)]:
-        state = _ColumnState(disc_data(parse_lattice_expr(expr)), 0)
-        state.comp[0, 0] = entry
+        data = disc_data(parse_lattice_expr(expr))
+        comp = np.zeros((4, 2 ** data.l), dtype=np.int64)
+        comp[0, 0] = entry
         with pytest.raises(OverflowError):
-            state.apply_S()
+            _s_step(Fraction(1), comp, data, np.array(data.packed_by))
 
 
 def test_disc_data_makes_no_square_table(monkeypatch):

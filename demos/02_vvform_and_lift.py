@@ -12,7 +12,6 @@ from twoelem import (
     parse_lattice_expr,
 )
 from twoelem.vvmf import eval_vvform
-from twoelem.weil import disc_data
 
 print("Each signature (2, r-2) 2-elementary lattice carries a canonical")
 print("vector-valued modular form; the lift weight is half its constant")

@@ -3,8 +3,9 @@
 The library computes, with exact rational / Z[zeta_8] arithmetic wherever the
 mathematics is exact:
 
-* lattice invariants (rank, 2-rank, parity delta, signature) and discriminant
-  forms of even lattices given by integer Gram matrices;
+* lattice invariants (rank, 2-rank, parity delta, signature) and the
+  discriminant forms of even 2-elementary lattices given by integer Gram
+  matrices;
 * the metaplectic group Mp_2(Z) and the Weil representation attached to a
   2-elementary lattice;
 * the distinguished vector-valued modular form attached to such a lattice,

@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import (Lattice, _eliminate, direct_sum, ellipsoid_lines, rescale,
-                       standard_lattice)
+from .lattices import (Lattice, _eliminate, direct_sum, discriminant_group, ellipsoid_lines,
+                       rescale, standard_lattice)
 from .vvmf import VVForm
-from .weil import disc_data
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     ambient = point.ambient()
     if F.lattice.gram != ambient.gram:
         raise ValueError("form does not live on the ambient split U(N) + L")
-    data = disc_data(ambient)
+    data = discriminant_group(ambient)
     n = L.rank
     det, adj = L._elim[:2]
     if det < 0:   # so that c(num / 2det) compares with the truncation in integers
@@ -132,16 +131,15 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     # lam^2 = m^t adj m / det
     A = [[2 * y[i] * y[j] / y2 - Fraction(adj[i][j], det) for j in range(n)] for i in range(n)]
     # c(lam^2/2) != 0 needs lam^2 >= 2 min(0, lowest exponent of F)
-    low = min([0] + [ser.min_exp() for ser in F.components.values() if ser.coeffs])
+    low = min([0] + [ser.min_exp() for ser in F.components if ser.coeffs])
     B = 2 * cut ** 2 / y2 - 2 * low
     # (n/N, 0, lam) has dual coordinates (0, n, m), class nn_part[n] XOR that of m
-    series = [F.components[el.coords] for el in data.elements]
     nn_part = [data.index_of((0, nn) + (0,) * n) for nn in range(N)]
     mask0 = data.index_of((0, 0, 1) + (0,) * (n - 1))
     two_det = 2 * det
 
     def coeff(k, num):   # c_k(num / 2det) as a float
-        ser = series[k]
+        ser = F.components[k]
         t = ser.trunc
         if t is not None and num * t.denominator >= t.numerator * two_det:
             raise ValueError(f"product needs coefficient at exponent {Fraction(num, two_det)} "
@@ -279,7 +277,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     A = [[v1[i] * v1[j] + v2[i] * v2[j] - Fraction(adj[i][j], det) for j in range(n)]
          for i in range(n)]
     B = 2 * Pb ** 2 + worst
-    data = disc_data(L) if F is not None else None
+    data = discriminant_group(L) if F is not None else None
     walls = []
     realized = Fraction(0)
     seen = set()
@@ -292,8 +290,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
         if abs(p1) > Pb or abs(p2) > Pb:
             continue
         if F is not None:
-            ser = F.components[data.elements[data.index_of(m)].coords]
-            if not ser.coeff(lam2 / 2):
+            if not F.components[data.index_of(m)].coeff(lam2 / 2):
                 continue
         if p1 == 0 or p2 == 0:
             raise ValueError(f"endpoint lies on the wall {m} (degenerate case)")

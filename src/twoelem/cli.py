@@ -22,7 +22,10 @@ from functools import lru_cache
 
 
 def _parse_order(text: str) -> Fraction:
-    order = Fraction(text)
+    try:
+        order = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("order has a zero denominator") from None
     if order <= 0:
         raise argparse.ArgumentTypeError("order must be a positive rational")
     return order
@@ -104,9 +107,8 @@ def cmd_qseries(args) -> int:
 
 
 def cmd_borcherds_report(args) -> int:
-    from .lattices import parse_lattice_expr, signature
+    from .lattices import discriminant_group, parse_lattice_expr, signature
     from .vvmf import borcherds_divisor, borcherds_weight, construct_F
-    from .weil import disc_data
 
     try:
         L = parse_lattice_expr(args.expr)
@@ -118,18 +120,18 @@ def cmd_borcherds_report(args) -> int:
     closed, series = borcherds_weight(L)
     F = construct_F(L, order=args.order)
     div = borcherds_divisor(F)
-    data = disc_data(L)
-    e0 = F.components[data.elements[0].coords]
+    elements = discriminant_group(L).elements
     lines = [
         f"lattice          {args.expr}",
         f"weight (closed)  {closed}",
         f"weight (series)  {series}",
         "divisor classes  (class coords, exponent) -> multiplicity",
     ]
-    for (coords, e), m in sorted(div.terms.items()):
-        lines.append(f"  {coords} q^{e}: {m}")
+    # index order is coordinate order: the first coordinate is the top bit
+    for (i, e), m in sorted(div.terms.items()):
+        lines.append(f"  {elements[i].coords} q^{e}: {m}")
     lines.append(f"ledger           {div.delta_ledger()}")
-    lines.append(f"e_0 expansion    {e0.to_text()}")
+    lines.append(f"e_0 expansion    {F.components[0].to_text()}")
     lines.append("")
     _emit("\n".join(lines), args.out)
     return 0
@@ -179,14 +181,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
-    from .k3graph import build_graph, export_dot, export_json, m_triple_of_row, table1
+    from .k3graph import build_graph, export_dot, export_json, table1_m_triples
 
-    seeds = []
-    for row in table1():
-        t = m_triple_of_row(row)
-        if t not in seeds:
-            seeds.append(t)
-    graph = build_graph(seeds)
+    graph = build_graph(table1_m_triples())
     text = export_dot(graph) + "\n" if args.format == "dot" else export_json(graph) + "\n"
     _emit(text, args.out)
     return 0

@@ -99,6 +99,12 @@ def m_triple_of_row(row: Table1Row) -> LatticeTriple:
     return LatticeTriple(22 - t.r, t.l, t.delta)
 
 
+def table1_m_triples() -> list:
+    """The distinct M-triples of the reference rows, in row order: the seeds
+    of the transition graph."""
+    return list(dict.fromkeys(m_triple_of_row(row) for row in table1()))
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ Everything here is exact: det, adjugate and signature come from one
 fraction-free symmetric elimination (`_eliminate`, run once per `Lattice`),
 the lattice points of an ellipsoid from an integer Fincke-Pohst search on
 its pivots (`ellipsoid_lines`), discriminant groups from a Smith normal form
-over Z, built once per Gram matrix.  A 2-elementary `DiscGroup` reads its
+over Z, built once per Gram matrix.  `discriminant_group` is the one support
+gate: it refuses a form that is not 2-elementary.  A `DiscGroup` reads its
 form off two integer tables on its generators, 2q(g_i) mod 4 and the packed
 rows of 2b(g_i, g_j) mod 2: the parity invariant delta and the characteristic
 element come from the l generators alone, and the q-value of every class and
 the map y -> By of the Weil S step from one pass over the classes, made
-when first read and kept on the group.
+when first read and kept on the group.  A class is its index in `elements`,
+the packed bits of its coordinates; the tables over every class stop at
+l = 12.
 """
 from __future__ import annotations
 
@@ -390,60 +393,58 @@ def _pack(bits) -> int:
     return reduce(lambda acc, bit: acc << 1 | bit, bits, 0)
 
 
+_CLASS_L_CAP = 12   # the largest 2-rank whose tables over every class are built
+
+
 @dataclass
 class DiscGroup:
-    """The finite quadratic form (A_L = L^dual / L, q_L).
+    """The 2-elementary finite quadratic form (A_L = L^dual / L, q_L).
 
-    A 2-elementary form is fixed by its tables on the generators g_i,
-    Q_i = 2q(g_i) mod 4 and B_ij = 2b(g_i, g_j) mod 2 (Nikulin 1979): since
-    2b is integral, the class x = sum x_i g_i (x_i in {0, 1}) has
+    It is fixed by its tables on the generators g_i, Q_i = 2q(g_i) mod 4 and
+    B_ij = 2b(g_i, g_j) mod 2 (Nikulin 1979): since 2b is integral, the
+    class x = sum x_i g_i (x_i in {0, 1}) has
 
         2q(x) = x.Q + 2 sum_{i<j} x_i x_j B_ij  mod 4,
 
     so 2q mod 2 is linear.  `delta`, `characteristic` and `one_index` read
-    the tables on the generators; `two_q` and `packed_by` list every class.
-    Classes are indexed in `elements` order, the first coordinate the most
-    significant bit, and B_i is packed in the same order.
+    the tables on the generators; `elements`, `two_q` and `packed_by` list
+    every class, for l <= 12.  A class is its index in `elements`, the first
+    coordinate the most significant bit, and B_i is packed in the same order.
     """
 
     parent: Lattice
-    orders: list          # elementary divisors > 1
     generators: list      # rational coordinate vectors in the lattice basis
     _u: list = field(repr=False, default=None)        # SNF left transform
-    _positions: list = field(repr=False, default=None)  # indices with d_i > 1
+    _positions: list = field(repr=False, default=None)  # indices with d_i = 2
 
     def __len__(self):
-        return math.prod(self.orders)
-
-    @property
-    def is_two_elementary(self) -> bool:
-        return all(d == 2 for d in self.orders)
+        return 2 ** self.l
 
     @property
     def l(self) -> int:
-        """The number of generators: the 2-rank of a 2-elementary form."""
-        return len(self.orders)
+        """The number of generators, the 2-rank."""
+        return len(self.generators)
 
     @cached_property
     def sigma(self) -> int:
         """The signature b+ - b- of the parent, which the Weil representation reads."""
         return sigma(self.parent)
 
-    def element(self, coords) -> "DiscElement":
-        coords = tuple(int(c) % d for c, d in zip(coords, self.orders))
-        return DiscElement(self, coords)
+    def _check_cap(self):
+        if self.l > _CLASS_L_CAP:
+            raise ValueError(f"discriminant group too large (l={self.l} > {_CLASS_L_CAP})")
 
     @cached_property
     def elements(self) -> list:
         """Every class; index 0 is the zero class."""
-        return [DiscElement(self, coords)
-                for coords in iproduct(*(range(d) for d in self.orders))]
+        self._check_cap()
+        return [DiscElement(self, coords) for coords in iproduct((0, 1), repeat=self.l)]
 
     def class_of(self, x) -> "DiscElement":
         """Class of the dual vector v with integer coordinates x = G v.
 
         With U G V = diag(d), v = sum_p (U x)_p g_p, so the class is
-        (U x)[positions] mod orders.  Raises ValueError unless x has the
+        (U x)[positions] mod 2.  Raises ValueError unless x has the
         lattice's rank and integral entries (v in L^dual).
         """
         if len(x) != self.parent.rank:
@@ -451,19 +452,17 @@ class DiscGroup:
         if any(xi != int(xi) for xi in x):
             raise ValueError("vector is not in the dual lattice")
         x = [int(xi) for xi in x]
-        return self.element(tuple(sum(a * b for a, b in zip(self._u[p], x))
-                                  for p in self._positions))
+        return DiscElement(self, tuple(sum(a * b for a, b in zip(self._u[p], x)) % 2
+                                       for p in self._positions))
 
     @cached_property
     def _masks(self) -> list:
         """Per lattice coordinate i, the packed bits of (U e_i)[positions] mod 2."""
-        if not self.is_two_elementary:
-            raise ValueError(f"lattice is not 2-elementary: orders {self.orders}")
         return [_pack(self._u[p][i] % 2 for p in self._positions)
                 for i in range(self.parent.rank)]
 
     def index_of(self, x) -> int:
-        """Index in `elements` of `class_of(x)`, for a 2-elementary form.
+        """Index in `elements` of `class_of(x)`.
 
         The class is U x mod 2 on the positions, linear over F_2, so its
         packed index is the XOR of the masks of the odd coordinates of x.
@@ -473,13 +472,11 @@ class DiscGroup:
 
     @cached_property
     def _tables(self) -> tuple:
-        """(Q, B) of a 2-elementary form: Q_i as ints, B as packed rows.
+        """(Q, B): Q_i as ints, B as packed rows.
 
         With v_i = 2 g_i integral, v_i G v_j = 4 b(g_i, g_j), which is even.
         Row B_i packs B_ij in the bit order of `elements`.
         """
-        if not self.is_two_elementary:
-            raise ValueError(f"lattice is not 2-elementary: orders {self.orders}")
         V = [[int(2 * x) for x in g] for g in self.generators]
         GV = [[sum(a * b for a, b in zip(row, v)) for row in self.parent.gram] for v in V]
         four_b = [[sum(a * b for a, b in zip(v, w)) % 8 for w in GV] for v in V]
@@ -522,6 +519,7 @@ class DiscGroup:
         With g_j the generator of the lowest set bit of y and y' = y - g_j,
         2q(y) = 2q(y') + Q_j + 2 (By')_j mod 4 and By = By' xor B_j.
         """
+        self._check_cap()
         Q, B = self._tables
         l = self.l
         two_q, by = [0] * 2 ** l, [0] * 2 ** l
@@ -568,14 +566,6 @@ class DiscElement:
                     v[i] += c * g[i]
         return [x % 1 for x in v]
 
-    def __add__(self, other):
-        return self.group.element(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        return self.group.element(tuple(-a for a in self.coords))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -595,7 +585,8 @@ def discriminant_group(L: Lattice) -> DiscGroup:
 
     With U*G*V = diag(d), the classes of the columns of G^{-1}U^{-1} =
     V diag(d)^{-1} with d_i > 1 generate A_L = Z^n / G Z^n, the i-th one of
-    order d_i.
+    order d_i.  Raises ValueError unless every d_i > 1 is 2: this is the one
+    place that decides which forms are supported.
     """
     grp = _GROUPS.get(L.gram)
     if grp is not None:
@@ -604,10 +595,12 @@ def discriminant_group(L: Lattice) -> DiscGroup:
     d, u, v = smith_normal_form(L.gram)
     positions = [i for i in range(n) if abs(d[i]) > 1]
     orders = [abs(d[i]) for i in positions]
-    gens = [[Fraction(v[i][p], d[p]) % 1 for i in range(n)] for p in positions]
-    if math.prod(orders) != abs(L.det()):
-        raise ArithmeticError(f"product of orders {math.prod(orders)} != |det| {abs(L.det())}")
-    grp = _GROUPS[L.gram] = DiscGroup(L, orders, gens, u, positions)
+    if any(x != 2 for x in orders):
+        raise ValueError(f"lattice is not 2-elementary: orders {orders}")
+    if 2 ** len(orders) != abs(L.det()):
+        raise ArithmeticError(f"product of orders {2 ** len(orders)} != |det| {abs(L.det())}")
+    gens = [[Fraction(v[i][p], 2) % 1 for i in range(n)] for p in positions]
+    grp = _GROUPS[L.gram] = DiscGroup(L, gens, u, positions)
     return grp
 
 
@@ -645,7 +638,7 @@ def two_elementary_invariants(L: Lattice) -> LatticeTriple:
 def characteristic_element(L: Lattice) -> DiscElement:
     """The unique class with b(gamma, x) = q(x) mod Z for all x."""
     A = discriminant_group(L)
-    return A.element(A.characteristic)
+    return DiscElement(A, A.characteristic)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def suite_series():
     order = Fraction(8)
     L = parse_lattice_expr("U+U+E8")
     F = construct_F(L, order=order)
-    e0 = next(iter(F.components.values()))
+    e0 = F.components[0]
     want = (eisenstein_e4(order + 1) ** 2 * eta_power(1, -24, order + 1)).truncate(order)
     checks.append(_check(
         "scalar form on the unimodular rank-12 lattice equals E4^2/eta^24",
@@ -54,10 +54,7 @@ def suite_series():
         Fb = construct_F(big, order=10)
         Fr = restrict(Fb, N, L_small)
         Fs = construct_F(L_small, order=10)
-        ok = all(
-            Fr.components[c].eq_below(Fs.components[c], Fr.components[c].trunc)
-            for c in Fs.components
-        )
+        ok = all(r.eq_below(s, r.trunc) for r, s in zip(Fr.components, Fs.components))
         checks.append(_check(
             f"restriction along U({N}) + ({expr}) recovers the small form",
             ok, "coefficientwise to order 10",
@@ -207,8 +204,8 @@ def suite_siegel():
 def suite_graph():
     from .k3graph import (
         build_graph,
-        m_triple_of_row,
         table1,
+        table1_m_triples,
         thm91_consistency,
         thm93_check,
         validate_row,
@@ -231,13 +228,8 @@ def suite_graph():
     checks.append(_check("rank-13 exponent pattern (40; 4; 16), weight 15",
                          thm93_check()["ok"], ""))
 
-    seeds = []
-    for row in rows:
-        t = m_triple_of_row(row)
-        if t not in seeds:
-            seeds.append(t)
     try:
-        graph = build_graph(seeds)
+        graph = build_graph(table1_m_triples())
         checks.append(_check(
             "transition graph closes with no multiple edges",
             len(graph.vertices) >= 43,

@@ -6,8 +6,10 @@ sigma, the form has weight sigma/2 and components
     F = f0(k) e_0  +  2^{(4-sigma-l)/2} sum_g g^{(2 q(g) mod 4)}(k) e_g
         +  f1(k) e_{char}
 
-where `char` is the characteristic element of the discriminant form.  The
-module also provides the independent numeric oracle that rebuilds F as a sum
+where `char` is the characteristic element of the discriminant form.  A
+form's components are a list in the order of the classes of
+`lattices.discriminant_group`, so a class is its index.  The module also
+provides the independent numeric oracle that rebuilds F as a sum
 over the six cosets of the theta group, the restriction along a split
 U(N) + L, and the Borcherds-lift bookkeeping (weight two ways, Heegner
 divisor ledger).
@@ -20,11 +22,12 @@ from fractions import Fraction
 
 import mpmath
 
-from .lattices import Lattice, direct_sum, rescale, standard_lattice, signature
+from .lattices import (Lattice, direct_sum, discriminant_group, rescale, signature,
+                       standard_lattice)
 from .modforms import f0, f1, g_i
 from .mp2 import evaluate_word, mp2_word, word_j
 from .series import QSeries, qseries_eval
-from .weil import disc_data, weil_column
+from .weil import weil_column
 
 # coset representatives of the theta group in Mp2(Z), as words in S, T
 COSET_WORDS = {
@@ -43,22 +46,18 @@ class VVForm:
 
     lattice: Lattice
     weight: Fraction
-    components: dict  # coords tuple -> QSeries
+    components: list  # QSeries per class index
 
-    def check_support_and_symmetry(self):
-        """Exponent support in q(g)/2 + Z, and c_g = c_{-g} (trivial here)."""
-        data = disc_data(self.lattice)
-        for i, el in enumerate(data.elements):
-            ser = self.components[el.coords]
+    def check_support(self):
+        """Exponent support in q(g)/2 + Z.  (c_g = c_{-g} holds trivially:
+        -g = g in a 2-elementary group.)"""
+        data = discriminant_group(self.lattice)
+        for i, ser in enumerate(self.components):
             want = Fraction(data.two_q[i], 4)
             for e, _c in ser.items():
                 if (e - want) % 1 != 0:
-                    raise AssertionError(
-                        f"support violation at {el.coords}: exponent {e}, q/2 = {want}"
-                    )
-            neg = (-el).coords
-            if not ser.eq_below(self.components[neg]):
-                raise AssertionError(f"component symmetry violated at {el.coords}")
+                    raise AssertionError(f"support violation at {data.elements[i].coords}: "
+                                         f"exponent {e}, q/2 = {want}")
         return True
 
 
@@ -66,8 +65,10 @@ def _components(data, order: Fraction):
     """The component series of F below `order`, as a function of the class index.
 
     Classes with equal q share one series object: the form only depends on
-    q(g) and membership in {0, char}.
+    q(g) and membership in {0, char}.  The l <= 12 cap of the class tables
+    is read first.
     """
+    two_q = data.two_q
     s, l = data.sigma, data.l
     if s < -12:
         raise ValueError("construction requires sigma >= -12")
@@ -82,7 +83,7 @@ def _components(data, order: Fraction):
     scaled = [(g_i(k, i, order) * scale).truncate(order) for i in range(4)]
 
     def component(i: int) -> QSeries:
-        ser = scaled[data.two_q[i]]
+        ser = scaled[two_q[i]]
         if i == 0:
             ser = (ser + f0(k, order)).truncate(order)
         if i == data.one_index:
@@ -93,10 +94,9 @@ def _components(data, order: Fraction):
 
 def construct_F(L: Lattice, order=10) -> VVForm:
     """Assemble the distinguished form of weight sigma/2 (valid below `order`)."""
-    data = disc_data(L)
+    data = discriminant_group(L)
     component = _components(data, Fraction(order))
-    comps = {el.coords: component(i) for i, el in enumerate(data.elements)}
-    return VVForm(L, Fraction(data.sigma, 2), comps)
+    return VVForm(L, Fraction(data.sigma, 2), [component(i) for i in range(len(data))])
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +112,17 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
     big = direct_sum(rescale(standard_lattice("U"), N), L_small)
     if F.lattice.gram != big.gram:
         raise ValueError("form does not live on the stated split U(N) + L")
-    data_big = disc_data(F.lattice)
-    data_small = disc_data(L_small)
-    comps = {}
-    for el in data_small.elements:
+    data_big = discriminant_group(F.lattice)
+    comps = []
+    for el in discriminant_group(L_small).elements:
         rep = el.rep()
         x_small = [sum(g * r for g, r in zip(row, rep)) for row in L_small.gram]
         acc = None
         for n in range(N):
             # (n/N, 0) in U(N) has integer coordinates (0, n)
-            cls = data_big.elements[data_big.index_of([0, n] + x_small)]
-            ser = F.components[cls.coords]
+            ser = F.components[data_big.index_of([0, n] + x_small)]
             acc = ser if acc is None else acc + ser
-        comps[el.coords] = acc
+        comps.append(acc)
     return VVForm(L_small, F.weight, comps)
 
 
@@ -134,10 +132,10 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
 
 @dataclass
 class HeegnerSum:
-    """Formal Z-combination of Heegner classes (class-coords, n < 0)."""
+    """Formal Z-combination of Heegner classes (class index, n < 0)."""
 
     lattice: Lattice
-    terms: dict  # (coords tuple, Fraction n) -> int
+    terms: dict  # (class index, Fraction n) -> int
 
     def __eq__(self, other):
         return (
@@ -154,20 +152,15 @@ class HeegnerSum:
         deviating multiplicity on the characteristic class is reported
         separately ('extra_char', as in the rank-13 signed divisor).
         """
-        data = disc_data(self.lattice)
-        zero = data.elements[0].coords
-        m0 = self.terms.get((zero, Fraction(-1)), 0)
-        half_classes = [
-            el.coords
-            for i, el in enumerate(data.elements)
-            if data.two_q[i] == 3
-        ]
+        data = discriminant_group(self.lattice)
+        m0 = self.terms.get((0, Fraction(-1)), 0)
+        half_classes = [i for i, t in enumerate(data.two_q) if t == 3]
         generic = None
         extra_char = 0
-        char = data.elements[data.one_index].coords
-        for coords in half_classes:
-            m = self.terms.get((coords, Fraction(-1, 4)), 0)
-            if coords == char and len(half_classes) > 1:
+        char = data.one_index
+        for i in half_classes:
+            m = self.terms.get((i, Fraction(-1, 4)), 0)
+            if i == char and len(half_classes) > 1:
                 continue
             if generic is None:
                 generic = m
@@ -181,15 +174,16 @@ class HeegnerSum:
 
 
 def borcherds_divisor(F: VVForm) -> HeegnerSum:
-    """Read the Heegner divisor off the principal part of F: (coords, n) ->
-    multiplicity for the n < 0 terms of its components."""
+    """Read the Heegner divisor off the principal part of F: (class index, n)
+    -> multiplicity for the n < 0 terms of its components, the first -start
+    entries of each."""
     terms = {}
-    for coords, ser in F.components.items():
-        for e, c in ser.items():
-            if e < 0:
+    for k, ser in enumerate(F.components):
+        for i, c in enumerate(ser.coeffs[:max(-ser.start, 0)]):
+            if c:
                 if c.denominator != 1:
                     raise AssertionError(f"non-integral divisor multiplicity {c}")
-                terms[(coords, e)] = int(c)
+                terms[(k, Fraction(ser.start + i, ser.denom))] = int(c)
     return HeegnerSum(F.lattice, terms)
 
 
@@ -209,7 +203,7 @@ def borcherds_weight(L: Lattice):
     """
     if signature(L)[0] != 2:
         raise ValueError("weight formula applies to signature (2, r-2) lattices")
-    data = disc_data(L)
+    data = discriminant_group(L)
     s, l = data.sigma, data.l
     closed = (12 + s) * (2 ** ((4 - s - l) // 2) + 1)
     if data.one_index == 0 and s == -8:
@@ -250,10 +244,10 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
 
     Entirely independent of construct_F: the slash factors come from the
     q-expansion of phi composed with the Moebius action and the metaplectic
-    automorphy factor of each word.  Returns (values, disc_data) with values
-    a list of mpmath complex numbers in discriminant-element order.
+    automorphy factor of each word.  Returns (values, group) with values a
+    list of mpmath complex numbers in the order of the group's `elements`.
     """
-    data = disc_data(L)
+    data = discriminant_group(L)
     k = 8 + data.sigma
     with mpmath.workprec(prec):
         tau = mpmath.mpc(tau)
@@ -285,13 +279,15 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
 
 
 def eval_vvform(F: VVForm, tau, prec: int = 128):
-    """Evaluate every component of F at tau (shared series evaluated once)."""
+    """Evaluate every component of F at tau (shared series evaluated once),
+    as a dict keyed by class coordinates."""
+    elements = discriminant_group(F.lattice).elements
     with mpmath.workprec(prec):
         cache = {}
         out = {}
-        for coords, ser in F.components.items():
+        for el, ser in zip(elements, F.components):
             key = id(ser)
             if key not in cache:
                 cache[key] = qseries_eval(ser, tau, prec)[0]
-            out[coords] = cache[key]
+            out[el.coords] = cache[key]
         return out

@@ -18,9 +18,11 @@ the classes, indexed by their packed bit vectors.  The block is primitive
 (the gcd of its entries is 1), so the pair is canonical: two columns are
 equal iff their scales are equal and their blocks are.
 
-One evaluator serves every use: `weil_column` applies a word in S and T to
-a basis vector e_j, up to l = 12, and the dense matrix `weil_rep` (l <= 8)
-is the list of its columns.  Every step stays in integers.  rho(T)
+The form is the lattice's `discriminant_group`, which refuses a lattice
+that is not 2-elementary; its tables over every class, and so every column
+here, stop at l = 12.  One evaluator serves every use: `weil_column` applies
+a word in S and T to a basis vector e_j, and the dense matrix `weil_rep`
+(l <= 8) is the list of its columns.  Every step stays in integers.  rho(T)
 multiplies each class by a power of zeta_8, a gather of signed rows, and
 rho(Z) = rho(S^2) is the same gather with one shift for all classes.
 rho(S) is an unnormalised Walsh-Hadamard transform followed by the index map
@@ -39,18 +41,6 @@ from .lattices import DiscGroup, Lattice, discriminant_group
 from .mp2 import Mp2Element, mp2_word
 
 _DENSE_L_CAP = 8
-_COLUMN_L_CAP = 12
-
-
-def disc_data(L: Lattice) -> DiscGroup:
-    """The discriminant form of L, which the Weil operations read: 2-elementary
-    with l <= 12, else ValueError."""
-    A = discriminant_group(L)
-    if not A.is_two_elementary:
-        raise ValueError("Weil representation implemented for 2-elementary lattices only")
-    if A.l > _COLUMN_L_CAP:
-        raise ValueError(f"discriminant group too large (l={A.l} > {_COLUMN_L_CAP})")
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +123,7 @@ def _s_step(scale: Fraction, comp: np.ndarray, data: DiscGroup, by: np.ndarray) 
 
 def weil_column(L: Lattice, word, start: int = 0) -> WeilColumn:
     """rho(word) e_start as an exact `WeilColumn`, word applied right-to-left."""
-    data = disc_data(L)
+    data = discriminant_group(L)
     two_q = np.array(data.two_q, dtype=np.int64)
     by = np.array(data.packed_by, dtype=np.intp)
     scale, comp = Fraction(1), np.zeros((4, len(two_q)), dtype=np.int64)
@@ -159,13 +149,13 @@ def weil_column_of(L: Lattice, g: Mp2Element, start: int = 0) -> WeilColumn:
 
 def weil_rep(L: Lattice, g: Mp2Element):
     """rho(g) as a dense exact matrix, a list of columns: cols[j] = rho(g) e_j."""
-    data = disc_data(L)
+    data = discriminant_group(L)
     if data.l > _DENSE_L_CAP:
         raise ValueError(
             f"dense Weil matrices capped at l <= {_DENSE_L_CAP}; use weil_column"
         )
     word = mp2_word(g)
-    return [weil_column(L, word, j) for j in range(len(data.elements))]
+    return [weil_column(L, word, j) for j in range(len(data))]
 
 
 def is_unitary(cols) -> bool:
@@ -217,7 +207,7 @@ def closed_form_st_l_inverse_column(L: Lattice, l_exp: int) -> WeilColumn:
 
     where v_k sums the classes with q = k/2 mod 2.
     """
-    data = disc_data(L)
+    data = discriminant_group(L)
     ones = np.zeros((4, len(data.elements)), dtype=np.int64)
     ones[0] = 1
     t = data.sigma - 2 * l_exp * np.array(data.two_q, dtype=np.int64)
@@ -226,7 +216,7 @@ def closed_form_st_l_inverse_column(L: Lattice, l_exp: int) -> WeilColumn:
 
 def closed_form_v_inverse_column(L: Lattice) -> WeilColumn:
     """rho(V^{-1}) e_0 = e_{1_L} (characteristic element)."""
-    data = disc_data(L)
+    data = discriminant_group(L)
     comp = np.zeros((4, len(data.elements)), dtype=np.int64)
     comp[0, data.one_index] = 1
     return WeilColumn(Fraction(1), comp)

@@ -183,6 +183,27 @@ def test_lattice_that_is_not_two_elementary(capsys, argv):
     assert "2-elementary" in err
 
 
+def test_two_rank_above_the_class_table_cap(capsys):
+    # the invariants read no table over the classes; the lift reads 2q of each
+    code, out, _ = run_cli(capsys, "lattice-info", "U+U+A1^13")
+    assert code == 0
+    assert "2-rank l   13\n" in out
+    code, out, err = run_cli(capsys, "borcherds", "report", "U+U+A1^13")
+    assert code == 2 and out == ""
+    assert err == "error: discriminant group too large (l=13 > 12)\n"
+
+
+@pytest.mark.parametrize("argv", [("qseries", "f0"), ("borcherds", "report", "U+U+E8(2)")])
+def test_order_with_zero_denominator(capsys, argv):
+    # one usage error from argparse, not a ZeroDivisionError traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--order", "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.count("error: ") == 1
+    assert "argument --order: order has a zero denominator" in err
+
+
 def test_qseries_output(capsys):
     code, out, _ = run_cli(capsys, "qseries", "f0", "-k", "8", "--order", "3")
     assert code == 0
@@ -261,6 +282,15 @@ def test_verify_suite_json(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert all(c["ok"] for c in data["checks"])
+
+
+def test_verify_all_passes(capsys):
+    # every suite, as `twoelem verify all` prints it
+    code, out, _ = run_cli(capsys, "verify", "all")
+    rows = out.splitlines()
+    assert code == 0
+    assert rows[-1].startswith("OK: ")
+    assert rows[:-1] and all(row.startswith("[PASS] ") for row in rows[:-1])
 
 
 def test_verify_unknown_suite(capsys):

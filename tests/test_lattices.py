@@ -27,7 +27,7 @@ from twoelem import (
 )
 from twoelem import lattices
 from twoelem.lattices import _eliminate
-from twoelem.weil import disc_data, weil_column
+from twoelem.weil import weil_column
 
 
 def test_standard_grams():
@@ -122,6 +122,12 @@ def test_discriminant_group_sizes():
     assert len(discriminant_group(standard_lattice("D4"))) == 4
 
 
+def test_discriminant_group_refuses_other_orders():
+    # the one support gate: an elementary divisor 3 is refused at construction
+    with pytest.raises(ValueError, match="lattice is not 2-elementary: orders"):
+        discriminant_group(parse_lattice_expr("U(3)+A1"))
+
+
 @pytest.mark.parametrize("expr", ["U(2)+U+D4", "U+U(2)+A1^3", "A1+^2+A1^6"])
 def test_class_of_inverts_rep(expr):
     # index_of is the position of class_of in `elements`, on the coset
@@ -169,7 +175,7 @@ def test_tables_match_exhaustive_scan(names):
     # the generator tables against the Fraction scan over every class
     L = parse_lattice_expr("+".join(names))
     A = discriminant_group(L)
-    data = disc_data(L)
+    data = discriminant_group(L)
     elements = A.elements
     assert [el.coords for el in data.elements] == [el.coords for el in elements]
     qvals = [A.q(el) for el in elements]

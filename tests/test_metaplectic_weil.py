@@ -28,7 +28,6 @@ from twoelem.weil import (
     _zeta_shift,
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
-    disc_data,
     is_unitary,
     weil_column_of,
 )
@@ -133,7 +132,7 @@ def test_representation_relations(expr):
     # rho(S) rho(S) (two Walsh-Hadamard steps) commutes with rho(T), equals
     # rho((ST)^3), and equals the central shortcut rho(S^2) = rho(Z)
     S, T = ("S", 1), ("T", 1)
-    for j in range(len(disc_data(L).elements)):
+    for j in range(len(discriminant_group(L).elements)):
         ss = weil_column(L, [S, S], j)
         assert weil_column(L, [S, S, T], j) == weil_column(L, [T, S, S], j)
         assert weil_column(L, [S, T] * 3, j) == ss
@@ -153,20 +152,20 @@ def test_s_step_refuses_to_wrap():
     # A1^3 (l = 3): 2^58 is under 2^(62 - l) but not under 2^(61 - l), which
     # leaves room for the sqrt(2) map after the transform
     for expr, entry in [("A1^2", 2 ** 60), ("A1^3", 2 ** 58)]:
-        data = disc_data(parse_lattice_expr(expr))
+        data = discriminant_group(parse_lattice_expr(expr))
         comp = np.zeros((4, 2 ** data.l), dtype=np.int64)
         comp[0, 0] = entry
         with pytest.raises(OverflowError):
             _s_step(Fraction(1), comp, data, np.array(data.packed_by))
 
 
-def test_disc_data_makes_no_square_table(monkeypatch):
+def test_class_tables_make_no_square_table(monkeypatch):
     # at l = 12 one 2^l x 2^l int64 table alone would take 128 MiB
     monkeypatch.setattr(lattices, "_GROUPS", {})   # build the form afresh
     L = parse_lattice_expr("A1+^2+A1^10")
     tracemalloc.start()
     try:
-        A = disc_data(L)
+        A = discriminant_group(L)
         assert len(A.elements) == len(A.two_q) == len(A.packed_by) == 2 ** 12
         assert A.one_index == 2 ** 12 - 1
         peak = tracemalloc.get_traced_memory()[1]

@@ -14,6 +14,7 @@ from twoelem import (
     VVForm,
     construct_F,
     direct_sum,
+    discriminant_group,
     parse_lattice_expr,
     petersson_norm_point,
     product_eval,
@@ -25,7 +26,6 @@ from twoelem import (
 from twoelem.borcherds import short_vectors
 from twoelem.vvmf import borcherds_weight
 from twoelem.lattices import _eliminate, ellipsoid_lines
-from twoelem.weil import disc_data
 
 
 def test_short_vectors_identity_form():
@@ -179,7 +179,7 @@ def test_product_eval_majorant_follows_principal_part():
     # have dual coordinates (-1, 2) and (2, -1)
     L = standard_lattice("U")
     p = TubePoint(1, L, (0.1 + 1.5j, 0.2 + 1.4j))
-    F = VVForm(p.ambient(), Fraction(0), {(): QSeries({-2: 1}, trunc=40)})
+    F = VVForm(p.ambient(), Fraction(0), [QSeries({-2: 1}, trunc=40)])
     value, _ = product_eval(F, p, order=2, min_margin=0.0)
     z1, z2 = p.z
     want = (1 - cmath.exp(2j * cmath.pi * (-z1 + 2 * z2))) \
@@ -264,13 +264,13 @@ def test_separating_walls_filtered_by_F():
     walls, _ = separating_walls(L, v1, v2, pairing_bound=3)
     kept, _ = separating_walls(L, v1, v2, pairing_bound=3, F=F)
     det, adj, _, _ = _eliminate(L.gram)
-    reps = [(el, el.rep()) for el in disc_data(L).elements]
+    reps = [(i, el.rep()) for i, el in enumerate(discriminant_group(L).elements)]
 
     def coeff(w):
         lam = [Fraction(sum(a * m for a, m in zip(row, w.dual_coords)), det) for row in adj]
-        el = next(el for el, r in reps if all((a - b).denominator == 1
-                                               for a, b in zip(lam, r)))
-        return F.components[el.coords].coeff(w.norm / 2)
+        i = next(i for i, r in reps if all((a - b).denominator == 1
+                                           for a, b in zip(lam, r)))
+        return F.components[i].coeff(w.norm / 2)
 
     want = [w for w in walls if coeff(w)]
     assert 0 < len(want) < len(walls)
@@ -318,15 +318,15 @@ def _product_eval_pointwise(F, point, order, min_margin):
     with lam^2 a Fraction, its class from `class_of` and its coefficient
     from `QSeries.coeff`."""
     L, N, n = point.L, point.N, point.L.rank
-    data = disc_data(point.ambient())
+    data = discriminant_group(point.ambient())
     det, adj, _, _ = _eliminate(L.gram)
     Ginv = [[Fraction(a, det) for a in row] for row in adj]
     y, y2, cut = point.y(), point.y_norm2(), Fraction(order)
     A = [[2 * y[i] * y[j] / y2 - Ginv[i][j] for j in range(n)] for i in range(n)]
-    low = min([0] + [ser.min_exp() for ser in F.components.values() if ser.coeffs])
+    low = min([0] + [ser.min_exp() for ser in F.components if ser.coeffs])
 
     def coeff(nn, m, exponent):
-        ser = F.components[data.class_of((0, nn) + m).coords]
+        ser = F.components[data.elements.index(data.class_of((0, nn) + m))]
         if exponent >= ser.trunc:
             raise ValueError(f"product needs coefficient at exponent {exponent} beyond series "
                              f"truncation {ser.trunc}; rebuild F with a larger order")

@@ -18,8 +18,9 @@ mathematics is exact:
 
 Numerics are confined to the evaluation of complex values: mpmath for
 multiprecision, and numpy floats for Siegel theta rows at up to 53 bits.
-All series, matrices, lattice invariants and divisors are exact; numpy
-otherwise holds only the exact int64 blocks of Weil columns.
+All series, matrices, Weil columns, lattice invariants and divisors are
+exact; numpy now serves only `siegel`'s 53-bit rows and `weil.is_unitary`,
+and the names of `siegel` resolve on first access.
 """
 
 from .series import QSeries, qseries_mul, qseries_eval
@@ -54,16 +55,7 @@ from .vvmf import (
     lift_oracle_numeric,
 )
 from .borcherds import TubePoint, product_eval, petersson_norm_point, separating_walls
-from .siegel import (
-    ThetaChar,
-    SiegelPoint,
-    even_characteristics,
-    theta_constant,
-    chi_g,
-    chi_g8_petersson,
-    fay_family,
-    vanishing_order_fit,
-)
+from .characteristics import ThetaChar, even_characteristics
 from .k3graph import (
     Table1Row,
     K3Vertex,
@@ -75,3 +67,13 @@ from .k3graph import (
 )
 
 __version__ = "0.1.0"
+
+_SIEGEL = {"SiegelPoint", "theta_constant", "chi_g", "chi_g8_petersson", "fay_family",
+           "vanishing_order_fit"}
+
+
+def __getattr__(name):
+    if name in _SIEGEL:
+        from . import siegel
+        return getattr(siegel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,7 @@ from .lattices import (
     signature,
     two_elementary_invariants,
 )
-from .siegel import chi8_weight, even_characteristics
+from .characteristics import chi8_weight, even_characteristics
 from .vvmf import borcherds_weight, divisor_ledger
 
 EDGE_KINDS = ("odd", "even_wu", "even_nonwu")

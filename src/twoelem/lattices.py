@@ -328,39 +328,26 @@ def direct_sum(*lattices: Lattice) -> Lattice:
 
 # -- symbolic input ---------------------------------------------------------
 
-_TOKEN = re.compile(r"^(?P<base>U|A1\+|A1|D\d+|E7|E8)(?:\((?P<scale>\d+)\))?(?:\^(?P<pow>\d+))?$")
+_TOKEN = re.compile(r"^(?P<base>U|A1 |A1|D\d+|E7|E8)(?:\((?P<scale>\d+)\))?(?:\^(?P<pow>0*[1-9]\d*))?$")
 
 
 def parse_lattice_expr(expr: str) -> Lattice:
-    """Parse 'U+U(2)+E8(2)+A1^3' style expressions into a direct sum."""
-    parts = [p.strip() for p in expr.replace(" ", "").split("+")]
-    # re-join A1+ tokens that the split broke apart ("A1+..." -> "A1", "")
-    toks = []
-    i = 0
-    while i < len(parts):
-        p = parts[i]
-        if p == "A1" and i + 1 < len(parts) and (parts[i + 1] == "" or parts[i + 1].startswith("^") or parts[i + 1].startswith("(")):
-            # "A1+" was split into "A1" and a fragment
-            p = "A1+" + parts[i + 1]
-            i += 2
-        else:
-            i += 1
-        if p:
-            toks.append(p)
+    """Parse 'U+U(2)+E8(2)+A1^3' style expressions into a direct sum.
+
+    A '+' right after a whole A1 belongs to the summand A1+ when no summand
+    can start after it, and is marked by a space, which the input no longer
+    holds; every other '+' separates two nonempty summands.
+    """
+    text = re.sub(r"(?<![^+])A1\+(?=$|[+^(])", "A1 ", "".join(expr.split()))
     summands = []
-    for tok in toks:
+    for tok in text.split("+"):
         m = _TOKEN.match(tok)
         if not m:
-            raise ValueError(f"cannot parse lattice token {tok!r} in {expr!r}")
-        base = m.group("base")
-        name = {"A1+": "A1plus"}.get(base, base)
-        lat = standard_lattice(name)
+            raise ValueError(f"cannot parse lattice token {tok.replace(' ', '+')!r} in {expr!r}")
+        lat = standard_lattice({"A1 ": "A1plus"}.get(m.group("base"), m.group("base")))
         if m.group("scale"):
             lat = rescale(lat, int(m.group("scale")))
-        count = int(m.group("pow") or 1)
-        summands.extend([lat] * count)
-    if not summands:
-        raise ValueError(f"empty lattice expression {expr!r}")
+        summands.extend([lat] * int(m.group("pow") or 1))
     return direct_sum(*summands)
 
 

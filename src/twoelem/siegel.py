@@ -66,55 +66,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
 from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_pi,
                           round_nearest, to_fixed)
 
+from .characteristics import ThetaChar, chi8_weight, even_characteristics
 from .lattices import _eliminate, ellipsoid_lines
 from .weil import _fwht
-
-_G_CAP = 5  # 528 even characteristics at g = 5; enough for every genus here
-
-
-@dataclass(frozen=True)
-class ThetaChar:
-    """Half-integer characteristic (a, b), entries in {0, 1/2}."""
-
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        for x in self.a + self.b:
-            if x not in (Fraction(0), Fraction(1, 2)):
-                raise ValueError("characteristic entries must be 0 or 1/2")
-        if len(self.a) != len(self.b):
-            raise ValueError("characteristic a and b must have the same length")
-
-    @property
-    def is_even(self) -> bool:
-        return (4 * sum(x * y for x, y in zip(self.a, self.b))) % 2 == 0
-
-
-@lru_cache(maxsize=None)
-def _even_table(g: int) -> tuple:
-    # halves[i] has the bits of i, the first coordinate most significant, so
-    # (a, b) = (halves[i], halves[j]) is even iff popcount(i & j) is
-    halves = list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=g))
-    return tuple(ThetaChar(a, b) for i, a in enumerate(halves) for j, b in enumerate(halves)
-                 if bin(i & j).count("1") % 2 == 0)
-
-
-def even_characteristics(g: int):
-    """All even (a, b); 2^{g-1}(2^g + 1) of them for g >= 1, one for g = 0."""
-    if g < 0 or g > _G_CAP:
-        raise ValueError(f"genus must be between 0 and {_G_CAP}")
-    return list(_even_table(g))
-
 
 @dataclass
 class SiegelPoint:
@@ -292,9 +252,8 @@ def _fixed_row(lines, a, point: SiegelPoint, prec: int, eps):
         sums_im[cls] += ei
         sums_re[odd] += odr
         sums_im[odd] += odi
-    sums = _fwht(np.array([sums_re, sums_im], dtype=object))
     shift, packed, out, largest = wp + k, _packed(a), [], 0
-    for beta, (re, im) in enumerate(zip(*sums.tolist())):
+    for beta, (re, im) in enumerate(zip(_fwht(sums_re), _fwht(sums_im))):
         for _ in range(bin(packed & beta).count("1") % 4):
             re, im = -im, re
         largest = max(largest, abs(re) + abs(im))
@@ -333,7 +292,7 @@ def _theta_row(a, point: SiegelPoint, prec: int):
     sums[cls[first]] = np.add.reduceat(terms[order], first)
     alpha = _packed(a)
     return [z * (1, 1j, -1, -1j)[bin(alpha & beta).count("1") % 4]
-            for beta, z in enumerate(_fwht(sums).tolist())], eps
+            for beta, z in enumerate(_fwht(sums.tolist()))], eps
 
 
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
@@ -380,11 +339,6 @@ def _petersson(point: SiegelPoint, chi, prec: int):
 def chi_g(point: SiegelPoint, prec: int = 53):
     """Product of the even theta constants at Sigma, as an mpmath complex."""
     return _chi(_even_thetas(point, prec), prec)
-
-
-def chi8_weight(g: int) -> int:
-    """Weight of chi_g^8 as a Siegel modular form."""
-    return 2 ** (g + 1) * (2 ** g + 1)
 
 
 def chi_g8_petersson(point: SiegelPoint, prec: int = 53):

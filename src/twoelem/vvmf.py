@@ -273,8 +273,9 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
             slash = phi_val * jfac ** (-data.sigma)
             col = weil_column(L, mp2_word(g.inverse()))
             factor = slash * mpmath.mpf(col.scale.numerator) / col.scale.denominator
-            for i in col.comp.any(axis=0).nonzero()[0]:
-                values[i] += factor * sum(int(c) * z for c, z in zip(col.comp[:, i], zeta_pows))
+            for i, coeffs in enumerate(zip(*col.comp)):
+                if any(coeffs):
+                    values[i] += factor * sum(c * z for c, z in zip(coeffs, zeta_pows))
         return values, data
 
 

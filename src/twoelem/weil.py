@@ -12,30 +12,31 @@ zeta_8^{-sigma}, and sqrt(2) = zeta - zeta^3.  This holds for odd sigma as
 well, which the coset-sum oracle needs (e.g. U + A1plus has sigma = 1); no
 parity guard is imposed.
 
-A column is a `WeilColumn`: a positive Fraction `scale` times an int64 block
-`comp` of shape (4, 2^l), whose row k holds the zeta_8^k coefficients over
-the classes, indexed by their packed bit vectors.  The block is primitive
-(the gcd of its entries is 1), so the pair is canonical: two columns are
-equal iff their scales are equal and their blocks are.
+A column is a `WeilColumn`: a positive Fraction `scale` times a block
+`comp` of four lists of Python ints, row k holding the zeta_8^k coefficients
+over the classes, indexed by their packed bit vectors.  The block is
+primitive (the gcd of its entries is 1), so the pair is canonical: two
+columns are equal iff their scales are equal and their blocks are.
 
 The form is the lattice's `discriminant_group`, which refuses a lattice
 that is not 2-elementary; its tables over every class, and so every column
 here, stop at l = 12.  One evaluator serves every use: `weil_column` applies
 a word in S and T to a basis vector e_j, and the dense matrix `weil_rep`
-(l <= 8) is the list of its columns.  Every step stays in integers.  rho(T)
+(l <= 8) is the list of its columns.  Every step stays in Python ints,
+which cannot wrap; only the `is_unitary` oracle reads numpy.  rho(T)
 multiplies each class by a power of zeta_8, a gather of signed rows, and
 rho(Z) = rho(S^2) is the same gather with one shift for all classes.
-rho(S) is an unnormalised Walsh-Hadamard transform followed by the index map
-y -> By, since (-1)^{2b(x, y)} = (-1)^{popcount(x & By)}; then the gather
-by -sigma, for odd l the integer map that multiplies by sqrt(2), the factor
-2^{-ceil(l/2)} in the scale, and the block's gcd moved into the scale.
+rho(S) is an unnormalised Walsh-Hadamard transform followed by the index
+map y -> By, since (-1)^{2b(x, y)} = (-1)^{popcount(x & By)}; then the
+gather by -sigma, for odd l the integer map that multiplies by sqrt(2), the
+factor 2^{-ceil(l/2)} in the scale, and the block's gcd moved into the scale.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import add, sub
 
 from .lattices import DiscGroup, Lattice, discriminant_group
 from .mp2 import Mp2Element, mp2_word
@@ -47,96 +48,92 @@ _DENSE_L_CAP = 8
 # integer maps on Z[zeta_8] blocks (rows: the coefficients of zeta^0..zeta^3)
 # ---------------------------------------------------------------------------
 
-def _zeta_shift(comp: np.ndarray, t) -> np.ndarray:
+def _zeta_shift(comp: list, t) -> list:
     """comp times zeta^t, with t one integer or one per class: z^{k+4} = -z^k."""
-    idx = np.broadcast_to((np.arange(4)[:, None] - t) % 8, comp.shape)
-    return np.take_along_axis(np.concatenate([comp, -comp]), idx, axis=0)
+    ext = comp + [[-c for c in row] for row in comp]
+    if isinstance(t, int):
+        return [ext[(k - t) % 8] for k in range(4)]
+    return [[ext[(k - s) % 8][x] for x, s in enumerate(t)] for k in range(4)]
 
 
-def _times_sqrt2(comp: np.ndarray) -> np.ndarray:
+def _times_sqrt2(comp: list) -> list:
     """comp times sqrt(2) = zeta - zeta^3."""
     c0, c1, c2, c3 = comp
-    return np.stack([c1 - c3, c0 + c2, c1 + c3, c2 - c0])
+    return [[a - b for a, b in zip(c1, c3)], [a + b for a, b in zip(c0, c2)],
+            [a + b for a, b in zip(c1, c3)], [a - b for a, b in zip(c2, c0)]]
 
 
-def _conj(comp: np.ndarray) -> np.ndarray:
-    """Complex conjugation along axis -2: zeta^k -> zeta^{-k} = -zeta^{4-k}."""
-    return np.stack([comp[..., 0, :], -comp[..., 3, :], -comp[..., 2, :], -comp[..., 1, :]], axis=-2)
+def _conj(comp: list) -> list:
+    """Complex conjugation: zeta^k -> zeta^{-k} = -zeta^{4-k}."""
+    return [comp[0]] + [[-c for c in row] for row in comp[:0:-1]]
 
 
-# _MUL[k, m] is zeta^k * zeta^m = +-zeta^r as a row vector over r
-_MUL = np.array([[[((k + m) % 4 == r) * (1 if k + m < 4 else -1) for r in range(4)]
-                  for m in range(4)] for k in range(4)], dtype=np.int64)
+# _MUL[k][m] is zeta^k * zeta^m = +-zeta^r as a row vector over r
+_MUL = [[[((k + m) % 4 == r) * (1 if k + m < 4 else -1) for r in range(4)]
+         for m in range(4)] for k in range(4)]
 
 
-@dataclass(frozen=True, eq=False)
+def _basis(n: int, j: int) -> list:
+    """The block of e_j among n classes."""
+    return [[int(x == j) for x in range(n)]] + [[0] * n for _ in range(3)]
+
+
+@dataclass(frozen=True)
 class WeilColumn:
     """The column scale * sum_k comp[k] zeta_8^k, canonical: scale > 0, comp primitive."""
 
     scale: Fraction
-    comp: np.ndarray
-
-    def __eq__(self, other):
-        return (isinstance(other, WeilColumn) and self.scale == other.scale
-                and np.array_equal(self.comp, other.comp))
+    comp: list
 
 
-def _canonical(scale: Fraction, comp: np.ndarray, l: int = 0) -> WeilColumn:
+def _canonical(scale: Fraction, comp: list, l: int = 0) -> WeilColumn:
     """scale * 2^{-l/2} * comp with the gcd of the block moved into the scale."""
     if l % 2:
         comp = _times_sqrt2(comp)
-    g = np.gcd.reduce(comp, axis=None)
-    return WeilColumn(scale * Fraction(int(g), 2 ** ((l + 1) // 2)), comp // g)
+    g = math.gcd(*(c for row in comp for c in row))
+    if g > 1:
+        comp = [[c // g for c in row] for row in comp]
+    return WeilColumn(scale * Fraction(g, 2 ** ((l + 1) // 2)), comp)
 
 
 # ---------------------------------------------------------------------------
 # fast column evaluation
 # ---------------------------------------------------------------------------
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform along the last axis, in place.
+def _fwht(a: list) -> list:
+    """Unnormalised Walsh-Hadamard transform of a list of length 2^l.
 
-    Entry k of the result is sum_x a[..., x] * (-1)^{popcount(x & k)}.
-    `a` must be C-contiguous, so that each reshape below is a view of it.
+    Entry k of the result is sum_x a[x] * (-1)^{popcount(x & k)}.  Each of
+    the l stages takes the pairs (a[2i], a[2i+1]) to x + y at i and x - y at
+    i + 2^{l-1}, which works through the bits from the lowest and ends in
+    natural order.
     """
-    n = a.shape[-1]
-    h = 1
-    while h < n:
-        v = a.reshape(*a.shape[:-1], n // (2 * h), 2, h)
-        x, y = v[..., 0, :], v[..., 1, :]
-        v[..., 0, :], v[..., 1, :] = x + y, x - y
-        h *= 2
+    for _ in range(len(a).bit_length() - 1):
+        x, y = a[0::2], a[1::2]
+        a = list(map(add, x, y)) + list(map(sub, x, y))
     return a
 
 
-def _s_step(scale: Fraction, comp: np.ndarray, data: DiscGroup, by: np.ndarray) -> WeilColumn:
-    """rho(S) applied to scale * comp, with `by` the index array of `data.packed_by`.
-
-    The transform grows entries by at most 2^l and sqrt(2) by 2: a block that
-    could wrap int64 is refused.  `comp` is overwritten.
-    """
-    l = data.l
-    if np.abs(comp).max() >= 2 ** (61 - l):
-        raise OverflowError("Weil column state too large for an int64 transform")
-    return _canonical(scale, _zeta_shift(_fwht(comp)[:, by], -data.sigma), l)
+def _s_step(scale: Fraction, comp: list, data: DiscGroup) -> WeilColumn:
+    """rho(S) applied to scale * comp; a zero row stays as it is."""
+    rows = [list(map(_fwht(row).__getitem__, data.packed_by)) if any(row) else row
+            for row in comp]
+    return _canonical(scale, _zeta_shift(rows, -data.sigma), data.l)
 
 
 def weil_column(L: Lattice, word, start: int = 0) -> WeilColumn:
     """rho(word) e_start as an exact `WeilColumn`, word applied right-to-left."""
     data = discriminant_group(L)
-    two_q = np.array(data.two_q, dtype=np.int64)
-    by = np.array(data.packed_by, dtype=np.intp)
-    scale, comp = Fraction(1), np.zeros((4, len(two_q)), dtype=np.int64)
-    comp[0, start] = 1
+    scale, comp = Fraction(1), _basis(len(data.two_q), start)
     for gen, exp in reversed(list(word)):
         if gen == "T":
-            comp = _zeta_shift(comp, 2 * two_q * (exp % 8))
+            comp = _zeta_shift(comp, [2 * q * (exp % 8) for q in data.two_q])
         elif gen == "S":
             e = exp % 8
             # S^2 = Z and rho(Z) = i^{-sigma} * (e_g -> e_{-g}), with -g = g here
             comp = _zeta_shift(comp, -2 * data.sigma * (e // 2))
             if e % 2:
-                col = _s_step(scale, comp, data, by)
+                col = _s_step(scale, comp, data)
                 scale, comp = col.scale, col.comp
         else:
             raise ValueError(f"unknown generator {gen!r}")
@@ -163,13 +160,17 @@ def is_unitary(cols) -> bool:
 
     The Gram matrix of the blocks over Z[zeta_8] is one integer product of
     the blocks against their conjugates, reduced by zeta^4 = -1; it must
-    equal delta_ij / (s_i s_j) for the scales s_i.
+    equal delta_ij / (s_i s_j) for the scales s_i.  This oracle alone runs
+    on numpy, as one int64 einsum, and refuses blocks that could wrap it.
     """
-    blocks = np.stack([c.comp for c in cols])
+    import numpy as np
+
+    blocks = np.array([c.comp for c in cols], dtype=np.int64)  # OverflowError past int64
     if blocks.shape[-1] * 16 * int(np.abs(blocks).max()) ** 2 >= 2 ** 63:
         raise OverflowError("Weil column blocks too large for an int64 Gram matrix")
-    prod = np.einsum("ikx,jmx->ikjm", blocks, _conj(blocks), optimize=True)
-    gram = np.einsum("ikjm,kmr->ijr", prod, _MUL)
+    prod = np.einsum("ikx,jmx->ikjm", blocks, np.array([_conj(c.comp) for c in cols]),
+                     optimize=True)
+    gram = np.einsum("ikjm,kmr->ijr", prod, np.array(_MUL))
     n = len(cols)
     diag = gram[np.arange(n), np.arange(n), 0]
     gram[np.arange(n), np.arange(n), 0] = 0
@@ -185,16 +186,16 @@ def invariant_vector_check(L: Lattice, g: Mp2Element) -> int:
     if g.c % 4:
         raise ValueError("invariant_vector_check needs lower-left entry = 0 mod 4")
     col = weil_column_of(L, g, start=0)
-    others = np.flatnonzero(col.comp[:, 1:].any(axis=0))
-    if len(others):
+    others = [i for i, coeffs in enumerate(zip(*col.comp)) if i and any(coeffs)]
+    if others:
         raise AssertionError(
-            f"e_0 is not an eigenvector of rho(g): component {others[0] + 1} is nonzero"
+            f"e_0 is not an eigenvector of rho(g): component {others[0]} is nonzero"
         )
-    lam = col.comp[:, 0]
-    rows = np.flatnonzero(lam)
+    lam = [row[0] for row in col.comp]
+    rows = [k for k in range(4) if lam[k]]
     if col.scale != 1 or len(rows) != 1 or abs(lam[rows[0]]) != 1:
-        raise ArithmeticError(f"eigenvalue {col.scale} * {lam.tolist()} is not an 8th root of unity")
-    return int(rows[0]) + 4 * int(lam[rows[0]] < 0)
+        raise ArithmeticError(f"eigenvalue {col.scale} * {lam} is not an 8th root of unity")
+    return rows[0] + 4 * (lam[rows[0]] < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +209,12 @@ def closed_form_st_l_inverse_column(L: Lattice, l_exp: int) -> WeilColumn:
     where v_k sums the classes with q = k/2 mod 2.
     """
     data = discriminant_group(L)
-    ones = np.zeros((4, len(data.elements)), dtype=np.int64)
-    ones[0] = 1
-    t = data.sigma - 2 * l_exp * np.array(data.two_q, dtype=np.int64)
-    return _canonical(Fraction(1), _zeta_shift(ones, t), data.l)
+    n = len(data.two_q)
+    t = [data.sigma - 2 * l_exp * q for q in data.two_q]
+    return _canonical(Fraction(1), _zeta_shift([[1] * n] + [[0] * n for _ in range(3)], t), data.l)
 
 
 def closed_form_v_inverse_column(L: Lattice) -> WeilColumn:
     """rho(V^{-1}) e_0 = e_{1_L} (characteristic element)."""
     data = discriminant_group(L)
-    comp = np.zeros((4, len(data.elements)), dtype=np.int64)
-    comp[0, data.one_index] = 1
-    return WeilColumn(Fraction(1), comp)
+    return WeilColumn(Fraction(1), _basis(len(data.two_q), data.one_index))

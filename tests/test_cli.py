@@ -173,6 +173,14 @@ def test_lattice_info_parse_error(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("expr", ["U+", "+U", "U++U", "U+A1^0", "U+E8(2)^0"])
+def test_lattice_info_rejects_empty_summands_and_zero_powers(capsys, expr):
+    # each used to parse silently as U or U+U
+    code, out, err = run_cli(capsys, "lattice-info", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [("lattice-info", "U(3)+A1"),
                                   ("borcherds", "report", "U+U(3)+A1")])
 def test_lattice_that_is_not_two_elementary(capsys, argv):

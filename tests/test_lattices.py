@@ -191,9 +191,10 @@ def test_tables_match_exhaustive_scan(names):
     zeta_pows = np.exp(1j * np.pi * np.arange(4) / 4)
     for j in range(len(elements)):
         col = weil_column(L, [("S", 1)], j)
-        signs = 1 - 2 * (four_b[j] // 2 % 2)
-        assert (col.comp == col.comp[:, :1] * signs).all()
-        assert abs(float(col.scale) * zeta_pows @ col.comp[:, 0] - scalar) < 1e-12
+        signs = (1 - 2 * (four_b[j] // 2 % 2)).tolist()
+        assert all(row == [row[0] * s for s in signs] for row in col.comp)
+        assert abs(float(col.scale) * sum(z * row[0] for z, row in zip(zeta_pows, col.comp))
+                   - scalar) < 1e-12
 
 
 @pytest.mark.parametrize("expr, delta, char", [

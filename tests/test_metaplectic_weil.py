@@ -38,7 +38,7 @@ ZETA_POWS = np.exp(1j * np.pi * np.arange(4) / 4)
 
 def _embed(col):
     """The column as complex numbers, one per class."""
-    return float(col.scale) * (ZETA_POWS @ col.comp)
+    return float(col.scale) * (ZETA_POWS @ np.array(col.comp))
 
 
 def test_group_relations():
@@ -148,15 +148,17 @@ def test_long_words_stay_exact(expr, r):
     assert weil_column(L, long_word, 0) == weil_column(L, [("S", 2 * r % 8)], 0)
 
 
-def test_s_step_refuses_to_wrap():
-    # A1^3 (l = 3): 2^58 is under 2^(62 - l) but not under 2^(61 - l), which
-    # leaves room for the sqrt(2) map after the transform
-    for expr, entry in [("A1^2", 2 ** 60), ("A1^3", 2 ** 58)]:
+def test_s_step_exact_beyond_int64():
+    # Python ints do not wrap: an entry of 2^100 gives the same block, with
+    # the scale times 2^100 (l = 3 also takes the sqrt(2) map)
+    for expr in ["A1^2", "A1^3", "U(2)+U(2)"]:
         data = discriminant_group(parse_lattice_expr(expr))
-        comp = np.zeros((4, 2 ** data.l), dtype=np.int64)
-        comp[0, 0] = entry
-        with pytest.raises(OverflowError):
-            _s_step(Fraction(1), comp, data, np.array(data.packed_by))
+        n = len(data.two_q)
+        for j in (0, n - 1):
+            e_j = [[int(x == j) for x in range(n)]] + [[0] * n for _ in range(3)]
+            big = [[c * 2 ** 100 for c in row] for row in e_j]
+            col = _s_step(Fraction(1), e_j, data)
+            assert _s_step(Fraction(1), big, data) == WeilColumn(col.scale * 2 ** 100, col.comp)
 
 
 def test_class_tables_make_no_square_table(monkeypatch):
@@ -197,7 +199,7 @@ def _mul(a, b):
 
 def _entries(col):
     """The column as exact coefficient 4-tuples, one per class."""
-    return [[col.scale * int(c) for c in col.comp[:, i]] for i in range(col.comp.shape[1])]
+    return [[col.scale * c for c in coeffs] for coeffs in zip(*col.comp)]
 
 
 def test_word_product_matches_matrix_route():
@@ -222,8 +224,7 @@ def test_invariant_vector_eigenvalue():
     assert g.c % 4 == 0
     k = invariant_vector_check(L, g)
     assert 0 <= k < 8
-    e0 = np.zeros((4, 2), dtype=np.int64)
-    e0[0, 0] = 1
+    e0 = [[1, 0], [0, 0], [0, 0], [0, 0]]
     assert weil_column_of(L, g) == WeilColumn(Fraction(1), _zeta_shift(e0, k))
     # numeric check against the dense matrices
     mats = {"S": np.array([_embed(c) for c in weil_rep(L, MP2_S)]).T,

@@ -1,6 +1,11 @@
 """Module-level imports: the exact layers stay in Python ints, and the
-lattice, product, CLI and graph layers do not load the Weil representation."""
+lattice, product, CLI and graph layers do not load the Weil representation;
+at run time the exact commands load neither numpy nor `siegel`."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import twoelem
@@ -42,10 +47,44 @@ def _module_level_importers(imports) -> set:
     return found
 
 
-def test_only_weil_and_siegel_import_numpy_at_module_level():
-    assert _module_level_importers(_imports_numpy) == {"weil", "siegel"}
+def test_only_siegel_imports_numpy_at_module_level():
+    assert _module_level_importers(_imports_numpy) == {"siegel"}
 
 
 def test_lattice_product_cli_and_graph_layers_do_not_import_weil():
     found = _module_level_importers(_imports_weil)
     assert not found & {"lattices", "borcherds", "cli", "k3graph"}
+
+
+_EXACT_COMMANDS = """
+import contextlib, io, json, sys
+import twoelem, twoelem.cli
+codes = []
+for argv in (["lattice-info", "U+U(2)+E8(2)"],
+             ["borcherds", "report", "U+U(2)+E8(2)", "--order", "4"],
+             ["qseries", "f0"],
+             ["export-graph", "--format", "json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(twoelem.cli.main(argv))
+loaded = sorted(m for m in ("numpy", "twoelem.siegel") if m in sys.modules)
+from twoelem import SiegelPoint, chi_g
+try:
+    twoelem.no_such_name
+    missing = "resolved"
+except AttributeError:
+    missing = "AttributeError"
+print(json.dumps({"codes": codes, "loaded": loaded, "missing": missing,
+                  "lazy": [SiegelPoint.__module__, chi_g.__module__]}))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_siegel():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _EXACT_COMMANDS], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"] == []
+    # the Siegel names resolve on first access, unknown names still fail
+    assert result["lazy"] == ["twoelem.siegel", "twoelem.siegel"]
+    assert result["missing"] == "AttributeError"

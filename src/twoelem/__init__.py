@@ -17,10 +17,10 @@ mathematics is exact:
   lattice side to the Siegel side.
 
 Numerics are confined to the evaluation of complex values: mpmath for
-multiprecision, and numpy floats for Siegel theta rows at up to 53 bits.
+multiprecision, and complex doubles for Siegel theta rows at up to 53 bits.
 All series, matrices, Weil columns, lattice invariants and divisors are
-exact; numpy now serves only `siegel`'s 53-bit rows and `weil.is_unitary`,
-and the names of `siegel` resolve on first access.
+exact; numpy serves only the `weil.is_unitary` oracle, and the names of
+`siegel` resolve on first access.
 """
 
 from .series import QSeries, qseries_mul, qseries_eval

@@ -242,12 +242,22 @@ def ellipsoid_lines(minors, pivots, bound, centre=None):
         lo, hi = -((s + c) // (d * q)), (s - c) // (d * q)
         if k == 0:
             if lo <= hi:
-                yield lo, hi, tuple(m[1:])
-            return
-        for v in range(lo, hi + 1):
-            m[k], x[k] = v, q * v - p[k]
-            t = d * q * v + c
-            yield from descend(k - 1, rest - weight[k] * t * t)
+                yield lo, hi, ()
+        elif k == 1:   # layer 0 inline: one isqrt per line
+            d0, a01 = minors[0], pivots[0][1]
+            c0 = sum(a * y for a, y in zip(pivots[0][2:], x[2:])) - d0 * p[0]
+            tail = tuple(m[2:])
+            for v in range(lo, hi + 1):
+                t, c1 = d * q * v + c, c0 + a01 * (q * v - p[1])
+                s0 = math.isqrt((rest - weight[1] * t * t) // weight[0])
+                lo0, hi0 = -((s0 + c1) // (d0 * q)), (s0 - c1) // (d0 * q)
+                if lo0 <= hi0:
+                    yield lo0, hi0, (v,) + tail
+        else:
+            for v in range(lo, hi + 1):
+                m[k], x[k] = v, q * v - p[k]
+                t = d * q * v + c
+                yield from descend(k - 1, rest - weight[k] * t * t)
 
     bound = math.floor(q * q * Fraction(bound))
     if n and bound >= 0:

@@ -79,9 +79,25 @@ def f0(k: int, order) -> QSeries:
     return _f0_cached(k, Fraction(order))
 
 
+@lru_cache(maxsize=None)
+def _f1_cached(k: int, order: Fraction) -> QSeries:
+    return _eta_theta([(4, 8), (2, -16)], Fraction(1, 2), k, order) * -16
+
+
 def f1(k: int, order) -> QSeries:
     """-16 eta(4t)^8 theta_{1/2}^k / eta(2t)^16 = -2^{k+4} q^{k/4}(1 + ...)."""
-    return _eta_theta([(4, 8), (2, -16)], Fraction(1, 2), k, Fraction(order)) * -16
+    return _f1_cached(k, Fraction(order))
+
+
+@lru_cache(maxsize=None)
+def _slices_cached(k: int, order: Fraction) -> tuple:
+    """The four g_i(k) below `order`, from one pass over the grid of f0(k, 4 order)."""
+    f, terms = f0(k, 4 * order), ({}, {}, {}, {})
+    for n, c in enumerate(f.coeffs, f.start):
+        if c and n % f.denom == 0:   # the integer exponent l = n / denom goes to g_{l mod 4}
+            l = n // f.denom
+            terms[l % 4][Fraction(l, 4)] = c
+    return tuple(QSeries(t, order) for t in terms)
 
 
 def g_i(k: int, i: int, order) -> QSeries:
@@ -91,8 +107,7 @@ def g_i(k: int, i: int, order) -> QSeries:
     """
     if i not in (0, 1, 2, 3):
         raise ValueError("slice index must be 0..3")
-    order = Fraction(order)
-    return QSeries({e / 4: c for e, c in f0(k, 4 * order).items() if e % 4 == i}, order)
+    return _slices_cached(k, Fraction(order))[i]
 
 
 def eisenstein_e4(order) -> QSeries:

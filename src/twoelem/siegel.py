@@ -23,52 +23,100 @@ entry 2b of the Walsh-Hadamard transform of the sums of exp(pi i (n+a)^t
 Sigma (n+a)) over the 2^g classes of n mod 2.  The class of n is read off its
 low bits.  Bit vectors put the first coordinate in the most significant bit.
 
-Only the terms depend on the precision.  Up to 53 bits they are one numpy
-einsum and exp over the enumerated points, each class added by |term|
-ascending.  Above, `_fixed_row` computes the row in Python integers from
-start to finish.  A line (n_1, ..., n_{g-1} fixed) is walked in n_0, each
-term the Gaussian integer z = floor(2^(wp+k) exp(pi i v^t Sigma v)), v = n + a,
-taken partwise, with 2^k <= exp(pi mu_a): every term is at most 2^wp, and
-the row's largest one is near it even when the row lies far below 1.  The
-walk starts at the integer p nearest the exact minimiser of v^t (Im Sigma) v
-on the line, which is the line's Fincke-Pohst centre, and goes outward both
-ways: forward by r = exp(pi i (Sigma_00 + 2 (Sigma v)_0)), backward by
+Only the terms depend on the precision; both paths walk the same lines.  A
+line (n_1, ..., n_{g-1} fixed) is walked in n_0 from its peak p, the integer
+nearest the exact minimiser of v^t (Im Sigma) v on the line, which is the
+line's Fincke-Pohst centre, outward both ways: forward by
+r = exp(pi i (Sigma_00 + 2 (Sigma v)_0)), backward by
 exp(pi i (Sigma_00 - 2 (Sigma v)_0)), each ratio then stepping by
 s = exp(2 pi i Sigma_00).  From the peak on, every ratio has modulus at most
-1.  With 2^K Sigma a Gaussian integer matrix (its entries are binary
-floats), v^t Sigma v is exact over 4 2^K and both ratio exponents over 2^K,
-so a line start is one libmp `mpf_exp` and one `mpf_cos_sin_pi` on the exact
-argument, its angle reduced mod 2, at 10 bits above the fixed-point width,
-floored to an integer.  Ratios and s carry wp + x bits, 2^x > L, the longest
-walk from a peak.  Each term goes into one of the two parity sums of its
-line and these into the 2^g integer class sums; their Walsh-Hadamard
-transform and the power of i are exact, and each theta is rounded once to
-`prec` bits.
+1.  With 2^K Sigma = A a Gaussian integer matrix (its entries are binary
+floats) and X = 2v, Q = X^t A X and B_0 = (A X)_0 are exact Gaussian
+integers, built from the split of X into x_0 and the rest, so v^t Sigma v is
+exact over 4 2^K and both ratio exponents over 2^K.  Each term goes into one
+of the two parity sums of its line and these into the 2^g class sums; then
+the Walsh-Hadamard transform and the power of i.
 
-Rounding bound.  In units of 2^-(wp+k) a line start is within c_s = 3/2 of
-its exact value (under 1/16 from the libmp calls at a few ulps each, under
-sqrt 2 from the floors), and so are r and s in units of 2^-(wp+x); every
-product floors by less than sqrt 2.  The ratio after i steps is then within
-c_s + i (c_s + sqrt 2) of its value, in units of 2^-(wp+x), and since every
-exact term and ratio has modulus at most 1 in its units, the j-th term from
-a peak is within E_j <= c_s + sqrt 2 j + 2^-x sum_{i<j} (c_s + i (c_s +
-sqrt 2)) <= 1.55 + 2.88 j <= c (j + 1), c = 3, using j <= L < 2^x.  So every
-theta is within c W 2^-(wp+k) of the exact sum over the ellipsoid, W the
-sum over the terms of (steps from the peak + 1).  With
-wp = prec + bitlen(c W) + 4 that is at most 2^-(prec+4) 2^-k, within a
+Up to 53 bits `_float_row` walks in complex doubles.  Its seeds come from
+`_cis`, exp(pi i y / 2^e) for a Gaussian integer y = re + i im: with
+im / 2^e = n + f, n an integer, the modulus is exp(-n pi_hi) exp(-(n pi_lo +
+pi f)), pi_hi = pi to 32 bits so that n pi_hi is exact, and the angle is
+pi ((re mod 2^(e+1)) / 2^e); f and that quotient are each one correctly
+rounded int/int division.  `_cis` also returns exp(-pi i y / 2^e), from the
+reciprocal modulus and the same angle.  Lines with the same n_2, ...,
+n_{g-1} form a chain in n_1, and only each chain's central line is seeded:
+its peak term, its forward ratio and R_d = exp(pi i (d^t Sigma d +
+2 d^t Sigma v)), d = (delta, 1, 0, ..., 0) with delta the integer nearest
+-Im Sigma_01 / Im Sigma_00; the backward ratios are s and exp(2 pi i d^t
+Sigma d) times the reciprocals of the forward ones.  From there the peak
+term and the ratios are carried to the other lines of the chain, outward
+both ways, so that the carried error grows away from the largest terms: a
+step by +-d, which lands within 3/2 of the next line's minimiser, then at
+most one step in n_0 to that line's peak; each step multiplies the term by a
+carried ratio and every carried ratio by exp(2 pi i u^t Sigma w), u and w in
+{e_0, d}, five factors seeded once per point.  The terms in the ellipsoid
+are at least exp(-pi bound), a point a step by d lands on at least
+exp(-pi (bound + 9/4 Im Sigma_00)), and the ratios and factors used lie
+within exp(+-4 pi Im Sigma_00) and exp(+-2 pi (Im Sigma_11 + Im Sigma_00 / 4)).
+So a row with pi max(bound + 3 Im Sigma_00, 5 max_i Im Sigma_ii) >= 700,
+whose values could leave the normal double range, takes the integer walk at
+53 bits instead.
+
+Above 53 bits `_fixed_row` computes the row in Python integers from start
+to finish, each term the Gaussian integer z = floor(2^(wp+k) exp(pi i v^t
+Sigma v)), taken partwise, with 2^k <= exp(pi mu_a): every term is at most
+2^wp, and the row's largest one is near it even when the row lies far below
+1.  A line start is one libmp `mpf_exp` and one `mpf_cos_sin_pi` on the
+exact argument, its angle reduced mod 2, at 10 bits above the fixed-point
+width, floored to an integer.  Ratios and s carry wp + x bits, 2^x > L, the
+longest walk from a peak.  The class sums, their transform and the power of
+i are exact, and each theta is rounded once to `prec` bits.
+
+Fixed-point rounding bound.  In units of 2^-(wp+k) a line start is within
+c_s = 3/2 of its exact value (under 1/16 from the libmp calls at a few ulps
+each, under sqrt 2 from the floors), and so are r and s in units of
+2^-(wp+x); every product floors by less than sqrt 2.  The ratio after i
+steps is then within c_s + i (c_s + sqrt 2) of its value, in units of
+2^-(wp+x), and since every exact term and ratio has modulus at most 1 in its
+units, the j-th term from a peak is within E_j <= c_s + sqrt 2 j + 2^-x
+sum_{i<j} (c_s + i (c_s + sqrt 2)) <= 1.55 + 2.88 j <= c (j + 1), c = 3,
+using j <= L < 2^x.  So every theta is within c W 2^-(wp+k) of the exact sum
+over the ellipsoid, W the sum over the terms of (steps from the peak + 1).
+With wp = prec + bitlen(c W) + 4 that is at most 2^-(prec+4) 2^-k, within a
 factor 2 of 2^-(prec+4) times the row's largest term.  The last rounding
 adds at most 2^-prec |theta|; `_theta_row` returns the tail bound plus both.
+
+Float rounding bound, to first order in u = 2^-53.  A `_cis` value is within
+35 u of its modulus: the modulus within 16.6 u (1 ulp from each exp, 7.4 u
+from pi f, 3.2 u from the sum, u from the product and u from the
+reciprocal), the direction within 14.8 u from the angle and 2 u from cos
+and sin, and u from the products with the modulus.  A complex product adds
+at most sqrt 5 u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).
+With e = 38 u every seed is within e, the backward ratios at a chain's
+centre within 2 e, and each step multiplies every carried value by a factor
+within 35 u.  Let D be 1 plus the number of carry steps from the chain's
+seeds to a line.  Then every carried ratio is within (D + 1) e, and the
+term j steps from the line's peak within e (m + 1)(m + 2)/2, m = D + j;
+summed over a line walked f steps forward and b back, that is at most
+e (tet(D + f) + tet(D + b)), tet(k) = (k+1)(k+2)(k+3)/6.  A line of n terms
+adds them within u n^2 T, T its peak term, the largest on the line, with
+n^2 <= 2 (D+f+1)^2 + 2 (D+b+1)^2.  The class sums add at most u (N - 1) and
+the transform u g times the sum of n T over the lines, N the most lines in
+one class.  With every value in the normal range, `_float_row` returns the
+tail bound plus (1 + 2^-10) u times the sum over lines of T (38 tet(D + f)
++ 38 tet(D + b) + 2 (D+f+1)^2 + 2 (D+b+1)^2 + (N + g) n), T read off the
+computed peak term.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_pi,
                           round_nearest, to_fixed)
 
@@ -112,6 +160,11 @@ class SiegelPoint:
         if len(self._elim[2]) < g or any(d <= 0 for d in self._elim[2]):
             raise ValueError("Im Sigma must be positive definite")
         self._mins = {}   # a -> least v^t (Im Sigma) v over v != 0 in Z^g + a
+
+    @functools.cached_property
+    def _float_steps(self):
+        """The float walk's data at this point, see `_float_steps`."""
+        return _float_steps(self)
 
     @property
     def g(self) -> int:
@@ -177,7 +230,7 @@ def _truncation(a, point: SiegelPoint, prec: int):
     lo = hi = (math.sqrt(2 * g) + rho) / 2
     while _log_tail(g, rho, hi) > target:
         lo, hi = hi, 2 * hi
-    while hi - lo > 1e-9 * hi:
+    while hi - lo > 1e-3 * hi:   # hi meets the bound at every step
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if _log_tail(g, rho, mid) > target else (lo, mid)
     return Fraction(hi * hi / math.pi * (1 + 1e-12)), mpmath.exp(_log_tail(g, rho, hi))
@@ -263,36 +316,163 @@ def _fixed_row(lines, a, point: SiegelPoint, prec: int, eps):
     return out, eps + rounding
 
 
+_PI_HI = math.ldexp(round(math.ldexp(math.pi, 30)), -30)   # pi to 32 bits: n _PI_HI is exact
+with mpmath.workprec(120):
+    _PI_LO = float(mpmath.pi - _PI_HI)
+
+
+def _cis(x: int, e: int, w: int):
+    """exp(pi i y / 2^e) and exp(-pi i y / 2^e), y = re + i im given as
+    x = re 2^w + im with |im| < 2^(w-1), each within 35 u of its modulus
+    (module docstring).  With im / 2^e = n + f, n an integer, the modulus is
+    exp(-n _PI_HI) exp(-(n _PI_LO + pi f)), the first argument exact; f and
+    the angle, reduced mod 2, each come from one correctly rounded int/int
+    division.  The second value takes the reciprocal modulus and the
+    conjugate direction."""
+    im = (x + (1 << w - 1) & (1 << w) - 1) - (1 << w - 1)
+    n = im >> e
+    f = (im & (1 << e) - 1) / (1 << e)
+    mod = math.exp(-n * _PI_HI) * math.exp(-(n * _PI_LO + math.pi * f))
+    angle = math.pi * ((((x - im) >> w) % (2 << e)) / (1 << e))
+    return cmath.rect(mod, angle), cmath.rect(1 / mod, -angle)
+
+
+_ULP = 2.0 ** -53 * (1 + 2.0 ** -10)   # u, with room for the bound's own rounding
+_DEEP = 700   # float rows keep their values within exp(+-_DEEP), module docstring
+
+
+@functools.cache
+def _weight(m: int) -> int:
+    """38 tet(m) + 2 (m+1)^2, tet(m) = (m+1)(m+2)(m+3)/6 the sum of
+    (j+1)(j+2)/2 over 0 <= j <= m (module docstring)."""
+    return 38 * ((m + 1) * (m + 2) * (m + 3) // 6) + 2 * (m + 1) ** 2
+
+
+def _float_line(z: complex, rf: complex, rb: complex, s: complex, f: int, b: int):
+    """`_walk` in complex doubles, both ways: the sums of the terms of a line
+    an even, then an odd number of steps from its peak term z, walked f steps
+    forward by rf and b back by rb, each ratio stepping by s."""
+    even, odd = z, 0j
+    for r, steps in ((rf, f), (rb, b)):
+        t = z
+        for _ in range(steps >> 1):
+            t *= r
+            r *= s
+            odd += t
+            t *= r
+            r *= s
+            even += t
+        if steps & 1:
+            odd += t * r
+    return even, odd
+
+
+def _float_steps(point: SiegelPoint):
+    """(w, P, delta, dad, steps): A = 2^K Sigma as the Gaussian integers
+    P_ij = re 2^w + im, w wide enough that every value `_float_row` unpacks
+    has |im| < 2^(w-1); delta the integer nearest -Im Sigma_01 / Im Sigma_00,
+    so d = (delta, 1, 0, ...); d^t A d packed the same way; and the step
+    factors E, 1/E, F, 1/F, G, the exp(2 pi i u^t Sigma v) for u^t v =
+    e_0^t e_0, e_0^t d and d^t d."""
+    g, K, Aim = point.g, point._K, point._imag
+    diag = [Aim[i][i] for i in range(g)]
+    delta = (diag[0] - 2 * Aim[0][1]) // (2 * diag[0]) if g > 1 else 0
+    # |X_i|^2 <= 4 bound 2^K tr^(g-1) / det, tr and det those of 2^K Im Sigma, and on the
+    # float path pi bound < _DEEP, so |X_i|^2 < xmax
+    xmax = 4 * _DEEP * point._den * sum(diag) ** (g - 1) // point._elim[0] + 1
+    w = max(diag).bit_length() + xmax.bit_length() + 2 * (g * (abs(delta) + 2)).bit_length() + 4
+    P = [[(x << w) + y for x, y in zip(rr, ri)] for rr, ri in zip(point._real, Aim)]
+    steps, dad = _cis(2 * P[0][0], K, w), 0
+    if g > 1:
+        ad0 = delta * P[0][0] + P[0][1]                             # (A d)_0
+        dad = delta * (delta * P[0][0] + 2 * P[0][1]) + P[1][1]     # d^t A d
+        steps += _cis(2 * ad0, K, w) + _cis(2 * dad, K, w)[:1]
+    return w, P, delta, dad, steps
+
+
+def _float_row(lines, a, point: SiegelPoint, eps):
+    """The 53-bit `_theta_row`: the float walk of the module docstring, the
+    peaks carried along each chain from its central line."""
+    g, K, Aim = point.g, point._K, point._imag
+    w, P, delta, dad, (E, Einv, *FG) = point._float_steps
+    mul = int.__mul__
+    alpha = [int(2 * x) for x in a]
+    al0, alr, p00 = alpha[0], alpha[1:], P[0][0]
+    row0, rows = P[0][1:], [r[1:] for r in P[1:]]
+    top, den = Aim[0][0] * (1 - al0), 2 * Aim[0][0]   # a line's peak is (top - Im C) // den
+    if g > 1:
+        F, Finv, G = FG
+        cstep, p10 = 2 * Aim[0][1], P[1][0]
+    else:   # the one line, as a chain with m_1 = 0
+        lines = [(lo, hi, (0,)) for lo, hi, _ in lines]
+    bit1, bit0 = (1 << g - 2 if g > 1 else 0), 1 << g - 1
+    half, mask = 1 << w - 1, (1 << w) - 1
+    sums = [[] for _ in range(2 ** g)]
+    weight = mass = 0.0
+    for _, chain in itertools.groupby(lines, key=lambda ln: ln[2][1:]):
+        chain = list(chain)
+        c = len(chain) // 2
+        rest = chain[c][2]
+        # the seeds at the peak of the central line, from exact Gaussian integers:
+        # C = (A X)_0 - A_00 x_0, B_0 = (A X)_0, Q = X^t A X, (A X)_1
+        Xr = [2 * r + al for r, al in zip(rest, alr)]
+        C = sum(map(mul, row0, Xr))
+        ci = (C + half & mask) - half
+        p0 = (top - ci) // den
+        x0 = 2 * p0 + al0
+        Y = [sum(map(mul, r, Xr)) for r in rows]
+        B0 = p00 * x0 + C
+        z0 = _cis(x0 * (B0 + C) + sum(map(mul, Xr, Y)), K + 2, w)[0]
+        rf0, rb0 = _cis(p00 + B0, K, w)
+        rb0 *= E   # exp(pi i (A_00 - B_0) / 2^K): one step from a seed
+        base = 0
+        for r in rest[1:]:
+            base = base << 1 | r & 1
+        for part, sgn in ((chain[c:], 1), (chain[c - 1::-1] if c else [], -1)):
+            # D = 1 + the carry steps: rb0 and the backward rd are a step from a seed
+            z, rf, rb, p, m1, cim, D = z0, rf0, rb0, p0, rest[0], ci, 1
+            if len(part) > (sgn > 0):   # d^t A X = delta B_0 + (A X)_1
+                rd = _cis(dad + delta * B0 + p10 * x0 + Y[0], K, w)
+                rd = rd[0] if sgn > 0 else rd[1] * G
+                Fs, Fi = (F, Finv) if sgn > 0 else (Finv, F)
+            for lo, hi, mr in part:
+                while m1 != mr[0]:   # a step by sgn d, then the shift to that line's peak
+                    z, rd, rf, rb = z * rd, rd * G, rf * Fs, rb * Fi
+                    p, m1, cim, D = p + sgn * delta, m1 + sgn, cim + sgn * cstep, D + 1
+                    peak = (top - cim) // den
+                    while peak > p:
+                        z, rf, rb, rd, p, D = z * rf, rf * E, rb * Einv, rd * Fs, p + 1, D + 1
+                    while peak < p:
+                        z, rb, rf, rd, p, D = z * rb, rb * E, rf * Einv, rd * Fi, p - 1, D + 1
+                # the line's terms outward from its peak, summed by the parity of n_0 - p
+                even, odd = _float_line(z, rf, rb, E, hi - p, p - lo)
+                cls = base | (m1 & 1) * bit1 | (p & 1) * bit0
+                sums[cls].append(even)
+                sums[cls ^ bit0].append(odd)
+                t = abs(z)
+                weight += t * (_weight(D + hi - p) + _weight(D + p - lo))
+                mass += t * (hi - lo + 1)
+    weight += mass * (max(map(len, sums)) + g)
+    packed = _packed(a)
+    row = _fwht([sum(zs, 0j) for zs in sums])
+    return [z * (1, 1j, -1, -1j)[bin(packed & beta).count("1") % 4]
+            for beta, z in enumerate(row)], eps + weight * _ULP
+
+
 def _theta_row(a, point: SiegelPoint, prec: int):
     """([theta_{a,b}(Sigma) for 2b = 0 .. 2^g - 1], eps) from one pass over
-    the ellipsoid; eps bounds the error of every entry: the tail bound, plus
-    above 53 bits the stated rounding bound."""
+    the ellipsoid; eps bounds the error of every entry: the tail bound plus
+    the stated rounding bound."""
     g = point.g
     if g == 0:
         return [mpmath.mpc(1) if prec > 53 else complex(1)], mpmath.mpf(0)
     a = [Fraction(x) for x in a]
     bound, eps = _truncation(a, point, prec)
     lines = list(point._lines(bound, a))
-    if prec > 53:
-        return _fixed_row(lines, a, point, prec, eps)
-    count = np.array([hi - lo + 1 for lo, hi, _ in lines])
-    n = np.repeat(np.array([(lo,) + rest for lo, _, rest in lines], dtype=np.int64), count, axis=0)
-    n[:, 0] += np.arange(len(n)) - np.repeat(np.cumsum(count) - count, count)
-    cls = np.zeros(len(n), dtype=np.int64)
-    for col in n.T:
-        cls <<= 1
-        cls |= col & 1
-    v = n + np.array([float(x) for x in a])  # exact: half-integers
-    S = np.array(point.sigma, dtype=complex)
-    terms = np.exp(1j * np.pi * np.einsum("ki,ij,kj->k", v, S, v))
-    order = np.lexsort((np.abs(terms), cls))  # class, then |term| ascending
-    cls = cls[order]
-    first = np.flatnonzero(np.diff(cls, prepend=-1))
-    sums = np.zeros(2 ** g, dtype=complex)
-    sums[cls[first]] = np.add.reduceat(terms[order], first)
-    alpha = _packed(a)
-    return [z * (1, 1j, -1, -1j)[bin(alpha & beta).count("1") % 4]
-            for beta, z in enumerate(_fwht(sums.tolist()))], eps
+    diag = [point._imag[i][i] / point._den for i in range(g)]
+    if prec > 53 or math.pi * max(float(bound) + 3 * diag[0], 5 * max(diag)) >= _DEEP:
+        return _fixed_row(lines, a, point, max(prec, 53), eps)
+    return _float_row(lines, a, point, eps)
 
 
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):

@@ -1,6 +1,7 @@
-"""Module-level imports: the exact layers stay in Python ints, and the
-lattice, product, CLI and graph layers do not load the Weil representation;
-at run time the exact commands load neither numpy nor `siegel`."""
+"""Module-level imports: no module imports numpy, and the lattice, product,
+CLI and graph layers do not load the Weil representation; at run time the
+exact commands load neither numpy nor `siegel`, and the Siegel commands do
+not load numpy."""
 import ast
 import json
 import os
@@ -47,8 +48,8 @@ def _module_level_importers(imports) -> set:
     return found
 
 
-def test_only_siegel_imports_numpy_at_module_level():
-    assert _module_level_importers(_imports_numpy) == {"siegel"}
+def test_no_module_imports_numpy_at_module_level():
+    assert _module_level_importers(_imports_numpy) == set()
 
 
 def test_lattice_product_cli_and_graph_layers_do_not_import_weil():
@@ -56,16 +57,21 @@ def test_lattice_product_cli_and_graph_layers_do_not_import_weil():
     assert not found & {"lattices", "borcherds", "cli", "k3graph"}
 
 
-_EXACT_COMMANDS = """
+_COMMANDS = """
 import contextlib, io, json, sys
 import twoelem, twoelem.cli
-codes = []
-for argv in (["lattice-info", "U+U(2)+E8(2)"],
-             ["borcherds", "report", "U+U(2)+E8(2)", "--order", "4"],
-             ["qseries", "f0"],
-             ["export-graph", "--format", "json"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(twoelem.cli.main(argv))
+
+def run(*argvs):
+    codes = []
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(twoelem.cli.main(argv))
+    return codes
+
+codes = run(["lattice-info", "U+U(2)+E8(2)"],
+            ["borcherds", "report", "U+U(2)+E8(2)", "--order", "4"],
+            ["qseries", "f0"],
+            ["export-graph", "--format", "json"])
 loaded = sorted(m for m in ("numpy", "twoelem.siegel") if m in sys.modules)
 from twoelem import SiegelPoint, chi_g
 try:
@@ -73,14 +79,19 @@ try:
     missing = "resolved"
 except AttributeError:
     missing = "AttributeError"
+siegel_codes = run(["siegel", "eval", "--sigma", sys.argv[1], "--prec", "53"],
+                   ["verify", "siegel"])
 print(json.dumps({"codes": codes, "loaded": loaded, "missing": missing,
-                  "lazy": [SiegelPoint.__module__, chi_g.__module__]}))
+                  "lazy": [SiegelPoint.__module__, chi_g.__module__],
+                  "siegel_codes": siegel_codes, "numpy_after_siegel": "numpy" in sys.modules}))
 """
 
 
-def test_exact_commands_load_neither_numpy_nor_siegel():
+def test_exact_commands_load_neither_numpy_nor_siegel(tmp_path):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps([[[0.3, 1.1], [-0.2, 0.4]], [[-0.2, 0.4], [0.1, 1.3]]]))
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", _EXACT_COMMANDS], env=env,
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS, str(sigma)], env=env,
                           capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0]
@@ -88,3 +99,6 @@ def test_exact_commands_load_neither_numpy_nor_siegel():
     # the Siegel names resolve on first access, unknown names still fail
     assert result["lazy"] == ["twoelem.siegel", "twoelem.siegel"]
     assert result["missing"] == "AttributeError"
+    # the 53-bit theta rows and the siegel suite run without numpy too
+    assert result["siegel_codes"] == [0, 0]
+    assert result["numpy_after_siegel"] is False

@@ -452,6 +452,34 @@ def _diagonal_point(g, diag, off):
                              for i in range(g)))
 
 
+# (Sigma, floats): the 53-bit rows come from the float walk, except those of
+# Sigma = 300i, whose step factors leave the double range
+_FLOAT_ROW_POINTS = [(sig, True) for sig, _ in _REFERENCE_POINTS] + [
+    (_roadmap_point(4).sigma, True),
+    (_diagonal_point(3, 40, 0.1).sigma, True),   # the rows with a != 0 lie far below 1
+    (((0.1 + 300j,),), False),
+]
+
+
+@pytest.mark.parametrize("sigma, floats", [
+    pytest.param(sig, floats, id=f"g{len(sig)}-{i}")
+    for i, (sig, floats) in enumerate(_FLOAT_ROW_POINTS)])
+def test_float_rows_within_their_bound(sigma, floats):
+    # every 53-bit row is held to the 100-bit one within the sum of the two
+    # returned bounds: tail plus stated rounding on both sides; the 53-bit
+    # bound itself stays within 2^-36 of the row's largest entry
+    point = SiegelPoint(sigma)
+    for a in itertools.product((0, 0.5), repeat=point.g):
+        row, eps = _theta_row(a, point, 53)
+        ref, eps_ref = _theta_row(a, point, 100)
+        assert all(isinstance(z, complex) for z in row) == floats
+        with mpmath.workprec(100):
+            largest = max(abs(w) for w in ref)
+            assert 0 < largest and eps < 2.0 ** -36 * largest
+            for b, (z, w) in enumerate(zip(row, ref)):
+                assert abs(z - w) <= eps + eps_ref, (a, b)
+
+
 @pytest.mark.parametrize("g, diag, want", [(3, 40, "1.23394383e-9673"), (5, 3, "7.68126271e-13757")])
 def test_petersson_norm_below_the_double_range(g, diag, want):
     # the 16th power of a product of 36 or 528 thetas is far below the

@@ -32,18 +32,26 @@ class ThetaChar:
 
 
 @lru_cache(maxsize=None)
-def _even_table(g: int) -> tuple:
-    # halves[i] has the bits of i, the first coordinate most significant, so
-    # (a, b) = (halves[i], halves[j]) is even iff popcount(i & j) is
+def _even_rows(g: int) -> tuple:
+    """The even characteristics grouped by a, as (a, the packed 2b of the even
+    (a, b)) per a in `even_characteristics` order; a packed index has the bits
+    of 2b, the first coordinate most significant, so (halves[i], halves[j])
+    is even iff popcount(i & j) is."""
+    if g < 0 or g > _G_CAP:
+        raise ValueError(f"genus must be between 0 and {_G_CAP}")
     halves = list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=g))
-    return tuple(ThetaChar(a, b) for i, a in enumerate(halves) for j, b in enumerate(halves)
-                 if bin(i & j).count("1") % 2 == 0)
+    return tuple((a, tuple(j for j in range(2 ** g) if bin(i & j).count("1") % 2 == 0))
+                 for i, a in enumerate(halves))
+
+
+@lru_cache(maxsize=None)
+def _even_table(g: int) -> tuple:
+    rows = _even_rows(g)   # row i has a = halves[i]
+    return tuple(ThetaChar(a, rows[j][0]) for a, js in rows for j in js)
 
 
 def even_characteristics(g: int):
     """All even (a, b); 2^{g-1}(2^g + 1) of them for g >= 1, one for g = 0."""
-    if g < 0 or g > _G_CAP:
-        raise ValueError(f"genus must be between 0 and {_G_CAP}")
     return list(_even_table(g))
 
 

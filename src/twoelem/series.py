@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-import mpmath
-
 
 def _num(x):
     """A rational as an int when it is integral."""
@@ -289,6 +287,8 @@ def qseries_eval(a: QSeries, tau, prec: int = 53):
     stored terms, or 1): adequate for identity testing, not a rigorous
     enclosure.
     """
+    import mpmath
+
     with mpmath.workprec(prec):
         tau = mpmath.mpc(tau)
         if mpmath.im(tau) <= 0:

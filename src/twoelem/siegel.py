@@ -23,89 +23,67 @@ entry 2b of the Walsh-Hadamard transform of the sums of exp(pi i (n+a)^t
 Sigma (n+a)) over the 2^g classes of n mod 2.  The class of n is read off its
 low bits.  Bit vectors put the first coordinate in the most significant bit.
 
-Only the terms depend on the precision; both paths walk the same lines.  A
-line (n_1, ..., n_{g-1} fixed) is walked in n_0 from its peak p, the integer
-nearest the exact minimiser of v^t (Im Sigma) v on the line, which is the
-line's Fincke-Pohst centre, outward both ways: forward by
-r = exp(pi i (Sigma_00 + 2 (Sigma v)_0)), backward by
-exp(pi i (Sigma_00 - 2 (Sigma v)_0)), each ratio then stepping by
-s = exp(2 pi i Sigma_00).  From the peak on, every ratio has modulus at most
-1.  With 2^K Sigma = A a Gaussian integer matrix (its entries are binary
-floats) and X = 2v, Q = X^t A X and B_0 = (A X)_0 are exact Gaussian
-integers, built from the split of X into x_0 and the rest, so v^t Sigma v is
-exact over 4 2^K and both ratio exponents over 2^K.  Each term goes into one
-of the two parity sums of its line and these into the 2^g class sums; then
-the Walsh-Hadamard transform and the power of i.
+The chain walk.  A line (n_1, ... fixed) is summed in n_0 both ways from
+its peak, the integer nearest its exact minimiser of v^t (Im Sigma) v, by
+R_{+-e_0}, each ratio stepping by exp(2 pi i Sigma_00), all of modulus at
+most 1.  Lines with the same n_2, ... form a chain, chains with the same
+n_3, ... a sheet.  A step by u multiplies the term by R_u = exp(pi i (u^t
+Sigma u + 2 u^t Sigma v)) and each R_w by exp(2 pi i w^t Sigma u); the walk
+carries the term and R_+-u, u in {e_0, d_1, d_2}: d_1 = (delta, 1, 0, ...)
+with delta nearest -Im Sigma_01 / Im Sigma_00, d_2 = (delta_20, delta_21,
+1, 0, ...) with delta_21 nearest the n_1 shift of the slice minimiser per
+unit n_2, delta_20 nearest the n_0 shift of the line minimiser along (0,
+delta_21, 1).  A sheet is seeded once, at the peak of the centre line n_1^*
+(nearest the slice minimiser) of its middle chain: the term and the R_u
+from exact Gaussian integers (X^t A X and u^t A u + u^t A X, 2^K Sigma = A,
+X = 2v), R_-u = exp(2 pi i u^t Sigma u) / R_u; the factors once per point.
+The walk goes outward, so that the carried error grows away from the
+largest terms: to the next chain's centre by +-d_2, then in n_0 to the peak
+and by d_1 to n_1^*; to a line by +-d_1 from its chain's centre, each step
+followed by at most one in n_0.  D is 1 plus the steps from the seeds.
 
-Up to 53 bits `_float_row` walks in complex doubles.  Its seeds come from
-`_cis`, exp(pi i y / 2^e) for a Gaussian integer y = re + i im: with
-im / 2^e = n + f, n an integer, the modulus is exp(-n pi_hi) exp(-(n pi_lo +
-pi f)), pi_hi = pi to 32 bits so that n pi_hi is exact, and the angle is
-pi ((re mod 2^(e+1)) / 2^e); f and that quotient are each one correctly
-rounded int/int division.  `_cis` also returns exp(-pi i y / 2^e), from the
-reciprocal modulus and the same angle.  Lines with the same n_2, ...,
-n_{g-1} form a chain in n_1, and only each chain's central line is seeded:
-its peak term, its forward ratio and R_d = exp(pi i (d^t Sigma d +
-2 d^t Sigma v)), d = (delta, 1, 0, ..., 0) with delta the integer nearest
--Im Sigma_01 / Im Sigma_00; the backward ratios are s and exp(2 pi i d^t
-Sigma d) times the reciprocals of the forward ones.  From there the peak
-term and the ratios are carried to the other lines of the chain, outward
-both ways, so that the carried error grows away from the largest terms: a
-step by +-d, which lands within 3/2 of the next line's minimiser, then at
-most one step in n_0 to that line's peak; each step multiplies the term by a
-carried ratio and every carried ratio by exp(2 pi i u^t Sigma w), u and w in
-{e_0, d}, five factors seeded once per point.  The terms in the ellipsoid
-are at least exp(-pi bound), a point a step by d lands on at least
-exp(-pi (bound + 9/4 Im Sigma_00)), and the ratios and factors used lie
-within exp(+-4 pi Im Sigma_00) and exp(+-2 pi (Im Sigma_11 + Im Sigma_00 / 4)).
-So a row with pi max(bound + 3 Im Sigma_00, 5 max_i Im Sigma_ii) >= 700,
-whose values could leave the normal double range, takes the integer walk at
-53 bits instead.
-
-Above 53 bits `_fixed_row` computes the row in Python integers from start
-to finish, each term the Gaussian integer z = floor(2^(wp+k) exp(pi i v^t
-Sigma v)), taken partwise, with 2^k <= exp(pi mu_a): every term is at most
-2^wp, and the row's largest one is near it even when the row lies far below
-1.  A line start is one libmp `mpf_exp` and one `mpf_cos_sin_pi` on the
-exact argument, its angle reduced mod 2, at 10 bits above the fixed-point
-width, floored to an integer.  Ratios and s carry wp + x bits, 2^x > L, the
-longest walk from a peak.  The class sums, their transform and the power of
-i are exact, and each theta is rounded once to `prec` bits.
-
-Fixed-point rounding bound.  In units of 2^-(wp+k) a line start is within
-c_s = 3/2 of its exact value (under 1/16 from the libmp calls at a few ulps
-each, under sqrt 2 from the floors), and so are r and s in units of
-2^-(wp+x); every product floors by less than sqrt 2.  The ratio after i
-steps is then within c_s + i (c_s + sqrt 2) of its value, in units of
-2^-(wp+x), and since every exact term and ratio has modulus at most 1 in its
-units, the j-th term from a peak is within E_j <= c_s + sqrt 2 j + 2^-x
-sum_{i<j} (c_s + i (c_s + sqrt 2)) <= 1.55 + 2.88 j <= c (j + 1), c = 3,
-using j <= L < 2^x.  So every theta is within c W 2^-(wp+k) of the exact sum
-over the ellipsoid, W the sum over the terms of (steps from the peak + 1).
-With wp = prec + bitlen(c W) + 4 that is at most 2^-(prec+4) 2^-k, within a
-factor 2 of 2^-(prec+4) times the row's largest term.  The last rounding
-adds at most 2^-prec |theta|; `_theta_row` returns the tail bound plus both.
+Up to 53 bits the values are complex doubles.  `_cis` gives exp(+-pi i y /
+2^e), y = re + i im: with im / 2^e = n + f, n an integer, the modulus is
+exp(-n pi_hi) exp(-(n pi_lo + pi f)), n pi_hi exact, and the angle
+pi ((re mod 2^(e+1)) / 2^e), f and that quotient each one correctly rounded
+int/int division.  A visited v lies within 1 in n_0 of its line's minimiser,
+on a line below the bound or, after a step by d_2, within 1 in n_1 of its
+slice's minimiser: v^t (Im Sigma) v <= B = bound + Im Sigma_00 + Im Sigma_11.
+By Cauchy-Schwarz the ratios lie within exp(+-pi (U + 2 sqrt(U B))) and the
+factors within exp(+-2 pi U), U the largest u^t (Im Sigma) u; a row with
+pi max(B, 2 U, U + 2 sqrt(U B)) >= 700 takes the multiprecision walk.
 
 Float rounding bound, to first order in u = 2^-53.  A `_cis` value is within
 35 u of its modulus: the modulus within 16.6 u (1 ulp from each exp, 7.4 u
 from pi f, 3.2 u from the sum, u from the product and u from the
-reciprocal), the direction within 14.8 u from the angle and 2 u from cos
-and sin, and u from the products with the modulus.  A complex product adds
-at most sqrt 5 u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).
-With e = 38 u every seed is within e, the backward ratios at a chain's
-centre within 2 e, and each step multiplies every carried value by a factor
-within 35 u.  Let D be 1 plus the number of carry steps from the chain's
-seeds to a line.  Then every carried ratio is within (D + 1) e, and the
-term j steps from the line's peak within e (m + 1)(m + 2)/2, m = D + j;
-summed over a line walked f steps forward and b back, that is at most
-e (tet(D + f) + tet(D + b)), tet(k) = (k+1)(k+2)(k+3)/6.  A line of n terms
-adds them within u n^2 T, T its peak term, the largest on the line, with
-n^2 <= 2 (D+f+1)^2 + 2 (D+b+1)^2.  The class sums add at most u (N - 1) and
-the transform u g times the sum of n T over the lines, N the most lines in
-one class.  With every value in the normal range, `_float_row` returns the
-tail bound plus (1 + 2^-10) u times the sum over lines of T (38 tet(D + f)
-+ 38 tet(D + b) + 2 (D+f+1)^2 + 2 (D+b+1)^2 + (N + g) n), T read off the
-computed peak term.
+reciprocal), the direction within 14.8 u from the angle and 2 u from cos and
+sin, and u from the products with the modulus.  A complex product adds
+sqrt 5 u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  With e =
+38 u a seed is within e, R_-u at a seed within 2 e, and a step multiplies
+each carried value by a factor within 35 u: a carried ratio is within (D +
+1) e, the term j steps from the peak within e (m + 1)(m + 2)/2, m = D + j,
+and a line walked f steps forward and b back within e (tet(D + f) + tet(D +
+b)), tet(k) = (k+1)(k+2)(k+3)/6.  Its n terms add within u n^2 T, T its peak
+term, n^2 <= 2 (D+f+1)^2 + 2 (D+b+1)^2; the class sums add u (N - 1) and the
+transform u g times the sum of n T, N the most lines in a class.  So the
+rows return the tail bound plus (1 + 2^-10) u sum_lines T (38 tet(D + f) +
+38 tet(D + b) + 2 (D+f+1)^2 + 2 (D+b+1)^2 + (N + g) n), T the computed one.
+
+Above 53 bits a carried value is a `_Gauss` (re + i im) 2^e floored to p
+bits in the larger part after each product, a seed one libmp
+`mpf_cos_sin_pi` on the exact angle and one `mpf_exp` each way at p + 10
+bits; with u = 2^-p a seed is within 3 u (2 sqrt 2 u from the floors),
+a product adds 2 sqrt 2 u, and the count above holds with e = 6 u.  A line
+is walked in fixed point, terms at 2^(wp+k), 2^k <= exp(pi mu_a), ratios at
+2^(wp+x), 2^x > L, the longest walk from a peak; in these units the exact
+ones are at most 1, and each step floors by less than sqrt 2.  So the j-th
+term from a peak is within 3 (j + 1) units plus e (m + 1)(m + 2)/2 T, and
+a theta within 3 W 2^-(wp+k) + (1 + 2^-10) e sum_lines T (tet(D + f) +
+tet(D + b)), W the sum over the terms of (steps from the peak + 1), plus
+2^-prec |theta| from its one rounding.  wp = prec + bitlen(3 W') + 4, W' >=
+W, and p = prec + 4 + bitlen(12 N' tet(D' + L)), N' lines, D' = 7 + 2 s_1
++ 4 s_2 (s_i the span of n_i), keep both near 2^-(prec+4) times the row's
+largest term; p grows with log D, so the walk never re-seeds.
 """
 from __future__ import annotations
 
@@ -117,10 +95,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_pi,
+from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_neg, mpf_pi,
                           round_nearest, to_fixed)
 
-from .characteristics import ThetaChar, chi8_weight, even_characteristics
+from .characteristics import ThetaChar, _even_rows, chi8_weight
 from .lattices import _eliminate, ellipsoid_lines
 from .weil import _fwht
 
@@ -140,13 +118,11 @@ class SiegelPoint:
         if not all(cmath.isfinite(x) for row in mat for x in row):
             raise ValueError("matrix entries must be finite")
         g = len(mat)
-        for row in mat:
-            if len(row) != g:
-                raise ValueError("matrix must be square")
-        for i in range(g):
-            for j in range(g):
-                if abs(mat[i][j] - mat[j][i]) > 1e-12 * (1 + abs(mat[i][j])):
-                    raise ValueError("matrix must be symmetric")
+        if any(len(row) != g for row in mat):
+            raise ValueError("matrix must be square")
+        if any(abs(mat[i][j] - mat[j][i]) > 1e-12 * (1 + abs(mat[i][j]))
+               for i in range(g) for j in range(g)):
+            raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "sigma", mat)
         # 2^K (Sigma + Sigma^t)/2 = _real + i _imag, integer matrices
         X, Y = ([[(Fraction(getattr(x, part)) + Fraction(getattr(y, part))) / 2
@@ -159,12 +135,25 @@ class SiegelPoint:
         self._elim = _eliminate(self._imag)
         if len(self._elim[2]) < g or any(d <= 0 for d in self._elim[2]):
             raise ValueError("Im Sigma must be positive definite")
-        self._mins = {}   # a -> least v^t (Im Sigma) v over v != 0 in Z^g + a
+        self._mins = {}   # packed 2a -> least v^t (Im Sigma) v over v != 0 in Z^g + a
+        self._phis = {}   # `_phi` tables: None for complex doubles, else the bits
 
     @functools.cached_property
-    def _float_steps(self):
-        """The float walk's data at this point, see `_float_steps`."""
-        return _float_steps(self)
+    def _carry(self):
+        """(dirs, U, y, S, uAu): the directions e_0, d_1, d_2 as far as g goes,
+        in 3 coordinates, the largest u^t (Im Sigma) u, the top left 3 x 3
+        block of den Im Sigma padded with 0, its 2 x 2 minor (1 at g = 1),
+        and the u^t A u, A = 2^K Sigma, as re, im pairs."""
+        g, Y = self.g, self._imag
+        y = [[Y[i][j] if i < g and j < g else 0 for j in range(3)] for i in range(3)]
+        (y00, y01, y02), (_, y11, y12) = y[:2]
+        S = y00 * y11 - y01 * y01 if g > 1 else 1
+        delta = (y00 - 2 * y01) // (2 * y00)
+        d21 = (2 * (y01 * y02 - y00 * y12) + S) // (2 * S) if g > 2 else 0
+        d20 = (y00 - 2 * (y01 * d21 + y02)) // (2 * y00)
+        dirs = [(u + [0, 0])[:3] for u in ([1], [delta, 1], [d20, d21, 1])[:g]]
+        uAu = [[_quad(u, M, u) for M in (self._real, Y)] for u in dirs]
+        return dirs, max(im for _, im in uAu) / self._den, y, S, uAu
 
     @property
     def g(self) -> int:
@@ -175,27 +164,25 @@ class SiegelPoint:
         return ellipsoid_lines(*self._elim[2:], bound * self._den, [-x for x in a])
 
     def _least(self, a) -> Fraction:
-        """min of v^t (Im Sigma) v over v != 0 in Z^g + a, exactly; kept per a."""
-        a = tuple(Fraction(x) for x in a)
-        if a in self._mins:
-            return self._mins[a]
-        M = self._imag
-        q = math.lcm(*(x.denominator for x in a))
-        shift = [int(q * x) for x in a]
-
-        def norm(x):   # den q^2 v^t (Im Sigma) v for x = q v
-            return sum(xi * sum(m * y for m, y in zip(row, x)) for row, xi in zip(M, x))
-
-        # v = a, or a unit vector when a = 0, bounds the search
-        best = norm(shift) if any(shift) else q * q * min(M[i][i] for i in range(self.g))
-        for lo, hi, rest in self._lines(Fraction(best, q * q * self._den), a):
-            tail = [q * r + s for r, s in zip(rest, shift[1:])]
-            for n0 in range(lo, hi + 1):
-                x = [q * n0 + shift[0]] + tail
-                if any(x):
-                    best = min(best, norm(x))
-        self._mins[a] = Fraction(best, q * q * self._den)
-        return self._mins[a]
+        """min of v^t (Im Sigma) v over v != 0 in Z^g + a, exactly, found for every
+        half-integral a at once on the first call."""
+        if not self._mins:
+            M, g = self._imag, self.g
+            # den x^t M x over x = 2v != 0 per class of x mod 2 (2a packed), each at most
+            # that of x = 2a or of x = 2 e_i, the largest of them bounding the search
+            best = [_quad(x, M, x) for x in itertools.product((0, 1), repeat=g)]
+            best[0] = 4 * min(M[i][i] for i in range(g))
+            for lo, hi, rest in ellipsoid_lines(*self._elim[2:], max(best)):
+                # the line is symmetric about its minimiser, whose floor is c, so each
+                # parity's least on it is at c or c + 1 (x = +-2 e_0 is in best[0])
+                c = -_dot(M[0][1:], rest) // M[0][0]
+                for x0 in range(max(c, lo), min(c + 1, hi) + 1):
+                    x = (x0, *rest)
+                    k = sum((t & 1) << i for i, t in enumerate(reversed(x)))
+                    if any(x):
+                        best[k] = min(best[k], _quad(x, M, x))
+            self._mins = {k: Fraction(b, 4 * self._den) for k, b in enumerate(best)}
+        return self._mins[_packed(a)]
 
 
 def _log_tail(g: int, rho: float, R: float) -> float:
@@ -240,80 +227,21 @@ def _packed(halves) -> int:
     return sum(int(2 * x) << k for k, x in enumerate(reversed(halves)))
 
 
-def _fixed_exp(re: int, im: int, e: int, bits: int, p: int):
-    """The Gaussian integer floor(2^bits exp(pi i (re + i im) / 2^e)), partwise,
-    from libmp calls at p bits on the exact argument (angle reduced mod 2)."""
-    pt = p + max(0, im.bit_length() - e + 3)   # pi im / 2^e to within 2^-p
-    mod = mpf_exp(mpf_mul(mpf_pi(pt), from_man_exp(-im, -e), pt), p)
-    c, s = mpf_cos_sin_pi(from_man_exp(re % (2 << e), -e), p)
-    return to_fixed(mpf_mul(mod, c, p), bits), to_fixed(mpf_mul(mod, s, p), bits)
+def _dot(u, v) -> int:
+    return sum(map(int.__mul__, u, v))
 
 
-def _walk(zr: int, zi: int, rr: int, ri: int, sr: int, si: int, steps: int, x: int):
-    """Re and im of the sums of the terms z, z r, z r (r s), ... (steps + 1 of
-    them) with even index, then with odd index; r and s carry x bits."""
-    re, im = [zr], [zi]
-    for _ in range(steps):
-        zr, zi = (zr * rr - zi * ri) >> x, (zr * ri + zi * rr) >> x
-        rr, ri = (rr * sr - ri * si) >> x, (rr * si + ri * sr) >> x
-        re.append(zr)
-        im.append(zi)
-    return sum(re[::2]), sum(im[::2]), sum(re[1::2]), sum(im[1::2])
+def _quad(u, M, w) -> int:
+    return _dot(u, [_dot(row, w) for row in M])
 
 
-def _fixed_row(lines, a, point: SiegelPoint, prec: int, eps):
-    """The multiprecision `_theta_row`: the fixed-point walk of the module
-    docstring, in Python integers from the line starts to the class sums."""
-    g = point.g
-    K, Are, Aim = point._K, point._real, point._imag
-    M = point._imag
-    alpha = [int(2 * x) for x in a]
-    mu = point._least(a) if any(a) else 0
-    k = max(0, math.floor(math.pi * float(mu) / math.log(2) * (1 - 1e-9)))
-    peaks, W, L = [], 0, 0
-    for lo, hi, rest in lines:
-        X = [2 * r + al for r, al in zip(rest, alpha[1:])]
-        p = (M[0][0] * (1 - alpha[0]) - sum(m * y for m, y in zip(M[0][1:], X))) // (2 * M[0][0])
-        f, b = hi - p, p - lo
-        peaks.append((p, f, b, [2 * p + alpha[0]] + X, rest))
-        W += (f + 1) * (f + 2) // 2 + b * (b + 3) // 2
-        L = max(L, f, b)
-    c = 3
-    wp = prec + (c * W).bit_length() + 4
-    rbits = wp + L.bit_length()
-    lib = rbits + 10   # libmp precision: 10 bits above every fixed-point value
-    a00r, a00i = Are[0][0], Aim[0][0]
-    sr, si = _fixed_exp(2 * a00r, 2 * a00i, K, rbits, lib)
-    sums_re, sums_im = [0] * 2 ** g, [0] * 2 ** g
-    for p, f, b, X, rest in peaks:
-        Br = [sum(m * y for m, y in zip(row, X)) for row in Are]
-        Bi = [sum(m * y for m, y in zip(row, X)) for row in Aim]
-        zr, zi = _fixed_exp(sum(map(int.__mul__, X, Br)), sum(map(int.__mul__, X, Bi)),
-                            K + 2, wp + k, lib)
-        er, ei, odr, odi = _walk(zr, zi, *_fixed_exp(a00r + Br[0], a00i + Bi[0], K, rbits, lib),
-                                 sr, si, f, rbits)
-        ber, bei, bor, boi = _walk(zr, zi, *_fixed_exp(a00r - Br[0], a00i - Bi[0], K, rbits, lib),
-                                   sr, si, b, rbits)
-        er, ei, odr, odi = er + ber - zr, ei + bei - zi, odr + bor, odi + boi
-        cls = 0
-        for r in rest:
-            cls = cls << 1 | r & 1
-        odd = cls | 1 << (g - 1)
-        if p % 2:
-            cls, odd = odd, cls
-        sums_re[cls] += er
-        sums_im[cls] += ei
-        sums_re[odd] += odr
-        sums_im[odd] += odi
-    shift, packed, out, largest = wp + k, _packed(a), [], 0
-    for beta, (re, im) in enumerate(zip(_fwht(sums_re), _fwht(sums_im))):
-        for _ in range(bin(packed & beta).count("1") % 4):
-            re, im = -im, re
-        largest = max(largest, abs(re) + abs(im))
-        out.append(mpmath.mp.make_mpc((from_man_exp(re, -shift, prec, round_nearest),
-                                       from_man_exp(im, -shift, prec, round_nearest))))
-    rounding = mpmath.mp.make_mpf(from_man_exp((c * W << prec) + largest, -(shift + prec)))
-    return out, eps + rounding
+def _phi(seed, point: SiegelPoint, key=None):
+    """phi[i][j]: exp(2 pi i u_i^t Sigma u_j) and its inverse, from `seed`."""
+    if key not in point._phis:
+        dirs, A, K = point._carry[0], (point._real, point._imag), point._K
+        point._phis[key] = [[seed(*(2 * _quad(u, M, w) for M in A), K) for w in dirs]
+                            for u in dirs]
+    return point._phis[key]
 
 
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 30)), -30)   # pi to 32 bits: n _PI_HI is exact
@@ -321,158 +249,231 @@ with mpmath.workprec(120):
     _PI_LO = float(mpmath.pi - _PI_HI)
 
 
-def _cis(x: int, e: int, w: int):
-    """exp(pi i y / 2^e) and exp(-pi i y / 2^e), y = re + i im given as
-    x = re 2^w + im with |im| < 2^(w-1), each within 35 u of its modulus
-    (module docstring).  With im / 2^e = n + f, n an integer, the modulus is
-    exp(-n _PI_HI) exp(-(n _PI_LO + pi f)), the first argument exact; f and
-    the angle, reduced mod 2, each come from one correctly rounded int/int
-    division.  The second value takes the reciprocal modulus and the
-    conjugate direction."""
-    im = (x + (1 << w - 1) & (1 << w) - 1) - (1 << w - 1)
-    n = im >> e
-    f = (im & (1 << e) - 1) / (1 << e)
+def _cis(re: int, im: int, e: int):
+    """exp(pi i y / 2^e) and exp(-pi i y / 2^e) in complex doubles, y = re +
+    i im, each within 35 u of its modulus (module docstring)."""
+    n, f = im >> e, (im & (1 << e) - 1) / (1 << e)
     mod = math.exp(-n * _PI_HI) * math.exp(-(n * _PI_LO + math.pi * f))
-    angle = math.pi * ((((x - im) >> w) % (2 << e)) / (1 << e))
+    angle = math.pi * ((re % (2 << e)) / (1 << e))
     return cmath.rect(mod, angle), cmath.rect(1 / mod, -angle)
+
+
+class _Gauss:
+    """(re + i im) 2^e, a carried value of the multiprecision walk."""
+
+    __slots__ = ("re", "im", "e", "p")
+
+    def __init__(self, re: int, im: int, e: int, p: int):
+        self.re, self.im, self.e, self.p = re, im, e, p
+
+    def __mul__(self, o):   # floored partwise to p bits in the larger part
+        re, im = self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        n = max(re.bit_length(), im.bit_length()) - self.p
+        return _Gauss(re >> n, im >> n, self.e + o.e + n, self.p)
+
+    def fixed(self, bits: int):   # floor(2^bits value), partwise
+        s = self.e + bits
+        return (self.re << s, self.im << s) if s >= 0 else (self.re >> -s, self.im >> -s)
+
+
+def _fixed_exp(re: int, im: int, e: int, p: int):
+    """exp(pi i y / 2^e) and exp(-pi i y / 2^e) as `_Gauss` values of p bits,
+    y = re + i im, from libmp at p + 10 bits (module docstring)."""
+    lib = p + 10
+    pt = lib + max(0, im.bit_length() - e + 3)   # pi im / 2^e to within 2^-lib
+    arg = mpf_mul(mpf_pi(pt), from_man_exp(-im, -e), pt)
+    c, s = mpf_cos_sin_pi(from_man_exp(re % (2 << e), -e), lib)
+    out = []
+    for mod, sign in ((mpf_exp(arg, lib), 1), (mpf_exp(mpf_neg(arg), lib), -1)):
+        bits = p - mod[2] - mod[3]   # 2^(p-1) <= 2^bits mod < 2^p
+        out.append(_Gauss(to_fixed(mpf_mul(mod, c, lib), bits),
+                          sign * to_fixed(mpf_mul(mod, s, lib), bits), -bits, p))
+    return out
+
+
+def _tet(m: int) -> int:
+    return (m + 1) * (m + 2) * (m + 3) // 6
+
+
+@functools.cache
+def _weight(m: int) -> int:   # 38 tet(m) + 2 (m+1)^2, module docstring
+    return 38 * _tet(m) + 2 * (m + 1) ** 2
+
+
+class _Fixed:
+    """The multiprecision arithmetic: `_Gauss` values carried at p bits, each
+    line walked in fixed point, exact class sums (module docstring)."""
+
+    def __init__(self, lines, a, point: SiegelPoint, prec: int):
+        mu = point._least(a) if any(a) else 0
+        self.k = max(0, math.floor(math.pi * float(mu) / math.log(2) * (1 - 1e-9)))
+        n = [hi - lo for lo, hi, _ in lines]
+        s1, s2 = (max(r) - min(r) for r in list(zip(*(rest for _, _, rest in lines)))[:2])
+        self.wp = prec + (3 * sum((m + 1) * (m + 2) // 2 for m in n)).bit_length() + 4
+        self.x = self.wp + max(n).bit_length()
+        p = prec + 4 + (12 * len(n) * _tet(7 + 2 * s1 + 4 * s2 + max(n))).bit_length()
+        self.p = -(-p // 16) * 16   # a multiple of 16, so that rows share their step factors
+        self.prec, self.W, self.weight = prec, 0, 0
+        self.seed = functools.partial(_fixed_exp, p=self.p)
+        self.phi = _phi(self.seed, point, self.p)
+        self.s = self.phi[0][0][0].fixed(self.x)
+
+    def line(self, z, rf, rb, f: int, b: int, D: int):
+        """The sums of a line's terms an even, then an odd number of steps from
+        its peak term z, walked f steps by rf and b back by rb: re, im pairs."""
+        x, (sr, si), (zr, zi) = self.x, self.s, z.fixed(self.wp + self.k)
+        self.W += (f + 1) * (f + 2) // 2 + b * (b + 3) // 2
+        self.weight += (abs(zr) + abs(zi)) * (_tet(D + f) + _tet(D + b))
+        out = [zr, zi, 0, 0]
+        for r, steps in ((rf, f), (rb, b)):
+            (rr, ri), tr, ti = r.fixed(x), zr, zi
+            for j in range(steps):
+                tr, ti = (tr * rr - ti * ri) >> x, (tr * ri + ti * rr) >> x
+                rr, ri = (rr * sr - ri * si) >> x, (rr * si + ri * sr) >> x
+                out[2 - 2 * (j & 1)] += tr
+                out[3 - 2 * (j & 1)] += ti
+        return out[:2], out[2:]
+
+    def finish(self, sums, packed: int, g: int, eps):
+        shift, prec, p, out, largest = self.wp + self.k, self.prec, self.p, [], 0
+        parts = (_fwht([sum(t[i] for t in ts) for ts in sums]) for i in (0, 1))
+        for beta, (re, im) in enumerate(zip(*parts)):
+            for _ in range(bin(packed & beta).count("1") % 4):
+                re, im = -im, re
+            largest = max(largest, abs(re) + abs(im))
+            out.append(mpmath.mp.make_mpc((from_man_exp(re, -shift, prec, round_nearest),
+                                           from_man_exp(im, -shift, prec, round_nearest))))
+        # 3 W + 2^-prec |theta| + (1 + 2^-10) 6 2^-p weight, in units of 2^-shift
+        num = ((3 * self.W << prec) + largest << p + 10) + (6 * 1025 * self.weight << prec)
+        return out, eps + mpmath.mp.make_mpf(from_man_exp(num, -(shift + prec + p + 10)))
 
 
 _ULP = 2.0 ** -53 * (1 + 2.0 ** -10)   # u, with room for the bound's own rounding
 _DEEP = 700   # float rows keep their values within exp(+-_DEEP), module docstring
 
 
-@functools.cache
-def _weight(m: int) -> int:
-    """38 tet(m) + 2 (m+1)^2, tet(m) = (m+1)(m+2)(m+3)/6 the sum of
-    (j+1)(j+2)/2 over 0 <= j <= m (module docstring)."""
-    return 38 * ((m + 1) * (m + 2) * (m + 3) // 6) + 2 * (m + 1) ** 2
+class _Floats:
+    """The 53-bit arithmetic: complex doubles throughout (module docstring)."""
 
+    seed = staticmethod(_cis)
 
-def _float_line(z: complex, rf: complex, rb: complex, s: complex, f: int, b: int):
-    """`_walk` in complex doubles, both ways: the sums of the terms of a line
-    an even, then an odd number of steps from its peak term z, walked f steps
-    forward by rf and b back by rb, each ratio stepping by s."""
-    even, odd = z, 0j
-    for r, steps in ((rf, f), (rb, b)):
-        t = z
-        for _ in range(steps >> 1):
-            t *= r
-            r *= s
-            odd += t
-            t *= r
-            r *= s
-            even += t
-        if steps & 1:
-            odd += t * r
-    return even, odd
+    def __init__(self, point: SiegelPoint):
+        self.phi = _phi(_cis, point)
+        self.s, self.weight, self.mass = self.phi[0][0][0], 0.0, 0.0
 
+    def line(self, z, rf, rb, f: int, b: int, D: int):
+        """`_Fixed.line` in complex doubles."""
+        t, s, even, odd = abs(z), self.s, z, 0j
+        self.weight += t * (_weight(D + f) + _weight(D + b))
+        self.mass += t * (f + b + 1)
+        for r, steps in ((rf, f), (rb, b)):
+            t = z
+            for _ in range(steps >> 1):
+                t *= r
+                r *= s
+                odd += t
+                t *= r
+                r *= s
+                even += t
+            if steps & 1:
+                odd += t * r
+        return even, odd
 
-def _float_steps(point: SiegelPoint):
-    """(w, P, delta, dad, steps): A = 2^K Sigma as the Gaussian integers
-    P_ij = re 2^w + im, w wide enough that every value `_float_row` unpacks
-    has |im| < 2^(w-1); delta the integer nearest -Im Sigma_01 / Im Sigma_00,
-    so d = (delta, 1, 0, ...); d^t A d packed the same way; and the step
-    factors E, 1/E, F, 1/F, G, the exp(2 pi i u^t Sigma v) for u^t v =
-    e_0^t e_0, e_0^t d and d^t d."""
-    g, K, Aim = point.g, point._K, point._imag
-    diag = [Aim[i][i] for i in range(g)]
-    delta = (diag[0] - 2 * Aim[0][1]) // (2 * diag[0]) if g > 1 else 0
-    # |X_i|^2 <= 4 bound 2^K tr^(g-1) / det, tr and det those of 2^K Im Sigma, and on the
-    # float path pi bound < _DEEP, so |X_i|^2 < xmax
-    xmax = 4 * _DEEP * point._den * sum(diag) ** (g - 1) // point._elim[0] + 1
-    w = max(diag).bit_length() + xmax.bit_length() + 2 * (g * (abs(delta) + 2)).bit_length() + 4
-    P = [[(x << w) + y for x, y in zip(rr, ri)] for rr, ri in zip(point._real, Aim)]
-    steps, dad = _cis(2 * P[0][0], K, w), 0
-    if g > 1:
-        ad0 = delta * P[0][0] + P[0][1]                             # (A d)_0
-        dad = delta * (delta * P[0][0] + 2 * P[0][1]) + P[1][1]     # d^t A d
-        steps += _cis(2 * ad0, K, w) + _cis(2 * dad, K, w)[:1]
-    return w, P, delta, dad, steps
-
-
-def _float_row(lines, a, point: SiegelPoint, eps):
-    """The 53-bit `_theta_row`: the float walk of the module docstring, the
-    peaks carried along each chain from its central line."""
-    g, K, Aim = point.g, point._K, point._imag
-    w, P, delta, dad, (E, Einv, *FG) = point._float_steps
-    mul = int.__mul__
-    alpha = [int(2 * x) for x in a]
-    al0, alr, p00 = alpha[0], alpha[1:], P[0][0]
-    row0, rows = P[0][1:], [r[1:] for r in P[1:]]
-    top, den = Aim[0][0] * (1 - al0), 2 * Aim[0][0]   # a line's peak is (top - Im C) // den
-    if g > 1:
-        F, Finv, G = FG
-        cstep, p10 = 2 * Aim[0][1], P[1][0]
-    else:   # the one line, as a chain with m_1 = 0
-        lines = [(lo, hi, (0,)) for lo, hi, _ in lines]
-    bit1, bit0 = (1 << g - 2 if g > 1 else 0), 1 << g - 1
-    half, mask = 1 << w - 1, (1 << w) - 1
-    sums = [[] for _ in range(2 ** g)]
-    weight = mass = 0.0
-    for _, chain in itertools.groupby(lines, key=lambda ln: ln[2][1:]):
-        chain = list(chain)
-        c = len(chain) // 2
-        rest = chain[c][2]
-        # the seeds at the peak of the central line, from exact Gaussian integers:
-        # C = (A X)_0 - A_00 x_0, B_0 = (A X)_0, Q = X^t A X, (A X)_1
-        Xr = [2 * r + al for r, al in zip(rest, alr)]
-        C = sum(map(mul, row0, Xr))
-        ci = (C + half & mask) - half
-        p0 = (top - ci) // den
-        x0 = 2 * p0 + al0
-        Y = [sum(map(mul, r, Xr)) for r in rows]
-        B0 = p00 * x0 + C
-        z0 = _cis(x0 * (B0 + C) + sum(map(mul, Xr, Y)), K + 2, w)[0]
-        rf0, rb0 = _cis(p00 + B0, K, w)
-        rb0 *= E   # exp(pi i (A_00 - B_0) / 2^K): one step from a seed
-        base = 0
-        for r in rest[1:]:
-            base = base << 1 | r & 1
-        for part, sgn in ((chain[c:], 1), (chain[c - 1::-1] if c else [], -1)):
-            # D = 1 + the carry steps: rb0 and the backward rd are a step from a seed
-            z, rf, rb, p, m1, cim, D = z0, rf0, rb0, p0, rest[0], ci, 1
-            if len(part) > (sgn > 0):   # d^t A X = delta B_0 + (A X)_1
-                rd = _cis(dad + delta * B0 + p10 * x0 + Y[0], K, w)
-                rd = rd[0] if sgn > 0 else rd[1] * G
-                Fs, Fi = (F, Finv) if sgn > 0 else (Finv, F)
-            for lo, hi, mr in part:
-                while m1 != mr[0]:   # a step by sgn d, then the shift to that line's peak
-                    z, rd, rf, rb = z * rd, rd * G, rf * Fs, rb * Fi
-                    p, m1, cim, D = p + sgn * delta, m1 + sgn, cim + sgn * cstep, D + 1
-                    peak = (top - cim) // den
-                    while peak > p:
-                        z, rf, rb, rd, p, D = z * rf, rf * E, rb * Einv, rd * Fs, p + 1, D + 1
-                    while peak < p:
-                        z, rb, rf, rd, p, D = z * rb, rb * E, rf * Einv, rd * Fi, p - 1, D + 1
-                # the line's terms outward from its peak, summed by the parity of n_0 - p
-                even, odd = _float_line(z, rf, rb, E, hi - p, p - lo)
-                cls = base | (m1 & 1) * bit1 | (p & 1) * bit0
-                sums[cls].append(even)
-                sums[cls ^ bit0].append(odd)
-                t = abs(z)
-                weight += t * (_weight(D + hi - p) + _weight(D + p - lo))
-                mass += t * (hi - lo + 1)
-    weight += mass * (max(map(len, sums)) + g)
-    packed = _packed(a)
-    row = _fwht([sum(zs, 0j) for zs in sums])
-    return [z * (1, 1j, -1, -1j)[bin(packed & beta).count("1") % 4]
-            for beta, z in enumerate(row)], eps + weight * _ULP
+    def finish(self, sums, packed: int, g: int, eps):
+        weight = self.weight + self.mass * (max(map(len, sums)) + g)
+        row = _fwht([sum(zs, 0j) for zs in sums])
+        return [z * (1, 1j, -1, -1j)[bin(packed & beta).count("1") % 4]
+                for beta, z in enumerate(row)], eps + weight * _ULP
 
 
 def _theta_row(a, point: SiegelPoint, prec: int):
     """([theta_{a,b}(Sigma) for 2b = 0 .. 2^g - 1], eps) from one pass over
-    the ellipsoid; eps bounds the error of every entry: the tail bound plus
-    the stated rounding bound."""
+    the ellipsoid, the chain walk of the module docstring; eps bounds the
+    error of every entry: the tail bound plus the stated rounding bound."""
     g = point.g
     if g == 0:
         return [mpmath.mpc(1) if prec > 53 else complex(1)], mpmath.mpf(0)
     a = [Fraction(x) for x in a]
     bound, eps = _truncation(a, point, prec)
-    lines = list(point._lines(bound, a))
-    diag = [point._imag[i][i] / point._den for i in range(g)]
-    if prec > 53 or math.pi * max(float(bound) + 3 * diag[0], 5 * max(diag)) >= _DEEP:
-        return _fixed_row(lines, a, point, max(prec, 53), eps)
-    return _float_row(lines, a, point, eps)
+    lines = [(lo, hi, rest + (0, 0)) for lo, hi, rest in point._lines(bound, a)]
+    K, Are, Y = point._K, point._real, point._imag
+    (dirs, U, y, S, uAu), n = point._carry, min(g, 3)
+    B = float(bound) + (y[0][0] + y[1][1]) / point._den
+    deep = math.pi * max(B, 2 * U, U + 2 * math.sqrt(U * B)) >= _DEEP
+    ar = _Fixed(lines, a, point, max(prec, 53)) if prec > 53 or deep else _Floats(point)
+    phi, (E, Einv) = ar.phi, ar.phi[0][0]
+    # facs[j][s < 0]: the factors of R_{+u_0}, R_{-u_0}, R_{+u_1}, ... in a step by s u_j
+    facs = [[[phi[i][j][(t < 0) != neg] for i in range(n) for t in (1, -1)]
+             for neg in (False, True)] for j in range(n)]
+    alpha = [int(2 * x) for x in a] + [0, 0]
+    (y00, y01, y02), (_, _, y12) = y[:2]
+    top, den = y00 * (1 - alpha[0]), 2 * y00   # a line's peak is (top - Im C) // den
+    bit1, bit0 = (1 << g - 2 if g > 1 else 0), 1 << g - 1
+    sums = [[] for _ in range(2 ** g)]
+    every = [list(ch) for _, ch in itertools.groupby(lines, key=lambda ln: ln[2][1:])]
+    for _, sheet in itertools.groupby(every, key=lambda ch: ch[0][2][2:]):
+        chains = list(sheet)
+        c = len(chains) // 2
+        rest = chains[c][0][2]
+        Xr = [2 * r + al for r, al in zip(rest, alpha[1:g])]
+        # Im C = y01 X_1 + b_0, b_i = sum_{j >= 2} (Im A)_ij X_j = hb_i + 2 y_i2 n_2
+        hb = [sum(Y[i][j] * Xr[j - 1] for j in range(3, g)) + y[i][2] * alpha[2] for i in (0, 1)]
+
+        def centre(m2):   # n_1^* of the slice n_2 = m2, and Im C on it less y01 X_1
+            b0, b1 = hb[0] + 2 * y02 * m2, hb[1] + 2 * y12 * m2
+            return (y01 * b0 - y00 * b1 + S * (1 - alpha[1])) // (2 * S), b0
+
+        def goto(st, t2):   # by d_2 to the slice t2, then in n_0 and n_1 to its centre's peak
+            v, p, m1, m2, D, b0 = st
+            m1s = centre(m2)[0]
+            while True:
+                pk = (top - y01 * (2 * m1 + alpha[1]) - b0) // den
+                j, s = (0, pk - p) if pk != p else (2, t2 - m2) if m2 != t2 else (1, m1s - m1)
+                if not s:
+                    return v, p, m1, m2, D, b0
+                s, u = (1 if s > 0 else -1), dirs[j]   # a step by s u_j, module docstring
+                v = [v[0] * v[1 + 2 * j + (s < 0)]] + list(map(mul, v[1:], facs[j][s < 0]))
+                p, m1, m2, D = p + s * u[0], m1 + s * u[1], m2 + s * u[2], D + 1
+                m1s, b0 = centre(m2) if j == 2 else (m1s, b0)
+
+        # the seeds, at the peak of the middle chain's centre line, from exact Gaussian integers
+        m1, b0 = centre(rest[1])
+        p = (top - y01 * (2 * m1 + alpha[1]) - b0) // den
+        X = ([2 * p + alpha[0], 2 * m1 + alpha[1]] + Xr[1:])[:g]
+        AX = [[_dot(row, X) for row in M] for M in (Are, Y)]
+        vals = [ar.seed(_dot(X, AX[0]), _dot(X, AX[1]), K + 2)[0]]
+        mul = type(vals[0]).__mul__
+        for i, u in enumerate(dirs):   # R_u = exp(pi i (u^t A u + u^t A X) / 2^K), R_-u
+            r, rinv = ar.seed(*(q + _dot(u, MX) for q, MX in zip(uAu[i], AX)), K)
+            vals += [r, rinv * phi[i][i][0]]
+        for part in (chains[c:], chains[:c][::-1]):
+            st = (vals, p, m1, rest[1], 1, b0)   # D = 1 + the steps from the seeds
+            for chain in part:
+                st = goto(st, chain[0][2][1])
+                base = sum((r & 1) << k for k, r in enumerate(reversed(chain[0][2][1:g - 1])))
+                for lpart, s1 in (([ln for ln in chain if ln[2][0] >= st[2]], 1),
+                                  ([ln for ln in reversed(chain) if ln[2][0] < st[2]], -1)):
+                    (z, rf, rb, *rds), q, k1, _, D, cim = st
+                    cim += y01 * (2 * k1 + alpha[1])
+                    if lpart and g > 1:   # the step factors of rd, rf and rb for a step by s1 d_1
+                        rd, G, Fs, Fi = rds[s1 < 0], phi[1][1][0], *phi[0][1][::s1]
+                    for lo, hi, mr in lpart:
+                        while k1 != mr[0]:   # a step by s1 d_1, then in n_0 to that line's peak
+                            z, rd, rf, rb = z * rd, rd * G, rf * Fs, rb * Fi
+                            q, k1, cim, D = q + s1 * dirs[1][0], k1 + s1, cim + s1 * 2 * y01, D + 1
+                            peak = (top - cim) // den
+                            while peak > q:
+                                z, rf, rb, rd = z * rf, rf * E, rb * Einv, rd * Fs
+                                q, D = q + 1, D + 1
+                            while peak < q:
+                                z, rb, rf, rd = z * rb, rb * E, rf * Einv, rd * Fi
+                                q, D = q - 1, D + 1
+                        # the line's terms outward from its peak, summed by the parity of n_0 - q
+                        even, odd = ar.line(z, rf, rb, hi - q, q - lo, D)
+                        cls = base | (k1 & 1) * bit1 | (q & 1) * bit0
+                        sums[cls].append(even)
+                        sums[cls ^ bit0].append(odd)
+    return ar.finish(sums, _packed(a), g, eps)
 
 
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
@@ -486,11 +487,8 @@ def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
 def _even_thetas(point: SiegelPoint, prec: int) -> list:
     """The even theta constants at Sigma in `even_characteristics` order,
     from one `_theta_row` per a."""
-    out = []
-    for a, same_a in itertools.groupby(even_characteristics(point.g), lambda ch: ch.a):
-        row = _theta_row(a, point, prec)[0]
-        out.extend(row[_packed(ch.b)] for ch in same_a)
-    return out
+    rows = [(_theta_row(a, point, prec)[0], js) for a, js in _even_rows(point.g)]
+    return [row[j] for row, js in rows for j in js]
 
 
 def _chi(thetas, prec: int):

@@ -136,16 +136,9 @@ def suite_borcherds():
 def suite_siegel():
     import mpmath
 
+    from .characteristics import ThetaChar, even_characteristics
     from .k3graph import _pinched_count
-    from .siegel import (
-        SiegelPoint,
-        ThetaChar,
-        chi_g,
-        even_characteristics,
-        fay_family,
-        theta_constant,
-        vanishing_order_fit,
-    )
+    from .siegel import SiegelPoint, chi_g, fay_family, theta_constant, vanishing_order_fit
 
     checks = []
     counts = [len(even_characteristics(g)) for g in range(6)]

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .lattices import (Lattice, direct_sum, discriminant_group, rescale, signature,
                        standard_lattice)
 from .modforms import f0, f1, g_i
@@ -247,6 +245,8 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
     automorphy factor of each word.  Returns (values, group) with values a
     list of mpmath complex numbers in the order of the group's `elements`.
     """
+    import mpmath
+
     data = discriminant_group(L)
     k = 8 + data.sigma
     with mpmath.workprec(prec):
@@ -282,6 +282,8 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
 def eval_vvform(F: VVForm, tau, prec: int = 128):
     """Evaluate every component of F at tau (shared series evaluated once),
     as a dict keyed by class coordinates."""
+    import mpmath
+
     elements = discriminant_group(F.lattice).elements
     with mpmath.workprec(prec):
         cache = {}

@@ -1,7 +1,7 @@
 """Module-level imports: no module imports numpy, and the lattice, product,
 CLI and graph layers do not load the Weil representation; at run time the
-exact commands load neither numpy nor `siegel`, and the Siegel commands do
-not load numpy."""
+exact commands load neither numpy, mpmath nor `siegel`, and the Siegel
+commands do not load numpy."""
 import ast
 import json
 import os
@@ -72,7 +72,7 @@ codes = run(["lattice-info", "U+U(2)+E8(2)"],
             ["borcherds", "report", "U+U(2)+E8(2)", "--order", "4"],
             ["qseries", "f0"],
             ["export-graph", "--format", "json"])
-loaded = sorted(m for m in ("numpy", "twoelem.siegel") if m in sys.modules)
+loaded = sorted(m for m in ("mpmath", "numpy", "twoelem.siegel") if m in sys.modules)
 from twoelem import SiegelPoint, chi_g
 try:
     twoelem.no_such_name
@@ -88,6 +88,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "missing": missing,
 
 
 def test_exact_commands_load_neither_numpy_nor_siegel(tmp_path):
+    # nor mpmath: only the numeric evaluators import it, when they run
     sigma = tmp_path / "sigma.json"
     sigma.write_text(json.dumps([[[0.3, 1.1], [-0.2, 0.4]], [[-0.2, 0.4], [0.1, 1.3]]]))
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from twoelem import siegel
 from twoelem import (
     SiegelPoint,
     ThetaChar,
@@ -510,3 +512,121 @@ def test_vanishing_slope_genus3_deep(prec):
     slope, resid = vanishing_order_fit(lambda t: fay_family(3, psi, t), grid, prec)
     assert abs(slope - 16) < 0.05
     assert math.isfinite(resid)
+
+
+def _offdiag_family_point(t):
+    # the criterion-07 family whose slope is 8, pinched off the diagonal
+    return SiegelPoint(((0.1 + 1.5j, t), (t, -0.2 + 1.2j)))
+
+
+# (Sigma, a): the seed-count rows, at 64 bits
+_SEED_ROWS = [
+    (_offdiag_family_point(1e-7).sigma, (0, 0)),
+    (((0.2 + 1.1j, 0.1 + 0.2j, -0.1 + 0.15j),
+      (0.1 + 0.2j, -0.3 + 1.3j, 0.2 + 0.1j),
+      (-0.1 + 0.15j, 0.2 + 0.1j, 0.15 + 1.05j)), (0.5, 0, 0)),
+    (_roadmap_point(4).sigma, (0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("sigma, a", [pytest.param(sig, a, id=f"g{len(sig)}")
+                                      for sig, a in _SEED_ROWS])
+def test_multiprecision_rows_seed_once_per_sheet(sigma, a, monkeypatch):
+    # the libmp seeds of a 64-bit row: at most 9 step factors per row and
+    # 4 seeds per sheet (the lines with the same n_3, ...); seeding every
+    # line or every chain would take more
+    calls = []
+    seed = siegel._fixed_exp
+    monkeypatch.setattr(siegel, "_fixed_exp", lambda *args, **kw: calls.append(1) or seed(*args, **kw))
+    point = SiegelPoint(sigma)
+    _theta_row(a, point, 64)
+    bound, _ = _truncation([Fraction(x) for x in a], point, 64)
+    lines = list(point._lines(bound, [Fraction(x) for x in a]))
+    chains = len({rest[1:] for _, _, rest in lines})
+    sheets = len({rest[2:] for _, _, rest in lines})
+    assert len(calls) <= 9 + 4 * sheets
+    # three seeds per line, or per chain at g >= 3, would take more
+    assert 3 * len(lines) > 9 + 4 * sheets
+    assert 3 * chains > 9 + 4 * sheets or point.g < 3
+
+
+# (Sigma, precs): the carry through sheared chains (delta = -1 and
+# delta_21 = -1), along the long chains of the off-diagonal family, and the
+# multiprecision carry of a 53-bit row too deep for doubles
+_CARRY_POINTS = [
+    (((0.1 + 1.0j, 0.3 + 0.7j, 0.2 + 0.3j),
+      (0.3 + 0.7j, -0.2 + 1.1j, 0.1 + 0.6j),
+      (0.2 + 0.3j, 0.1 + 0.6j, 0.05 + 1.3j)), (53, 64)),
+    (_offdiag_family_point(1e-7).sigma, (64, 100)),
+    (((0.1 + 250j, 0.2 + 0.3j), (0.2 + 0.3j, 0.3 + 0.5j)), (53,)),
+]
+
+
+@pytest.mark.parametrize("sigma, prec", [
+    pytest.param(sig, prec, id=f"g{len(sig)}-{i}-{prec}")
+    for i, (sig, precs) in enumerate(_CARRY_POINTS) for prec in precs])
+def test_carried_rows_within_their_bound(sigma, prec):
+    point = SiegelPoint(sigma)
+    if len(sigma) == 3:
+        assert [u[:3] for u in point._carry[0]] == [[1, 0, 0], [-1, 1, 0], [0, -1, 1]]
+    for a in itertools.product((0, 0.5), repeat=point.g):
+        row, eps, ref = _within_eps_of_higher_precision(point, a, prec)
+        if abs(sigma[0][0]) > 200:   # the 53-bit row takes the multiprecision walk
+            assert not isinstance(row[0], complex)
+        with mpmath.workprec(prec + 64):
+            assert eps < 2.0 ** (20 - prec) * max(abs(w) for w in ref)
+
+
+@st.composite
+def _period_matrices(draw):
+    g = draw(st.integers(1, 3))
+    entry = st.integers(-8, 8).map(lambda k: k / 8)
+    B = [[draw(entry) for _ in range(g)] for _ in range(g)]
+    s = draw(st.sampled_from([0.1, 0.5, 2.0, 8.0]))
+    X = [[draw(entry) for _ in range(g)] for _ in range(g)]
+    return tuple(tuple(complex((X[i][j] + X[j][i]) / 2,
+                               sum(B[k][i] * B[k][j] for k in range(g)) + s * (i == j))
+                       for j in range(g)) for i in range(g))
+
+
+@settings(deadline=None, max_examples=20)
+@given(_period_matrices(), st.sampled_from([53, 64]))
+def test_carried_rows_within_their_bound_at_random_points(sigma, prec):
+    point = SiegelPoint(sigma)
+    for a in itertools.product((0, 0.5), repeat=point.g):
+        _within_eps_of_higher_precision(point, a, prec)
+
+
+def _assert_least_matches_box_scan(Y, s):
+    # mu_a, the least v^t Y v over v != 0 in Z^g + a, for every a from one
+    # pass, against a scan of the box |v_i| <= W, which holds every v with
+    # v^t Y v <= q(a) (or Y_00 for a = 0) when Y >= s I
+    g = len(Y)
+    point = SiegelPoint(tuple(tuple(complex(0.1 * abs(i - j), Y[i][j]) for j in range(g))
+                              for i in range(g)))
+
+    def q(v):
+        return sum(v[i] * Y[i][j] * v[j] for i in range(g) for j in range(g))
+
+    for a in itertools.product((Fraction(0), Fraction(1, 2)), repeat=g):
+        W = math.isqrt(math.ceil((q(a) if any(a) else Y[0][0]) / s)) + 1
+        want = min(q([n + x for n, x in zip(ns, a)])
+                   for ns in itertools.product(range(-W, W + 1), repeat=g) if any(ns) or any(a))
+        assert point._least(a) == want, a
+
+
+def test_least_matches_a_box_scan():
+    # a point where the least of a = (1/2, 1/2, 1/2) lies at the upper of the
+    # two integers nearest its line's minimiser
+    Y = [[0.6125, 0.125, 0.125], [0.125, 1.925, 0.6875], [0.125, 0.6875, 1.3625]]
+    _assert_least_matches_box_scan([[Fraction(x) for x in row] for row in Y], Fraction(1, 2))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3), st.data())
+def test_least_matches_a_box_scan_at_random_points(g, data):
+    entry = st.integers(-8, 8).map(lambda k: Fraction(k, 8))
+    B = [[data.draw(entry) for _ in range(g)] for _ in range(g)]
+    s = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
+    _assert_least_matches_box_scan([[sum(B[k][i] * B[k][j] for k in range(g)) + s * (i == j)
+                                     for j in range(g)] for i in range(g)], s)

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import (Lattice, _eliminate, direct_sum, discriminant_group, ellipsoid_lines,
-                       rescale, standard_lattice)
+from .lattices import (Lattice, _clear, _dot, _eliminate, _positive_definite, _quad,
+                       direct_sum, discriminant_group, ellipsoid_lines, rescale, standard_lattice)
 from .vvmf import VVForm
 
 
@@ -37,13 +37,12 @@ def _lines(A, bound):
     """The lines (lo, hi, rest) of the integer m with m^t A m <= bound, A
     rational symmetric positive definite: those of `lattices.ellipsoid_lines`
     around 0 on den*A, den the common denominator of A."""
-    A = [[Fraction(x) for x in row] for row in A]
-    bound = Fraction(bound)   # ellipsoid_lines yields nothing below 0
-    den = math.lcm(*(x.denominator for row in A for x in row))
-    det, _, minors, pivots = _eliminate([[int(x * den) for x in row] for row in A])
-    if det <= 0 or any(d <= 0 for d in minors):
+    n = len(A)
+    ints, den = _clear([Fraction(x) for row in A for x in row])
+    elim = _eliminate([ints[i * n:(i + 1) * n] for i in range(n)])
+    if not _positive_definite(elim):
         raise ValueError("matrix is not positive definite")
-    return ellipsoid_lines(minors, pivots, bound * den)
+    return ellipsoid_lines(elim.minors, elim.pivots, Fraction(bound) * den)   # none below 0
 
 
 def short_vectors(A, bound):
@@ -118,14 +117,13 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
         raise ValueError("form does not live on the ambient split U(N) + L")
     data = discriminant_group(ambient)
     n = L.rank
-    det, adj = L._elim[:2]
+    det, adj = L._elim.det, L._elim.adj
     if det < 0:   # so that c(num / 2det) compares with the truncation in integers
         det, adj = -det, [[-a for a in row] for row in adj]
     y, y2 = point.y(), point.y_norm2()
     cut = Fraction(order)
     # y = Y / den with Y integral: 0 < <lam, y> <= cut iff 1 <= m.Y <= top
-    den = math.lcm(*(yi.denominator for yi in y))
-    Y = [int(yi * den) for yi in y]
+    Y, den = _clear(y)
     top = math.floor(cut * den)
     # majorant in dual coordinates m (lam = G^{-1} m): <lam,y> = m.y,
     # lam^2 = m^t adj m / det
@@ -151,7 +149,7 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     factors = []
     worst_margin = math.inf
     for lo, hi, rest in _lines(A, B):
-        cy = sum(a * r for a, r in zip(Y_rest, rest))
+        cy = _dot(Y_rest, rest)
         # clip [lo, hi] to 1 <= Y0 v + cy <= top
         if Y0 > 0:
             lo, hi = max(lo, -((cy - 1) // Y0)), min(hi, (top - cy) // Y0)
@@ -163,7 +161,7 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
             continue
         # num(v) = m^t adj(G) m = adj_00 v^2 + 2 b v + c
         m0 = (0,) + rest
-        b, c = sum(a * r for a, r in zip(adj[0], m0)), _quad(adj, m0)
+        b, c = _dot(adj[0], m0), _quad(m0, adj, m0)
         k_rest = data.index_of((0, 0) + m0)
         for v in range(lo, hi + 1):
             num = (adj[0][0] * v + 2 * b) * v + c
@@ -171,7 +169,7 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
             hits = [(nn, cf) for nn in range(N) if (cf := coeff(k ^ nn_part[nn], num))]
             if hits:
                 pair_y = Y0 * v + cy
-                pair_z = sum(mi * zi for mi, zi in zip((v,) + rest, point.z))
+                pair_z = _dot((v,) + rest, point.z)
                 factors += [(pair_y, pair_z, Fraction(nn, N), cf) for nn, cf in hits]
                 margin = pair_y / den - 2 * math.sqrt(max(num / det, 0.0) / 2)
                 worst_margin = min(worst_margin, margin)
@@ -195,11 +193,6 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
         float(cut ** 2 / y2))
     tail = math.exp(tail_exp) if tail_exp < 0 else float("inf")
     return cmath.exp(log_acc), tail
-
-
-def _quad(M, m):
-    """The integer m^t M m."""
-    return sum(mi * sum(a * mj for a, mj in zip(row, m)) for mi, row in zip(m, M))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +258,7 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     G = L.gram
     if F is not None and F.lattice.gram != G:
         raise ValueError("form does not live on the lattice L")
-    det, adj = L._elim[:2]   # lam^2 = m^t adj m / det for lam = G^{-1} m
+    det, adj = L._elim.det, L._elim.adj   # lam^2 = m^t adj m / det for lam = G^{-1} m
     v1 = [Fraction(x) for x in v1]
     v2 = [Fraction(x) for x in v2]
     if L.norm(v1) <= 0 or L.norm(v2) <= 0:
@@ -282,11 +275,10 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     realized = Fraction(0)
     seen = set()
     for m in short_vectors(A, B):
-        lam2 = Fraction(_quad(adj, m), det)
+        lam2 = Fraction(_quad(m, adj, m), det)
         if lam2 not in norm_set:
             continue
-        p1 = sum(mi * x for mi, x in zip(m, v1))
-        p2 = sum(mi * x for mi, x in zip(m, v2))
+        p1, p2 = _dot(m, v1), _dot(m, v2)
         if abs(p1) > Pb or abs(p2) > Pb:
             continue
         if F is not None:

@@ -40,7 +40,7 @@ def _even_rows(g: int) -> tuple:
     if g < 0 or g > _G_CAP:
         raise ValueError(f"genus must be between 0 and {_G_CAP}")
     halves = list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=g))
-    return tuple((a, tuple(j for j in range(2 ** g) if bin(i & j).count("1") % 2 == 0))
+    return tuple((a, tuple(j for j in range(2 ** g) if (i & j).bit_count() % 2 == 0))
                  for i, a in enumerate(halves))
 
 

@@ -361,20 +361,19 @@ def rhs_invariant(tube_point, F, sigma_point, ell: int = 1):
         (||Psi||^2)^{2^{g-1} ell} * (||chi_g^8||^2)^{ell}
 
     with g read from the Siegel point: Psi at cut 2 without its Weyl
-    prefactor, chi_g^8 at 53 bits.  This is defined up to a z-independent
-    chamber scale, which cancels in ratios and slopes.
+    prefactor, chi_g^8 at 53 bits, with the exact Petersson factor 2 (Im z)^2 =
+    <eta, conj eta> / |<eta, e_1>|^2, eta = (-z^2/2, 1/N, z).  The left-out
+    e(<rho, z>) has modulus exp(-2 pi <rho, Im z>), which depends on Im z
+    whenever rho != 0.
     """
     import mpmath
 
-    from .borcherds import petersson_norm_point, product_eval
+    from .borcherds import product_eval
     from .siegel import chi_g8_petersson
 
     g = sigma_point.g
     val, _tail = product_eval(F, tube_point, order=2)
-    ambient = tube_point.ambient()
-    eta = tube_point.period_vector()
-    l_ref = [1] + [0] * (ambient.rank - 1)
-    w, _ = borcherds_weight(ambient)
-    psi_norm2 = petersson_norm_point(ambient, eta, l_ref, w, value=val)
+    w, _ = borcherds_weight(tube_point.ambient())
+    psi_norm2 = float(2 * tube_point.y_norm2()) ** float(w) * abs(val) ** 2
     chi_norm2 = chi_g8_petersson(sigma_point, 53)
     return mpmath.mpf(psi_norm2) ** (Fraction(2) ** (g - 1) * ell) * chi_norm2 ** ell

@@ -1,33 +1,71 @@
 """Even lattices by Gram matrix, discriminant forms, 2-elementary invariants.
 
-Everything here is exact: det, adjugate and signature come from one
-fraction-free symmetric elimination (`_eliminate`, run once per `Lattice`),
-the lattice points of an ellipsoid from an integer Fincke-Pohst search on
-its pivots (`ellipsoid_lines`), discriminant groups from a Smith normal form
-over Z, built once per Gram matrix.  `discriminant_group` is the one support
-gate: it refuses a form that is not 2-elementary.  A `DiscGroup` reads its
-form off two integer tables on its generators, 2q(g_i) mod 4 and the packed
-rows of 2b(g_i, g_j) mod 2: the parity invariant delta and the characteristic
-element come from the l generators alone, and the q-value of every class and
-the map y -> By of the Weil S step from one pass over the classes, made
-when first read and kept on the group.  A class is its index in `elements`,
-the packed bits of its coordinates; the tables over every class stop at
-l = 12.
+Everything here is exact, and this is the package's one layer of exact
+linear algebra: det, adjugate, signature and positive definiteness come from
+one fraction-free symmetric elimination (`_eliminate`, an `Elimination`
+record, run once per `Lattice`), the lattice points of an ellipsoid from an
+integer Fincke-Pohst search on its pivots (`ellipsoid_lines`), discriminant
+groups from a Smith normal form over Z, built once per Gram matrix, next to
+the vector helpers `_dot`, `_quad`, `_clear`, `_pack` and `_fwht`.
+`discriminant_group` is the one support gate: it refuses a form that is not
+2-elementary.  A `DiscGroup` reads its form off two integer tables on its
+generators, 2q(g_i) mod 4 and the packed rows of 2b(g_i, g_j) mod 2: the
+parity invariant delta and the characteristic element come from the l
+generators alone, and the q-value of every class and the map y -> By of the
+Weil S step from one pass over the classes, made when first read and kept on
+the group.  A class is its index in `elements`, the packed bits of its
+coordinates; the tables over every class stop at l = 12.
 """
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product as iproduct
-from operator import xor
+from operator import add, mul, sub, xor
 
 
 # ---------------------------------------------------------------------------
-# integer Smith normal form with a left transform
+# exact integer and rational linear algebra
 # ---------------------------------------------------------------------------
+
+def _dot(u, v):
+    """sum u_i v_i, for ints, Fractions or complex numbers."""
+    return sum(map(mul, u, v))
+
+
+def _quad(u, M, w):
+    """u^t M w."""
+    return _dot(u, [_dot(row, w) for row in M])
+
+
+def _clear(xs):
+    """(ints, d) with xs[i] = ints[i] / d, for ints and Fractions."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _pack(bits) -> int:
+    """0/1 entries as the bits of one int, the first the most significant."""
+    return reduce(lambda acc, bit: acc << 1 | bit, bits, 0)
+
+
+def _fwht(a: list) -> list:
+    """Unnormalised Walsh-Hadamard transform of a list of length 2^l.
+
+    Entry k of the result is sum_x a[x] * (-1)^{popcount(x & k)}.  Each of
+    the l stages takes the pairs (a[2i], a[2i+1]) to x + y at i and x - y at
+    i + 2^{l-1}, which works through the bits from the lowest and ends in
+    natural order.
+    """
+    for _ in range(len(a).bit_length() - 1):
+        x, y = a[0::2], a[1::2]
+        a = list(map(add, x, y)) + list(map(sub, x, y))
+    return a
+
 
 def smith_normal_form(mat):
     """Return (d, U, V) with U*mat*V = diag(d), U, V unimodular.
@@ -112,59 +150,10 @@ def smith_normal_form(mat):
     return d, u, v
 
 
-# ---------------------------------------------------------------------------
-# lattices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Lattice:
-    """An even nondegenerate lattice given by its integer Gram matrix."""
-
-    gram: tuple
-    label: str = ""
-    _elim: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
-        n = len(g)
-        if any(len(row) != n for row in g):
-            raise ValueError("gram matrix must be square")
-        for i in range(n):
-            if g[i][i] % 2:
-                raise ValueError("lattice is not even: odd diagonal entry")
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-        object.__setattr__(self, "_elim", _eliminate(g))
-        if n and self._elim[0] == 0:
-            raise ValueError("gram matrix is degenerate")
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    def det(self) -> int:
-        return self._elim[0]
-
-    def pairing(self, x, y) -> Fraction:
-        """<x, y> for rational coordinate vectors in the lattice basis."""
-        acc = Fraction(0)
-        for i, row in enumerate(self.gram):
-            xi = Fraction(x[i])
-            if xi == 0:
-                continue
-            acc += xi * sum(Fraction(row[j]) * Fraction(y[j]) for j in range(self.rank))
-        return acc
-
-    def norm(self, x) -> Fraction:
-        return self.pairing(x, x)
-
-    def __repr__(self):
-        return f"Lattice({self.label or self.gram})"
+Elimination = namedtuple("Elimination", "det adj minors pivots")
 
 
-def _eliminate(mat):
+def _eliminate(mat) -> Elimination:
     """(det M, adj M, minors, pivots) of a symmetric integer matrix M, exactly.
 
     Fraction-free Gauss-Jordan (Bareiss) on [M | I] with diagonal pivots; a
@@ -186,7 +175,7 @@ def _eliminate(mat):
             i, j = next(((i, j) for i in range(k, n) for j in range(k, n) if m[i][j]),
                         (None, None))
             if i is None:
-                return 0, None, minors, pivots
+                return Elimination(0, None, minors, pivots)
             m[i] = [a + b for a, b in zip(m[i], m[j])]
             for row in m:
                 row[i] += row[j]
@@ -210,7 +199,13 @@ def _eliminate(mat):
             adj[i], adj[j] = adj[j], adj[i]
         else:
             adj[j] = [a + b for a, b in zip(adj[j], adj[i])]
-    return prev, adj, minors, pivots
+    return Elimination(prev, adj, minors, pivots)
+
+
+def _positive_definite(elim: Elimination) -> bool:
+    """Whether M is positive definite: iff every leading minor of P^t M P is > 0
+    (Sylvester); the minors stop at a zero pivot, where det is 0."""
+    return elim.det > 0 and all(d > 0 for d in elim.minors)
 
 
 def ellipsoid_lines(minors, pivots, bound, centre=None):
@@ -227,9 +222,7 @@ def ellipsoid_lines(minors, pivots, bound, centre=None):
     every line is nonempty, and the last coordinate varies slowest.
     """
     n = len(minors)
-    centre = [Fraction(x) for x in centre] if centre is not None else [Fraction(0)] * n
-    q = math.lcm(*(x.denominator for x in centre))
-    p = [int(x * q) for x in centre]
+    p, q = _clear([Fraction(x) for x in ([0] * n if centre is None else centre)])
     prods = [a * b for a, b in zip([1] + minors, minors)]
     scale = math.lcm(*prods)
     weight = [scale // w for w in prods]
@@ -237,7 +230,7 @@ def ellipsoid_lines(minors, pivots, bound, centre=None):
 
     def descend(k, rest):   # scale q^2 bound - sum_{j>k} weight_j t_j^2
         d = minors[k]
-        c = sum(a * y for a, y in zip(pivots[k][k + 1:], x[k + 1:])) - d * p[k]
+        c = _dot(pivots[k][k + 1:], x[k + 1:]) - d * p[k]
         s = math.isqrt(rest // weight[k])
         lo, hi = -((s + c) // (d * q)), (s - c) // (d * q)
         if k == 0:
@@ -245,7 +238,7 @@ def ellipsoid_lines(minors, pivots, bound, centre=None):
                 yield lo, hi, ()
         elif k == 1:   # layer 0 inline: one isqrt per line
             d0, a01 = minors[0], pivots[0][1]
-            c0 = sum(a * y for a, y in zip(pivots[0][2:], x[2:])) - d0 * p[0]
+            c0 = _dot(pivots[0][2:], x[2:]) - d0 * p[0]
             tail = tuple(m[2:])
             for v in range(lo, hi + 1):
                 t, c1 = d * q * v + c, c0 + a01 * (q * v - p[1])
@@ -262,6 +255,53 @@ def ellipsoid_lines(minors, pivots, bound, centre=None):
     bound = math.floor(q * q * Fraction(bound))
     if n and bound >= 0:
         yield from descend(n - 1, scale * bound)
+
+
+# ---------------------------------------------------------------------------
+# lattices
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Lattice:
+    """An even nondegenerate lattice given by its integer Gram matrix."""
+
+    gram: tuple
+    label: str = ""
+    _elim: Elimination = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        object.__setattr__(self, "gram", g)
+        n = len(g)
+        if any(len(row) != n for row in g):
+            raise ValueError("gram matrix must be square")
+        for i in range(n):
+            if g[i][i] % 2:
+                raise ValueError("lattice is not even: odd diagonal entry")
+            for j in range(n):
+                if g[i][j] != g[j][i]:
+                    raise ValueError("gram matrix must be symmetric")
+        object.__setattr__(self, "_elim", _eliminate(g))
+        if n and self._elim.det == 0:
+            raise ValueError("gram matrix is degenerate")
+
+    @property
+    def rank(self) -> int:
+        return len(self.gram)
+
+    def det(self) -> int:
+        return self._elim.det
+
+    def pairing(self, x, y) -> Fraction:
+        """<x, y> for rational coordinate vectors in the lattice basis."""
+        (xs, dx), (ys, dy) = (_clear([Fraction(v) for v in u]) for u in (x, y))
+        return Fraction(sum(xi * _dot(row, ys) for xi, row in zip(xs, self.gram) if xi), dx * dy)
+
+    def norm(self, x) -> Fraction:
+        return self.pairing(x, x)
+
+    def __repr__(self):
+        return f"Lattice({self.label or self.gram})"
 
 
 # -- constructors -----------------------------------------------------------
@@ -371,7 +411,7 @@ def signature(L: Lattice):
     P^t G P = R^t D R is a congruence with D_k = d_k / d_{k-1} (d_{-1} = 1),
     so b+ counts the k with sign d_k = sign d_{k-1}.
     """
-    minors = L._elim[2]     # a Lattice is nondegenerate
+    minors = L._elim.minors     # a Lattice is nondegenerate
     pos = sum((a > 0) == (b > 0) for a, b in zip([1] + minors, minors))
     return pos, L.rank - pos
 
@@ -384,11 +424,6 @@ def sigma(L: Lattice) -> int:
 # ---------------------------------------------------------------------------
 # discriminant groups
 # ---------------------------------------------------------------------------
-
-def _pack(bits) -> int:
-    """0/1 entries as the bits of one int, the first the most significant."""
-    return reduce(lambda acc, bit: acc << 1 | bit, bits, 0)
-
 
 _CLASS_L_CAP = 12   # the largest 2-rank whose tables over every class are built
 
@@ -449,8 +484,7 @@ class DiscGroup:
         if any(xi != int(xi) for xi in x):
             raise ValueError("vector is not in the dual lattice")
         x = [int(xi) for xi in x]
-        return DiscElement(self, tuple(sum(a * b for a, b in zip(self._u[p], x)) % 2
-                                       for p in self._positions))
+        return DiscElement(self, tuple(_dot(self._u[p], x) % 2 for p in self._positions))
 
     @cached_property
     def _masks(self) -> list:
@@ -475,8 +509,8 @@ class DiscGroup:
         Row B_i packs B_ij in the bit order of `elements`.
         """
         V = [[int(2 * x) for x in g] for g in self.generators]
-        GV = [[sum(a * b for a, b in zip(row, v)) for row in self.parent.gram] for v in V]
-        four_b = [[sum(a * b for a, b in zip(v, w)) % 8 for w in GV] for v in V]
+        GV = [[_dot(row, v) for row in self.parent.gram] for v in V]
+        four_b = [[_dot(v, w) % 8 for w in GV] for v in V]
         return ([row[i] // 2 for i, row in enumerate(four_b)],
                 [_pack(x // 2 % 2 for x in row) for row in four_b])
 
@@ -497,10 +531,10 @@ class DiscGroup:
         Q, B = self._tables
         l = self.l
         bits = [[(row >> (l - 1 - j)) & 1 for j in range(l)] for row in B]
-        adj = _eliminate(bits)[1]
-        gamma = tuple(sum(a * q for a, q in zip(row, Q)) % 2 for row in adj)
+        adj = _eliminate(bits).adj
+        gamma = tuple(_dot(row, Q) % 2 for row in adj)
         packed = _pack(gamma)
-        if any((bin(row & packed).count("1") - q) % 2 for row, q in zip(B, Q)):
+        if any(((row & packed).bit_count() - q) % 2 for row, q in zip(B, Q)):
             raise ArithmeticError("characteristic element fails on some generator")
         return gamma
 
@@ -555,13 +589,11 @@ class DiscElement:
 
     def rep(self):
         """Canonical coset representative in L^dual, coordinates in [0,1)."""
-        n = self.group.parent.rank
-        v = [Fraction(0)] * n
-        for c, g in zip(self.coords, self.group.generators):
-            if c:
-                for i in range(n):
-                    v[i] += c * g[i]
-        return [x % 1 for x in v]
+        picked = [(c, g) for c, g in zip(self.coords, self.group.generators) if c]
+        if not picked:
+            return [Fraction(0)] * self.group.parent.rank
+        cs, gens = zip(*picked)
+        return [_dot(cs, col) % 1 for col in zip(*gens)]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -17,16 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
+from .lattices import _clear
+
 
 def _num(x):
     """A rational as an int when it is integral."""
     return x.numerator if x.denominator == 1 else x
-
-
-def _clear(xs):
-    """(ints, d) with xs[i] = ints[i] / d."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def _plus(x, y):

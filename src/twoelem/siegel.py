@@ -99,8 +99,8 @@ from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_ne
                           round_nearest, to_fixed)
 
 from .characteristics import ThetaChar, _even_rows, chi8_weight
-from .lattices import _eliminate, ellipsoid_lines
-from .weil import _fwht
+from .lattices import (_clear, _dot, _eliminate, _fwht, _pack, _positive_definite, _quad,
+                       ellipsoid_lines)
 
 @dataclass
 class SiegelPoint:
@@ -125,15 +125,14 @@ class SiegelPoint:
             raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "sigma", mat)
         # 2^K (Sigma + Sigma^t)/2 = _real + i _imag, integer matrices
-        X, Y = ([[(Fraction(getattr(x, part)) + Fraction(getattr(y, part))) / 2
-                  for x, y in zip(row, col)] for row, col in zip(mat, zip(*mat))]
-                for part in ("real", "imag"))
-        self._den = math.lcm(*(x.denominator for m in (X, Y) for row in m for x in row))
+        ints, self._den = _clear([(Fraction(getattr(x, part)) + Fraction(getattr(y, part))) / 2
+                                  for part in ("real", "imag")
+                                  for row, col in zip(mat, zip(*mat)) for x, y in zip(row, col)])
         self._K = self._den.bit_length() - 1
-        self._real, self._imag = ([[int(x * self._den) for x in row] for row in m]
-                                  for m in (X, Y))
+        rows = [ints[k * g:(k + 1) * g] for k in range(2 * g)]
+        self._real, self._imag = rows[:g], rows[g:]
         self._elim = _eliminate(self._imag)
-        if len(self._elim[2]) < g or any(d <= 0 for d in self._elim[2]):
+        if not _positive_definite(self._elim):
             raise ValueError("Im Sigma must be positive definite")
         self._mins = {}   # packed 2a -> least v^t (Im Sigma) v over v != 0 in Z^g + a
         self._phis = {}   # `_phi` tables: None for complex doubles, else the bits
@@ -161,7 +160,8 @@ class SiegelPoint:
 
     def _lines(self, bound: Fraction, a):
         """Lines of the n in Z^g with (n+a)^t (Im Sigma) (n+a) <= bound."""
-        return ellipsoid_lines(*self._elim[2:], bound * self._den, [-x for x in a])
+        return ellipsoid_lines(self._elim.minors, self._elim.pivots, bound * self._den,
+                               [-x for x in a])
 
     def _least(self, a) -> Fraction:
         """min of v^t (Im Sigma) v over v != 0 in Z^g + a, exactly, found for every
@@ -172,17 +172,17 @@ class SiegelPoint:
             # that of x = 2a or of x = 2 e_i, the largest of them bounding the search
             best = [_quad(x, M, x) for x in itertools.product((0, 1), repeat=g)]
             best[0] = 4 * min(M[i][i] for i in range(g))
-            for lo, hi, rest in ellipsoid_lines(*self._elim[2:], max(best)):
+            for lo, hi, rest in ellipsoid_lines(self._elim.minors, self._elim.pivots, max(best)):
                 # the line is symmetric about its minimiser, whose floor is c, so each
                 # parity's least on it is at c or c + 1 (x = +-2 e_0 is in best[0])
                 c = -_dot(M[0][1:], rest) // M[0][0]
                 for x0 in range(max(c, lo), min(c + 1, hi) + 1):
                     x = (x0, *rest)
-                    k = sum((t & 1) << i for i, t in enumerate(reversed(x)))
+                    k = _pack(t & 1 for t in x)
                     if any(x):
                         best[k] = min(best[k], _quad(x, M, x))
             self._mins = {k: Fraction(b, 4 * self._den) for k, b in enumerate(best)}
-        return self._mins[_packed(a)]
+        return self._mins[_pack(int(2 * x) for x in a)]
 
 
 def _log_tail(g: int, rho: float, R: float) -> float:
@@ -223,24 +223,15 @@ def _truncation(a, point: SiegelPoint, prec: int):
     return Fraction(hi * hi / math.pi * (1 + 1e-12)), mpmath.exp(_log_tail(g, rho, hi))
 
 
-def _packed(halves) -> int:
-    return sum(int(2 * x) << k for k, x in enumerate(reversed(halves)))
-
-
-def _dot(u, v) -> int:
-    return sum(map(int.__mul__, u, v))
-
-
-def _quad(u, M, w) -> int:
-    return _dot(u, [_dot(row, w) for row in M])
-
-
 def _phi(seed, point: SiegelPoint, key=None):
-    """phi[i][j]: exp(2 pi i u_i^t Sigma u_j) and its inverse, from `seed`."""
+    """phi[i][j]: exp(2 pi i u_i^t Sigma u_j) and its inverse, from `seed`, once
+    per unordered pair: A is symmetrised, so phi[j][i] is phi[i][j]."""
     if key not in point._phis:
         dirs, A, K = point._carry[0], (point._real, point._imag), point._K
-        point._phis[key] = [[seed(*(2 * _quad(u, M, w) for M in A), K) for w in dirs]
-                            for u in dirs]
+        phi = [[None] * len(dirs) for _ in dirs]
+        for i, j in itertools.combinations_with_replacement(range(len(dirs)), 2):
+            phi[i][j] = phi[j][i] = seed(*(2 * _quad(dirs[i], M, dirs[j]) for M in A), K)
+        point._phis[key] = phi
     return point._phis[key]
 
 
@@ -338,7 +329,7 @@ class _Fixed:
         shift, prec, p, out, largest = self.wp + self.k, self.prec, self.p, [], 0
         parts = (_fwht([sum(t[i] for t in ts) for ts in sums]) for i in (0, 1))
         for beta, (re, im) in enumerate(zip(*parts)):
-            for _ in range(bin(packed & beta).count("1") % 4):
+            for _ in range((packed & beta).bit_count() % 4):
                 re, im = -im, re
             largest = max(largest, abs(re) + abs(im))
             out.append(mpmath.mp.make_mpc((from_man_exp(re, -shift, prec, round_nearest),
@@ -382,7 +373,7 @@ class _Floats:
     def finish(self, sums, packed: int, g: int, eps):
         weight = self.weight + self.mass * (max(map(len, sums)) + g)
         row = _fwht([sum(zs, 0j) for zs in sums])
-        return [z * (1, 1j, -1, -1j)[bin(packed & beta).count("1") % 4]
+        return [z * (1, 1j, -1, -1j)[(packed & beta).bit_count() % 4]
                 for beta, z in enumerate(row)], eps + weight * _ULP
 
 
@@ -450,7 +441,7 @@ def _theta_row(a, point: SiegelPoint, prec: int):
             st = (vals, p, m1, rest[1], 1, b0)   # D = 1 + the steps from the seeds
             for chain in part:
                 st = goto(st, chain[0][2][1])
-                base = sum((r & 1) << k for k, r in enumerate(reversed(chain[0][2][1:g - 1])))
+                base = _pack(r & 1 for r in chain[0][2][1:g - 1])
                 for lpart, s1 in (([ln for ln in chain if ln[2][0] >= st[2]], 1),
                                   ([ln for ln in reversed(chain) if ln[2][0] < st[2]], -1)):
                     (z, rf, rb, *rds), q, k1, _, D, cim = st
@@ -473,7 +464,7 @@ def _theta_row(a, point: SiegelPoint, prec: int):
                         cls = base | (k1 & 1) * bit1 | (q & 1) * bit0
                         sums[cls].append(even)
                         sums[cls ^ bit0].append(odd)
-    return ar.finish(sums, _packed(a), g, eps)
+    return ar.finish(sums, _pack(alpha[:g]), g, eps)
 
 
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
@@ -481,33 +472,15 @@ def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
     exp(pi i (n+a)^t Sigma (n+a) + 2 pi i (n+a).b)."""
     if len(ch.a) != point.g:
         raise ValueError("characteristic size must match the matrix")
-    return _theta_row(ch.a, point, prec)[0][_packed(ch.b)]
-
-
-def _even_thetas(point: SiegelPoint, prec: int) -> list:
-    """The even theta constants at Sigma in `even_characteristics` order,
-    from one `_theta_row` per a."""
-    rows = [(_theta_row(a, point, prec)[0], js) for a, js in _even_rows(point.g)]
-    return [row[j] for row, js in rows for j in js]
-
-
-def _chi(thetas, prec: int):
-    """chi_g from its theta factors, an mpmath complex multiplied at
-    max(prec, 53) + 10 bits.  Its exponent range is unbounded: a product of up
-    to 528 theta constants leaves the double range routinely."""
-    with mpmath.workprec(max(prec, 53) + 10):
-        acc = mpmath.mpc(1)
-        for z in thetas:
-            acc *= z
-    return acc
+    return _theta_row(ch.a, point, prec)[0][_pack(int(2 * x) for x in ch.b)]
 
 
 def _petersson(point: SiegelPoint, chi, prec: int):
-    """`chi_g8_petersson` from chi_g at the point (`_chi`)."""
+    """`chi_g8_petersson` from chi_g at the point."""
     g = point.g
     if g == 0:
         return mpmath.mpf(1)
-    det, den, w = point._elim[0], point._den, chi8_weight(g)
+    det, den, w = point._elim.det, point._den, chi8_weight(g)
     with mpmath.workprec(max(prec, 53) + 10):
         modulus = abs(chi)
     with mpmath.workprec(max(prec, 53)):
@@ -515,21 +488,29 @@ def _petersson(point: SiegelPoint, chi, prec: int):
 
 
 def chi_g(point: SiegelPoint, prec: int = 53):
-    """Product of the even theta constants at Sigma, as an mpmath complex."""
-    return _chi(_even_thetas(point, prec), prec)
+    """Product of the even theta constants at Sigma, one `_theta_row` per a, as
+    an mpmath complex multiplied at max(prec, 53) + 10 bits: a product of up to
+    528 theta constants leaves the double range routinely."""
+    rows = [(_theta_row(a, point, prec)[0], js) for a, js in _even_rows(point.g)]
+    with mpmath.workprec(max(prec, 53) + 10):
+        acc = mpmath.mpc(1)
+        for row, js in rows:
+            for j in js:
+                acc *= row[j]
+    return acc
 
 
 def chi_g8_petersson(point: SiegelPoint, prec: int = 53):
     """(det Im Sigma)^{2^{g+1}(2^g+1)} |chi_g^8|^2 as an mpmath real.
 
     chi_g is the product of the even theta constants as an mpmath complex
-    (`_chi`), so neither it nor the 16th power of its modulus leaves the
+    (`chi_g`), so neither it nor the 16th power of its modulus leaves the
     exponent range: at g = 3 and Sigma = 40i I + 0.1i off the diagonal the
     norm is about 1e-9673, which the product of the 36 complex doubles
     would flush to 0.  det Im Sigma is exact: the `_eliminate` run of the
     integer matrix den Im Sigma that `SiegelPoint` keeps, den a power of 2.
     """
-    return _petersson(point, _chi(_even_thetas(point, prec), prec), prec)
+    return _petersson(point, chi_g(point, prec), prec)
 
 
 def fay_family(g: int, psi, t):
@@ -549,7 +530,7 @@ def fay_family(g: int, psi, t):
 def vanishing_order_fit(family, t_grid, prec: int = 53):
     """Least-squares slope of log|chi^8|^2 against log|t|^2 on the grid.
 
-    log|chi| is taken from chi as an mpmath complex (`_chi`), so a chi far
+    log|chi| is taken from chi as an mpmath complex (`chi_g`), so a chi far
     below the double range still gives a point.  The two largest-|t| points
     are dropped (they carry the slowly-decaying log log correction).  Returns
     (slope, max_residual).
@@ -560,7 +541,7 @@ def vanishing_order_fit(family, t_grid, prec: int = 53):
     pts = pts[:-2]
     xs, ys = [], []
     for t in pts:
-        aval = abs(_chi(_even_thetas(family(t), prec), prec))
+        aval = abs(chi_g(family(t), prec))
         if not aval:
             raise ValueError(f"chi vanished to numerical zero at t = {t}")
         xs.append(2 * math.log(abs(t)))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import (Lattice, direct_sum, discriminant_group, rescale, signature,
+from .lattices import (Lattice, _dot, direct_sum, discriminant_group, rescale, signature,
                        standard_lattice)
 from .modforms import f0, f1, g_i
 from .mp2 import evaluate_word, mp2_word, word_j
@@ -114,7 +114,7 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
     comps = []
     for el in discriminant_group(L_small).elements:
         rep = el.rep()
-        x_small = [sum(g * r for g, r in zip(row, rep)) for row in L_small.gram]
+        x_small = [_dot(row, rep) for row in L_small.gram]
         acc = None
         for n in range(N):
             # (n/N, 0) in U(N) has integer coordinates (0, n)
@@ -275,7 +275,7 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
             factor = slash * mpmath.mpf(col.scale.numerator) / col.scale.denominator
             for i, coeffs in enumerate(zip(*col.comp)):
                 if any(coeffs):
-                    values[i] += factor * sum(c * z for c, z in zip(coeffs, zeta_pows))
+                    values[i] += factor * _dot(coeffs, zeta_pows)
         return values, data
 
 

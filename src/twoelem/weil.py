@@ -36,9 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 
-from .lattices import DiscGroup, Lattice, discriminant_group
+from .lattices import DiscGroup, Lattice, _fwht, discriminant_group
 from .mp2 import Mp2Element, mp2_word
 
 _DENSE_L_CAP = 8
@@ -99,20 +98,6 @@ def _canonical(scale: Fraction, comp: list, l: int = 0) -> WeilColumn:
 # ---------------------------------------------------------------------------
 # fast column evaluation
 # ---------------------------------------------------------------------------
-
-def _fwht(a: list) -> list:
-    """Unnormalised Walsh-Hadamard transform of a list of length 2^l.
-
-    Entry k of the result is sum_x a[x] * (-1)^{popcount(x & k)}.  Each of
-    the l stages takes the pairs (a[2i], a[2i+1]) to x + y at i and x - y at
-    i + 2^{l-1}, which works through the bits from the lowest and ends in
-    natural order.
-    """
-    for _ in range(len(a).bit_length() - 1):
-        x, y = a[0::2], a[1::2]
-        a = list(map(add, x, y)) + list(map(sub, x, y))
-    return a
-
 
 def _s_step(scale: Fraction, comp: list, data: DiscGroup) -> WeilColumn:
     """rho(S) applied to scale * comp; a zero row stays as it is."""

@@ -26,7 +26,7 @@ from twoelem import (
     two_elementary_invariants,
 )
 from twoelem import lattices
-from twoelem.lattices import _eliminate
+from twoelem.lattices import _eliminate, _positive_definite
 from twoelem.weil import weil_column
 
 
@@ -91,6 +91,7 @@ def test_signature_matches_eigenvalues(m):
     assume(np.abs(eig).min() >= 1e-6)
     assert signature(Lattice(tuple(map(tuple, m)))) == (int((eig > 0).sum()),
                                                         int((eig < 0).sum()))
+    assert _positive_definite(_eliminate(m)) == bool((eig > 0).all())
 
 
 @pytest.mark.parametrize("expr, want", [

@@ -1,7 +1,8 @@
 """Module-level imports: no module imports numpy, and the lattice, product,
-CLI and graph layers do not load the Weil representation; at run time the
-exact commands load neither numpy, mpmath nor `siegel`, and the Siegel
-commands do not load numpy."""
+CLI and graph layers do not load the Weil representation; only `lattices`
+defines the exact linear-algebra helpers, and `siegel` imports nothing from
+`weil`; at run time the exact commands load neither numpy, mpmath nor
+`siegel`, and the Siegel commands do not load numpy."""
 import ast
 import json
 import os
@@ -55,6 +56,21 @@ def test_no_module_imports_numpy_at_module_level():
 def test_lattice_product_cli_and_graph_layers_do_not_import_weil():
     found = _module_level_importers(_imports_weil)
     assert not found & {"lattices", "borcherds", "cli", "k3graph"}
+
+
+_EXACT_HELPERS = ("_dot", "_quad", "_clear", "_pack", "_fwht")
+
+
+def test_one_exact_linear_algebra_layer():
+    # every def of these names, nested ones included, and of `_pack`'s other name `_packed`
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in _EXACT_HELPERS + ("_packed",):
+                defined.setdefault(node.name, []).append(path.stem)
+    assert defined == {name: ["lattices"] for name in _EXACT_HELPERS}
+    siegel = ast.parse((SRC / "siegel.py").read_text())
+    assert not any(_imports_weil(node) for node in ast.walk(siegel))
 
 
 _COMMANDS = """

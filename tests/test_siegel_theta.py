@@ -21,6 +21,7 @@ from twoelem import (
 )
 import numpy as np
 
+from twoelem.lattices import _quad
 from twoelem.siegel import _theta_row, _truncation, chi8_weight
 
 
@@ -64,6 +65,7 @@ def _exact_det(sig):
       (1.2716405512785594j, 1.9179060433308834j)), True),
     (((0.8496266753863589j, 0.8479616122881385j),
       (0.8479616122881385j, 0.8462998123114764j)), False),
+    (((1j, 1j), (1j, 1j)), False),                           # det Im = 0, a zero pivot
 ])
 def test_point_positive_definiteness_is_exact(sig, positive):
     assert (_exact_det(sig) > 0) == positive
@@ -630,3 +632,18 @@ def test_least_matches_a_box_scan_at_random_points(g, data):
     s = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
     _assert_least_matches_box_scan([[sum(B[k][i] * B[k][j] for k in range(g)) + s * (i == j)
                                      for j in range(g)] for i in range(g)], s)
+
+
+def test_phi_seeds_each_unordered_pair_once():
+    # exp(2 pi i u_i^t Sigma u_j) is symmetric in (i, j): one seed per pair i <= j
+    for g in range(1, 5):
+        sig = tuple(tuple(complex(0.1 * (i + j) + 0.05, 1.5 if i == j else 0.3)
+                          for j in range(g)) for i in range(g))
+        point, calls = SiegelPoint(sig), []
+        phi = siegel._phi(lambda *args: calls.append(args) or siegel._cis(*args), point)
+        n = min(g, 3)
+        assert len(calls) == n * (n + 1) // 2
+        dirs, A = point._carry[0], (point._real, point._imag)
+        for i, j in itertools.product(range(n), repeat=2):
+            want = siegel._cis(*(2 * _quad(dirs[i], M, dirs[j]) for M in A), point._K)
+            assert phi[i][j] == phi[j][i] == want

@@ -374,6 +374,7 @@ def rhs_invariant(tube_point, F, sigma_point, ell: int = 1):
     g = sigma_point.g
     val, _tail = product_eval(F, tube_point, order=2)
     w, _ = borcherds_weight(tube_point.ambient())
-    psi_norm2 = float(2 * tube_point.y_norm2()) ** float(w) * abs(val) ** 2
+    factor = 2 * tube_point.y_norm2()   # in mpmath: a double overflows at large Im z
+    psi_norm2 = (mpmath.mpf(factor.numerator) / factor.denominator) ** w * abs(val) ** 2
     chi_norm2 = chi_g8_petersson(sigma_point, 53)
-    return mpmath.mpf(psi_norm2) ** (Fraction(2) ** (g - 1) * ell) * chi_norm2 ** ell
+    return psi_norm2 ** (Fraction(2) ** (g - 1) * ell) * chi_norm2 ** ell

@@ -4,8 +4,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twoelem import (
     QSeries,
@@ -23,7 +24,7 @@ from twoelem import (
     separating_walls,
     standard_lattice,
 )
-from twoelem.borcherds import short_vectors
+from twoelem.borcherds import _lines, _slab_majorant, short_vectors
 from twoelem.vvmf import borcherds_weight
 from twoelem.lattices import _eliminate, ellipsoid_lines
 
@@ -364,24 +365,113 @@ def _product_eval_pointwise(F, point, order, min_margin):
     return cmath.exp(log_acc), (math.exp(tail_exp) if tail_exp < 0 else float("inf"))
 
 
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("expr, z", [
     ("U+A1", (0.25 + 1.5j, -0.125 + 1.25j, 0.1 + 0.375j)),   # first Im coordinate > 0
     ("A1+U", (0.05 - 0.25j, 0.1 + 1.5j, -0.2 + 1.25j)),       # < 0
     ("A1+A1+", (0.1 + 0j, -0.03 + 1.25j)),                    # = 0
+    ("U+A1", (0.1 + 2.5j, -0.05 + 2.3j, 0.013 + 0.37j)),      # not dyadic
+    # (Im z)^2 = 2.19 at |Im z| ~ 300: the grid 2^-10 puts the rounded Im z
+    # below half its norm, so the majorant needs 11 bits
+    ("A1+A1+A1+", (0.01 + 195.9j, 0.02 + 186.9j, 270.7573j)),
+    ("A1+", (0.1 + 1.3j,)),                                    # rank 1
 ])
 @pytest.mark.parametrize("N", [1, 2])
 def test_product_eval_matches_pointwise_reference(expr, z, N):
-    # the line walk clips each line to the cut slab and reads lam^2, class
-    # and coefficient in integers; the per-index loop is the reference
+    # the line walk on the slab-centred majorant clips each line to the cut
+    # slab and reads lam^2, class and coefficient in integers; the per-index
+    # loop on the origin-centred majorant is the reference, also where it raises
     p = TubePoint(N, parse_lattice_expr(expr), z)
     F = construct_F(p.ambient(), order=8)
     for cut, margin in [(1, 0.0), (2, 0.0), (Fraction(5, 2), 0.0), (3, 0.0), (2, 0.05)]:
-        want = _product_eval_pointwise(F, p, cut, margin)
-        assert product_eval(F, p, order=cut, min_margin=margin) == want
-    # Im z is dyadic with denominator at most 8, so only <lam, Im z> = 5/2
-    # lies in (5/2 - 1/16, 5/2]: some index with a nonzero coefficient is on the cut
-    below = _product_eval_pointwise(F, p, Fraction(5, 2) - Fraction(1, 16), 0.0)
-    assert below != _product_eval_pointwise(F, p, Fraction(5, 2), 0.0)
+        want = _outcome(_product_eval_pointwise, F, p, cut, margin)
+        assert _outcome(product_eval, F, p, cut, margin) == want
+    if all(Fraction(w.imag).denominator <= 8 for w in z):
+        # only <lam, Im z> = 5/2 lies in (5/2 - 1/16, 5/2]: some index with a
+        # nonzero coefficient is on the cut
+        below = _product_eval_pointwise(F, p, Fraction(5, 2) - Fraction(1, 16), 0.0)
+        assert below != _product_eval_pointwise(F, p, Fraction(5, 2), 0.0)
+
+
+@st.composite
+def slab_cases(draw):
+    """(L, y, cut, low): a Lorentzian L, y of norm >= 1/4, cut in (0, 3]."""
+    L = parse_lattice_expr(draw(st.sampled_from(["U", "U+A1", "A1+A1+", "A1+", "U(2)+A1",
+                                                  "U+A1+A1"])))
+    y = [Fraction(draw(st.floats(-3, 3))) for _ in range(L.rank)]
+    assume(L.norm(y) >= Fraction(1, 4))
+    cut = draw(st.fractions(Fraction(1, 16), 3, max_denominator=16))
+    low = draw(st.sampled_from([0, Fraction(-1, 4), Fraction(-1, 2), -1, -2]))
+    return L, y, cut, low
+
+
+@settings(deadline=None, max_examples=60)
+@given(slab_cases())
+@example((parse_lattice_expr("A1+A1+A1+"), [Fraction(x) for x in (195.9, 186.9, 270.7573)],
+          Fraction(3), -1))   # y~ on the grid 2^-11
+def test_slab_majorant_premise(case):
+    # every index of the slab 0 < <lam, y> <= cut with lam^2 >= 2 low, taken
+    # from the origin-centred majorant, satisfies the centred inequality
+    # exactly, and the search on the centred majorant finds it
+    L, y, cut, low = case
+    n = L.rank
+    det, adj, _, _ = _eliminate(L.gram)
+    Ginv = [[Fraction(a, det) for a in row] for row in adj]
+    y2 = L.norm(y)
+    A_old = [[2 * y[i] * y[j] / y2 - Ginv[i][j] for j in range(n)] for i in range(n)]
+    M, bound, c = _slab_majorant(L, y, cut, low)
+    found = {(v,) + rest for lo, hi, rest in _lines(M, bound, c) for v in range(lo, hi + 1)}
+    for m in short_vectors(A_old, 2 * cut ** 2 / y2 - 2 * low):
+        lam2 = sum(mi * sum(g * mj for g, mj in zip(row, m)) for mi, row in zip(m, Ginv))
+        if 0 < sum(mi * yi for mi, yi in zip(m, y)) <= cut and lam2 >= 2 * low:
+            x = [mi - ci for mi, ci in zip(m, c)]
+            assert sum(xi * sum(a * xj for a, xj in zip(row, x)) for xi, row in zip(x, M)) <= bound
+            assert m in found
+
+
+def test_slab_majorant_search_is_small():
+    # cut 6 at the generic point of the benchmark's U(2)+U+D4: the
+    # origin-centred majorant on the exact Im z searched 2,183 lines and
+    # 6,157 points
+    L = parse_lattice_expr("U+D4")
+    det, adj, _, _ = _eliminate([row[2:] for row in L.gram[2:]])
+    y_d4 = [-0.07 * float(sum(Fraction(a, det) for a in row)) for row in adj]
+    z_d4 = [complex(0.013 * (i + 1), y) for i, y in enumerate(y_d4)]
+    p = TubePoint(2, L, tuple([0.1 + 2.5j, -0.05 + 2.3j] + z_d4))
+    F = construct_F(p.ambient(), order=6)
+    low = min(ser.min_exp() for ser in F.components if ser.coeffs)
+    lines = list(_lines(*_slab_majorant(L, p.y(), Fraction(6), min(low, 0))))
+    assert len(lines) <= 1100
+    assert sum(hi - lo + 1 for lo, hi, _ in lines) <= 2500
+
+
+def test_product_eval_refuses_nonpositive_cut():
+    p = TubePoint(1, standard_lattice("U"), (400j, 399.9j))
+    F = construct_F(p.ambient(), order=4)
+    for order in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="must be positive"):
+            product_eval(F, p, order=order)
+
+
+def test_rhs_invariant_at_large_im_z():
+    # at Im z = (400, 399.9) the Petersson factor (2 (Im z)^2)^60 is about
+    # 1e347, beyond the double range; at g = 0 and ell = 2 the invariant is
+    # ||Psi||^2 = (2 (Im z)^2)^60 |Psi|^2 itself
+    p = TubePoint(1, standard_lattice("U"), (400j, 399.9j))
+    F = construct_F(p.ambient(), order=16)
+    value, _ = product_eval(F, p, order=2)
+    got = rhs_invariant(p, F, SiegelPoint(()), ell=2)
+    y2 = 2 * p.y_norm2()
+    want = 60 * mpmath.log(mpmath.mpf(y2.numerator) / y2.denominator) + 2 * mpmath.log(abs(value))
+    assert mpmath.isfinite(got) and got > 1e300
+    assert abs(mpmath.log(got) - want) <= 1e-13 * abs(want)
 
 
 def test_product_eval_beyond_truncation():

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import (Lattice, _clear, _dot, _eliminate, _positive_definite, _quad,
-                       direct_sum, discriminant_group, ellipsoid_lines, rescale, standard_lattice)
+from .lattices import (Lattice, _clear, _dot, _eliminate, _integer, _positive_definite, _quad,
+                       discriminant_group, ellipsoid_lines, hyperbolic_split)
 from .vvmf import VVForm
 
 
@@ -32,7 +32,15 @@ from .vvmf import VVForm
 # exact short-vector enumeration
 # ---------------------------------------------------------------------------
 
-def _lines(A, bound, centre=None):
+def _rational(x, name: str) -> Fraction:
+    """x as a Fraction, or a ValueError naming the argument unless x is a finite number."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a finite rational number, got {x!r}") from None
+
+
+def _lines(A, bound: Fraction, centre=None):
     """Lines (lo, hi, rest) of `lattices.ellipsoid_lines` on den*A: the integer m with
     (m - c)^t A (m - c) <= bound, A rational positive definite, c rational (0 if None)."""
     n = len(A)
@@ -40,12 +48,12 @@ def _lines(A, bound, centre=None):
     elim = _eliminate([ints[i * n:(i + 1) * n] for i in range(n)])
     if not _positive_definite(elim):
         raise ValueError("matrix is not positive definite")
-    return ellipsoid_lines(elim.minors, elim.pivots, Fraction(bound) * den, centre)
+    return ellipsoid_lines(elim, bound * den, centre)
 
 
 def short_vectors(A, bound):
     """All integer m != 0 with m^t A m <= bound (A rational symmetric pos def)."""
-    return [(v,) + rest for lo, hi, rest in _lines(A, bound)
+    return [(v,) + rest for lo, hi, rest in _lines(A, _rational(bound, "bound"))
             for v in range(lo, hi + 1) if v or any(rest)]
 
 
@@ -62,6 +70,7 @@ class TubePoint:
     z: tuple  # complex numbers, length rank(L)
 
     def __post_init__(self):
+        self.N = _integer(self.N, "N", positive=True)
         self.z = tuple(complex(w) for w in self.z)
         if len(self.z) != self.L.rank:
             raise ValueError("tube coordinate length must match rank of L")
@@ -76,7 +85,7 @@ class TubePoint:
         return self.L.norm(self.y())
 
     def ambient(self) -> Lattice:
-        return direct_sum(rescale(standard_lattice("U"), self.N), self.L)
+        return hyperbolic_split(self.N, self.L)
 
     def period_vector(self):
         """The isotropic vector (-z^2/2, 1/N, z) in ambient coordinates."""
@@ -161,7 +170,7 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     ambient = point.ambient()
     if F.lattice.gram != ambient.gram:
         raise ValueError("form does not live on the ambient split U(N) + L")
-    cut = Fraction(order)
+    cut = _rational(order, "order")
     if cut <= 0:
         raise ValueError(f"product cut on <lam, Im z> must be positive, got order={order}")
     data = discriminant_group(ambient)
@@ -303,8 +312,12 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     v1, v2 = [Fraction(x) for x in v1], [Fraction(x) for x in v2]
     if L.norm(v1) <= 0 or L.norm(v2) <= 0:
         raise ValueError("endpoints must have positive norm")
-    norm_set = {Fraction(x) for x in norm_set}
-    Pb = Fraction(pairing_bound)
+    norm_set = {_rational(x, "norm_set entry") for x in norm_set}
+    if not norm_set:
+        raise ValueError("norm_set must hold at least one norm")
+    Pb = _rational(pairing_bound, "pairing_bound")
+    if Pb <= 0:
+        raise ValueError(f"pairing_bound must be positive, got {pairing_bound!r}")
     # positive-definite slab form: <lam,v1>^2 + <lam,v2>^2 - lam^2
     A = [[v1[i] * v1[j] + v2[i] * v2[j] - Fraction(adj[i][j], det) for j in range(n)]
          for i in range(n)]

@@ -23,7 +23,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product as iproduct
 from operator import add, mul, sub, xor
 
@@ -71,83 +71,55 @@ def smith_normal_form(mat):
     """Return (d, U, V) with U*mat*V = diag(d), U, V unimodular.
 
     `mat` is a list of int rows; `d` lists the diagonal entries (each dividing
-    the next among the nonzero ones).
+    the next among the nonzero ones).  The n x m matrix is reduced inside the
+    block [[mat, I_n], [I_m, 0]]: an operation on its first n rows acts on mat
+    and U together, one on its first m columns on mat and V, so the block ends
+    as [[diag(d), U], [V, 0]].
     """
-    a = [list(map(int, row)) for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(i, j, f):  # row_i -= f*row_j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, f):  # col_i -= f*col_j
-        for r in range(nrows):
-            a[r][i] -= f * a[r][j]
-        for r in range(ncols):
-            v[r][i] -= f * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(nrows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(ncols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    n = min(nrows, ncols)
-    for s in range(n):
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    k = min(n, m)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    a += [[int(i == j) for j in range(m)] + [0] * n for i in range(m)]
+    for s in range(k):
         while True:
-            # pivot: smallest nonzero |entry| in the trailing block
-            piv = None
-            best = None
-            for i in range(s, nrows):
-                for j in range(s, ncols):
+            # pivot: the first smallest nonzero |entry| of the trailing block, in row order
+            piv = best = None
+            for i in range(s, n):
+                for j in range(s, m):
                     x = abs(a[i][j])
                     if x and (best is None or x < best):
                         best, piv = x, (i, j)
             if piv is None:
                 break
-            if piv != (s, s):
-                if piv[0] != s:
-                    swap_rows(s, piv[0])
-                if piv[1] != s:
-                    swap_cols(s, piv[1])
-            clean = True
-            for i in range(s + 1, nrows):
+            i, j = piv
+            a[s], a[i] = a[i], a[s]
+            if j != s:
+                for row in a:
+                    row[s], row[j] = row[j], row[s]
+            p, clean = a[s][s], True
+            for i in range(s + 1, n):   # row_i -= f row_s
                 if a[i][s]:
-                    row_op(i, s, a[i][s] // a[s][s])
-                    if a[i][s]:
-                        clean = False
-            for j in range(s + 1, ncols):
+                    f = a[i][s] // p
+                    a[i] = [x - f * y for x, y in zip(a[i], a[s])]
+                    clean = clean and not a[i][s]
+            for j in range(s + 1, m):   # col_j -= f col_s
                 if a[s][j]:
-                    col_op(j, s, a[s][j] // a[s][s])
-                    if a[s][j]:
-                        clean = False
+                    f = a[s][j] // p
+                    for row in a:
+                        row[j] -= f * row[s]
+                    clean = clean and not a[s][j]
             if clean:
                 # row s and column s are cleared (row ops leave row s, column
                 # ops column s alone); enforce divisibility into the trailing block
-                bad = None
-                for i in range(s + 1, nrows):
-                    for j in range(s + 1, ncols):
-                        if a[i][j] % a[s][s]:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                bad = next((i for i in range(s + 1, n)
+                            if any(a[i][j] % p for j in range(s + 1, m))), None)
                 if bad is None:
                     break
                 a[s] = [x + y for x, y in zip(a[s], a[bad])]
-                u[s] = [x + y for x, y in zip(u[s], u[bad])]
         if a[s][s] < 0:
             a[s] = [-x for x in a[s]]
-            u[s] = [-x for x in u[s]]
-    d = [a[i][i] for i in range(n)]
-    return d, u, v
+    return [a[i][i] for i in range(k)], [row[m:] for row in a[:n]], [row[:m] for row in a[n:]]
 
 
 Elimination = namedtuple("Elimination", "det adj minors pivots")
@@ -208,12 +180,12 @@ def _positive_definite(elim: Elimination) -> bool:
     return elim.det > 0 and all(d > 0 for d in elim.minors)
 
 
-def ellipsoid_lines(minors, pivots, bound, centre=None):
+def ellipsoid_lines(elim: Elimination, bound, centre=None):
     """The integer m with (m - c)^t M (m - c) <= bound, line by line.
 
-    M is a positive definite integer matrix given by the leading minors d_k
-    and pivot rows a_k of its `_eliminate` run, `bound` a rational and the
-    centre c a rational vector (0 when None).  Integer Fincke-Pohst: with q
+    M is a positive definite integer matrix given by its `_eliminate` record
+    (leading minors d_k, pivot rows a_k), `bound` a rational and the centre c
+    a rational vector (0 when None).  Integer Fincke-Pohst: with q
     the common denominator of c and x = q (m - c), q^2 (m-c)^t M (m-c) =
     sum_k t_k^2 / (d_{k-1} d_k), t_k = d_k x_k + sum_{j>k} a_kj x_j.  Over
     the scale lcm(d_{k-1} d_k) the budget left for layer k is an integer, so
@@ -221,6 +193,7 @@ def ellipsoid_lines(minors, pivots, bound, centre=None):
     m_k.  Yields (lo, hi, rest), the points (m_0, *rest) with lo <= m_0 <= hi;
     every line is nonempty, and the last coordinate varies slowest.
     """
+    minors, pivots = elim.minors, elim.pivots
     n = len(minors)
     p, q = _clear([Fraction(x) for x in ([0] * n if centre is None else centre)])
     prods = [a * b for a, b in zip([1] + minors, minors)]
@@ -270,7 +243,7 @@ class Lattice:
     _elim: Elimination = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(_integer(x, "gram entry") for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -306,34 +279,36 @@ class Lattice:
 
 # -- constructors -----------------------------------------------------------
 
-def _cartan_d(n: int):
-    """Negative-definite D_n Cartan matrix (n >= 4 even here)."""
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = -2
-    # chain 0-1-...-(n-2), with node n-1 attached to node n-3
-    for i in range(n - 2):
-        g[i][i + 1] = g[i + 1][i] = 1
-    g[n - 3][n - 1] = g[n - 1][n - 3] = 1
-    return g
+def _integer(x, what: str, positive=False) -> int:
+    """int(x) for an integral x (2.0 and Fraction(2) too), > 0 if `positive`; else a ValueError."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != x or (positive and k <= 0):
+        raise ValueError(f"{what} must be a{' positive' if positive else 'n'} integer, got {x!r}")
+    return k
 
 
-def _cartan_e(n: int):
-    """Negative-definite E_n Cartan matrix, n in {7, 8} (Bourbaki numbering)."""
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = -2
-    # chain 0-2-3-4-...-(n-1), node 1 attached to node 3
-    chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-    for a, b in zip(chain, chain[1:]):
+def _cartan(n: int, edges):
+    """Negative-definite Cartan matrix: -2 on the diagonal, 1 on each edge."""
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for a, b in edges:
         g[a][b] = g[b][a] = 1
-    g[1][3] = g[3][1] = 1
     return g
+
+
+# E_n in Bourbaki numbering: the chain 0-2-3-...-(n-1), node 1 on node 3
+_NAMED = {name: Lattice(gram, label) for name, gram, label in (
+    ("U", [[0, 1], [1, 0]], "U"),
+    ("A1", [[-2]], "A1"),
+    ("A1plus", [[2]], "A1+"),
+    *((f"E{n}", _cartan(n, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]), f"E{n}")
+      for n in (7, 8)))}
 
 
 def rescale(a: Lattice, k: int) -> Lattice:
-    if k <= 0:
-        raise ValueError("rescale factor must be positive")
+    k = _integer(k, "rescale factor", positive=True)
     lab = f"{a.label}({k})" if a.label else ""
     return Lattice(tuple(tuple(k * x for x in row) for row in a.gram), lab)
 
@@ -344,36 +319,31 @@ def standard_lattice(name: str) -> Lattice:
     Accepted: U, A1, A1plus (= <2>), D4/D6/D8/... (even index), E7, E8.
     """
     name = name.strip()
-    if name == "U":
-        return Lattice(((0, 1), (1, 0)), "U")
-    if name == "A1":
-        return Lattice(((-2,),), "A1")
-    if name == "A1plus":
-        return Lattice(((2,),), "A1+")
-    if name == "E7":
-        return Lattice(tuple(map(tuple, _cartan_e(7))), "E7")
-    if name == "E8":
-        return Lattice(tuple(map(tuple, _cartan_e(8))), "E8")
+    if name in _NAMED:
+        return _NAMED[name]
     m = re.fullmatch(r"D(\d+)", name)
     if m:
         n = int(m.group(1))
         if n < 4 or n % 2:
             raise ValueError("only D_{2k} with 2k >= 4 is supported")
-        return Lattice(tuple(map(tuple, _cartan_d(n))), f"D{n}")
+        # the chain 0-1-...-(n-2), node n-1 on node n-3
+        edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+        return Lattice(_cartan(n, edges), f"D{n}")
     raise ValueError(f"unknown lattice name: {name!r}")
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    n = sum(a.rank for a in lattices)
-    g = [[0] * n for _ in range(n)]
-    off = 0
+    n, g = sum(a.rank for a in lattices), []
     for a in lattices:
-        for i in range(a.rank):
-            for j in range(a.rank):
-                g[off + i][off + j] = a.gram[i][j]
-        off += a.rank
-    label = "+".join(a.label for a in lattices if a.label)
-    return Lattice(tuple(map(tuple, g)), label)
+        off = len(g)
+        g += [(0,) * off + row + (0,) * (n - off - a.rank) for row in a.gram]
+    return Lattice(g, "+".join(a.label for a in lattices if a.label))
+
+
+@lru_cache(maxsize=None)
+def hyperbolic_split(N: int, L: Lattice) -> Lattice:
+    """U(N) + L, the hyperbolic block first, built once per (N, L)."""
+    return direct_sum(rescale(standard_lattice("U"), N), L)
 
 
 # -- symbolic input ---------------------------------------------------------

@@ -160,8 +160,7 @@ class SiegelPoint:
 
     def _lines(self, bound: Fraction, a):
         """Lines of the n in Z^g with (n+a)^t (Im Sigma) (n+a) <= bound."""
-        return ellipsoid_lines(self._elim.minors, self._elim.pivots, bound * self._den,
-                               [-x for x in a])
+        return ellipsoid_lines(self._elim, bound * self._den, [-x for x in a])
 
     def _least(self, a) -> Fraction:
         """min of v^t (Im Sigma) v over v != 0 in Z^g + a, exactly, found for every
@@ -172,7 +171,7 @@ class SiegelPoint:
             # that of x = 2a or of x = 2 e_i, the largest of them bounding the search
             best = [_quad(x, M, x) for x in itertools.product((0, 1), repeat=g)]
             best[0] = 4 * min(M[i][i] for i in range(g))
-            for lo, hi, rest in ellipsoid_lines(self._elim.minors, self._elim.pivots, max(best)):
+            for lo, hi, rest in ellipsoid_lines(self._elim, max(best)):
                 # the line is symmetric about its minimiser, whose floor is c, so each
                 # parity's least on it is at c or c + 1 (x = +-2 e_0 is in best[0])
                 c = -_dot(M[0][1:], rest) // M[0][0]

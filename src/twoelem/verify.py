@@ -8,13 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattices import (
-    direct_sum,
-    parse_lattice_expr,
-    rescale,
-    standard_lattice,
-    two_elementary_invariants,
-)
+from .lattices import hyperbolic_split, parse_lattice_expr, two_elementary_invariants
 from .modforms import eisenstein_e4, eta_power
 from .mp2 import MP2_S, MP2_T, evaluate_word
 from .vvmf import borcherds_weight, construct_F, divisor_ledger, restrict
@@ -50,8 +44,7 @@ def suite_series():
 
     for N, expr in [(1, "A1+"), (1, "A1++A1"), (2, "A1+"), (2, "A1++A1")]:
         L_small = parse_lattice_expr(expr)
-        big = direct_sum(rescale(standard_lattice("U"), N), L_small)
-        Fb = construct_F(big, order=10)
+        Fb = construct_F(hyperbolic_split(N, L_small), order=10)
         Fr = restrict(Fb, N, L_small)
         Fs = construct_F(L_small, order=10)
         ok = all(r.eq_below(s, r.trunc) for r, s in zip(Fr.components, Fs.components))

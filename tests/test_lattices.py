@@ -290,6 +290,62 @@ def test_rescale_doubles_gram():
     assert (t.l, t.delta) == (2, 0)
 
 
+def test_lattice_refuses_non_integral_entries():
+    for x in (2.5, Fraction(5, 2), float("nan"), float("inf"), "2"):
+        with pytest.raises(ValueError, match="gram entry must be an integer"):
+            Lattice(((x,),))
+    for x in (2.0, Fraction(2)):
+        assert Lattice(((x,),)).gram == ((2,),)
+
+
+def test_rescale_refuses_all_but_positive_integers():
+    U = standard_lattice("U")
+    for k in (1.5, Fraction(3, 2), 0, -2, float("inf")):
+        with pytest.raises(ValueError, match="rescale factor must be a positive integer"):
+            rescale(U, k)
+    for k in (2, 2.0, Fraction(2)):
+        assert rescale(U, k) == Lattice(((0, 2), (2, 0)), "U(2)")
+
+
+@st.composite
+def integer_matrices(draw):
+    """n x m integer matrices, n, m <= 6 and |entries| <= 6, some rows and columns zero."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mat = [[draw(st.integers(-6, 6)) for _ in range(m)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        mat[i] = [0] * m
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in mat:
+            row[j] = 0
+    return mat
+
+
+@settings(deadline=None, max_examples=200)
+@given(integer_matrices())
+def test_smith_normal_form(mat):
+    d, U, V = lattices.smith_normal_form(mat)
+    n, m = len(mat), len(mat[0])
+    UMV = [[sum(U[i][k] * mat[k][l] * V[l][j] for k in range(n) for l in range(m))
+            for j in range(m)] for i in range(n)]
+    assert UMV == [[d[i] if i == j else 0 for j in range(m)] for i in range(n)]
+    assert _leibniz_det(U) in (1, -1) and _leibniz_det(V) in (1, -1)
+    nonzero = [x for x in d if x]
+    assert d == nonzero + [0] * (len(d) - len(nonzero))
+    assert all(x > 0 for x in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+def test_standard_lattices_and_hyperbolic_split():
+    E8 = standard_lattice("E8")
+    assert [E8.gram[i][j] for i, j in [(0, 2), (1, 3), (2, 3), (6, 7), (0, 1)]] == [1, 1, 1, 1, 0]
+    assert (standard_lattice("D6").label, standard_lattice("D6").det()) == ("D6", 4)
+    L = parse_lattice_expr("U+A1")
+    split = lattices.hyperbolic_split(2, L)
+    assert split is lattices.hyperbolic_split(2, L)
+    assert split == direct_sum(rescale(standard_lattice("U"), 2), L)
+    assert split.label == "U(2)+U+A1"
+
+
 def test_gram_must_be_even_symmetric():
     with pytest.raises(ValueError):
         Lattice(((1,),))

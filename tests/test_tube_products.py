@@ -123,9 +123,9 @@ def test_ellipsoid_lines_match_box_scan(form, centre, x):
         if sum(d * (yi - ci) ** 2 for d, yi, ci in zip(D, y, c_x)) <= bound:
             want.add(tuple(sum(a * yi for a, yi in zip(row, y)) for row in Uinv))
     den = math.lcm(*(v.denominator for row in A for v in row))
-    _, _, minors, pivots = _eliminate([[int(v * den) for v in row] for row in A])
+    elim = _eliminate([[int(v * den) for v in row] for row in A])
     got = []
-    for lo, hi, rest in ellipsoid_lines(minors, pivots, bound * den, c):
+    for lo, hi, rest in ellipsoid_lines(elim, bound * den, c):
         assert lo <= hi
         got.extend((m0,) + rest for m0 in range(lo, hi + 1))
     assert len(got) == len(set(got))
@@ -145,6 +145,62 @@ def test_tube_point_validation():
         TubePoint(1, L, (1j, -2j))  # negative norm imaginary part
     with pytest.raises(ValueError):
         TubePoint(1, L, (1j,))      # wrong length
+
+
+def test_tube_point_refuses_non_integral_level():
+    L = standard_lattice("U")
+    for N in (2.5, Fraction(5, 2), 0, -1):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            TubePoint(N, L, (1j, 2j))
+    p = TubePoint(2.0, L, (1j, 2j))
+    assert type(p.N) is int and p.ambient().gram == parse_lattice_expr("U(2)+U").gram
+
+
+def test_split_is_built_once(monkeypatch):
+    # ten products at one point run one elimination each, the majorant's;
+    # two restrictions along U(1) + A1+ build their split once
+    from twoelem import borcherds, lattices, vvmf
+    calls = []
+    eliminate = lattices._eliminate
+
+    def counted(mat):
+        calls.append(len(mat))
+        return eliminate(mat)
+
+    p = TubePoint(1, standard_lattice("U"), (0.1 + 1.5j, 0.2 + 1.4j))
+    F = construct_F(p.ambient(), order=4)
+    monkeypatch.setattr(lattices, "_eliminate", counted)
+    monkeypatch.setattr(borcherds, "_eliminate", counted)
+    values = [product_eval(F, p, order=1, min_margin=0.0) for _ in range(10)]
+    assert len(calls) == 10 and len(set(values)) == 1
+    assert p.ambient() is p.ambient()
+    L = parse_lattice_expr("A1+")
+    F = construct_F(direct_sum(standard_lattice("U"), L), order=4)
+    lattices.hyperbolic_split.cache_clear()
+    vvmf.restrict(F, 1, L)
+    vvmf.restrict(F, 1, L)
+    info = lattices.hyperbolic_split.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_borcherds_bounds_fail_clearly():
+    L = parse_lattice_expr("U+A1")
+    v1, v2 = [1, 2, Fraction(1, 3)], [1, 2, Fraction(-1, 3)]
+    with pytest.raises(ValueError, match="norm_set"):
+        separating_walls(L, v1, v2, norm_set=())
+    for bound in (-1, 0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="pairing_bound"):
+            separating_walls(L, v1, v2, pairing_bound=bound)
+    with pytest.raises(ValueError, match="norm_set entry"):
+        separating_walls(L, v1, v2, norm_set=(-2, math.nan))
+    for bound in (math.inf, math.nan, "x"):
+        with pytest.raises(ValueError, match="bound must be a finite rational"):
+            short_vectors([[1, 0], [0, 1]], bound)
+    p = TubePoint(1, standard_lattice("U"), (400j, 399.9j))
+    F = construct_F(p.ambient(), order=4)
+    for order in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="order must be a finite rational"):
+            product_eval(F, p, order=order)
 
 
 def test_period_vector_isotropy():

@@ -11,11 +11,15 @@ expansions are exact integer series (see `series`) with explicit truncation
 orders.  Each factor of a product is built to exactly the order the product
 needs: a factor with leading exponent l, in a product with leading exponent L
 that must hold below `order`, is needed below l + (order - L).
+
+f0, f1 and the g_i are built once per k, to the highest order asked for so
+far; a request at a lower order is that build truncated, which is the same
+series (coefficients, grid, start and truncation order) as a build to the
+lower order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .series import QSeries
@@ -69,35 +73,57 @@ def eta_power(m: int, e: int, order) -> QSeries:
     return _eta_theta([(m, e)], 0, 0, order)
 
 
-@lru_cache(maxsize=None)
-def _f0_cached(k: int, order: Fraction) -> QSeries:
+# (builder, k) -> (order, value): the highest-order build made so far
+_BUILDS = {}
+
+
+def _served(build, cut, k: int, order):
+    """build(k, order), cut by `cut` from the stored build of (build, k) when
+    that one reaches `order`; otherwise built, stored in its place, returned."""
+    order = Fraction(order)
+    top = _BUILDS.get((build, k))
+    if top is None or top[0] < order:
+        top = _BUILDS[(build, k)] = (order, build(k, order))
+    return top[1] if top[0] == order else cut(top[1], order)
+
+
+def _build_f0(k: int, order: Fraction) -> QSeries:
     return _eta_theta([(2, 8), (1, -8), (4, -8)], 0, k, order)
+
+
+def _build_f1(k: int, order: Fraction) -> QSeries:
+    return _eta_theta([(4, 8), (2, -16)], Fraction(1, 2), k, order) * -16
 
 
 def f0(k: int, order) -> QSeries:
     """The weight -4+k/2 block with principal part q^{-1}; constant term 8+2k."""
-    return _f0_cached(k, Fraction(order))
-
-
-@lru_cache(maxsize=None)
-def _f1_cached(k: int, order: Fraction) -> QSeries:
-    return _eta_theta([(4, 8), (2, -16)], Fraction(1, 2), k, order) * -16
+    return _served(_build_f0, QSeries.truncate, k, order)
 
 
 def f1(k: int, order) -> QSeries:
     """-16 eta(4t)^8 theta_{1/2}^k / eta(2t)^16 = -2^{k+4} q^{k/4}(1 + ...)."""
-    return _f1_cached(k, Fraction(order))
+    return _served(_build_f1, QSeries.truncate, k, order)
 
 
-@lru_cache(maxsize=None)
-def _slices_cached(k: int, order: Fraction) -> tuple:
-    """The four g_i(k) below `order`, from one pass over the grid of f0(k, 4 order)."""
-    f, terms = f0(k, 4 * order), ({}, {}, {}, {})
+def _slice(f: QSeries, order: Fraction) -> tuple:
+    """The four g_i below `order`, from one pass over the grid of f = f0(k, 4 order)."""
+    terms = ({}, {}, {}, {})
     for n, c in enumerate(f.coeffs, f.start):
         if c and n % f.denom == 0:   # the integer exponent l = n / denom goes to g_{l mod 4}
             l = n // f.denom
             terms[l % 4][Fraction(l, 4)] = c
     return tuple(QSeries(t, order) for t in terms)
+
+
+def _build_slices(k: int, order: Fraction) -> tuple:
+    return _slice(f0(k, 4 * order), order)
+
+
+def _cut_slices(slices: tuple, order: Fraction) -> tuple:
+    # a slice with no term left is the zero series on the integer grid, as
+    # QSeries({}, order) builds it
+    cut = (g.truncate(order) for g in slices)
+    return tuple(g if g.coeffs else QSeries.zero(order) for g in cut)
 
 
 def g_i(k: int, i: int, order) -> QSeries:
@@ -107,7 +133,7 @@ def g_i(k: int, i: int, order) -> QSeries:
     """
     if i not in (0, 1, 2, 3):
         raise ValueError("slice index must be 0..3")
-    return _slices_cached(k, Fraction(order))[i]
+    return _served(_build_slices, _cut_slices, k, order)[i]
 
 
 def eisenstein_e4(order) -> QSeries:

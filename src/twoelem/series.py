@@ -11,11 +11,18 @@ common validity order.
 Products use Kronecker substitution (one big-integer multiply per product);
 integer powers, the inverse included, use the power recurrence
 n a_0 f_n = sum_{k>=1} ((alpha+1) k - n) a_k f_{n-k} for f = a^alpha.
+
+`qseries_eval` sums a series at a point tau by Horner's rule in fixed point
+on Python ints; its docstring derives a bound on the rounding error.  Its
+tail estimate stays a heuristic.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import compress, count, islice
 from math import ceil, gcd, lcm
+from operator import add
 
 from .lattices import _clear
 
@@ -272,32 +279,92 @@ def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
     return QSeries._grid(denom, sa + sb, _kronecker(x[:n], y[:n]), trunc)
 
 
-def qseries_eval(a: QSeries, tau, prec: int = 53):
-    """Evaluate sum c_e exp(2*pi*i*e*tau) at tau in the upper half-plane, by
-    Horner's rule on the coarsest grid the nonzero terms span: in
-    exp(2*pi*i*tau*step/denom), step the gcd of the nonzero term offsets,
-    times exp(2*pi*i*tau*start/denom).
+def _tail(a: QSeries, im_tau) -> float:
+    """The heuristic tail |q|^trunc / (1 - |q|) * max(1, |last five stored
+    coefficients|), formed in the log domain: finite, or inf on overflow."""
+    if a.trunc is None:
+        return 0.0
+    t = 2 * math.pi * im_tau                      # -log|q|
+    if not t:                                     # Im tau below the doubles
+        return math.inf
+    last = islice(filter(None, reversed(a.coeffs)), 5)
+    log_scale = max([0.0] + [math.log(abs(c.numerator)) - math.log(c.denominator) for c in last])
+    log_tail = log_scale - t * float(a.trunc) - math.log(-math.expm1(-t))
+    return math.exp(log_tail) if log_tail < 709 else math.inf
 
-    Returns (value, tail_estimate).  The tail estimate is the documented
-    heuristic geometric bound |q|^trunc/(1-|q|) * max(|c| over the last few
-    stored terms, or 1): adequate for identity testing, not a rigorous
-    enclosure.
+
+def qseries_eval(a: QSeries, tau, prec: int = 53):
+    """Evaluate S(tau) = sum c_e exp(2*pi*i*e*tau) at a finite tau in the
+    upper half-plane.  Returns (value, tail).
+
+    Horner's rule runs in fixed point on the coarsest grid the nonzero terms
+    span.  With step the gcd of the nonzero term offsets, x = exp(2*pi*i*tau*
+    step/denom), and the cleared integers c_0..c_{n-1} over one denominator d,
+
+        S(tau) = exp(2*pi*i*tau*start/denom) / d * A(x),   A(x) = sum_j c_j x^j.
+
+    x is computed in mpmath and truncated toward zero to x~ = (xr + i xi)
+    2^-wp, so |x~ - x| <= 1.5 * 2^-wp and |x~| <= 1.  Horner then runs on
+    the integer pairs a * 2^wp,
+
+        ar, ai = ((ar*xr - ai*xi) >> wp) + (c << wp), (ar*xi + ai*xr) >> wp,
+
+    and each step's floors add an error under sqrt(2) * 2^-wp, which later
+    steps multiply by |x~|^j <= 1: at most sqrt(2) * n * 2^-wp in all.  The
+    rounding of x moves A by at most |x~ - x| * sum_j j |c_j| r^(j-1), with
+    r = max(|x|, |x~|) (Brent and Zimmermann, Modern Computer Arithmetic,
+    2010, sec. 4.4).  Bounding |c_j| r^(j-1) <= 2^B from the exact bit
+    lengths and an integer lower bound on -log2 r, the working precision
+
+        wp = prec + B + 2 * bitlen(n) + 4
+
+    keeps the fixed-point error of A under 2^-(prec+3).  The sum is then
+    rounded to `prec` bits and multiplied by exp(2*pi*i*tau*start/denom)/d
+    (computed with extra bits, so it is off by under 2^-(prec+7) relative),
+    the product rounded to `prec` bits.  In all, the returned value v obeys
+
+        |v - S(tau)| <= 2^-prec * (3 |v| + |exp(2*pi*i*tau*start/denom)| / d),
+
+    where the last term is at most the series' largest term at tau.  tau is
+    taken as the mpmath number mpc(tau) at `prec` bits.
+
+    `tail` is the documented heuristic |q|^trunc / (1 - |q|) * max(1, |c|
+    over the last five nonzero stored terms), 0 for an exact sum, formed in
+    the log domain (inf when it overflows): adequate for identity testing,
+    not a rigorous enclosure of the truncated terms.
     """
     import mpmath
 
     with mpmath.workprec(prec):
         tau = mpmath.mpc(tau)
+        if not mpmath.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
         if mpmath.im(tau) <= 0:
             raise ValueError("tau must lie in the upper half-plane")
-        step = gcd(*(i for i, c in enumerate(a.coeffs) if c)) or 1
-        x = mpmath.exp(2j * mpmath.pi * tau * step / a.denom)
-        ints, d = _clear(a.coeffs[::step])
-        acc = mpmath.mpc(0)
-        for c in reversed(ints):
-            acc = acc * x + c
-        acc = acc * mpmath.exp(2j * mpmath.pi * tau * a.start / a.denom) / d
-        if a.trunc is None:
-            return acc, 0.0
-        absq = float(mpmath.exp(-2 * mpmath.pi * mpmath.im(tau)))
-        tail_scale = max([1.0] + [float(abs(c)) for c in a.coeffs if c][-5:])
-        return acc, tail_scale * absq ** float(a.trunc) / (1 - absq)
+    im_tau = float(tau.imag)
+    step = gcd(*compress(range(len(a.coeffs)), a.coeffs)) or 1
+    ints, d = _clear(a.coeffs[::step])
+    n = len(ints)
+    # an integer L <= -log2 r, so |c_j| r^(j-1) < 2^(bitlen c_j - (j-1) L);
+    # capped, since Im tau may be beyond the doubles
+    L = int(min(2 * math.pi * im_tau * step / a.denom / math.log(2) * (1 - 2 ** -20), 2 ** 40))
+    B = max(0, max(map(add, map(int.bit_length, ints[1:]), count(0, -L)), default=0))
+    wp = prec + B + 2 * n.bit_length() + 4
+
+    def e(exponent, bits, d=1):
+        """exp(2*pi*i*tau*exponent) / d, its argument carried to 2^-(bits+7)."""
+        z = 2 * exponent
+        with mpmath.workprec(bits + 10 + max(0, mpmath.mag(tau) + abs(z.numerator).bit_length())):
+            return mpmath.expjpi(tau * z) / d
+
+    x = e(Fraction(step, a.denom), wp)
+    xr, xi = int(mpmath.ldexp(x.real, wp)), int(mpmath.ldexp(x.imag, wp))
+    if xr * xr + xi * xi > 1 << (2 * wp):
+        raise ValueError(f"tau is too close to the real axis for {prec} bits")
+    ar = ai = 0
+    for c in [c << wp for c in reversed(ints)]:
+        ar, ai = ((ar * xr - ai * xi) >> wp) + c, (ar * xi + ai * xr) >> wp
+    lead = e(Fraction(a.start, a.denom), prec, d)
+    with mpmath.workprec(prec):
+        acc = mpmath.mpc(mpmath.mpf((ar, -wp)), mpmath.mpf((ai, -wp))) * lead
+    return acc, _tail(a, im_tau)

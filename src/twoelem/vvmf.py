@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import Lattice, _dot, discriminant_group, hyperbolic_split, signature
+from .lattices import Lattice, _dot, _integer, discriminant_group, hyperbolic_split, signature
 from .modforms import f0, f1, g_i
 from .mp2 import evaluate_word, mp2_word, word_j
 from .series import QSeries, qseries_eval
@@ -106,6 +106,7 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
     F must live on the block direct sum U(N) + L_small, with the hyperbolic
     block first.
     """
+    N = _integer(N, "N", positive=True)
     if F.lattice.gram != hyperbolic_split(N, L_small).gram:
         raise ValueError("form does not live on the stated split U(N) + L")
     data_big = discriminant_group(F.lattice)

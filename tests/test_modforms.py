@@ -3,11 +3,12 @@
 Numeric oracles: every named expansion is checked against a direct mpmath
 evaluation of the defining product/sum, which never touches the series code.
 """
+import os
 from fractions import Fraction
 
 import mpmath
 
-from twoelem import QSeries, eisenstein_e4, eta_power, f0, f1, g_i, qseries_eval
+from twoelem import QSeries, eisenstein_e4, eta_power, f0, f1, g_i, modforms, qseries_eval
 from twoelem.modforms import theta_a1
 
 TAU = mpmath.mpc("-0.13", "1.05")
@@ -122,3 +123,45 @@ def test_blocks_on_the_integer_grid_match_the_offset_products():
                      -16 * _offset_product([(4, 8), (2, -16)], Fraction(1, 2), k, order))]:
                 assert (got.denom, got.start, got.coeffs, got.trunc) == \
                     (want.denom, want.start, want.coeffs, want.trunc), (k, order)
+
+
+def _fields(s):
+    return s.coeffs, s.denom, s.start, s.trunc
+
+
+def test_served_blocks_equal_direct_builds(monkeypatch):
+    # f0, f1 and the g_i keep one build per k: a request below it is that
+    # build truncated, one above it rebuilds; both equal a direct build
+    monkeypatch.setattr(modforms, "_BUILDS", {})
+    orders = [Fraction(1, 2), Fraction(2), Fraction(17, 3), Fraction(40), Fraction(96)]
+    for k in (0, 4, 8, 12):
+        f0(k, 60), f1(k, 60), g_i(k, 0, 60)      # the top build sits between 40 and 96
+        for order in orders + orders[::-1]:       # up past the top, then down below it
+            assert _fields(f0(k, order)) == _fields(modforms._build_f0(k, order))
+            assert _fields(f1(k, order)) == _fields(modforms._build_f1(k, order))
+            direct = modforms._slice(modforms._build_f0(k, 4 * order), order)
+            for i in range(4):
+                assert _fields(g_i(k, i, order)) == _fields(direct[i]), (k, order, i)
+        tops = {b.__name__: o for (b, kk), (o, _v) in modforms._BUILDS.items() if kk == k}
+        assert tops == {"_build_f0": 384, "_build_f1": 96, "_build_slices": 96}
+
+
+def test_coset_oracle_builds_each_block_once(monkeypatch):
+    # construct_F at order 96 and the coset oracle at the criterion-02 point,
+    # for two lattices with k = 8, then the CLI's f0 text: f0 is built once
+    # (to order 384, for the slices) and f1 once
+    from twoelem.cli import main
+    from twoelem.lattices import parse_lattice_expr
+    from twoelem.vvmf import construct_F, eval_vvform, lift_oracle_numeric
+    monkeypatch.setattr(modforms, "_BUILDS", {})
+    builds = []
+    eta_theta = modforms._eta_theta
+    monkeypatch.setattr(modforms, "_eta_theta",
+                        lambda *args: builds.append(args[0]) or eta_theta(*args))
+    tau = mpmath.mpc("-0.2", "1.4")
+    for expr in ("U+U(2)", "U(2)+U(2)"):
+        L = parse_lattice_expr(expr)
+        eval_vvform(construct_F(L, order=96), tau, 128)
+        lift_oracle_numeric(L, tau, prec=128, target=1e-26)
+    main(["qseries", "f0", "-k", "8", "--order", "384", "--out", os.devnull])
+    assert len(builds) == 2

@@ -1,5 +1,6 @@
 """Truncated q-series with fractional exponents: the grid kernel against
 a schoolbook Cauchy product and exact modular identities."""
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -188,3 +189,63 @@ def test_from_text_rejects_zeta_column():
     assert QSeries.from_text(good).coeff(1) == -2
     with pytest.raises(ValueError):
         QSeries.from_text("N=1 trunc=3\n0/1  1 0 0 0\n1/1  -2 0 1 0\n")
+
+
+@pytest.mark.parametrize("tau", [complex("nan+1j"), complex(0, math.inf), complex(math.inf, 1),
+                                 mpmath.mpc("nan", 2)])
+def test_eval_refuses_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="finite"):
+        qseries_eval(QSeries({0: 1, 1: 2}, trunc=3), tau)
+
+
+def test_eval_tail_at_deep_points():
+    # |q| = exp(-400 pi) underflows a double: the tail is formed in logs
+    deep = mpmath.mpc(0, 200)
+    val, tail = qseries_eval(QSeries({-2: 1}, trunc=-1), deep, 64)
+    with mpmath.workprec(128):
+        assert abs(val - mpmath.exp(800 * mpmath.pi)) <= 2 ** -62 * abs(val)
+    assert tail == math.inf   # |q|^-1 is beyond the doubles
+    for c in (3, Fraction(10 ** 400, 3)):   # the second is beyond the doubles too
+        val, tail = qseries_eval(QSeries({1: c}, trunc=2), deep, 64)
+        assert 0 <= tail < 1e-300
+    assert qseries_eval(QSeries({1: 3}), deep, 64)[1] == 0.0
+    # Im tau beyond the doubles: q = 0 in effect
+    assert qseries_eval(QSeries({0: 5, 1: 3}, trunc=2), mpmath.mpc(0, "1e400"), 64) == (5, 0.0)
+
+
+def _horner_reference(s, tau, bits):
+    """The series at tau by Horner's rule in mpmath at `bits` bits."""
+    step = gcd(*(i for i, c in enumerate(s.coeffs) if c)) or 1
+    with mpmath.workprec(bits):
+        x = mpmath.exp(2j * mpmath.pi * tau * step / s.denom)
+        acc = mpmath.mpc(0)
+        for c in reversed(s.coeffs[::step]):
+            acc = acc * x + mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
+        return acc * mpmath.exp(2j * mpmath.pi * tau * s.start / s.denom)
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128])
+def test_eval_within_its_stated_rounding_bound(prec):
+    # |v - S(tau)| <= 2^-prec (3|v| + |q^(start/denom)|/d) at the six coset
+    # images of the criterion-02 point, against a 4*prec Horner reference;
+    # the bound is under 2^-(prec-8) times the series' largest term
+    from twoelem.modforms import f0, f1, g_i
+    from twoelem.mp2 import word_j
+    from twoelem.vvmf import COSET_WORDS
+    from twoelem.lattices import _clear
+    series = [f0(8, 384), f1(8, 96)] + [g_i(8, i, 96) for i in range(4)]
+    with mpmath.workprec(128):
+        images = [word_j(w, mpmath.mpc("-0.2", "1.4"))[1] for w in COSET_WORDS.values()]
+    for gtau in images:
+        with mpmath.workprec(prec):
+            tau = mpmath.mpc(gtau)    # the point qseries_eval evaluates at
+        for s in series:
+            val, _ = qseries_eval(s, tau, prec)
+            with mpmath.workprec(4 * prec):
+                ref = _horner_reference(s, tau, 4 * prec)
+                q0 = mpmath.exp(-2 * mpmath.pi * tau.imag * s.start / s.denom)
+                bound = mpmath.ldexp(3 * abs(val) + q0 / _clear(s.coeffs)[1], -prec)
+                largest = max(abs(mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator)
+                              * mpmath.exp(-2 * mpmath.pi * tau.imag * e) for e, c in s.items())
+                assert abs(val - ref) <= bound
+                assert bound < mpmath.ldexp(largest, 8 - prec)

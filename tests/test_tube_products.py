@@ -193,6 +193,11 @@ def test_borcherds_bounds_fail_clearly():
             separating_walls(L, v1, v2, pairing_bound=bound)
     with pytest.raises(ValueError, match="norm_set entry"):
         separating_walls(L, v1, v2, norm_set=(-2, math.nan))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="v1 must be a finite rational"):
+            separating_walls(L, [1, 2, bad], v2)
+        with pytest.raises(ValueError, match="v2 must be a finite rational"):
+            separating_walls(L, v1, [bad, 2, Fraction(-1, 3)])
     for bound in (math.inf, math.nan, "x"):
         with pytest.raises(ValueError, match="bound must be a finite rational"):
             short_vectors([[1, 0], [0, 1]], bound)

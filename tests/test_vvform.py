@@ -76,6 +76,14 @@ def test_restriction_recovers_small_form():
         assert got.eq_below(ser, got.trunc)
 
 
+def test_restriction_takes_an_integral_N():
+    small = parse_lattice_expr("A1+")
+    F = construct_F(parse_lattice_expr("U(2)+A1+"), order=4)
+    assert restrict(F, 2.0, small) == restrict(F, 2, small)
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        restrict(F, 2.5, small)
+
+
 def test_restriction_rejects_wrong_split():
     F = construct_F(parse_lattice_expr("U+A1+"), order=4)
     with pytest.raises(ValueError):

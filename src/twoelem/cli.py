@@ -117,10 +117,11 @@ def cmd_borcherds_report(args) -> int:
         return 2
     if signature(L)[0] != 2:
         raise ValueError("lift reports need a signature (2, r-2) lattice")
-    closed, series = borcherds_weight(L)
+    # F first: the weight's order-2 slices are then cut from its build
     F = construct_F(L, order=args.order)
+    closed, series = borcherds_weight(L)
     div = borcherds_divisor(F)
-    elements = discriminant_group(L).elements
+    data = discriminant_group(L)
     lines = [
         f"lattice          {args.expr}",
         f"weight (closed)  {closed}",
@@ -129,7 +130,7 @@ def cmd_borcherds_report(args) -> int:
     ]
     # index order is coordinate order: the first coordinate is the top bit
     for (i, e), m in sorted(div.terms.items()):
-        lines.append(f"  {elements[i].coords} q^{e}: {m}")
+        lines.append(f"  {data.coords(i)} q^{e}: {m}")
     lines.append(f"ledger           {div.delta_ledger()}")
     lines.append(f"e_0 expansion    {F.components[0].to_text()}")
     lines.append("")

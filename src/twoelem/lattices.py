@@ -45,6 +45,8 @@ def _quad(u, M, w):
 def _clear(xs):
     """(ints, d) with xs[i] = ints[i] / d, for ints and Fractions."""
     d = math.lcm(*(x.denominator for x in xs))
+    if d == 1:
+        return [x.numerator for x in xs], 1
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
@@ -281,6 +283,8 @@ class Lattice:
 
 def _integer(x, what: str, positive=False) -> int:
     """int(x) for an integral x (2.0 and Fraction(2) too), > 0 if `positive`; else a ValueError."""
+    if type(x) is int and (x > 0 or not positive):
+        return x
     try:
         k = int(x)
     except (TypeError, ValueError, OverflowError):
@@ -351,12 +355,14 @@ def hyperbolic_split(N: int, L: Lattice) -> Lattice:
 _TOKEN = re.compile(r"^(?P<base>U|A1 |A1|D\d+|E7|E8)(?:\((?P<scale>\d+)\))?(?:\^(?P<pow>0*[1-9]\d*))?$")
 
 
+@lru_cache(maxsize=None)
 def parse_lattice_expr(expr: str) -> Lattice:
     """Parse 'U+U(2)+E8(2)+A1^3' style expressions into a direct sum.
 
     A '+' right after a whole A1 belongs to the summand A1+ when no summand
     can start after it, and is marked by a space, which the input no longer
-    holds; every other '+' separates two nonempty summands.
+    holds; every other '+' separates two nonempty summands.  Parsed once per
+    string: a repeated expression returns the same (frozen) `Lattice`.
     """
     text = re.sub(r"(?<![^+])A1\+(?=$|[+^(])", "A1 ", "".join(expr.split()))
     summands = []
@@ -411,7 +417,8 @@ class DiscGroup:
     so 2q mod 2 is linear.  `delta`, `characteristic` and `one_index` read
     the tables on the generators; `elements`, `two_q` and `packed_by` list
     every class, for l <= 12.  A class is its index in `elements`, the first
-    coordinate the most significant bit, and B_i is packed in the same order.
+    coordinate the most significant bit, and B_i is packed in the same order;
+    `coords` reads a class's coordinates off its index.
     """
 
     parent: Lattice
@@ -441,6 +448,11 @@ class DiscGroup:
         """Every class; index 0 is the zero class."""
         self._check_cap()
         return [DiscElement(self, coords) for coords in iproduct((0, 1), repeat=self.l)]
+
+    def coords(self, index: int) -> tuple:
+        """`elements[index].coords` without building `elements`: the l bits
+        of the index, the most significant first (`_pack` undone)."""
+        return tuple(index >> s & 1 for s in range(self.l - 1, -1, -1))
 
     def class_of(self, x) -> "DiscElement":
         """Class of the dual vector v with integer coordinates x = G v.
@@ -478,7 +490,7 @@ class DiscGroup:
         With v_i = 2 g_i integral, v_i G v_j = 4 b(g_i, g_j), which is even.
         Row B_i packs B_ij in the bit order of `elements`.
         """
-        V = [[int(2 * x) for x in g] for g in self.generators]
+        V = [[2 * x.numerator // x.denominator for x in g] for g in self.generators]
         GV = [[_dot(row, v) for row in self.parent.gram] for v in V]
         four_b = [[_dot(v, w) % 8 for w in GV] for v in V]
         return ([row[i] // 2 for i, row in enumerate(four_b)],
@@ -493,16 +505,25 @@ class DiscGroup:
     def characteristic(self) -> tuple:
         """Coordinates of the unique class gamma with b(gamma, x) = q(x) mod Z.
 
-        gamma solves B gamma = Q mod 2.  b is nondegenerate, so det B is odd
-        and gamma = adj(B) Q mod 2, with the adjugate from `_eliminate`.  Both
-        sides of 2b(gamma, x) = 2q(x) mod 2 are linear in x, so the property is
-        checked on the generators: popcount(B_i & gamma) = Q_i mod 2.
+        gamma solves B gamma = Q mod 2, which Gauss-Jordan elimination over
+        F_2 does on the packed rows [B_i | Q_i mod 2]: a row operation is one
+        XOR.  b is nondegenerate, so B is invertible mod 2 and every column
+        has a pivot.  Both sides of 2b(gamma, x) = 2q(x) mod 2 are linear in
+        x, so the property is checked on the generators: popcount(B_i &
+        gamma) = Q_i mod 2.
         """
         Q, B = self._tables
         l = self.l
-        bits = [[(row >> (l - 1 - j)) & 1 for j in range(l)] for row in B]
-        adj = _eliminate(bits).adj
-        gamma = tuple(_dot(row, Q) % 2 for row in adj)
+        rows = [row << 1 | q & 1 for row, q in zip(B, Q)]
+        for j in range(l):
+            bit = 2 << (l - 1 - j)   # column j; bit 0 holds Q_i
+            p = next((i for i in range(j, l) if rows[i] & bit), None)
+            if p is None:
+                raise ArithmeticError("2b is degenerate mod 2")
+            rows[j], rows[p] = rows[p], rows[j]
+            piv = rows[j]
+            rows = [r ^ piv if r & bit and i != j else r for i, r in enumerate(rows)]
+        gamma = tuple(r & 1 for r in rows)
         packed = _pack(gamma)
         if any(((row & packed).bit_count() - q) % 2 for row, q in zip(B, Q)):
             raise ArithmeticError("characteristic element fails on some generator")
@@ -598,7 +619,7 @@ def discriminant_group(L: Lattice) -> DiscGroup:
         raise ValueError(f"lattice is not 2-elementary: orders {orders}")
     if 2 ** len(orders) != abs(L.det()):
         raise ArithmeticError(f"product of orders {2 ** len(orders)} != |det| {abs(L.det())}")
-    gens = [[Fraction(v[i][p], 2) % 1 for i in range(n)] for p in positions]
+    gens = [[Fraction(v[i][p] % 2, 2) for i in range(n)] for p in positions]
     grp = _GROUPS[L.gram] = DiscGroup(L, gens, u, positions)
     return grp
 

@@ -126,6 +126,11 @@ def _cut_slices(slices: tuple, order: Fraction) -> tuple:
     return tuple(g if g.coeffs else QSeries.zero(order) for g in cut)
 
 
+def g_slices(k: int, order) -> tuple:
+    """(g_0, g_1, g_2, g_3) below `order`, from one fetch of the stored slices."""
+    return _served(_build_slices, _cut_slices, k, order)
+
+
 def g_i(k: int, i: int, order) -> QSeries:
     """Quarter-exponent slice: sum over l = i mod 4 of c_k(l) q^{l/4}.
 
@@ -133,7 +138,7 @@ def g_i(k: int, i: int, order) -> QSeries:
     """
     if i not in (0, 1, 2, 3):
         raise ValueError("slice index must be 0..3")
-    return _served(_build_slices, _cut_slices, k, order)[i]
+    return g_slices(k, order)[i]
 
 
 def eisenstein_e4(order) -> QSeries:

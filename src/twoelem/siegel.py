@@ -71,8 +71,8 @@ rows return the tail bound plus (1 + 2^-10) u sum_lines T (38 tet(D + f) +
 
 Above 53 bits a carried value is a `_Gauss` (re + i im) 2^e floored to p
 bits in the larger part after each product, a seed one libmp
-`mpf_cos_sin_pi` on the exact angle and one `mpf_exp` each way at p + 10
-bits; with u = 2^-p a seed is within 3 u (2 sqrt 2 u from the floors),
+`mpf_cos_sin_pi` on the exact angle and one `mpf_exp` each way it is read
+at p + 10 bits; with u = 2^-p a seed is within 3 u (2 sqrt 2 u from the floors),
 a product adds 2 sqrt 2 u, and the count above holds with e = 6 u.  A line
 is walked in fixed point, terms at 2^(wp+k), 2^k <= exp(pi mu_a), ratios at
 2^(wp+x), 2^x > L, the longest walk from a peak; in these units the exact
@@ -266,15 +266,16 @@ class _Gauss:
         return (self.re << s, self.im << s) if s >= 0 else (self.re >> -s, self.im >> -s)
 
 
-def _fixed_exp(re: int, im: int, e: int, p: int):
-    """exp(pi i y / 2^e) and exp(-pi i y / 2^e) as `_Gauss` values of p bits,
+def _fixed_exp(re: int, im: int, e: int, p: int, signs=(1, -1)):
+    """exp(sign pi i y / 2^e) for each sign as `_Gauss` values of p bits,
     y = re + i im, from libmp at p + 10 bits (module docstring)."""
     lib = p + 10
     pt = lib + max(0, im.bit_length() - e + 3)   # pi im / 2^e to within 2^-lib
     arg = mpf_mul(mpf_pi(pt), from_man_exp(-im, -e), pt)
     c, s = mpf_cos_sin_pi(from_man_exp(re % (2 << e), -e), lib)
     out = []
-    for mod, sign in ((mpf_exp(arg, lib), 1), (mpf_exp(mpf_neg(arg), lib), -1)):
+    for sign in signs:
+        mod = mpf_exp(arg if sign > 0 else mpf_neg(arg), lib)
         bits = p - mod[2] - mod[3]   # 2^(p-1) <= 2^bits mod < 2^p
         out.append(_Gauss(to_fixed(mpf_mul(mod, c, lib), bits),
                           sign * to_fixed(mpf_mul(mod, s, lib), bits), -bits, p))
@@ -305,6 +306,7 @@ class _Fixed:
         self.p = -(-p // 16) * 16   # a multiple of 16, so that rows share their step factors
         self.prec, self.W, self.weight = prec, 0, 0
         self.seed = functools.partial(_fixed_exp, p=self.p)
+        self.peak = functools.partial(_fixed_exp, p=self.p, signs=(1,))
         self.phi = _phi(self.seed, point, self.p)
         self.s = self.phi[0][0][0].fixed(self.x)
 
@@ -345,7 +347,7 @@ _DEEP = 700   # float rows keep their values within exp(+-_DEEP), module docstri
 class _Floats:
     """The 53-bit arithmetic: complex doubles throughout (module docstring)."""
 
-    seed = staticmethod(_cis)
+    seed = peak = staticmethod(_cis)
 
     def __init__(self, point: SiegelPoint):
         self.phi = _phi(_cis, point)
@@ -431,7 +433,7 @@ def _theta_row(a, point: SiegelPoint, prec: int):
         p = (top - y01 * (2 * m1 + alpha[1]) - b0) // den
         X = ([2 * p + alpha[0], 2 * m1 + alpha[1]] + Xr[1:])[:g]
         AX = [[_dot(row, X) for row in M] for M in (Are, Y)]
-        vals = [ar.seed(_dot(X, AX[0]), _dot(X, AX[1]), K + 2)[0]]
+        vals = [ar.peak(_dot(X, AX[0]), _dot(X, AX[1]), K + 2)[0]]
         mul = type(vals[0]).__mul__
         for i, u in enumerate(dirs):   # R_u = exp(pi i (u^t A u + u^t A X) / 2^K), R_-u
             r, rinv = ar.seed(*(q + _dot(u, MX) for q, MX in zip(uAu[i], AX)), K)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattices import Lattice, _dot, _integer, discriminant_group, hyperbolic_split, signature
-from .modforms import f0, f1, g_i
+from .modforms import f0, f1, g_slices
 from .mp2 import evaluate_word, mp2_word, word_j
 from .series import QSeries, qseries_eval
 from .weil import weil_column
@@ -53,7 +54,7 @@ class VVForm:
             want = Fraction(data.two_q[i], 4)
             for e, _c in ser.items():
                 if (e - want) % 1 != 0:
-                    raise AssertionError(f"support violation at {data.elements[i].coords}: "
+                    raise AssertionError(f"support violation at {data.coords(i)}: "
                                          f"exponent {e}, q/2 = {want}")
         return True
 
@@ -76,15 +77,16 @@ def _components(data, order: Fraction):
     s_exp = s_exp2 // 2
     if s_exp < 0:
         raise ValueError("construction requires (4 - sigma - l)/2 >= 0")
-    scale = Fraction(2) ** s_exp
-    scaled = [(g_i(k, i, order) * scale).truncate(order) for i in range(4)]
+    # the slices some class reads; every series here is already cut at `order`
+    slices = g_slices(k, order)
+    scaled = {t: slices[t] * 2 ** s_exp for t in set(two_q)}
 
     def component(i: int) -> QSeries:
         ser = scaled[two_q[i]]
         if i == 0:
-            ser = (ser + f0(k, order)).truncate(order)
+            ser = ser + f0(k, order)
         if i == data.one_index:
-            ser = (ser + f1(k, order)).truncate(order)
+            ser = ser + f1(k, order)
         return ser
     return component
 
@@ -154,9 +156,9 @@ class HeegnerSum:
         half_classes = [i for i, t in enumerate(data.two_q) if t == 3]
         generic = None
         extra_char = 0
-        char = data.one_index
+        char, quarter = data.one_index, Fraction(-1, 4)
         for i in half_classes:
-            m = self.terms.get((i, Fraction(-1, 4)), 0)
+            m = self.terms.get((i, quarter), 0)
             if i == char and len(half_classes) > 1:
                 continue
             if generic is None:
@@ -164,7 +166,7 @@ class HeegnerSum:
             elif m != generic:
                 raise AssertionError("non-uniform D'' multiplicities")
         if half_classes and char in half_classes and len(half_classes) > 1:
-            extra_char = self.terms.get((char, Fraction(-1, 4)), 0) - generic
+            extra_char = self.terms.get((char, quarter), 0) - generic
         if generic is None:
             return {"dprime": m0, "dsecond": None, "extra_char": 0}
         return {"dprime": m0, "dsecond": m0 + generic, "extra_char": extra_char}
@@ -173,14 +175,20 @@ class HeegnerSum:
 def borcherds_divisor(F: VVForm) -> HeegnerSum:
     """Read the Heegner divisor off the principal part of F: (class index, n)
     -> multiplicity for the n < 0 terms of its components, the first -start
-    entries of each."""
-    terms = {}
+    entries of each: one Fraction per distinct exponent."""
+    terms, parts = {}, {}
+    exponent = lru_cache(maxsize=None)(Fraction)
     for k, ser in enumerate(F.components):
-        for i, c in enumerate(ser.coeffs[:max(-ser.start, 0)]):
-            if c:
-                if c.denominator != 1:
-                    raise AssertionError(f"non-integral divisor multiplicity {c}")
-                terms[(k, Fraction(ser.start + i, ser.denom))] = int(c)
+        part = parts.get(id(ser))
+        if part is None:   # classes with equal q share one series object
+            part = parts[id(ser)] = []
+            for n, c in enumerate(ser.coeffs[:max(-ser.start, 0)], ser.start):
+                if c:
+                    if c.denominator != 1:
+                        raise AssertionError(f"non-integral divisor multiplicity {c}")
+                    part.append((exponent(n, ser.denom), int(c)))
+        for e, m in part:
+            terms[(k, e)] = m
     return HeegnerSum(F.lattice, terms)
 
 
@@ -252,8 +260,7 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
         tau = mpmath.mpc(tau)
         if mpmath.im(tau) <= 0:
             raise ValueError("tau must lie in the upper half-plane")
-        n = len(data.elements)
-        values = [mpmath.mpc(0)] * n
+        values = [mpmath.mpc(0)] * len(data)
         zeta = mpmath.expjpi(mpmath.mpf(1) / 4)
         zeta_pows = [zeta ** j for j in range(4)]
         for name, word in COSET_WORDS.items():
@@ -283,13 +290,13 @@ def eval_vvform(F: VVForm, tau, prec: int = 128):
     as a dict keyed by class coordinates."""
     import mpmath
 
-    elements = discriminant_group(F.lattice).elements
+    data = discriminant_group(F.lattice)
     with mpmath.workprec(prec):
         cache = {}
         out = {}
-        for el, ser in zip(elements, F.components):
+        for i, ser in enumerate(F.components):
             key = id(ser)
             if key not in cache:
                 cache[key] = qseries_eval(ser, tau, prec)[0]
-            out[el.coords] = cache[key]
+            out[data.coords(i)] = cache[key]
         return out

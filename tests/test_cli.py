@@ -1,4 +1,5 @@
 """The batch command-line interface: parsing, outputs, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -363,3 +364,57 @@ def test_one_smith_normal_form_per_gram_matrix(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 0
     assert lattices.parse_lattice_expr(expr).gram in calls
     assert set(calls.values()) == {1}
+
+
+def test_table_round_does_each_exact_step_once(capsys, monkeypatch):
+    # the 43 reports and export-graph parse and eliminate each expression
+    # once, and build f0, f1 and the slices once per k
+    from twoelem import lattices, modforms
+    from twoelem.k3graph import table1
+    lattices.parse_lattice_expr.cache_clear()
+    monkeypatch.setattr(lattices, "_GROUPS", {})
+    monkeypatch.setattr(modforms, "_BUILDS", {})
+    calls = {"_eliminate": 0, "_eta_theta": 0}
+    for module, name in ((lattices, "_eliminate"), (modforms, "_eta_theta")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    for row in table1():
+        assert run_cli(capsys, "borcherds", "report", row.perp_expr, "--order", "4")[0] == 0
+    assert run_cli(capsys, "export-graph", "--format", "json")[0] == 0
+    assert calls == {"_eliminate": 56, "_eta_theta": 22}
+
+
+def test_report_builds_no_class_element(capsys, monkeypatch):
+    # the report prints class coordinates from the index bits (l = 11 here)
+    from twoelem import lattices
+
+    def refuse(self, *args):
+        raise AssertionError("DiscElement built")
+
+    monkeypatch.setattr(lattices, "_GROUPS", {})
+    monkeypatch.setattr(lattices.DiscElement, "__init__", refuse)
+    code, out, _ = run_cli(capsys, "borcherds", "report", "A1++A1+" + "+A1" * 9)
+    assert code == 0
+    assert "  (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) q^-1: 1\n" in out
+
+
+# sha256 over the 43 `borcherds report ROW --order 4` texts, `export-graph`
+# as dot and as JSON, and `lattice-info` on three rows, in that order: the
+# table's text outputs, byte for byte
+TABLE_OUTPUTS_SHA256 = "0c4b40ff2df069ac39bd899c49a3e37014b0da663220c05417522fc1a74c8f52"
+
+
+def test_table_outputs_are_byte_identical(capsys):
+    from twoelem.k3graph import table1
+    argvs = [["borcherds", "report", row.perp_expr, "--order", "4"] for row in table1()]
+    argvs += [["export-graph", "--format", fmt] for fmt in ("dot", "json")]
+    argvs += [["lattice-info", expr]
+              for expr in ("A1++A1++A1+A1+A1+A1+A1+A1+A1+A1+A1", "U+U(2)+D4", "U+A1++E8+A1")]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == TABLE_OUTPUTS_SHA256

@@ -26,7 +26,8 @@ from twoelem import (
     two_elementary_invariants,
 )
 from twoelem import lattices
-from twoelem.lattices import _eliminate, _positive_definite
+from twoelem.k3graph import table1
+from twoelem.lattices import _clear, _eliminate, _positive_definite
 from twoelem.weil import weil_column
 
 
@@ -227,6 +228,51 @@ def test_invariants_read_no_class_table(expr, l, monkeypatch):
     assert peak < 16 * 2 ** 20
     assert (t.l, t.delta) == (l, 1)
     assert char.coords == (1,) * l
+
+
+def _adjugate_characteristic(A):
+    """The characteristic class by the integer route: gamma = adj(B) Q mod 2,
+    with the adjugate of the 0/1 matrix B from `_eliminate` (det B is odd)."""
+    Q, B = A._tables
+    bits = [[row >> (A.l - 1 - j) & 1 for j in range(A.l)] for row in B]
+    return tuple(sum(a * q for a, q in zip(row, Q)) % 2 for row in _eliminate(bits).adj)
+
+
+def test_f2_characteristic_matches_adjugate_on_table_rows():
+    for row in table1():
+        A = discriminant_group(parse_lattice_expr(row.perp_expr))
+        assert A.characteristic == _adjugate_characteristic(A), row.perp_expr
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from(["U", "U(2)", "A1", "A1+", "D4", "E7", "E8", "E8(2)"]),
+                min_size=1, max_size=5))
+def test_f2_characteristic_matches_adjugate(names):
+    A = discriminant_group(parse_lattice_expr("+".join(names)))
+    assert A.characteristic == _adjugate_characteristic(A)
+
+
+def test_coords_read_the_index_bits():
+    # every class of the 43 rows' groups, 2-ranks up to 11
+    for row in table1():
+        A = discriminant_group(parse_lattice_expr(row.perp_expr))
+        assert [A.coords(i) for i in range(len(A))] == [el.coords for el in A.elements]
+
+
+def test_parse_is_memoised():
+    expr = "U+U(2)+D4"
+    assert parse_lattice_expr(expr) is parse_lattice_expr("+".join(expr.split("+")))
+    for _ in range(2):   # a failed parse is not stored
+        with pytest.raises(ValueError, match="Q7"):
+            parse_lattice_expr("U+Q7")
+
+
+def test_clear_keeps_integer_lists():
+    xs = [3, -2, 0]
+    assert _clear(xs) == (xs, 1)
+    ints, d = _clear([Fraction(4, 2), 5])
+    assert (ints, d) == ([2, 5], 1) and all(type(x) is int for x in ints)
+    assert _clear([Fraction(1, 2), Fraction(-1, 3), 1]) == ([3, -2, 6], 6)
 
 
 def test_pairing_and_norm():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twoelem import (
     QSeries,
@@ -461,13 +461,22 @@ def test_product_eval_matches_pointwise_reference(expr, z, N):
         assert below != _product_eval_pointwise(F, p, Fraction(5, 2), 0.0)
 
 
+# the Lorentzian lattices drawn below, each with a vector of positive norm
+_TIMELIKE = {"U": (1, 1), "U+A1": (1, 1, 0), "A1+A1+": (0, 1), "A1+": (1,),
+             "U(2)+A1": (1, 1, 0), "U+A1+A1": (1, 1, 0, 0)}
+
+
 @st.composite
 def slab_cases(draw):
-    """(L, y, cut, low): a Lorentzian L, y of norm >= 1/4, cut in (0, 3]."""
-    L = parse_lattice_expr(draw(st.sampled_from(["U", "U+A1", "A1+A1+", "A1+", "U(2)+A1",
-                                                  "U+A1+A1"])))
+    """(L, y, cut, low): a Lorentzian L, y of norm >= 1/4, cut in (0, 3].
+
+    y is a draw plus the least multiple of a timelike t that gives it norm
+    >= 1/4, which exists since norm(y + m t) grows like m^2 norm(t)."""
+    expr = draw(st.sampled_from(list(_TIMELIKE)))
+    L = parse_lattice_expr(expr)
     y = [Fraction(draw(st.floats(-3, 3))) for _ in range(L.rank)]
-    assume(L.norm(y) >= Fraction(1, 4))
+    while L.norm(y) < Fraction(1, 4):
+        y = [yi + ti for yi, ti in zip(y, _TIMELIKE[expr])]
     cut = draw(st.fractions(Fraction(1, 16), 3, max_denominator=16))
     low = draw(st.sampled_from([0, Fraction(-1, 4), Fraction(-1, 2), -1, -2]))
     return L, y, cut, low

@@ -2,6 +2,8 @@
 
 Run:  python3 demos/01_lattice_invariants.py
 """
+from fractions import Fraction
+
 from twoelem import (
     characteristic_element,
     discriminant_group,
@@ -28,12 +30,12 @@ print("\nThe characteristic element is the class pairing like the quadratic")
 print("form; it is zero exactly when delta = 0:")
 for expr in ["U(2)", "A1", "U+U+E8(2)+A1"]:
     char = characteristic_element(parse_lattice_expr(expr))
-    print(f"  {expr:18s} -> {tuple(char.coords)}")
+    print(f"  {expr:18s} -> {char}")
 
 print("\nDiscriminant group of U(2) (four classes with their q-values):")
 A = discriminant_group(parse_lattice_expr("U(2)"))
-for el in A.elements:
-    print(f"  class {tuple(el.coords)}: q = {A.q(el)}")
+for i, two_q in enumerate(A.two_q):
+    print(f"  class {A.coords(i)}: q = {Fraction(two_q, 2)}")
 
 print("\nFor a Lorentzian triple, g = (22-r-l)/2 counts fixed-curve genus and")
 print("k = (r-l)/2 rational curves; the three transition kinds add a root:")

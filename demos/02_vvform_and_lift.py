@@ -34,8 +34,7 @@ L = parse_lattice_expr("U+A1+")
 tau = mpmath.mpc("-0.2", "1.4")
 values, data = lift_oracle_numeric(L, tau, prec=128, target=1e-26)
 direct = eval_vvform(construct_F(L, order=64), tau, 128)
-worst = max(abs(values[i] - direct[el.coords])
-            for i, el in enumerate(data.elements))
+worst = max(abs(value - direct[data.coords(i)]) for i, value in enumerate(values))
 bound = 1e-30   # both sides at 128 bits; |F| is about 6.6e3 here
 print(f"  U+A1+ at tau = {tau}: worst component difference "
       f"{'below' if worst < bound else 'ABOVE'} {bound}")

@@ -5,7 +5,8 @@ mathematics is exact:
 
 * lattice invariants (rank, 2-rank, parity delta, signature) and the
   discriminant forms of even 2-elementary lattices given by integer Gram
-  matrices;
+  matrices, on which a class is an integer index (`DiscGroup.coords` and
+  `DiscGroup.rep` read its coordinates and representative);
 * the metaplectic group Mp_2(Z) and the Weil representation attached to a
   2-elementary lattice;
 * the distinguished vector-valued modular form attached to such a lattice,
@@ -27,7 +28,6 @@ from .series import QSeries, qseries_mul, qseries_eval
 from .lattices import (
     Lattice,
     DiscGroup,
-    DiscElement,
     LatticeTriple,
     standard_lattice,
     direct_sum,
@@ -44,7 +44,7 @@ from .lattices import (
 )
 from .modforms import eta_power, theta_a1, f0, f1, g_i, eisenstein_e4
 from .mp2 import Mp2Element, mp2_word, MP2_S, MP2_T, MP2_Z, MP2_V
-from .weil import WeilColumn, weil_rep, weil_column, invariant_vector_check
+from .weil import WeilColumn, weil_rep, weil_column
 from .vvmf import (
     VVForm,
     HeegnerSum,
@@ -54,7 +54,7 @@ from .vvmf import (
     borcherds_divisor,
     lift_oracle_numeric,
 )
-from .borcherds import TubePoint, product_eval, petersson_norm_point, separating_walls
+from .borcherds import TubePoint, product_eval, separating_walls
 from .characteristics import ThetaChar, even_characteristics
 from .k3graph import (
     Table1Row,

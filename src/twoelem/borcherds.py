@@ -42,8 +42,13 @@ def _rational(x, name: str) -> Fraction:
 
 def _lines(A, bound: Fraction, centre=None):
     """Lines (lo, hi, rest) of `lattices.ellipsoid_lines` on den*A: the integer m with
-    (m - c)^t A (m - c) <= bound, A rational positive definite, c rational (0 if None)."""
+    (m - c)^t A (m - c) <= bound, A rational symmetric positive definite, c rational
+    (0 if None)."""
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix must be square")
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
     ints, den = _clear([Fraction(x) for row in A for x in row])
     elim = _eliminate([ints[i * n:(i + 1) * n] for i in range(n)])
     if not _positive_definite(elim):
@@ -86,13 +91,6 @@ class TubePoint:
 
     def ambient(self) -> Lattice:
         return hyperbolic_split(self.N, self.L)
-
-    def period_vector(self):
-        """The isotropic vector (-z^2/2, 1/N, z) in ambient coordinates."""
-        G = self.L.gram
-        n = self.L.rank
-        z2 = sum(G[i][j] * self.z[i] * self.z[j] for i in range(n) for j in range(n))
-        return [-z2 / 2, 1.0 / self.N] + list(self.z)
 
 
 # ---------------------------------------------------------------------------
@@ -244,40 +242,6 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     tail_exp = -2 * math.pi * float(cut) + 4 * math.pi * math.sqrt(float(cut ** 2 / point.y_norm2()))
     tail = math.exp(tail_exp) if tail_exp < 0 else float("inf")
     return cmath.exp(log_acc), tail
-
-
-# ---------------------------------------------------------------------------
-# Petersson norm at a period point
-# ---------------------------------------------------------------------------
-
-def petersson_norm_point(L: Lattice, eta, l_ref, p, value=1.0):
-    """K^p |value|^2 with K = <eta, conj(eta)> / |<eta, l_ref>|^2.
-
-    eta must be isotropic with <eta, conj(eta)> > 0 and pair nontrivially
-    with the reference vector; the result is invariant under rescaling eta.
-    """
-    G = L.gram
-    n = L.rank
-    tol = 1e-9   # relative slack of the float isotropy and positivity tests
-    eta = [complex(x) for x in eta]
-    if len(eta) != n or len(l_ref) != n:
-        raise ValueError("vector length must match lattice rank")
-
-    def pair(u, v):
-        return sum(G[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
-
-    norm_sq = pair(eta, eta)
-    h = pair(eta, [x.conjugate() for x in eta])
-    ref = pair(eta, [complex(x) for x in l_ref])
-    scale = max(abs(h), 1.0)
-    if abs(norm_sq) > tol * scale:
-        raise ValueError(f"eta is not isotropic: <eta,eta> = {norm_sq}")
-    if h.real <= 0 or abs(h.imag) > tol * scale:
-        raise ValueError("<eta, conj(eta)> must be positive")
-    if abs(ref) <= tol:
-        raise ValueError("eta pairs trivially with the reference vector")
-    K = h.real / abs(ref) ** 2
-    return K ** float(p) * abs(complex(value)) ** 2
 
 
 # ---------------------------------------------------------------------------

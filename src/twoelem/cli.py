@@ -71,7 +71,7 @@ def cmd_lattice_info(args) -> int:
         f"delta      {t.delta}",
         f"sigma      {sig[0] - sig[1]}",
         f"signature  ({sig[0]},{sig[1]})",
-        f"char elt   {tuple(char.coords)}",
+        f"char elt   {char}",
         f"g = (22-r-l)/2   {Fraction(22 - t.r - t.l, 2)}",
         f"k = (r-l)/2      {Fraction(t.r - t.l, 2)}",
         "",

@@ -227,23 +227,6 @@ def export_json(graph: K3Graph) -> str:
     return json.dumps(data, indent=2)
 
 
-def import_json(text: str) -> K3Graph:
-    data = json.loads(text)
-    vertices = {}
-    for v in data["vertices"]:
-        t = LatticeTriple(v["r"], v["l"], v["delta"])
-        vertices[t] = K3Vertex(t, unverified_existence=v["unverified_existence"])
-    edges = [
-        K3Edge(
-            LatticeTriple(*e["source"]),
-            LatticeTriple(*e["target"]),
-            e["kind"],
-        )
-        for e in data["edges"]
-    ]
-    return K3Graph(vertices, edges)
-
-
 # ---------------------------------------------------------------------------
 # exact bookkeeping identities
 # ---------------------------------------------------------------------------

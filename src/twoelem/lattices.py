@@ -13,7 +13,7 @@ generators, 2q(g_i) mod 4 and the packed rows of 2b(g_i, g_j) mod 2: the
 parity invariant delta and the characteristic element come from the l
 generators alone, and the q-value of every class and the map y -> By of the
 Weil S step from one pass over the classes, made when first read and kept on
-the group.  A class is its index in `elements`, the packed bits of its
+the group.  A class is an index in range(2^l), the packed bits of its
 coordinates; the tables over every class stop at l = 12.
 """
 from __future__ import annotations
@@ -404,6 +404,14 @@ def sigma(L: Lattice) -> int:
 _CLASS_L_CAP = 12   # the largest 2-rank whose tables over every class are built
 
 
+@dataclass(frozen=True)
+class DiscElement:
+    """A class's coordinates, as `DiscGroup.elements` lists them; the
+    benchmark's coset-oracle task reads `elements[i].coords`."""
+
+    coords: tuple
+
+
 @dataclass
 class DiscGroup:
     """The 2-elementary finite quadratic form (A_L = L^dual / L, q_L).
@@ -415,10 +423,11 @@ class DiscGroup:
         2q(x) = x.Q + 2 sum_{i<j} x_i x_j B_ij  mod 4,
 
     so 2q mod 2 is linear.  `delta`, `characteristic` and `one_index` read
-    the tables on the generators; `elements`, `two_q` and `packed_by` list
-    every class, for l <= 12.  A class is its index in `elements`, the first
-    coordinate the most significant bit, and B_i is packed in the same order;
-    `coords` reads a class's coordinates off its index.
+    the tables on the generators; `two_q` and `packed_by` list every class,
+    for l <= 12.  A class is an index in range(2^l), its coordinates packed
+    with the first the most significant bit, and B_i is packed in the same
+    order.  `coords` and `rep` read a class's coordinates and representative
+    off its index, and `index_of` takes a dual vector to its class's index.
     """
 
     parent: Lattice
@@ -445,28 +454,22 @@ class DiscGroup:
 
     @cached_property
     def elements(self) -> list:
-        """Every class; index 0 is the zero class."""
+        """Every class as a `DiscElement`; index 0 is the zero class."""
         self._check_cap()
-        return [DiscElement(self, coords) for coords in iproduct((0, 1), repeat=self.l)]
+        return [DiscElement(coords) for coords in iproduct((0, 1), repeat=self.l)]
 
     def coords(self, index: int) -> tuple:
-        """`elements[index].coords` without building `elements`: the l bits
-        of the index, the most significant first (`_pack` undone)."""
+        """The coordinates of class `index`: its l bits, the most significant
+        first (`_pack` undone)."""
+        if not 0 <= index < len(self):
+            raise ValueError(f"class index {index} out of range for {len(self)} classes")
         return tuple(index >> s & 1 for s in range(self.l - 1, -1, -1))
 
-    def class_of(self, x) -> "DiscElement":
-        """Class of the dual vector v with integer coordinates x = G v.
-
-        With U G V = diag(d), v = sum_p (U x)_p g_p, so the class is
-        (U x)[positions] mod 2.  Raises ValueError unless x has the
-        lattice's rank and integral entries (v in L^dual).
-        """
-        if len(x) != self.parent.rank:
-            raise ValueError("vector length must match lattice rank")
-        if any(xi != int(xi) for xi in x):
-            raise ValueError("vector is not in the dual lattice")
-        x = [int(xi) for xi in x]
-        return DiscElement(self, tuple(_dot(self._u[p], x) % 2 for p in self._positions))
+    def rep(self, index: int) -> list:
+        """The canonical representative in L^dual of class `index`: the sum of
+        the generators of its set bits, each coordinate reduced to [0, 1)."""
+        picked = [g for c, g in zip(self.coords(index), self.generators) if c]
+        return [sum(col) % 1 for col in zip([Fraction(0)] * self.parent.rank, *picked)]
 
     @cached_property
     def _masks(self) -> list:
@@ -475,10 +478,12 @@ class DiscGroup:
                 for i in range(self.parent.rank)]
 
     def index_of(self, x) -> int:
-        """Index in `elements` of `class_of(x)`.
+        """The index of the class of the dual vector v with integer
+        coordinates x = G v.
 
-        The class is U x mod 2 on the positions, linear over F_2, so its
-        packed index is the XOR of the masks of the odd coordinates of x.
+        With U G V = diag(d), v = sum_p (U x)_p g_p, so the class is
+        (U x)[positions] mod 2, linear over F_2: its packed index is the XOR
+        of the masks of the odd coordinates of x.
         x is not validated: it must be an integral vector of the lattice's rank.
         """
         return reduce(xor, (mask for xi, mask in zip(x, self._masks) if xi % 2), 0)
@@ -488,7 +493,7 @@ class DiscGroup:
         """(Q, B): Q_i as ints, B as packed rows.
 
         With v_i = 2 g_i integral, v_i G v_j = 4 b(g_i, g_j), which is even.
-        Row B_i packs B_ij in the bit order of `elements`.
+        Row B_i packs B_ij in the bit order of the class indices.
         """
         V = [[2 * x.numerator // x.denominator for x in g] for g in self.generators]
         GV = [[_dot(row, v) for row in self.parent.gram] for v in V]
@@ -531,7 +536,7 @@ class DiscGroup:
 
     @cached_property
     def one_index(self) -> int:
-        """The index of the characteristic class in `elements`."""
+        """The index of the characteristic class."""
         return _pack(self.characteristic)
 
     @cached_property
@@ -562,39 +567,6 @@ class DiscGroup:
     def packed_by(self) -> list:
         """The packed bits of By for every class y: rho(S) is fwht then y -> By."""
         return self._classes[1]
-
-    def q(self, el: "DiscElement") -> Fraction:
-        """q_L(el) in Q/2Z, represented in [0, 2)."""
-        v = el.rep()
-        return self.parent.norm(v) % 2
-
-    def b(self, e1: "DiscElement", e2: "DiscElement") -> Fraction:
-        """b_L(e1, e2) in Q/Z, represented in [0, 1)."""
-        return self.parent.pairing(e1.rep(), e2.rep()) % 1
-
-
-@dataclass(frozen=True)
-class DiscElement:
-    group: DiscGroup
-    coords: tuple
-
-    def rep(self):
-        """Canonical coset representative in L^dual, coordinates in [0,1)."""
-        picked = [(c, g) for c, g in zip(self.coords, self.group.generators) if c]
-        if not picked:
-            return [Fraction(0)] * self.group.parent.rank
-        cs, gens = zip(*picked)
-        return [_dot(cs, col) % 1 for col in zip(*gens)]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, DiscElement) and self.coords == other.coords \
-            and self.group.parent.gram == other.group.parent.gram
 
 
 _GROUPS = {}   # Gram matrix -> DiscGroup
@@ -655,10 +627,9 @@ def two_elementary_invariants(L: Lattice) -> LatticeTriple:
     return LatticeTriple(L.rank, A.l, A.delta)
 
 
-def characteristic_element(L: Lattice) -> DiscElement:
-    """The unique class with b(gamma, x) = q(x) mod Z for all x."""
-    A = discriminant_group(L)
-    return DiscElement(A, A.characteristic)
+def characteristic_element(L: Lattice) -> tuple:
+    """The coordinates of the unique class with b(gamma, x) = q(x) mod Z for all x."""
+    return discriminant_group(L).characteristic
 
 
 # ---------------------------------------------------------------------------

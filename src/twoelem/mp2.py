@@ -33,10 +33,6 @@ class Mp2Element:
             raise ValueError("matrix must have determinant 1")
         object.__setattr__(self, "branch", self.branch & 1)
 
-    @property
-    def matrix(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     def j(self, tau: complex) -> complex:
         """j(g, tau) = (-1)^branch * principal sqrt(c*tau + d)."""
         return (-1) ** self.branch * (self.c * tau + self.d) ** 0.5

@@ -184,14 +184,6 @@ class QSeries:
         e = Fraction(e)
         return QSeries({x + e: c for x, c in self.items()}, _plus(self.trunc, e))
 
-    def scale_exponents(self, factor) -> "QSeries":
-        """Substitute q -> q^factor (exponent map e -> e*factor), factor > 0."""
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise ValueError("exponent scale factor must be positive")
-        trunc = None if self.trunc is None else self.trunc * factor
-        return QSeries({e * factor: c for e, c in self.items()}, trunc)
-
     def truncate(self, trunc) -> "QSeries":
         return QSeries._grid(self.denom, self.start, self.coeffs,
                              _least(Fraction(trunc), self.trunc))
@@ -252,20 +244,6 @@ class QSeries:
         lines = [f"N={self.denom} trunc={'inf' if self.trunc is None else self.trunc}"]
         lines += [f"{e.numerator}/{e.denominator}  {c} 0 0 0" for e, c in self.items()]
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "QSeries":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        header = lines[0].split()
-        denom = int(header[0].split("=")[1])
-        trunc = header[1].split("=")[1]
-        terms = {}
-        for ln in lines[1:]:
-            e, c, *zeta = ln.split()
-            if any(Fraction(z) for z in zeta):
-                raise ValueError(f"coefficient at q^{e} is not rational: {ln.strip()!r}")
-            terms[Fraction(e)] = Fraction(c)
-        return QSeries(terms, None if trunc == "inf" else trunc, denom)
 
 
 def qseries_mul(a: QSeries, b: QSeries) -> QSeries:

@@ -46,18 +46,6 @@ class VVForm:
     weight: Fraction
     components: list  # QSeries per class index
 
-    def check_support(self):
-        """Exponent support in q(g)/2 + Z.  (c_g = c_{-g} holds trivially:
-        -g = g in a 2-elementary group.)"""
-        data = discriminant_group(self.lattice)
-        for i, ser in enumerate(self.components):
-            want = Fraction(data.two_q[i], 4)
-            for e, _c in ser.items():
-                if (e - want) % 1 != 0:
-                    raise AssertionError(f"support violation at {data.coords(i)}: "
-                                         f"exponent {e}, q/2 = {want}")
-        return True
-
 
 def _components(data, order: Fraction):
     """The component series of F below `order`, as a function of the class index.
@@ -112,9 +100,9 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
     if F.lattice.gram != hyperbolic_split(N, L_small).gram:
         raise ValueError("form does not live on the stated split U(N) + L")
     data_big = discriminant_group(F.lattice)
-    comps = []
-    for el in discriminant_group(L_small).elements:
-        rep = el.rep()
+    data_small, comps = discriminant_group(L_small), []
+    for i in range(len(data_small)):
+        rep = data_small.rep(i)
         x_small = [_dot(row, rep) for row in L_small.gram]
         acc = None
         for n in range(N):
@@ -250,7 +238,7 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
     Entirely independent of construct_F: the slash factors come from the
     q-expansion of phi composed with the Moebius action and the metaplectic
     automorphy factor of each word.  Returns (values, group) with values a
-    list of mpmath complex numbers in the order of the group's `elements`.
+    list of mpmath complex numbers, one per class index of the group.
     """
     import mpmath
 

@@ -162,27 +162,6 @@ def is_unitary(cols) -> bool:
     return not gram.any() and all(int(d) * c.scale ** 2 == 1 for d, c in zip(diag, cols))
 
 
-def invariant_vector_check(L: Lattice, g: Mp2Element) -> int:
-    """The k with rho(g) e_0 = zeta_8^k e_0, for g with c = 0 mod 4.
-
-    Errors if e_0 is not an eigenvector or if the eigenvalue is no power of
-    zeta_8.
-    """
-    if g.c % 4:
-        raise ValueError("invariant_vector_check needs lower-left entry = 0 mod 4")
-    col = weil_column_of(L, g, start=0)
-    others = [i for i, coeffs in enumerate(zip(*col.comp)) if i and any(coeffs)]
-    if others:
-        raise AssertionError(
-            f"e_0 is not an eigenvector of rho(g): component {others[0]} is nonzero"
-        )
-    lam = [row[0] for row in col.comp]
-    rows = [k for k in range(4) if lam[k]]
-    if col.scale != 1 or len(rows) != 1 or abs(lam[rows[0]]) != 1:
-        raise ArithmeticError(f"eigenvalue {col.scale} * {lam} is not an 8th root of unity")
-    return rows[0] + 4 * (lam[rows[0]] < 0)
-
-
 # ---------------------------------------------------------------------------
 # closed forms used by the coset-sum construction (and tested against the
 # word evaluator)

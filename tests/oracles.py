@@ -1,0 +1,187 @@
+"""Reference routes the tests check twoelem against.
+
+Each function here is a second, plainer way to something the package
+computes, or a helper that only the tests read; none of it is package API.
+A discriminant class is passed as its coordinates tuple, as
+`DiscGroup.coords` gives it.
+"""
+import json
+from fractions import Fraction
+
+from twoelem.k3graph import K3Edge, K3Graph, K3Vertex
+from twoelem.lattices import LatticeTriple, _dot, discriminant_group
+from twoelem.series import QSeries
+from twoelem.weil import weil_column_of
+
+
+# ---------------------------------------------------------------------------
+# discriminant forms, by Fractions on coset representatives
+# ---------------------------------------------------------------------------
+
+def rep(A, coords):
+    """Canonical coset representative in L^dual of the class, coordinates in [0,1)."""
+    picked = [(c, g) for c, g in zip(coords, A.generators) if c]
+    if not picked:
+        return [Fraction(0)] * A.parent.rank
+    cs, gens = zip(*picked)
+    return [_dot(cs, col) % 1 for col in zip(*gens)]
+
+
+def class_of(A, x):
+    """Coordinates of the class of the dual vector v with integer coordinates x = G v.
+
+    With U G V = diag(d), v = sum_p (U x)_p g_p, so the class is
+    (U x)[positions] mod 2.  Raises ValueError unless x has the lattice's
+    rank and integral entries (v in L^dual).
+    """
+    if len(x) != A.parent.rank:
+        raise ValueError("vector length must match lattice rank")
+    if any(xi != int(xi) for xi in x):
+        raise ValueError("vector is not in the dual lattice")
+    x = [int(xi) for xi in x]
+    return tuple(_dot(A._u[p], x) % 2 for p in A._positions)
+
+
+def q(A, coords) -> Fraction:
+    """q_L of the class in Q/2Z, represented in [0, 2)."""
+    return A.parent.norm(rep(A, coords)) % 2
+
+
+def b(A, c1, c2) -> Fraction:
+    """b_L of the two classes in Q/Z, represented in [0, 1)."""
+    return A.parent.pairing(rep(A, c1), rep(A, c2)) % 1
+
+
+# ---------------------------------------------------------------------------
+# tube points and the Petersson norm
+# ---------------------------------------------------------------------------
+
+def period_vector(point):
+    """The isotropic vector (-z^2/2, 1/N, z) of a `TubePoint` in ambient coordinates."""
+    G = point.L.gram
+    n = point.L.rank
+    z2 = sum(G[i][j] * point.z[i] * point.z[j] for i in range(n) for j in range(n))
+    return [-z2 / 2, 1.0 / point.N] + list(point.z)
+
+
+def petersson_norm_point(L, eta, l_ref, p, value=1.0):
+    """K^p |value|^2 with K = <eta, conj(eta)> / |<eta, l_ref>|^2.
+
+    eta must be isotropic with <eta, conj(eta)> > 0 and pair nontrivially
+    with the reference vector; the result is invariant under rescaling eta.
+    """
+    G = L.gram
+    n = L.rank
+    tol = 1e-9   # relative slack of the float isotropy and positivity tests
+    eta = [complex(x) for x in eta]
+    if len(eta) != n or len(l_ref) != n:
+        raise ValueError("vector length must match lattice rank")
+
+    def pair(u, v):
+        return sum(G[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
+
+    norm_sq = pair(eta, eta)
+    h = pair(eta, [x.conjugate() for x in eta])
+    ref = pair(eta, [complex(x) for x in l_ref])
+    scale = max(abs(h), 1.0)
+    if abs(norm_sq) > tol * scale:
+        raise ValueError(f"eta is not isotropic: <eta,eta> = {norm_sq}")
+    if h.real <= 0 or abs(h.imag) > tol * scale:
+        raise ValueError("<eta, conj(eta)> must be positive")
+    if abs(ref) <= tol:
+        raise ValueError("eta pairs trivially with the reference vector")
+    K = h.real / abs(ref) ** 2
+    return K ** float(p) * abs(complex(value)) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Weil representation, metaplectic group, forms
+# ---------------------------------------------------------------------------
+
+def invariant_vector_check(L, g) -> int:
+    """The k with rho(g) e_0 = zeta_8^k e_0, for g with c = 0 mod 4.
+
+    Errors if e_0 is not an eigenvector or if the eigenvalue is no power of
+    zeta_8.
+    """
+    if g.c % 4:
+        raise ValueError("invariant_vector_check needs lower-left entry = 0 mod 4")
+    col = weil_column_of(L, g, start=0)
+    others = [i for i, coeffs in enumerate(zip(*col.comp)) if i and any(coeffs)]
+    if others:
+        raise AssertionError(
+            f"e_0 is not an eigenvector of rho(g): component {others[0]} is nonzero"
+        )
+    lam = [row[0] for row in col.comp]
+    rows = [k for k in range(4) if lam[k]]
+    if col.scale != 1 or len(rows) != 1 or abs(lam[rows[0]]) != 1:
+        raise ArithmeticError(f"eigenvalue {col.scale} * {lam} is not an 8th root of unity")
+    return rows[0] + 4 * (lam[rows[0]] < 0)
+
+
+def matrix(g):
+    """The SL_2(Z) part of an `Mp2Element` as nested tuples."""
+    return ((g.a, g.b), (g.c, g.d))
+
+
+def check_support(F):
+    """Exponent support in q(g)/2 + Z.  (c_g = c_{-g} holds trivially:
+    -g = g in a 2-elementary group.)"""
+    data = discriminant_group(F.lattice)
+    for i, ser in enumerate(F.components):
+        want = Fraction(data.two_q[i], 4)
+        for e, _c in ser.items():
+            if (e - want) % 1 != 0:
+                raise AssertionError(f"support violation at {data.coords(i)}: "
+                                     f"exponent {e}, q/2 = {want}")
+    return True
+
+
+# ---------------------------------------------------------------------------
+# q-series
+# ---------------------------------------------------------------------------
+
+def scale_exponents(s, factor):
+    """Substitute q -> q^factor (exponent map e -> e*factor), factor > 0."""
+    factor = Fraction(factor)
+    if factor <= 0:
+        raise ValueError("exponent scale factor must be positive")
+    trunc = None if s.trunc is None else s.trunc * factor
+    return QSeries({e * factor: c for e, c in s.items()}, trunc)
+
+
+def from_text(text: str):
+    """The `QSeries` of `QSeries.to_text`'s format; refuses a nonzero zeta_8 column."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    header = lines[0].split()
+    denom = int(header[0].split("=")[1])
+    trunc = header[1].split("=")[1]
+    terms = {}
+    for ln in lines[1:]:
+        e, c, *zeta = ln.split()
+        if any(Fraction(z) for z in zeta):
+            raise ValueError(f"coefficient at q^{e} is not rational: {ln.strip()!r}")
+        terms[Fraction(e)] = Fraction(c)
+    return QSeries(terms, None if trunc == "inf" else trunc, denom)
+
+
+# ---------------------------------------------------------------------------
+# the transition graph
+# ---------------------------------------------------------------------------
+
+def import_json(text: str):
+    """The `K3Graph` of `k3graph.export_json`'s text."""
+    data = json.loads(text)
+    vertices = {}
+    for v in data["vertices"]:
+        t = LatticeTriple(v["r"], v["l"], v["delta"])
+        vertices[t] = K3Vertex(t, unverified_existence=v["unverified_existence"])
+    edges = [
+        K3Edge(
+            LatticeTriple(*e["source"]),
+            LatticeTriple(*e["target"]),
+            e["kind"],
+        )
+        for e in data["edges"]
+    ]
+    return K3Graph(vertices, edges)

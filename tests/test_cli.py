@@ -387,7 +387,9 @@ def test_table_round_does_each_exact_step_once(capsys, monkeypatch):
 
 
 def test_report_builds_no_class_element(capsys, monkeypatch):
-    # the report prints class coordinates from the index bits (l = 11 here)
+    # the report prints class coordinates from the index bits (l = 11 here),
+    # lattice-info the characteristic class's coordinates, and `verify
+    # series` restricts along U(N) by class index
     from twoelem import lattices
 
     def refuse(self, *args):
@@ -398,6 +400,12 @@ def test_report_builds_no_class_element(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "borcherds", "report", "A1++A1+" + "+A1" * 9)
     assert code == 0
     assert "  (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) q^-1: 1\n" in out
+    code, out, _ = run_cli(capsys, "lattice-info", "A1++A1+" + "+A1" * 9)
+    assert code == 0
+    assert "char elt   (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)\n" in out
+    code, out, _ = run_cli(capsys, "verify", "series")
+    assert code == 0
+    assert "OK: 5/5 checks passed" in out
 
 
 # sha256 over the 43 `borcherds report ROW --order 4` texts, `export-graph`

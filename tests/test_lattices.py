@@ -30,6 +30,8 @@ from twoelem.k3graph import table1
 from twoelem.lattices import _clear, _eliminate, _positive_definite
 from twoelem.weil import weil_column
 
+from oracles import b, class_of, q, rep
+
 
 def test_standard_grams():
     assert standard_lattice("U").det() == -1
@@ -137,21 +139,21 @@ def test_class_of_inverts_rep(expr):
     L = parse_lattice_expr(expr)
     A = discriminant_group(L)
     for el in A.elements:
-        x = [sum(g * r for g, r in zip(row, el.rep())) for row in L.gram]
-        assert A.class_of(x) == el
+        x = [sum(g * r for g, r in zip(row, rep(A, el.coords))) for row in L.gram]
+        assert class_of(A, x) == el.coords
         assert A.elements[A.index_of(x)] == el
     rng = random.Random(7)
     for _ in range(200):
         x = [rng.randint(-9, 9) for _ in range(L.rank)]
-        assert A.elements[A.index_of(x)] == A.class_of(x)
+        assert A.elements[A.index_of(x)].coords == class_of(A, x)
 
 
 def test_class_of_rejects_non_dual_vectors():
     A = discriminant_group(parse_lattice_expr("U+U(2)+A1^3"))
     with pytest.raises(ValueError):
-        A.class_of([0, 0, 0, 0, Fraction(1, 2), 0, 0])
+        class_of(A, [0, 0, 0, 0, Fraction(1, 2), 0, 0])
     with pytest.raises(ValueError):
-        A.class_of([0, 0, 0, 0, 1, 0])
+        class_of(A, [0, 0, 0, 0, 1, 0])
 
 
 def test_characteristic_element_property():
@@ -161,9 +163,9 @@ def test_characteristic_element_property():
         A = discriminant_group(L)
         char = characteristic_element(L)
         for x in A.elements:
-            assert (A.b(char, x) - A.q(x)) % 1 == 0
+            assert (b(A, char, x.coords) - q(A, x.coords)) % 1 == 0
     # delta = 0 forces the zero class
-    assert characteristic_element(parse_lattice_expr("U(2)")).is_zero()
+    assert characteristic_element(parse_lattice_expr("U(2)")) == (0, 0)
 
 
 # 2-ranks of the summands drawn below
@@ -180,13 +182,13 @@ def test_tables_match_exhaustive_scan(names):
     data = discriminant_group(L)
     elements = A.elements
     assert [el.coords for el in data.elements] == [el.coords for el in elements]
-    qvals = [A.q(el) for el in elements]
+    qvals = [q(A, el.coords) for el in elements]
     assert data.two_q == [2 * q for q in qvals]
     assert two_elementary_invariants(L).delta == int(any(q % 1 for q in qvals))
-    char = elements[data.one_index]
-    assert all((A.b(char, x) - A.q(x)) % 1 == 0 for x in elements)
+    char = elements[data.one_index].coords
+    assert all((b(A, char, x.coords) - q(A, x.coords)) % 1 == 0 for x in elements)
     # 4b(x, y) of every pair of class representatives, from the Gram matrix
-    reps = np.array([[int(2 * c) for c in el.rep()] for el in elements], dtype=np.int64)
+    reps = np.array([[int(2 * c) for c in rep(A, el.coords)] for el in elements], dtype=np.int64)
     four_b = reps @ np.array(L.gram, dtype=np.int64) @ reps.T
     # rho(S) e_j is i^{-sigma/2} 2^{-l/2} times the signs (-1)^{2b(x_j, y)} over all y
     scalar = cmath.exp(-1j * cmath.pi * data.sigma / 4) / 2 ** (data.l / 2)
@@ -209,7 +211,7 @@ def test_invariants_at_two_rank_12(expr, delta, char):
     L = parse_lattice_expr(expr)
     t = two_elementary_invariants(L)
     assert (t.l, t.delta) == (12, delta)
-    assert characteristic_element(L).coords == char
+    assert characteristic_element(L) == char
 
 
 @pytest.mark.parametrize("expr, l", [("A1^18", 18), ("U+A1^20", 20)])
@@ -227,7 +229,7 @@ def test_invariants_read_no_class_table(expr, l, monkeypatch):
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     assert (t.l, t.delta) == (l, 1)
-    assert char.coords == (1,) * l
+    assert char == (1,) * l
 
 
 def _adjugate_characteristic(A):
@@ -257,6 +259,24 @@ def test_coords_read_the_index_bits():
     for row in table1():
         A = discriminant_group(parse_lattice_expr(row.perp_expr))
         assert [A.coords(i) for i in range(len(A))] == [el.coords for el in A.elements]
+
+
+def test_rep_matches_the_coset_representative_of_the_coords():
+    # `DiscGroup.rep` on each index against the representative of the
+    # class's coordinates, for every class of the 43 rows' groups
+    for row in table1():
+        A = discriminant_group(parse_lattice_expr(row.perp_expr))
+        assert [A.rep(i) for i in range(len(A))] == [rep(A, el.coords) for el in A.elements]
+
+
+@pytest.mark.parametrize("index", [-1, 4, 99])
+def test_class_index_out_of_range_is_refused(index):
+    # U + U(2) has 4 classes; an index past them has no class, whatever its low bits
+    A = discriminant_group(parse_lattice_expr("U+U(2)"))
+    with pytest.raises(ValueError, match=f"class index {index} out of range for 4 classes"):
+        A.coords(index)
+    with pytest.raises(ValueError, match=f"class index {index} out of range for 4 classes"):
+        A.rep(index)
 
 
 def test_parse_is_memoised():

@@ -8,12 +8,13 @@ from twoelem import LatticeTriple, build_graph, table1, thm91_consistency
 from twoelem.k3graph import (
     export_dot,
     export_json,
-    import_json,
     m_triple_of_row,
     prop92_obstruction,
     thm93_check,
     validate_row,
 )
+
+from oracles import import_json
 
 
 def _seeds():

@@ -17,7 +17,6 @@ from twoelem import (
     direct_sum,
     discriminant_group,
     parse_lattice_expr,
-    petersson_norm_point,
     product_eval,
     rescale,
     rhs_invariant,
@@ -27,6 +26,8 @@ from twoelem import (
 from twoelem.borcherds import _lines, _slab_majorant, short_vectors
 from twoelem.vvmf import borcherds_weight
 from twoelem.lattices import _eliminate, ellipsoid_lines
+
+from oracles import class_of, period_vector, petersson_norm_point, rep
 
 
 def test_short_vectors_identity_form():
@@ -137,6 +138,28 @@ def test_short_vectors_needs_positive_definite():
         short_vectors([[0, 1], [1, 0]], 4)
 
 
+def test_short_vectors_refuse_a_non_symmetric_matrix():
+    # m^t A m <= 4 for A = [[2, 3], [0, 2]] has 12 solutions m != 0 in a box
+    # scan, as the symmetric part has; an elimination on A itself finds 6
+    A = [[2, 3], [0, 2]]
+    box = {m for m in itertools.product(range(-3, 4), repeat=2)
+           if any(m) and sum(m[i] * A[i][j] * m[j] for i in range(2) for j in range(2)) <= 4}
+    assert len(box) == 12
+    assert set(short_vectors([[2, Fraction(3, 2)], [Fraction(3, 2), 2]], 4)) == box
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        short_vectors(A, 4)
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        list(_lines(A, Fraction(4)))
+
+
+def test_short_vectors_refuse_a_non_square_matrix():
+    for A in ([[2, 1], [1]], [[2, 1]], [[2], [1, 2]]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            short_vectors(A, 4)
+        with pytest.raises(ValueError, match="matrix must be square"):
+            list(_lines(A, Fraction(4)))
+
+
 def test_tube_point_validation():
     L = standard_lattice("U")
     p = TubePoint(1, L, (1j, 2j))   # (Im z)^2 = 2*1*2 = 4 > 0
@@ -211,7 +234,7 @@ def test_borcherds_bounds_fail_clearly():
 def test_period_vector_isotropy():
     L = parse_lattice_expr("U+A1")
     p = TubePoint(2, L, (0.3 + 1.5j, -0.2 + 1.2j, 0.1 + 0.4j))
-    eta = p.period_vector()
+    eta = period_vector(p)
     amb = p.ambient()
     n = amb.rank
     G = amb.gram
@@ -269,7 +292,7 @@ def test_product_eval_checks_ambient():
 def test_petersson_scale_invariance():
     L = parse_lattice_expr("U+U+A1")
     p = TubePoint(1, parse_lattice_expr("U+A1"), (1.8j, 1.7j, 0.2j))
-    eta = p.period_vector()
+    eta = period_vector(p)
     l_ref = [1, 0, 0, 0, 0]
     base = petersson_norm_point(L, eta, l_ref, 3, value=2.0)
     scaled = petersson_norm_point(L, [2.5 * x for x in eta], l_ref, 3, value=2.0)
@@ -326,7 +349,8 @@ def test_separating_walls_filtered_by_F():
     walls, _ = separating_walls(L, v1, v2, pairing_bound=3)
     kept, _ = separating_walls(L, v1, v2, pairing_bound=3, F=F)
     det, adj, _, _ = _eliminate(L.gram)
-    reps = [(i, el.rep()) for i, el in enumerate(discriminant_group(L).elements)]
+    A = discriminant_group(L)
+    reps = [(i, rep(A, el.coords)) for i, el in enumerate(A.elements)]
 
     def coeff(w):
         lam = [Fraction(sum(a * m for a, m in zip(row, w.dual_coords)), det) for row in adj]
@@ -368,7 +392,7 @@ def test_rhs_invariant_powers():
     F = construct_F(p.ambient(), order=16)
     value, _ = product_eval(F, p, order=2, min_margin=0.05)
     w, _ = borcherds_weight(p.ambient())
-    psi_norm2 = petersson_norm_point(p.ambient(), p.period_vector(), [1, 0, 0, 0], w, value=value)
+    psi_norm2 = petersson_norm_point(p.ambient(), period_vector(p), [1, 0, 0, 0], w, value=value)
     assert math.isclose(rhs_invariant(p, F, SiegelPoint(())), math.sqrt(psi_norm2), rel_tol=1e-12)
     sig = SiegelPoint(((0.1 + 1.2j,),))
     one, two = rhs_invariant(p, F, sig), rhs_invariant(p, F, sig, ell=2)
@@ -381,6 +405,7 @@ def _product_eval_pointwise(F, point, order, min_margin):
     from `QSeries.coeff`."""
     L, N, n = point.L, point.N, point.L.rank
     data = discriminant_group(point.ambient())
+    index = {el.coords: i for i, el in enumerate(data.elements)}
     det, adj, _, _ = _eliminate(L.gram)
     Ginv = [[Fraction(a, det) for a in row] for row in adj]
     y, y2, cut = point.y(), point.y_norm2(), Fraction(order)
@@ -388,7 +413,7 @@ def _product_eval_pointwise(F, point, order, min_margin):
     low = min([0] + [ser.min_exp() for ser in F.components if ser.coeffs])
 
     def coeff(nn, m, exponent):
-        ser = F.components[data.elements.index(data.class_of((0, nn) + m))]
+        ser = F.components[index[class_of(data, (0, nn) + m)]]
         if exponent >= ser.trunc:
             raise ValueError(f"product needs coefficient at exponent {exponent} beyond series "
                              f"truncation {ser.trunc}; rebuild F with a larger order")

@@ -88,29 +88,6 @@ def evaluate_word(word) -> Mp2Element:
     return acc
 
 
-def word_j(word, tau):
-    """j(g, tau) for g = product of the word, composed factor by factor.
-
-    Composing j along the word reproduces the metaplectic automorphy factor
-    without consulting the branch bit (useful at arbitrary precision where
-    tau is an mpmath complex number).
-    """
-    elements = []
-    for gen, exp in word:
-        base = MP2_S if gen == "S" else MP2_T
-        step = 1 if exp >= 0 else -1
-        for _ in range(abs(exp)):
-            elements.append(base ** step)
-    j = None
-    point = tau
-    # accumulate right-to-left: j(g1 g2, tau) = j(g1, g2 tau) * j(g2, tau)
-    for el in reversed(elements):
-        factor = el.j(point)
-        point = el.apply(point)
-        j = factor if j is None else j * factor
-    return (j if j is not None else tau ** 0), point
-
-
 def mp2_word(g: Mp2Element):
     """Decompose g into a word in S and T (with integer exponents).
 

@@ -470,7 +470,10 @@ def _theta_row(a, point: SiegelPoint, prec: int):
 
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
     """theta_{a,b}(Sigma) = sum over n in Z^g of
-    exp(pi i (n+a)^t Sigma (n+a) + 2 pi i (n+a).b)."""
+    exp(pi i (n+a)^t Sigma (n+a) + 2 pi i (n+a).b).
+
+    A Python `complex` at prec <= 53 bits; an mpmath `mpc` above 53 bits, and
+    also at 53 bits on a deep row, whose terms leave the double range."""
     if len(ch.a) != point.g:
         raise ValueError("characteristic size must match the matrix")
     return _theta_row(ch.a, point, prec)[0][_pack(int(2 * x) for x in ch.b)]
@@ -519,6 +522,8 @@ def fay_family(g: int, psi, t):
     first handle); psi a constant symmetric complex matrix."""
     if g < 1:
         raise ValueError("family needs g >= 1")
+    if len(psi) != g or any(len(row) != g for row in psi):
+        raise ValueError("psi must be a g x g matrix")
     t = complex(t)
     if not 0 < abs(t) < 1:
         raise ValueError("t must satisfy 0 < |t| < 1")
@@ -540,12 +545,14 @@ def vanishing_order_fit(family, t_grid, prec: int = 53):
     if len(pts) < 6:
         raise ValueError("need at least 6 grid points")
     pts = pts[:-2]
-    xs, ys = [], []
+    xs = [2 * math.log(abs(t)) for t in pts]
+    if len(set(xs)) < 2:
+        raise ValueError(f"t_grid's kept points share one |t| = {abs(pts[0])}: no slope to fit")
+    ys = []
     for t in pts:
         aval = abs(chi_g(family(t), prec))
         if not aval:
             raise ValueError(f"chi vanished to numerical zero at t = {t}")
-        xs.append(2 * math.log(abs(t)))
         ys.append(16 * float(mpmath.log(aval)))
     n = len(xs)
     mean_x = sum(xs) / n

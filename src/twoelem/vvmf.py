@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .lattices import Lattice, _dot, _integer, discriminant_group, hyperbolic_split, signature
 from .modforms import f0, f1, g_slices
-from .mp2 import evaluate_word, mp2_word, word_j
+from .mp2 import evaluate_word, mp2_word
 from .series import QSeries, qseries_eval
 from .weil import weil_column
 
@@ -123,13 +123,6 @@ class HeegnerSum:
 
     lattice: Lattice
     terms: dict  # (class index, Fraction n) -> int
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeegnerSum)
-            and self.lattice.gram == other.lattice.gram
-            and self.terms == other.terms
-        )
 
     def delta_ledger(self):
         """Interpret the raw classes as multiplicities on D', D''.
@@ -237,8 +230,9 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
 
     Entirely independent of construct_F: the slash factors come from the
     q-expansion of phi composed with the Moebius action and the metaplectic
-    automorphy factor of each word.  Returns (values, group) with values a
-    list of mpmath complex numbers, one per class index of the group.
+    automorphy factor j(g, tau) of each word's element g.  Returns (values,
+    group) with values a list of mpmath complex numbers, one per class index
+    of the group.
     """
     import mpmath
 
@@ -253,7 +247,7 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
         zeta_pows = [zeta ** j for j in range(4)]
         for name, word in COSET_WORDS.items():
             g = evaluate_word(word)
-            jfac, gtau = word_j(word, tau)
+            jfac, gtau = g.j(tau), g.apply(tau)
             imag = float(mpmath.im(gtau))
             if imag <= 0:
                 raise ValueError(f"transformed point left the upper half-plane ({name})")

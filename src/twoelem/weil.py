@@ -109,6 +109,7 @@ def _s_step(scale: Fraction, comp: list, data: DiscGroup) -> WeilColumn:
 def weil_column(L: Lattice, word, start: int = 0) -> WeilColumn:
     """rho(word) e_start as an exact `WeilColumn`, word applied right-to-left."""
     data = discriminant_group(L)
+    data.coords(start)   # a ValueError for a start outside the class indices
     scale, comp = Fraction(1), _basis(len(data.two_q), start)
     for gen, exp in reversed(list(word)):
         if gen == "T":
@@ -123,10 +124,6 @@ def weil_column(L: Lattice, word, start: int = 0) -> WeilColumn:
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return WeilColumn(scale, comp)
-
-
-def weil_column_of(L: Lattice, g: Mp2Element, start: int = 0) -> WeilColumn:
-    return weil_column(L, mp2_word(g), start)
 
 
 def weil_rep(L: Lattice, g: Mp2Element):

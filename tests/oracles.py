@@ -10,8 +10,9 @@ from fractions import Fraction
 
 from twoelem.k3graph import K3Edge, K3Graph, K3Vertex
 from twoelem.lattices import LatticeTriple, _dot, discriminant_group
+from twoelem.mp2 import MP2_S, MP2_T, mp2_word
 from twoelem.series import QSeries
-from twoelem.weil import weil_column_of
+from twoelem.weil import weil_column
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,7 @@ def invariant_vector_check(L, g) -> int:
     """
     if g.c % 4:
         raise ValueError("invariant_vector_check needs lower-left entry = 0 mod 4")
-    col = weil_column_of(L, g, start=0)
+    col = weil_column(L, mp2_word(g))
     others = [i for i, coeffs in enumerate(zip(*col.comp)) if i and any(coeffs)]
     if others:
         raise AssertionError(
@@ -117,6 +118,22 @@ def invariant_vector_check(L, g) -> int:
     if col.scale != 1 or len(rows) != 1 or abs(lam[rows[0]]) != 1:
         raise ArithmeticError(f"eigenvalue {col.scale} * {lam} is not an 8th root of unity")
     return rows[0] + 4 * (lam[rows[0]] < 0)
+
+
+def word_j(word, tau):
+    """(j(g, tau), g tau) for g = product of the word, composed factor by factor.
+
+    j(g1 g2, tau) = j(g1, g2 tau) * j(g2, tau), accumulated right-to-left over
+    the single letters S^{+-1}, T^{+-1}: a reference for the branch bit that
+    `Mp2Element` keeps by its integer sign rule.
+    """
+    j, point = tau ** 0, tau
+    for gen, exp in reversed(word):
+        base = MP2_S if gen == "S" else MP2_T
+        letter = base ** (1 if exp >= 0 else -1)
+        for _ in range(abs(exp)):
+            j, point = j * letter.j(point), letter.apply(point)
+    return j, point
 
 
 def matrix(g):

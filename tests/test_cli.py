@@ -285,6 +285,16 @@ def test_siegel_eval_genus_beyond_five(capsys, tmp_path):
     assert err == "error: genus must be between 0 and 5\n"
 
 
+def test_verify_choices_are_the_suites():
+    # cli lists the names itself, so that building the parser imports no suite
+    from twoelem.cli import build_parser
+    from twoelem.verify import SUITES
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    suite_arg = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite_arg.choices) == list(SUITES) + ["all"]
+
+
 def test_verify_suite_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "weil", "--format", "json")
     assert code == 0

@@ -21,17 +21,16 @@ from twoelem import (
     weil_rep,
 )
 from twoelem import lattices
-from twoelem.mp2 import MP2_ONE, evaluate_word, word_j
+from twoelem.mp2 import MP2_ONE, evaluate_word
 from twoelem.weil import (
     _s_step,
     _zeta_shift,
     closed_form_st_l_inverse_column,
     closed_form_v_inverse_column,
     is_unitary,
-    weil_column_of,
 )
 
-from oracles import b, invariant_vector_check, matrix, q
+from oracles import b, invariant_vector_check, matrix, q, word_j
 
 LATTICES = ["A1", "A1+", "U(2)", "U+A1+", "A1++A1"]
 ZETA_POWS = np.exp(1j * np.pi * np.arange(4) / 4)
@@ -140,6 +139,18 @@ def test_representation_relations(expr):
         assert ss == weil_column(L, [("S", 2)], j)
 
 
+@pytest.mark.parametrize("expr", ["U(2)", "U+A1+"])
+@pytest.mark.parametrize("word", [[], [("S", 1)], [("T", 1), ("S", 1)]])
+def test_weil_column_refuses_start_out_of_range(expr, word):
+    # -1 and 2^l are no class indices, with or without an S step in the word
+    L = parse_lattice_expr(expr)
+    n = len(discriminant_group(L).two_q)
+    for start in (-1, n):
+        with pytest.raises(ValueError,
+                           match=f"class index {start} out of range for {n} classes"):
+            weil_column(L, word, start)
+
+
 @pytest.mark.parametrize("expr", ["A1+^2+A1^4", "A1+^2+A1^8"])
 @pytest.mark.parametrize("r", [6, 10])
 def test_long_words_stay_exact(expr, r):
@@ -182,10 +193,10 @@ def test_closed_form_columns(expr):
     L = parse_lattice_expr(expr)
     for l_exp in range(4):
         g = evaluate_word([("S", 1), ("T", l_exp)]).inverse()
-        word_col = weil_column_of(L, g)
+        word_col = weil_column(L, mp2_word(g))
         assert word_col == closed_form_st_l_inverse_column(L, l_exp)
     gV = evaluate_word([("S", 7), ("T", 2), ("S", 1)]).inverse()
-    assert weil_column_of(L, gV) == closed_form_v_inverse_column(L)
+    assert weil_column(L, mp2_word(gV)) == closed_form_v_inverse_column(L)
 
 
 def _mul(a, b):
@@ -216,7 +227,7 @@ def test_word_product_matches_matrix_route():
             cols = mats[gen]
             vec = [[sum(x) for x in zip(*(_mul(cols[k][i], vec[k]) for k in range(n)))]
                    for i in range(n)]
-    assert _entries(weil_column_of(L, evaluate_word(word))) == vec
+    assert _entries(weil_column(L, mp2_word(evaluate_word(word)))) == vec
 
 
 def test_invariant_vector_eigenvalue():
@@ -226,7 +237,7 @@ def test_invariant_vector_eigenvalue():
     k = invariant_vector_check(L, g)
     assert 0 <= k < 8
     e0 = [[1, 0], [0, 0], [0, 0], [0, 0]]
-    assert weil_column_of(L, g) == WeilColumn(Fraction(1), _zeta_shift(e0, k))
+    assert weil_column(L, mp2_word(g)) == WeilColumn(Fraction(1), _zeta_shift(e0, k))
     # numeric check against the dense matrices
     mats = {"S": np.array([_embed(c) for c in weil_rep(L, MP2_S)]).T,
             "T": np.array([_embed(c) for c in weil_rep(L, MP2_T)]).T}

@@ -232,7 +232,7 @@ def test_eval_within_its_stated_rounding_bound(prec):
     # images of the criterion-02 point, against a 4*prec Horner reference;
     # the bound is under 2^-(prec-8) times the series' largest term
     from twoelem.modforms import f0, f1, g_i
-    from twoelem.mp2 import word_j
+    from oracles import word_j
     from twoelem.vvmf import COSET_WORDS
     from twoelem.lattices import _clear
     series = [f0(8, 384), f1(8, 96)] + [g_i(8, i, 96) for i in range(4)]

@@ -379,6 +379,10 @@ def test_petersson_prefactor_keeps_high_precision(sig):
 def test_fay_family_validation():
     with pytest.raises(ValueError):
         fay_family(1, [[0.5j]], 1.5)   # |t| >= 1
+    # psi too small (was an IndexError), too large (the 0.2 was dropped), ragged
+    for g, psi in [(2, [[0.1 + 1j]]), (1, [[0.1 + 1j, 0.2]]), (2, [[0.1 + 1j, 0.2], [0.2]])]:
+        with pytest.raises(ValueError, match="psi must be a g x g matrix"):
+            fay_family(g, psi, 0.01)
     pt = fay_family(2, [[0.1 + 0.3j, 0.05], [0.05, 1.2j]], 1e-4)
     assert pt.g == 2
 
@@ -387,6 +391,9 @@ def test_vanishing_fit_needs_enough_points():
     fam = lambda t: fay_family(1, [[0.2j]], t)
     with pytest.raises(ValueError):
         vanishing_order_fit(fam, [1e-3, 1e-4, 1e-5], 53)
+    # the kept points 0.01 e^{ik} share one |t|: no slope (was a ZeroDivisionError)
+    with pytest.raises(ValueError, match="t_grid"):
+        vanishing_order_fit(fam, [0.01 * complex(math.cos(k), math.sin(k)) for k in range(6)], 53)
 
 
 def test_vanishing_slope_genus1():

@@ -112,6 +112,12 @@ def test_graph_exports_roundtrip(tmp_path):
             == [(e.source, e.target, e.kind) for e in graph.edges])
 
 
+def test_repeated_seeds_count_once():
+    seeds = _seeds()
+    assert export_json(build_graph(seeds + seeds[::-1] + seeds[:5])) == \
+        export_json(build_graph(seeds))
+
+
 def test_exports_deterministic():
     g1 = build_graph(_seeds())
     g2 = build_graph(list(reversed(_seeds())))

@@ -24,7 +24,7 @@ from itertools import compress, count, islice
 from math import ceil, gcd, lcm
 from operator import add
 
-from .lattices import _clear
+from .lattices import _clear, _integer
 
 
 def _num(x):
@@ -304,7 +304,8 @@ def qseries_eval(a: QSeries, tau, prec: int = 53):
         |v - S(tau)| <= 2^-prec * (3 |v| + |exp(2*pi*i*tau*start/denom)| / d),
 
     where the last term is at most the series' largest term at tau.  tau is
-    taken as the mpmath number mpc(tau) at `prec` bits.
+    taken as the mpmath number mpc(tau) at `prec` bits; `prec` must be a
+    positive integer (an integral float too).
 
     `tail` is the documented heuristic |q|^trunc / (1 - |q|) * max(1, |c|
     over the last five nonzero stored terms), 0 for an exact sum, formed in
@@ -313,6 +314,7 @@ def qseries_eval(a: QSeries, tau, prec: int = 53):
     """
     import mpmath
 
+    prec = _integer(prec, "prec", positive=True)
     with mpmath.workprec(prec):
         tau = mpmath.mpc(tau)
         if not mpmath.isfinite(tau):

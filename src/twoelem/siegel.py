@@ -7,51 +7,61 @@ Truncation: theta_{a,b} sums over the ellipsoid pi v^t (Im Sigma) v <= R^2,
 v in Z^g + a, with the tail bound of Deconinck, Heil, Bobenko, van Hoeij and
 Schmies (Math. Comp. 73, 2004, Theorem 2): the dropped terms add up to at
 most eps(R) = (g/2) (2/rho)^g Gamma(g/2, (R - rho/2)^2) in modulus, with
-rho^2 = pi min_{n != 0} n^t (Im Sigma) n, once R >= (sqrt(2g) + rho)/2.  R is
-the least radius with eps(R) <= 2^-(prec+16) exp(-pi mu_a), mu_a the least
-v^t (Im Sigma) v over Z^g + a: the bound is relative to the row's largest
-term, since for a != 0 the whole row can lie far below 1.  Gamma(s, x) at
-half-integer s is erfc or exp plus the recursion Gamma(s+1, x) = s Gamma(s, x)
-+ x^s e^{-x}, in the log domain.  The points are the lines of the integer
-Fincke-Pohst search `lattices.ellipsoid_lines` around the centre -a on
-den Im Sigma, den the power of two that makes it integral, so membership is
-decided exactly; `_theta_row` returns eps(R) with each row.
+rho^2 = pi min_{n != 0} n^t (Im Sigma) n, once R >= (sqrt(2g) + rho)/2.  Row
+a needs R_a, the least radius with eps(R_a) <= 2^-(prec+16) exp(-pi mu_a),
+mu_a the least v^t (Im Sigma) v over Z^g + a: the bound is relative to the
+row's largest term, since for a != 0 the whole row can lie far below 1.
+rho is that of Z^g for every coset, so the one radius R of the largest mu_a
+serves every row: the terms a row drops lie outside R >= R_a, and they add
+up to at most eps(R) <= eps(R_a).  `_truncation` bisects for it once per
+point and precision.  Gamma(s, x) at half-integer s is erfc or exp plus the
+recursion Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}, in the log domain.
 
-One pass per a serves every b: since exp(2 pi i (n+a).b) =
-i^{popcount(2a & 2b)} (-1)^{n.2b}, theta_{a,b} is i^{popcount(2a & 2b)} times
-entry 2b of the Walsh-Hadamard transform of the sums of exp(pi i (n+a)^t
-Sigma (n+a)) over the 2^g classes of n mod 2.  The class of n is read off its
-low bits.  Bit vectors put the first coordinate in the most significant bit.
+One pass serves every (a, b).  It walks x = 2(n + a) over all of Z^g, each
+term exp(pi i x^t Sigma x / 4): the lines of the integer Fincke-Pohst search
+`lattices.ellipsoid_lines` with x^t (den Im Sigma) x <= 4 den R^2 / pi, den
+the power of two that makes den Im Sigma integral, so membership is decided
+exactly.  Since exp(2 pi i (n+a).b) = i^{x.2b} depends only on x mod 4, the
+pass sums the terms into the 4^g classes of x mod 4, split along a line by
+their steps from its peak mod 4.  Row a, alpha = 2a, owns the 2^g classes
+alpha + 2 nu, and theta_{a,b} is i^{popcount(alpha & 2b)} times entry 2b of
+the Walsh-Hadamard transform of their sums over nu.  Bit vectors put the
+first coordinate in the most significant bit.  `_table` keeps the rows, each
+with its eps(R) plus its own rounding bound, on the point per precision;
+`chi_g` and `theta_constant` read them.
 
-The chain walk.  A line (n_1, ... fixed) is summed in n_0 both ways from
-its peak, the integer nearest its exact minimiser of v^t (Im Sigma) v, by
-R_{+-e_0}, each ratio stepping by exp(2 pi i Sigma_00), all of modulus at
-most 1.  Lines with the same n_2, ... form a chain, chains with the same
-n_3, ... a sheet.  A step by u multiplies the term by R_u = exp(pi i (u^t
-Sigma u + 2 u^t Sigma v)) and each R_w by exp(2 pi i w^t Sigma u); the walk
-carries the term and R_+-u, u in {e_0, d_1, d_2}: d_1 = (delta, 1, 0, ...)
-with delta nearest -Im Sigma_01 / Im Sigma_00, d_2 = (delta_20, delta_21,
-1, 0, ...) with delta_21 nearest the n_1 shift of the slice minimiser per
-unit n_2, delta_20 nearest the n_0 shift of the line minimiser along (0,
-delta_21, 1).  A sheet is seeded once, at the peak of the centre line n_1^*
-(nearest the slice minimiser) of its middle chain: the term and the R_u
-from exact Gaussian integers (X^t A X and u^t A u + u^t A X, 2^K Sigma = A,
-X = 2v), R_-u = exp(2 pi i u^t Sigma u) / R_u; the factors once per point.
-The walk goes outward, so that the carried error grows away from the
-largest terms: to the next chain's centre by +-d_2, then in n_0 to the peak
-and by d_1 to n_1^*; to a line by +-d_1 from its chain's centre, each step
-followed by at most one in n_0.  D is 1 plus the steps from the seeds.
+The chain walk.  A line (x_1, ... fixed) is summed in x_0 both ways from
+its peak, the integer nearest its exact minimiser of x^t (Im Sigma) x, by
+R_{+-e_0}, each ratio stepping by exp(2 pi i Sigma_00 / 4), all of modulus
+at most 1.  Lines with the same x_2, ... form a chain, chains with the same
+x_3, ... a sheet.  A step by u multiplies the term by R_u = exp(pi i (u^t
+Sigma u + 2 u^t Sigma x) / 4) and each R_w by exp(2 pi i w^t Sigma u / 4);
+the walk carries the term and R_+-u, u in {e_0, d_1, d_2}: d_1 = (delta, 1,
+0, ...) with delta nearest -Im Sigma_01 / Im Sigma_00, d_2 = (delta_20,
+delta_21, 1, 0, ...) with delta_21 nearest the x_1 shift of the slice
+minimiser per unit x_2, delta_20 nearest the x_0 shift of the line minimiser
+along (0, delta_21, 1); the directions depend only on ratios of Im Sigma,
+so the quarter leaves them alone.  A sheet is seeded once, at the peak of
+the centre line x_1^* (nearest the slice minimiser) of its middle chain: the
+term and the R_u from exact Gaussian integers (X^t A X / 2^(K+4) and (u^t A
+u + u^t A X) / 2^(K+2), 2^K Sigma = A, X = 2x), R_-u = exp(2 pi i u^t Sigma
+u / 4) / R_u; the factors once per point.  The walk goes outward, so that
+the carried error grows away from the largest terms: to the next chain's
+centre by +-d_2, then in x_0 to the peak and by d_1 to x_1^*; to a line by
++-d_1 from its chain's centre, each step followed by at most one in x_0.  D
+is 1 plus the steps from the seeds.
 
 Up to 53 bits the values are complex doubles.  `_cis` gives exp(+-pi i y /
 2^e), y = re + i im: with im / 2^e = n + f, n an integer, the modulus is
 exp(-n pi_hi) exp(-(n pi_lo + pi f)), n pi_hi exact, and the angle
 pi ((re mod 2^(e+1)) / 2^e), f and that quotient each one correctly rounded
-int/int division.  A visited v lies within 1 in n_0 of its line's minimiser,
-on a line below the bound or, after a step by d_2, within 1 in n_1 of its
-slice's minimiser: v^t (Im Sigma) v <= B = bound + Im Sigma_00 + Im Sigma_11.
-By Cauchy-Schwarz the ratios lie within exp(+-pi (U + 2 sqrt(U B))) and the
-factors within exp(+-2 pi U), U the largest u^t (Im Sigma) u; a row with
-pi max(B, 2 U, U + 2 sqrt(U B)) >= 700 takes the multiprecision walk.
+int/int division.  A visited x lies within 1 in x_0 of its line's minimiser,
+on a line below the bound or, after a step by d_2, within 1 in x_1 of its
+slice's minimiser: x^t (Im Sigma) x / 4 <= B = bound + (Im Sigma_00 + Im
+Sigma_11) / 4.  By Cauchy-Schwarz the ratios lie within exp(+-pi (U + 2
+sqrt(U B))) and the factors within exp(+-2 pi U), U the largest u^t (Im
+Sigma) u / 4; a pass with pi max(B, 2 U, U + 2 sqrt(U B)) >= 700 takes the
+multiprecision walk.
 
 Float rounding bound, to first order in u = 2^-53.  A `_cis` value is within
 35 u of its modulus: the modulus within 16.6 u (1 ulp from each exp, 7.4 u
@@ -61,29 +71,38 @@ sin, and u from the products with the modulus.  A complex product adds
 sqrt 5 u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  With e =
 38 u a seed is within e, R_-u at a seed within 2 e, and a step multiplies
 each carried value by a factor within 35 u: a carried ratio is within (D +
-1) e, the term j steps from the peak within e (m + 1)(m + 2)/2, m = D + j,
-and a line walked f steps forward and b back within e (tet(D + f) + tet(D +
-b)), tet(k) = (k+1)(k+2)(k+3)/6.  Its n terms add within u n^2 T, T its peak
-term, n^2 <= 2 (D+f+1)^2 + 2 (D+b+1)^2; the class sums add u (N - 1) and the
-transform u g times the sum of n T, N the most lines in a class.  So the
-rows return the tail bound plus (1 + 2^-10) u sum_lines T (38 tet(D + f) +
-38 tet(D + b) + 2 (D+f+1)^2 + 2 (D+b+1)^2 + (N + g) n), T the computed one.
+1) e, and the term j steps from the peak within e (m + 1)(m + 2)/2 of its
+modulus, m = D + j.  A line walked f steps forward and b back adds its n =
+f + b + 1 terms into four sums within u n per term, the class sums add u
+(N - 1) and the transform u g times the sum of the row's |terms|, N the
+lines with terms in the row.  So row a returns the tail bound plus (1 + 2^-10) u
+sum_lines (19 (M + 1)(M + 2) + n) S + (N + g) sum_lines S, S the sum of the
+computed |terms| of the row on the line, M = D + max(f, b): each row is
+charged with its own terms.
 
 Above 53 bits a carried value is a `_Gauss` (re + i im) 2^e floored to p
 bits in the larger part after each product, a seed one libmp
 `mpf_cos_sin_pi` on the exact angle and one `mpf_exp` each way it is read
 at p + 10 bits; with u = 2^-p a seed is within 3 u (2 sqrt 2 u from the floors),
 a product adds 2 sqrt 2 u, and the count above holds with e = 6 u.  A line
-is walked in fixed point, terms at 2^(wp+k), 2^k <= exp(pi mu_a), ratios at
-2^(wp+x), 2^x > L, the longest walk from a peak; in these units the exact
-ones are at most 1, and each step floors by less than sqrt 2.  So the j-th
-term from a peak is within 3 (j + 1) units plus e (m + 1)(m + 2)/2 T, and
-a theta within 3 W 2^-(wp+k) + (1 + 2^-10) e sum_lines T (tet(D + f) +
-tet(D + b)), W the sum over the terms of (steps from the peak + 1), plus
-2^-prec |theta| from its one rounding.  wp = prec + bitlen(3 W') + 4, W' >=
-W, and p = prec + 4 + bitlen(12 N' tet(D' + L)), N' lines, D' = 7 + 2 s_1
-+ 4 s_2 (s_i the span of n_i), keep both near 2^-(prec+4) times the row's
-largest term; p grows with log D, so the walk never re-seeds.
+is walked in fixed point, terms at 2^(wp+k), 2^k <= exp(pi mu), mu the
+largest mu_a, and ratios at 2^(wp+k+l), 2^l > L, the longest walk from a
+peak; the exact terms and ratios are at most 1, and each step floors by
+less than sqrt 2 units of 2^-(wp+k).  So the j-th term from a peak is
+within 3 (j + 1) units plus e (m + 1)(m + 2)/2 T, T the largest term of its
+parity on the line: the peak term for those an even number of steps out,
+else |z| |R_{+-e_0}| at the peak, as each side shrinks away from the peak.
+Row a is within 3 W_a 2^-(wp+k) + (1 + 2^-10) e sum T (tet(D + f) + tet(D +
+b)) over its parts of lines, tet(k) = (k+1)(k+2)(k+3)/6, W_a the sum over
+its terms of (steps from the peak + 1), plus 2^-prec |theta| from its one
+rounding.  The sizes come from exact extents of x^t M x <= B, M = den Im
+Sigma: |x_i| <= e_i = floor sqrt(B adj(M)_ii / det M), a line has at most L =
+floor sqrt(4 B / M_00) steps, and there are at most N' = prod_{i >= 1} (2
+e_i + 1) lines.  wp = prec + bitlen(3 W') + 4, W' = N' (L + 1)(L + 2)/2 >=
+W_a, and p = prec + 4 + bitlen(12 N' tet(D' + L)), D' = 7 + 4 e_1 + 8 e_2,
+keep both below 2^-(prec+4) 2^-k, and so below 2^-(prec+4) times each row's
+largest term, also for a row far below 1; p grows with log D, so the walk
+never re-seeds.
 """
 from __future__ import annotations
 
@@ -99,8 +118,8 @@ from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_ne
                           round_nearest, to_fixed)
 
 from .characteristics import ThetaChar, _even_rows, chi8_weight
-from .lattices import (_clear, _dot, _eliminate, _fwht, _pack, _positive_definite, _quad,
-                       ellipsoid_lines)
+from .lattices import (_clear, _dot, _eliminate, _fwht, _integer, _pack, _positive_definite,
+                       _quad, ellipsoid_lines)
 
 @dataclass
 class SiegelPoint:
@@ -136,6 +155,7 @@ class SiegelPoint:
             raise ValueError("Im Sigma must be positive definite")
         self._mins = {}   # packed 2a -> least v^t (Im Sigma) v over v != 0 in Z^g + a
         self._phis = {}   # `_phi` tables: None for complex doubles, else the bits
+        self._tables = {}   # prec -> the theta table of `_table`
 
     @functools.cached_property
     def _carry(self):
@@ -223,10 +243,11 @@ def _truncation(a, point: SiegelPoint, prec: int):
 
 
 def _phi(seed, point: SiegelPoint, key=None):
-    """phi[i][j]: exp(2 pi i u_i^t Sigma u_j) and its inverse, from `seed`, once
-    per unordered pair: A is symmetrised, so phi[j][i] is phi[i][j]."""
+    """phi[i][j]: exp(2 pi i u_i^t Sigma u_j / 4), the factor of a step by u_j
+    in R_{u_i} on the x-walk, and its inverse, from `seed`, once per unordered
+    pair: A is symmetrised, so phi[j][i] is phi[i][j]."""
     if key not in point._phis:
-        dirs, A, K = point._carry[0], (point._real, point._imag), point._K
+        dirs, A, K = point._carry[0], (point._real, point._imag), point._K + 2
         phi = [[None] * len(dirs) for _ in dirs]
         for i, j in itertools.combinations_with_replacement(range(len(dirs)), 2):
             phi[i][j] = phi[j][i] = seed(*(2 * _quad(dirs[i], M, dirs[j]) for M in A), K)
@@ -286,62 +307,76 @@ def _tet(m: int) -> int:
     return (m + 1) * (m + 2) * (m + 3) // 6
 
 
-@functools.cache
-def _weight(m: int) -> int:   # 38 tet(m) + 2 (m+1)^2, module docstring
-    return 38 * _tet(m) + 2 * (m + 1) ** 2
+# the slot x_0 - peak mod 4 of the terms 1, 2, ... steps ahead of a line's peak and back
+_AHEAD, _BACK = (1, 2, 3, 0), (3, 2, 1, 0)
 
 
 class _Fixed:
     """The multiprecision arithmetic: `_Gauss` values carried at p bits, each
     line walked in fixed point, exact class sums (module docstring)."""
 
-    def __init__(self, lines, a, point: SiegelPoint, prec: int):
-        mu = point._least(a) if any(a) else 0
+    def __init__(self, point: SiegelPoint, bound: int, mu, prec: int):
+        g, M, (det, adj) = point.g, point._imag, point._elim[:2]
         self.k = max(0, math.floor(math.pi * float(mu) / math.log(2) * (1 - 1e-9)))
-        n = [hi - lo for lo, hi, _ in lines]
-        s1, s2 = (max(r) - min(r) for r in list(zip(*(rest for _, _, rest in lines)))[:2])
-        self.wp = prec + (3 * sum((m + 1) * (m + 2) // 2 for m in n)).bit_length() + 4
-        self.x = self.wp + max(n).bit_length()
-        p = prec + 4 + (12 * len(n) * _tet(7 + 2 * s1 + 4 * s2 + max(n))).bit_length()
-        self.p = -(-p // 16) * 16   # a multiple of 16, so that rows share their step factors
-        self.prec, self.W, self.weight = prec, 0, 0
+        # x^t M x <= bound: |x_i| <= e_i, a line has at most L steps, and there are at most N lines
+        e = [math.isqrt(bound * adj[i][i] // det) for i in range(g)] + [0, 0]
+        L, N = math.isqrt(4 * bound // M[0][0]), math.prod(2 * t + 1 for t in e[1:g])
+        self.wp = prec + (3 * N * (L + 1) * (L + 2) // 2).bit_length() + 4
+        self.x = self.wp + self.k + L.bit_length()
+        p = prec + 4 + (12 * N * _tet(7 + 4 * e[1] + 8 * e[2] + L)).bit_length()
+        self.p = -(-p // 16) * 16   # a multiple of 16, so that precisions share their step factors
+        self.prec, self.g = prec, g
+        self.re, self.im = [0] * 4 ** g, [0] * 4 ** g
+        self.W, self.weight = [0] * 2 ** g, [0] * 2 ** g
         self.seed = functools.partial(_fixed_exp, p=self.p)
         self.peak = functools.partial(_fixed_exp, p=self.p, signs=(1,))
         self.phi = _phi(self.seed, point, self.p)
         self.s = self.phi[0][0][0].fixed(self.x)
 
-    def line(self, z, rf, rb, f: int, b: int, D: int):
-        """The sums of a line's terms an even, then an odd number of steps from
-        its peak term z, walked f steps by rf and b back by rb: re, im pairs."""
+    def line(self, z, rf, rb, f: int, b: int, D: int, cls):
+        """Add the terms of a line to the classes cls[x_0 - peak mod 4], walked
+        from its peak term z f steps by rf and b back by rb, and charge the rows
+        of the peak's parity and of the other their W and weight."""
         x, (sr, si), (zr, zi) = self.x, self.s, z.fixed(self.wp + self.k)
-        self.W += (f + 1) * (f + 2) // 2 + b * (b + 3) // 2
-        self.weight += (abs(zr) + abs(zi)) * (_tet(D + f) + _tet(D + b))
-        out = [zr, zi, 0, 0]
-        for r, steps in ((rf, f), (rb, b)):
+        re, im, odd = [zr, 0, 0, 0], [zi, 0, 0, 0], 0
+        for r, steps, slots in ((rf, f, _AHEAD), (rb, b, _BACK)):
             (rr, ri), tr, ti = r.fixed(x), zr, zi
-            for j in range(steps):
+            if steps:   # at least |re| + |im| of the term one step out, the largest of its parity
+                odd = max(odd, ((abs(zr) + abs(zi)) * (abs(rr) + abs(ri)) >> x) + 1)
+            for k in itertools.islice(itertools.cycle(slots), steps):
                 tr, ti = (tr * rr - ti * ri) >> x, (tr * ri + ti * rr) >> x
                 rr, ri = (rr * sr - ri * si) >> x, (rr * si + ri * sr) >> x
-                out[2 - 2 * (j & 1)] += tr
-                out[3 - 2 * (j & 1)] += ti
-        return out[:2], out[2:]
+                re[k] += tr
+                im[k] += ti
+        for k, c in enumerate(cls):
+            self.re[c] += re[k]
+            self.im[c] += im[k]
+        even, other, tets = cls[0] >> self.g, cls[1] >> self.g, _tet(D + f) + _tet(D + b)
+        hf, hb = f + 1 >> 1, b + 1 >> 1   # sum (j + 1) over the j = 0..f, 1..b of each parity
+        self.W[even] += ((f >> 1) + 1) ** 2 + ((b >> 1) + 1) ** 2 - 1
+        self.W[other] += hf * (hf + 1) + hb * (hb + 1)
+        self.weight[even] += (abs(zr) + abs(zi)) * tets
+        self.weight[other] += odd * tets
 
-    def finish(self, sums, packed: int, g: int, eps):
-        shift, prec, p, out, largest = self.wp + self.k, self.prec, self.p, [], 0
-        parts = (_fwht([sum(t[i] for t in ts) for ts in sums]) for i in (0, 1))
-        for beta, (re, im) in enumerate(zip(*parts)):
-            for _ in range((packed & beta).bit_count() % 4):
-                re, im = -im, re
-            largest = max(largest, abs(re) + abs(im))
-            out.append(mpmath.mp.make_mpc((from_man_exp(re, -shift, prec, round_nearest),
-                                           from_man_exp(im, -shift, prec, round_nearest))))
-        # 3 W + 2^-prec |theta| + (1 + 2^-10) 6 2^-p weight, in units of 2^-shift
-        num = ((3 * self.W << prec) + largest << p + 10) + (6 * 1025 * self.weight << prec)
-        return out, eps + mpmath.mp.make_mpf(from_man_exp(num, -(shift + prec + p + 10)))
+    def finish(self, eps):
+        g, shift, prec, p, out = self.g, self.wp + self.k, self.prec, self.p, []
+        for alpha in range(2 ** g):
+            cut, row, largest = slice(alpha << g, alpha + 1 << g), [], 0
+            for beta, (re, im) in enumerate(zip(_fwht(self.re[cut]), _fwht(self.im[cut]))):
+                for _ in range((alpha & beta).bit_count() % 4):
+                    re, im = -im, re
+                largest = max(largest, abs(re) + abs(im))
+                row.append(mpmath.mp.make_mpc((from_man_exp(re, -shift, prec, round_nearest),
+                                               from_man_exp(im, -shift, prec, round_nearest))))
+            # 3 W + 2^-prec |theta| + (1 + 2^-10) 6 2^-p weight, in units of 2^-shift
+            num = (((3 * self.W[alpha] << prec) + largest << p + 10)
+                   + (6 * 1025 * self.weight[alpha] << prec))
+            out.append((row, eps + mpmath.mp.make_mpf(from_man_exp(num, -(shift + prec + p + 10)))))
+        return out
 
 
 _ULP = 2.0 ** -53 * (1 + 2.0 ** -10)   # u, with room for the bound's own rounding
-_DEEP = 700   # float rows keep their values within exp(+-_DEEP), module docstring
+_DEEP = 700   # float walks keep their values within exp(+-_DEEP), module docstring
 
 
 class _Floats:
@@ -350,76 +385,80 @@ class _Floats:
     seed = peak = staticmethod(_cis)
 
     def __init__(self, point: SiegelPoint):
+        g = self.g = point.g
         self.phi = _phi(_cis, point)
-        self.s, self.weight, self.mass = self.phi[0][0][0], 0.0, 0.0
+        self.s, self.sums = self.phi[0][0][0], [0j] * 4 ** g
+        self.weight, self.mass, self.lines = [0.0] * 2 ** g, [0.0] * 2 ** g, [0] * 2 ** g
 
-    def line(self, z, rf, rb, f: int, b: int, D: int):
-        """`_Fixed.line` in complex doubles."""
-        t, s, even, odd = abs(z), self.s, z, 0j
-        self.weight += t * (_weight(D + f) + _weight(D + b))
-        self.mass += t * (f + b + 1)
-        for r, steps in ((rf, f), (rb, b)):
+    def line(self, z, rf, rb, f: int, b: int, D: int, cls):
+        """`_Fixed.line` in complex doubles, each row charged with the moduli of
+        its own terms."""
+        s, out, mass = self.s, [z, 0j, 0j, 0j], [abs(z), 0.0, 0.0, 0.0]
+        for r, steps, slots in ((rf, f, _AHEAD), (rb, b, _BACK)):
             t = z
-            for _ in range(steps >> 1):
+            for k in itertools.islice(itertools.cycle(slots), steps):
                 t *= r
                 r *= s
-                odd += t
-                t *= r
-                r *= s
-                even += t
-            if steps & 1:
-                odd += t * r
-        return even, odd
+                out[k] += t
+                mass[k] += abs(t)
+        for k, c in enumerate(cls):
+            self.sums[c] += out[k]
+        m = D + max(f, b)   # 38 (m+1)(m+2)/2 + n for each term, module docstring
+        weight = 19 * (m + 1) * (m + 2) + f + b + 1
+        for row, T in ((cls[0] >> self.g, mass[0] + mass[2]), (cls[1] >> self.g, mass[1] + mass[3])):
+            self.weight[row] += T * weight
+            self.mass[row] += T
+            self.lines[row] += 1
 
-    def finish(self, sums, packed: int, g: int, eps):
-        weight = self.weight + self.mass * (max(map(len, sums)) + g)
-        row = _fwht([sum(zs, 0j) for zs in sums])
-        return [z * (1, 1j, -1, -1j)[(packed & beta).bit_count() % 4]
-                for beta, z in enumerate(row)], eps + weight * _ULP
+    def finish(self, eps):
+        g, out = self.g, []
+        for alpha in range(2 ** g):
+            row = _fwht(self.sums[alpha << g:alpha + 1 << g])
+            weight = self.weight[alpha] + self.mass[alpha] * (self.lines[alpha] + g)
+            out.append(([z * (1, 1j, -1, -1j)[(alpha & beta).bit_count() % 4]
+                         for beta, z in enumerate(row)], eps + weight * _ULP))
+        return out
 
 
-def _theta_row(a, point: SiegelPoint, prec: int):
-    """([theta_{a,b}(Sigma) for 2b = 0 .. 2^g - 1], eps) from one pass over
-    the ellipsoid, the chain walk of the module docstring; eps bounds the
-    error of every entry: the tail bound plus the stated rounding bound."""
+def _pass(point: SiegelPoint, prec: int):
+    """[(row, eps) for packed 2a = 0 .. 2^g - 1], g >= 1, from one chain walk
+    over the x in Z^g of the widest a's ellipsoid (module docstring)."""
     g = point.g
-    if g == 0:
-        return [mpmath.mpc(1) if prec > 53 else complex(1)], mpmath.mpf(0)
-    a = [Fraction(x) for x in a]
-    bound, eps = _truncation(a, point, prec)
-    lines = [(lo, hi, rest + (0, 0)) for lo, hi, rest in point._lines(bound, a)]
-    K, Are, Y = point._K, point._real, point._imag
+    point._least([0] * g)   # every mu_a
+    top = max(range(1, 2 ** g), key=point._mins.__getitem__)   # the packed 2a of the largest
+    bound, eps = _truncation([Fraction(top >> i & 1, 2) for i in reversed(range(g))], point, prec)
+    K, Are, Y = point._K + 2, point._real, point._imag   # Sigma / 4 = A / 2^K
     (dirs, U, y, S, uAu), n = point._carry, min(g, 3)
-    B = float(bound) + (y[0][0] + y[1][1]) / point._den
+    U, B = U / 4, float(bound) + (y[0][0] + y[1][1]) / (4 * point._den)   # in x^t (Im Sigma / 4) x
     deep = math.pi * max(B, 2 * U, U + 2 * math.sqrt(U * B)) >= _DEEP
-    ar = _Fixed(lines, a, point, max(prec, 53)) if prec > 53 or deep else _Floats(point)
+    ar = (_Fixed(point, math.floor(4 * bound * point._den), point._mins[top], max(prec, 53))
+          if prec > 53 or deep else _Floats(point))
     phi, (E, Einv) = ar.phi, ar.phi[0][0]
     # facs[j][s < 0]: the factors of R_{+u_0}, R_{-u_0}, R_{+u_1}, ... in a step by s u_j
     facs = [[[phi[i][j][(t < 0) != neg] for i in range(n) for t in (1, -1)]
              for neg in (False, True)] for j in range(n)]
-    alpha = [int(2 * x) for x in a] + [0, 0]
     (y00, y01, y02), (_, _, y12) = y[:2]
-    top, den = y00 * (1 - alpha[0]), 2 * y00   # a line's peak is (top - Im C) // den
+    den = 2 * y00   # a line's peak is (y00 - Im C) // den
     bit1, bit0 = (1 << g - 2 if g > 1 else 0), 1 << g - 1
-    sums = [[] for _ in range(2 ** g)]
-    every = [list(ch) for _, ch in itertools.groupby(lines, key=lambda ln: ln[2][1:])]
+    lines = ((lo, hi, rest + (0, 0)) for lo, hi, rest in point._lines(4 * bound, [0] * g))
+    every = (list(ch) for _, ch in itertools.groupby(lines, key=lambda ln: ln[2][1:]))
     for _, sheet in itertools.groupby(every, key=lambda ch: ch[0][2][2:]):
         chains = list(sheet)
         c = len(chains) // 2
         rest = chains[c][0][2]
-        Xr = [2 * r + al for r, al in zip(rest, alpha[1:g])]
-        # Im C = y01 X_1 + b_0, b_i = sum_{j >= 2} (Im A)_ij X_j = hb_i + 2 y_i2 n_2
-        hb = [sum(Y[i][j] * Xr[j - 1] for j in range(3, g)) + y[i][2] * alpha[2] for i in (0, 1)]
+        Xr = [2 * r for r in rest]
+        # Im C = 2 y01 x_1 + b_0, b_i = sum_{j >= 2} (Im A)_ij X_j = hb_i + 2 y_i2 x_2
+        hb = [sum(Y[i][j] * Xr[j - 1] for j in range(3, g)) for i in (0, 1)]
 
-        def centre(m2):   # n_1^* of the slice n_2 = m2, and Im C on it less y01 X_1
+        def centre(m2):   # x_1^* of the slice x_2 = m2, and Im C on it less 2 y01 x_1
             b0, b1 = hb[0] + 2 * y02 * m2, hb[1] + 2 * y12 * m2
-            return (y01 * b0 - y00 * b1 + S * (1 - alpha[1])) // (2 * S), b0
+            return (y01 * b0 - y00 * b1 + S) // (2 * S), b0
 
-        def goto(st, t2):   # by d_2 to the slice t2, then in n_0 and n_1 to its centre's peak
+        def goto(st, t2):   # by d_2 to the slice t2, then in x_0 and x_1 to its centre's peak
             v, p, m1, m2, D, b0 = st
             m1s = centre(m2)[0]
             while True:
-                pk = (top - y01 * (2 * m1 + alpha[1]) - b0) // den
+                pk = (y00 - 2 * y01 * m1 - b0) // den
                 j, s = (0, pk - p) if pk != p else (2, t2 - m2) if m2 != t2 else (1, m1s - m1)
                 if not s:
                     return v, p, m1, m2, D, b0
@@ -430,8 +469,8 @@ def _theta_row(a, point: SiegelPoint, prec: int):
 
         # the seeds, at the peak of the middle chain's centre line, from exact Gaussian integers
         m1, b0 = centre(rest[1])
-        p = (top - y01 * (2 * m1 + alpha[1]) - b0) // den
-        X = ([2 * p + alpha[0], 2 * m1 + alpha[1]] + Xr[1:])[:g]
+        p = (y00 - 2 * y01 * m1 - b0) // den
+        X = ([2 * p, 2 * m1] + Xr[1:])[:g]
         AX = [[_dot(row, X) for row in M] for M in (Are, Y)]
         vals = [ar.peak(_dot(X, AX[0]), _dot(X, AX[1]), K + 2)[0]]
         mul = type(vals[0]).__mul__
@@ -442,30 +481,49 @@ def _theta_row(a, point: SiegelPoint, prec: int):
             st = (vals, p, m1, rest[1], 1, b0)   # D = 1 + the steps from the seeds
             for chain in part:
                 st = goto(st, chain[0][2][1])
-                base = _pack(r & 1 for r in chain[0][2][1:g - 1])
+                abase = _pack(r & 1 for r in chain[0][2][1:g - 1])
+                nbase = _pack(r >> 1 & 1 for r in chain[0][2][1:g - 1])
                 for lpart, s1 in (([ln for ln in chain if ln[2][0] >= st[2]], 1),
                                   ([ln for ln in reversed(chain) if ln[2][0] < st[2]], -1)):
                     (z, rf, rb, *rds), q, k1, _, D, cim = st
-                    cim += y01 * (2 * k1 + alpha[1])
+                    cim += 2 * y01 * k1
                     if lpart and g > 1:   # the step factors of rd, rf and rb for a step by s1 d_1
                         rd, G, Fs, Fi = rds[s1 < 0], phi[1][1][0], *phi[0][1][::s1]
                     for lo, hi, mr in lpart:
-                        while k1 != mr[0]:   # a step by s1 d_1, then in n_0 to that line's peak
+                        while k1 != mr[0]:   # a step by s1 d_1, then in x_0 to that line's peak
                             z, rd, rf, rb = z * rd, rd * G, rf * Fs, rb * Fi
                             q, k1, cim, D = q + s1 * dirs[1][0], k1 + s1, cim + s1 * 2 * y01, D + 1
-                            peak = (top - cim) // den
+                            peak = (y00 - cim) // den
                             while peak > q:
                                 z, rf, rb, rd = z * rf, rf * E, rb * Einv, rd * Fs
                                 q, D = q + 1, D + 1
                             while peak < q:
                                 z, rb, rf, rd = z * rb, rb * E, rf * Einv, rd * Fi
                                 q, D = q - 1, D + 1
-                        # the line's terms outward from its peak, summed by the parity of n_0 - q
-                        even, odd = ar.line(z, rf, rb, hi - q, q - lo, D)
-                        cls = base | (k1 & 1) * bit1 | (q & 1) * bit0
-                        sums[cls].append(even)
-                        sums[cls ^ bit0].append(odd)
-    return ar.finish(sums, _pack(alpha[:g]), g, eps)
+                        # the line's terms outward from its peak, summed by x_0 mod 4
+                        al, nu = abase | (k1 & 1) * bit1, nbase | (k1 >> 1 & 1) * bit1
+                        ar.line(z, rf, rb, hi - q, q - lo, D,
+                                [(al | (t & 1) * bit0) << g | nu | (t >> 1 & 1) * bit0
+                                 for t in range(q, q + 4)])
+    return ar.finish(eps)
+
+
+def _table(point: SiegelPoint, prec):
+    """[(row, eps) for packed 2a = 0 .. 2^g - 1]: row the theta_{a,b}(Sigma)
+    for 2b = 0 .. 2^g - 1, eps a bound on the error of each of its entries,
+    the tail bound plus the row's stated rounding bound; one pass per
+    precision, kept on the point.  Every public entry reads prec here first,
+    so a prec that is not a positive integer fails the same way everywhere."""
+    prec = _integer(prec, "prec", positive=True)
+    if prec not in point._tables:
+        point._tables[prec] = (_pass(point, prec) if point.g else
+                               [([mpmath.mpc(1) if prec > 53 else complex(1)], mpmath.mpf(0))])
+    return point._tables[prec]
+
+
+def _theta_row(a, point: SiegelPoint, prec):
+    """([theta_{a,b}(Sigma) for 2b = 0 .. 2^g - 1], eps): row 2a of `_table`."""
+    return _table(point, prec)[_pack(int(2 * x) for x in a)]
 
 
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
@@ -473,7 +531,9 @@ def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
     exp(pi i (n+a)^t Sigma (n+a) + 2 pi i (n+a).b).
 
     A Python `complex` at prec <= 53 bits; an mpmath `mpc` above 53 bits, and
-    also at 53 bits on a deep row, whose terms leave the double range."""
+    also at 53 bits on a deep point, whose terms leave the double range.  It
+    reads the point's theta table, so the first theta at a point and
+    precision pays for every row."""
     if len(ch.a) != point.g:
         raise ValueError("characteristic size must match the matrix")
     return _theta_row(ch.a, point, prec)[0][_pack(int(2 * x) for x in ch.b)]
@@ -492,13 +552,13 @@ def _petersson(point: SiegelPoint, chi, prec: int):
 
 
 def chi_g(point: SiegelPoint, prec: int = 53):
-    """Product of the even theta constants at Sigma, one `_theta_row` per a, as
-    an mpmath complex multiplied at max(prec, 53) + 10 bits: a product of up to
-    528 theta constants leaves the double range routinely."""
-    rows = [(_theta_row(a, point, prec)[0], js) for a, js in _even_rows(point.g)]
+    """Product of the even theta constants at Sigma, read from the point's
+    theta table, as an mpmath complex multiplied at max(prec, 53) + 10 bits:
+    a product of up to 528 theta constants leaves the double range routinely."""
+    table = _table(point, prec)
     with mpmath.workprec(max(prec, 53) + 10):
         acc = mpmath.mpc(1)
-        for row, js in rows:
+        for (row, _), (_, js) in zip(table, _even_rows(point.g)):
             for j in js:
                 acc *= row[j]
     return acc

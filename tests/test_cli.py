@@ -343,17 +343,17 @@ def test_order_flag_validation(capsys):
 
 
 def test_siegel_eval_walks_each_theta_row_once(capsys, tmp_path, monkeypatch):
-    # chi_g and its norm come from one set of even thetas: one row per a
+    # chi_g and its norm come from one set of even thetas: every row from one pass
     from twoelem import siegel
     calls = []
-    row = siegel._theta_row
-    monkeypatch.setattr(siegel, "_theta_row", lambda a, *rest: calls.append(a) or row(a, *rest))
+    walk = siegel._pass
+    monkeypatch.setattr(siegel, "_pass", lambda *args: calls.append(args[1]) or walk(*args))
     mat = tmp_path / "sigma.json"
     mat.write_text(json.dumps([[[0.2, 1.1], [0.1, 0.3]], [[0.1, 0.3], [-0.1, 0.9]]]))
     code, out, _ = run_cli(capsys, "siegel", "eval", "--sigma", str(mat), "--prec", "64")
     assert code == 0
     assert "petersson chi^8  5.96573191254951e-12" in out
-    assert sorted(calls) == sorted(set(calls)) and len(calls) == 4
+    assert calls == [64]
 
 
 def test_one_smith_normal_form_per_gram_matrix(capsys, monkeypatch):

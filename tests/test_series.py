@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoelem import QSeries, eta_power, qseries_eval, qseries_mul
+from twoelem.lattices import parse_lattice_expr
+from twoelem.vvmf import construct_F, eval_vvform
 
 from oracles import from_text
 
@@ -198,6 +200,24 @@ def test_from_text_rejects_zeta_column():
 def test_eval_refuses_non_finite_tau(tau):
     with pytest.raises(ValueError, match="finite"):
         qseries_eval(QSeries({0: 1, 1: 2}, trunc=3), tau)
+
+
+@pytest.mark.parametrize("prec", [-40, 0, "64"])
+def test_eval_precision_must_be_a_positive_integer(prec):
+    # -40 failed with "negative shift count", 0 returned a value and "64"
+    # raised a TypeError
+    F = construct_F(parse_lattice_expr("U+U+E8"), order=2)
+    for fn in (lambda: qseries_eval(F.components[0], 0.1 + 1.2j, prec),
+               lambda: eval_vvform(F, 0.1 + 1.2j, prec)):
+        with pytest.raises(ValueError, match="prec must be a positive integer"):
+            fn()
+
+
+def test_eval_precision_takes_an_integral_float():
+    # 64.0 raised a TypeError from an int >> float shift
+    F = construct_F(parse_lattice_expr("U+U+E8"), order=2)
+    assert qseries_eval(F.components[0], 0.1 + 1.2j, 64.0) == qseries_eval(F.components[0], 0.1 + 1.2j, 64)
+    assert eval_vvform(F, 0.1 + 1.2j, 64.0) == eval_vvform(F, 0.1 + 1.2j, 64)
 
 
 def test_eval_tail_at_deep_points():

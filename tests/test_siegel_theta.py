@@ -290,6 +290,47 @@ def test_petersson_invariant_under_sp2g_words(g, sig):
         assert abs(moved / base - 1) < 1e-12
 
 
+def test_chi_g_makes_one_pass_per_point(monkeypatch):
+    # at g = 3 chi_g searches one ellipsoid and bisects one radius for all 8
+    # rows; the 36 theta constants then read the point's table, and their
+    # product, taken as chi_g takes it, is chi_g's bit for bit
+    point = SiegelPoint(((0.2 + 1.1j, 0.1 + 0.2j, -0.1 + 0.15j),
+                         (0.1 + 0.2j, -0.3 + 1.3j, 0.2 + 0.1j),
+                         (-0.1 + 0.15j, 0.2 + 0.1j, 0.15 + 1.05j)))
+    point._least([0, 0, 0])   # the minima's own search, once per point
+    calls = {"ellipsoid_lines": 0, "_truncation": 0, "_pass": 0}
+    for name in calls:
+        fn = getattr(siegel, name)
+        monkeypatch.setattr(siegel, name, lambda *args, fn=fn, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or fn(*args))
+    chi = chi_g(point, 53)
+    assert calls == {"ellipsoid_lines": 1, "_truncation": 1, "_pass": 1}
+    with mpmath.workprec(63):
+        prod = mpmath.mpc(1)
+        for ch in even_characteristics(3):
+            prod *= theta_constant(ch, point, 53)
+    assert calls == {"ellipsoid_lines": 1, "_truncation": 1, "_pass": 1}
+    assert prod == chi
+
+
+@pytest.mark.parametrize("prec", [-40, 0, "64"])
+def test_theta_precision_must_be_a_positive_integer(prec):
+    # -40 gave exactly 1 + 0j, 0 a 53-bit value and "64" a TypeError
+    point = SiegelPoint(((0.37 + 1.21j,),))
+    for fn in (lambda: theta_constant(ThetaChar((0,), (0,)), point, prec),
+               lambda: chi_g8_petersson(point, prec)):
+        with pytest.raises(ValueError, match="prec must be a positive integer"):
+            fn()
+
+
+def test_theta_precision_takes_an_integral_float():
+    # 64.0 raised a TypeError from an int >> float shift
+    point = SiegelPoint(((0.37 + 1.21j,),))
+    ch = ThetaChar((0.5,), (0,))
+    assert theta_constant(ch, point, 64.0) == theta_constant(ch, point, 64)
+    assert chi_g8_petersson(point, 64.0) == chi_g8_petersson(point, 64)
+
+
 @pytest.mark.parametrize("sigma, R", _REFERENCE_POINTS[1:])
 def test_chi_g_is_product_of_even_thetas(sigma, R):
     point = SiegelPoint(sigma)
@@ -541,19 +582,23 @@ _SEED_ROWS = [
 @pytest.mark.parametrize("sigma, a", [pytest.param(sig, a, id=f"g{len(sig)}")
                                       for sig, a in _SEED_ROWS])
 def test_multiprecision_rows_seed_once_per_sheet(sigma, a, monkeypatch):
-    # the libmp seeds of a 64-bit row: at most 9 step factors per row and
-    # 4 seeds per sheet (the lines with the same n_3, ...); seeding every
-    # line or every chain would take more
+    # the libmp seeds of a 64-bit table: at most 9 step factors and 4 seeds
+    # per sheet of the x-walk (the lines with the same x_3, ...); seeding
+    # every line or every chain would take more, and so would a walk per a
     calls = []
     seed = siegel._fixed_exp
     monkeypatch.setattr(siegel, "_fixed_exp", lambda *args, **kw: calls.append(1) or seed(*args, **kw))
     point = SiegelPoint(sigma)
     _theta_row(a, point, 64)
-    bound, _ = _truncation([Fraction(x) for x in a], point, 64)
-    lines = list(point._lines(bound, [Fraction(x) for x in a]))
+    g, halves = point.g, list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=point.g))
+    bound, _ = _truncation(max(halves[1:], key=point._least), point, 64)
+    lines = list(point._lines(4 * bound, [0] * g))
     chains = len({rest[1:] for _, _, rest in lines})
     sheets = len({rest[2:] for _, _, rest in lines})
     assert len(calls) <= 9 + 4 * sheets
+    per_a = sum(9 + 4 * len({rest[2:] for _, _, rest in point._lines(_truncation(h, point, 64)[0], h)})
+                for h in halves)
+    assert len(calls) < per_a
     # three seeds per line, or per chain at g >= 3, would take more
     assert 3 * len(lines) > 9 + 4 * sheets
     assert 3 * chains > 9 + 4 * sheets or point.g < 3
@@ -642,7 +687,7 @@ def test_least_matches_a_box_scan_at_random_points(g, data):
 
 
 def test_phi_seeds_each_unordered_pair_once():
-    # exp(2 pi i u_i^t Sigma u_j) is symmetric in (i, j): one seed per pair i <= j
+    # exp(2 pi i u_i^t Sigma u_j / 4) is symmetric in (i, j): one seed per pair i <= j
     for g in range(1, 5):
         sig = tuple(tuple(complex(0.1 * (i + j) + 0.05, 1.5 if i == j else 0.3)
                           for j in range(g)) for i in range(g))
@@ -652,5 +697,5 @@ def test_phi_seeds_each_unordered_pair_once():
         assert len(calls) == n * (n + 1) // 2
         dirs, A = point._carry[0], (point._real, point._imag)
         for i, j in itertools.product(range(n), repeat=2):
-            want = siegel._cis(*(2 * _quad(dirs[i], M, dirs[j]) for M in A), point._K)
+            want = siegel._cis(*(2 * _quad(dirs[i], M, dirs[j]) for M in A), point._K + 2)
             assert phi[i][j] == phi[j][i] == want

@@ -33,21 +33,21 @@ class ThetaChar:
 
 @lru_cache(maxsize=None)
 def _even_rows(g: int) -> tuple:
-    """The even characteristics grouped by a, as (a, the packed 2b of the even
-    (a, b)) per a in `even_characteristics` order; a packed index has the bits
-    of 2b, the first coordinate most significant, so (halves[i], halves[j])
-    is even iff popcount(i & j) is."""
+    """Row i: the packed 2b of the even (a, b) with packed 2a = i, in
+    `even_characteristics` order; a packed index has the bits of 2a or 2b,
+    the first coordinate most significant, so (a, b) is even iff
+    popcount(i & j) is."""
     if g < 0 or g > _G_CAP:
         raise ValueError(f"genus must be between 0 and {_G_CAP}")
-    halves = list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=g))
-    return tuple((a, tuple(j for j in range(2 ** g) if (i & j).bit_count() % 2 == 0))
-                 for i, a in enumerate(halves))
+    return tuple(tuple(j for j in range(2 ** g) if (i & j).bit_count() % 2 == 0)
+                 for i in range(2 ** g))
 
 
 @lru_cache(maxsize=None)
 def _even_table(g: int) -> tuple:
-    rows = _even_rows(g)   # row i has a = halves[i]
-    return tuple(ThetaChar(a, rows[j][0]) for a, js in rows for j in js)
+    rows = _even_rows(g)
+    halves = list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=g))   # by packed index
+    return tuple(ThetaChar(halves[i], halves[j]) for i, js in enumerate(rows) for j in js)
 
 
 def even_characteristics(g: int):

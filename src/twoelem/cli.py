@@ -141,7 +141,7 @@ def cmd_borcherds_report(args) -> int:
 def cmd_siegel_eval(args) -> int:
     import mpmath
 
-    from .siegel import SiegelPoint, _petersson, chi_g
+    from .siegel import SiegelPoint, chi_g, chi_g8_petersson
 
     try:
         with open(args.sigma) as fh:
@@ -151,11 +151,11 @@ def cmd_siegel_eval(args) -> int:
     except (OSError, ValueError, TypeError) as exc:
         print(f"error reading matrix: {exc}", file=sys.stderr)
         return 2
-    val = chi_g(point, args.prec)   # every theta row once, for both values
+    val = chi_g(point, args.prec)   # the norm reads the theta rows this leaves on the point
     lines = [
         f"genus            {point.g}",
         f"chi_g            {mpmath.nstr(val, 15)}",
-        f"petersson chi^8  {mpmath.nstr(_petersson(point, val, args.prec), 15)}",
+        f"petersson chi^8  {mpmath.nstr(chi_g8_petersson(point, args.prec), 15)}",
         "",
     ]
     _emit("\n".join(lines), args.out)

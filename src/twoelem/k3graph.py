@@ -141,7 +141,8 @@ class K3Graph:
 
 
 def _admissible(t: LatticeTriple) -> bool:
-    return 1 <= t.r <= 20 and t.l >= 0 and (t.r - t.l) % 2 == 0 and t.l <= 22 - t.r
+    # LatticeTriple already holds r >= l >= 0 and r = l mod 2, and a target has r >= 1
+    return t.r <= 20 and t.l <= 22 - t.r
 
 
 def build_graph(seed_triples) -> K3Graph:

@@ -11,6 +11,7 @@ rho^2 = pi min_{n != 0} n^t (Im Sigma) n, once R >= (sqrt(2g) + rho)/2.  Row
 a needs R_a, the least radius with eps(R_a) <= 2^-(prec+16) exp(-pi mu_a),
 mu_a the least v^t (Im Sigma) v over Z^g + a: the bound is relative to the
 row's largest term, since for a != 0 the whole row can lie far below 1.
+`SiegelPoint._mins` holds every mu_a, indexed by packed 2a, from one search.
 rho is that of Z^g for every coset, so the one radius R of the largest mu_a
 serves every row: the terms a row drops lie outside R >= R_a, and they add
 up to at most eps(R) <= eps(R_a).  `_truncation` bisects for it once per
@@ -26,9 +27,9 @@ pass sums the terms into the 4^g classes of x mod 4, split along a line by
 their steps from its peak mod 4.  Row a, alpha = 2a, owns the 2^g classes
 alpha + 2 nu, and theta_{a,b} is i^{popcount(alpha & 2b)} times entry 2b of
 the Walsh-Hadamard transform of their sums over nu.  Bit vectors put the
-first coordinate in the most significant bit.  `_table` keeps the rows, each
-with its eps(R) plus its own rounding bound, on the point per precision;
-`chi_g` and `theta_constant` read them.
+first coordinate in the most significant bit.  `_table` keeps the rows by
+packed 2a, each with its eps(R) plus its own rounding bound, on the point
+per precision; `chi_g`, `chi_g8_petersson` and `theta_constant` read them.
 
 The chain walk.  A line (x_1, ... fixed) is summed in x_0 both ways from
 its peak, the integer nearest its exact minimiser of x^t (Im Sigma) x, by
@@ -45,7 +46,7 @@ so the quarter leaves them alone.  A sheet is seeded once, at the peak of
 the centre line x_1^* (nearest the slice minimiser) of its middle chain: the
 term and the R_u from exact Gaussian integers (X^t A X / 2^(K+4) and (u^t A
 u + u^t A X) / 2^(K+2), 2^K Sigma = A, X = 2x), R_-u = exp(2 pi i u^t Sigma
-u / 4) / R_u; the factors once per point.  The walk goes outward, so that
+u / 4) / R_u; the step factors once per pass.  The walk goes outward, so that
 the carried error grows away from the largest terms: to the next chain's
 centre by +-d_2, then in x_0 to the peak and by d_1 to x_1^*; to a line by
 +-d_1 from its chain's centre, each step followed by at most one in x_0.  D
@@ -153,8 +154,6 @@ class SiegelPoint:
         self._elim = _eliminate(self._imag)
         if not _positive_definite(self._elim):
             raise ValueError("Im Sigma must be positive definite")
-        self._mins = {}   # packed 2a -> least v^t (Im Sigma) v over v != 0 in Z^g + a
-        self._phis = {}   # `_phi` tables: None for complex doubles, else the bits
         self._tables = {}   # prec -> the theta table of `_table`
 
     @functools.cached_property
@@ -178,30 +177,25 @@ class SiegelPoint:
     def g(self) -> int:
         return len(self.sigma)
 
-    def _lines(self, bound: Fraction, a):
-        """Lines of the n in Z^g with (n+a)^t (Im Sigma) (n+a) <= bound."""
-        return ellipsoid_lines(self._elim, bound * self._den, [-x for x in a])
-
-    def _least(self, a) -> Fraction:
-        """min of v^t (Im Sigma) v over v != 0 in Z^g + a, exactly, found for every
-        half-integral a at once on the first call."""
-        if not self._mins:
-            M, g = self._imag, self.g
-            # den x^t M x over x = 2v != 0 per class of x mod 2 (2a packed), each at most
-            # that of x = 2a or of x = 2 e_i, the largest of them bounding the search
-            best = [_quad(x, M, x) for x in itertools.product((0, 1), repeat=g)]
-            best[0] = 4 * min(M[i][i] for i in range(g))
-            for lo, hi, rest in ellipsoid_lines(self._elim, max(best)):
-                # the line is symmetric about its minimiser, whose floor is c, so each
-                # parity's least on it is at c or c + 1 (x = +-2 e_0 is in best[0])
-                c = -_dot(M[0][1:], rest) // M[0][0]
-                for x0 in range(max(c, lo), min(c + 1, hi) + 1):
-                    x = (x0, *rest)
-                    k = _pack(t & 1 for t in x)
-                    if any(x):
-                        best[k] = min(best[k], _quad(x, M, x))
-            self._mins = {k: Fraction(b, 4 * self._den) for k, b in enumerate(best)}
-        return self._mins[_pack(int(2 * x) for x in a)]
+    @functools.cached_property
+    def _mins(self) -> list:
+        """[mu_a for packed 2a = 0 .. 2^g - 1], mu_a the least v^t (Im Sigma) v
+        over v != 0 in Z^g + a, exactly, from one search for every a."""
+        M, g = self._imag, self.g
+        # den x^t M x over x = 2v != 0 per class of x mod 2 (2a packed), each at most
+        # that of x = 2a or of x = 2 e_i, the largest of them bounding the search
+        best = [_quad(x, M, x) for x in itertools.product((0, 1), repeat=g)]
+        best[0] = 4 * min(M[i][i] for i in range(g))
+        for lo, hi, rest in ellipsoid_lines(self._elim, max(best)):
+            # the line is symmetric about its minimiser, whose floor is c, so each
+            # parity's least on it is at c or c + 1 (x = +-2 e_0 is in best[0])
+            c = -_dot(M[0][1:], rest) // M[0][0]
+            for x0 in range(max(c, lo), min(c + 1, hi) + 1):
+                x = (x0, *rest)
+                k = _pack(t & 1 for t in x)
+                if any(x):
+                    best[k] = min(best[k], _quad(x, M, x))
+        return [Fraction(b, 4 * self._den) for b in best]
 
 
 def _log_tail(g: int, rho: float, R: float) -> float:
@@ -226,13 +220,14 @@ def _log_tail(g: int, rho: float, R: float) -> float:
     return math.log(g / 2) + g * math.log(2 / rho) + log_gam
 
 
-def _truncation(a, point: SiegelPoint, prec: int):
-    """(bound, eps): keep the v in Z^g + a with v^t (Im Sigma) v <= bound, and
-    the dropped terms add up to at most eps (see the module docstring)."""
+def _truncation(mu, point: SiegelPoint, prec: int):
+    """(bound, eps): keep the v of a coset with v^t (Im Sigma) v <= bound, and
+    the dropped terms of a row whose least v^t (Im Sigma) v is mu add up to at
+    most eps (see the module docstring)."""
     g = point.g
     # a radius rho' <= rho keeps the balls disjoint, so the bound stays valid
-    rho = math.sqrt(math.pi * point._least([0] * g)) * (1 - 1e-12)
-    target = -(prec + 16) * math.log(2) - math.pi * float(point._least(a) if any(a) else 0)
+    rho = math.sqrt(math.pi * point._mins[0]) * (1 - 1e-12)
+    target = -(prec + 16) * math.log(2) - math.pi * float(mu)
     lo = hi = (math.sqrt(2 * g) + rho) / 2
     while _log_tail(g, rho, hi) > target:
         lo, hi = hi, 2 * hi
@@ -242,17 +237,15 @@ def _truncation(a, point: SiegelPoint, prec: int):
     return Fraction(hi * hi / math.pi * (1 + 1e-12)), mpmath.exp(_log_tail(g, rho, hi))
 
 
-def _phi(seed, point: SiegelPoint, key=None):
+def _phi(seed, point: SiegelPoint):
     """phi[i][j]: exp(2 pi i u_i^t Sigma u_j / 4), the factor of a step by u_j
     in R_{u_i} on the x-walk, and its inverse, from `seed`, once per unordered
     pair: A is symmetrised, so phi[j][i] is phi[i][j]."""
-    if key not in point._phis:
-        dirs, A, K = point._carry[0], (point._real, point._imag), point._K + 2
-        phi = [[None] * len(dirs) for _ in dirs]
-        for i, j in itertools.combinations_with_replacement(range(len(dirs)), 2):
-            phi[i][j] = phi[j][i] = seed(*(2 * _quad(dirs[i], M, dirs[j]) for M in A), K)
-        point._phis[key] = phi
-    return point._phis[key]
+    dirs, A, K = point._carry[0], (point._real, point._imag), point._K + 2
+    phi = [[None] * len(dirs) for _ in dirs]
+    for i, j in itertools.combinations_with_replacement(range(len(dirs)), 2):
+        phi[i][j] = phi[j][i] = seed(*(2 * _quad(dirs[i], M, dirs[j]) for M in A), K)
+    return phi
 
 
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 30)), -30)   # pi to 32 bits: n _PI_HI is exact
@@ -323,14 +316,13 @@ class _Fixed:
         L, N = math.isqrt(4 * bound // M[0][0]), math.prod(2 * t + 1 for t in e[1:g])
         self.wp = prec + (3 * N * (L + 1) * (L + 2) // 2).bit_length() + 4
         self.x = self.wp + self.k + L.bit_length()
-        p = prec + 4 + (12 * N * _tet(7 + 4 * e[1] + 8 * e[2] + L)).bit_length()
-        self.p = -(-p // 16) * 16   # a multiple of 16, so that precisions share their step factors
+        self.p = prec + 4 + (12 * N * _tet(7 + 4 * e[1] + 8 * e[2] + L)).bit_length()
         self.prec, self.g = prec, g
         self.re, self.im = [0] * 4 ** g, [0] * 4 ** g
         self.W, self.weight = [0] * 2 ** g, [0] * 2 ** g
         self.seed = functools.partial(_fixed_exp, p=self.p)
         self.peak = functools.partial(_fixed_exp, p=self.p, signs=(1,))
-        self.phi = _phi(self.seed, point, self.p)
+        self.phi = _phi(self.seed, point)
         self.s = self.phi[0][0][0].fixed(self.x)
 
     def line(self, z, rf, rb, f: int, b: int, D: int, cls):
@@ -423,15 +415,13 @@ class _Floats:
 def _pass(point: SiegelPoint, prec: int):
     """[(row, eps) for packed 2a = 0 .. 2^g - 1], g >= 1, from one chain walk
     over the x in Z^g of the widest a's ellipsoid (module docstring)."""
-    g = point.g
-    point._least([0] * g)   # every mu_a
-    top = max(range(1, 2 ** g), key=point._mins.__getitem__)   # the packed 2a of the largest
-    bound, eps = _truncation([Fraction(top >> i & 1, 2) for i in reversed(range(g))], point, prec)
+    g, mu = point.g, max(point._mins[1:])   # the largest mu_a
+    bound, eps = _truncation(mu, point, prec)
     K, Are, Y = point._K + 2, point._real, point._imag   # Sigma / 4 = A / 2^K
     (dirs, U, y, S, uAu), n = point._carry, min(g, 3)
     U, B = U / 4, float(bound) + (y[0][0] + y[1][1]) / (4 * point._den)   # in x^t (Im Sigma / 4) x
     deep = math.pi * max(B, 2 * U, U + 2 * math.sqrt(U * B)) >= _DEEP
-    ar = (_Fixed(point, math.floor(4 * bound * point._den), point._mins[top], max(prec, 53))
+    ar = (_Fixed(point, math.floor(4 * bound * point._den), mu, max(prec, 53))
           if prec > 53 or deep else _Floats(point))
     phi, (E, Einv) = ar.phi, ar.phi[0][0]
     # facs[j][s < 0]: the factors of R_{+u_0}, R_{-u_0}, R_{+u_1}, ... in a step by s u_j
@@ -440,7 +430,8 @@ def _pass(point: SiegelPoint, prec: int):
     (y00, y01, y02), (_, _, y12) = y[:2]
     den = 2 * y00   # a line's peak is (y00 - Im C) // den
     bit1, bit0 = (1 << g - 2 if g > 1 else 0), 1 << g - 1
-    lines = ((lo, hi, rest + (0, 0)) for lo, hi, rest in point._lines(4 * bound, [0] * g))
+    lines = ((lo, hi, rest + (0, 0))
+             for lo, hi, rest in ellipsoid_lines(point._elim, 4 * bound * point._den))
     every = (list(ch) for _, ch in itertools.groupby(lines, key=lambda ln: ln[2][1:]))
     for _, sheet in itertools.groupby(every, key=lambda ch: ch[0][2][2:]):
         chains = list(sheet)
@@ -521,11 +512,6 @@ def _table(point: SiegelPoint, prec):
     return point._tables[prec]
 
 
-def _theta_row(a, point: SiegelPoint, prec):
-    """([theta_{a,b}(Sigma) for 2b = 0 .. 2^g - 1], eps): row 2a of `_table`."""
-    return _table(point, prec)[_pack(int(2 * x) for x in a)]
-
-
 def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
     """theta_{a,b}(Sigma) = sum over n in Z^g of
     exp(pi i (n+a)^t Sigma (n+a) + 2 pi i (n+a).b).
@@ -536,29 +522,19 @@ def theta_constant(ch: ThetaChar, point: SiegelPoint, prec: int = 53):
     precision pays for every row."""
     if len(ch.a) != point.g:
         raise ValueError("characteristic size must match the matrix")
-    return _theta_row(ch.a, point, prec)[0][_pack(int(2 * x) for x in ch.b)]
-
-
-def _petersson(point: SiegelPoint, chi, prec: int):
-    """`chi_g8_petersson` from chi_g at the point."""
-    g = point.g
-    if g == 0:
-        return mpmath.mpf(1)
-    det, den, w = point._elim.det, point._den, chi8_weight(g)
-    with mpmath.workprec(max(prec, 53) + 10):
-        modulus = abs(chi)
-    with mpmath.workprec(max(prec, 53)):
-        return mpmath.mpf(det ** w) / mpmath.mpf(den) ** (g * w) * modulus ** 16
+    row, _ = _table(point, prec)[_pack(int(2 * x) for x in ch.a)]
+    return row[_pack(int(2 * x) for x in ch.b)]
 
 
 def chi_g(point: SiegelPoint, prec: int = 53):
     """Product of the even theta constants at Sigma, read from the point's
     theta table, as an mpmath complex multiplied at max(prec, 53) + 10 bits:
     a product of up to 528 theta constants leaves the double range routinely."""
+    evens = _even_rows(point.g)   # refuses a genus beyond the cap before any pass
     table = _table(point, prec)
     with mpmath.workprec(max(prec, 53) + 10):
         acc = mpmath.mpc(1)
-        for (row, _), (_, js) in zip(table, _even_rows(point.g)):
+        for (row, _), js in zip(table, evens):
             for j in js:
                 acc *= row[j]
     return acc
@@ -574,7 +550,14 @@ def chi_g8_petersson(point: SiegelPoint, prec: int = 53):
     would flush to 0.  det Im Sigma is exact: the `_eliminate` run of the
     integer matrix den Im Sigma that `SiegelPoint` keeps, den a power of 2.
     """
-    return _petersson(point, chi_g(point, prec), prec)
+    chi, g = chi_g(point, prec), point.g
+    if g == 0:
+        return mpmath.mpf(1)
+    det, den, w = point._elim.det, point._den, chi8_weight(g)
+    with mpmath.workprec(max(prec, 53) + 10):
+        modulus = abs(chi)
+    with mpmath.workprec(max(prec, 53)):
+        return mpmath.mpf(det ** w) / mpmath.mpf(den) ** (g * w) * modulus ** 16
 
 
 def fay_family(g: int, psi, t):

@@ -275,14 +275,19 @@ def test_siegel_eval_bad_matrix(capsys, tmp_path):
         assert msg in err
 
 
-def test_siegel_eval_genus_beyond_five(capsys, tmp_path):
-    # a valid period matrix of genus 6: the ValueError is one line, not a traceback
+def test_siegel_eval_genus_beyond_five(capsys, tmp_path, monkeypatch):
+    # a valid period matrix of genus 6: the ValueError is one line, not a
+    # traceback, and comes before any theta pass
+    from twoelem import siegel
+    calls = []
+    monkeypatch.setattr(siegel, "_pass", lambda *args: calls.append(args))
     mat = tmp_path / "sigma.json"
     mat.write_text(json.dumps([[[0.0, float(i == j)] for j in range(6)] for i in range(6)]))
     code, out, err = run_cli(capsys, "siegel", "eval", "--sigma", str(mat))
     assert code == 2
     assert out == ""
     assert err == "error: genus must be between 0 and 5\n"
+    assert calls == []
 
 
 def test_verify_choices_are_the_suites():

@@ -1,8 +1,9 @@
 """Module-level imports: no module imports numpy, and the lattice, product,
 CLI and graph layers do not load the Weil representation; only `lattices`
-defines the exact linear-algebra helpers, and `siegel` imports nothing from
-`weil`; at run time the exact commands load neither numpy, mpmath nor
-`siegel`, and the Siegel commands do not load numpy."""
+defines the exact linear-algebra helpers, `siegel` imports nothing from
+`weil`, and no module imports a private name of `siegel`; at run time the
+exact commands load neither numpy, mpmath nor `siegel`, and the Siegel
+commands do not load numpy."""
 import ast
 import json
 import os
@@ -71,6 +72,18 @@ def test_one_exact_linear_algebra_layer():
     assert defined == {name: ["lattices"] for name in _EXACT_HELPERS}
     siegel = ast.parse((SRC / "siegel.py").read_text())
     assert not any(_imports_weil(node) for node in ast.walk(siegel))
+
+
+def test_no_module_imports_private_siegel_names():
+    # the other layers reach the Siegel numerics through its public entry points
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level and node.module == "siegel")
+                    or (not node.level and node.module == "twoelem.siegel")):
+                found += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+    assert found == []
 
 
 _COMMANDS = """

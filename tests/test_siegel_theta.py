@@ -1,6 +1,9 @@
 """Theta constants with characteristics, the even product, and degenerations."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -21,8 +24,28 @@ from twoelem import (
 )
 import numpy as np
 
-from twoelem.lattices import _quad
-from twoelem.siegel import _theta_row, _truncation, chi8_weight
+from twoelem.lattices import _pack, _quad, ellipsoid_lines
+from twoelem.siegel import _table, _truncation, chi8_weight
+
+
+def _row(a, point, prec):
+    """([theta_{a,b}(Sigma) for packed 2b], eps): row 2a of the point's table."""
+    return _table(point, prec)[_pack(int(2 * x) for x in a)]
+
+
+def _mu(a, point):
+    """mu_a, the least v^t (Im Sigma) v over v != 0 in Z^g + a."""
+    return point._mins[_pack(int(2 * x) for x in a)]
+
+
+def _row_truncation(a, point, prec):
+    """(bound, eps) of row a on its own: the radius of its mu_a, 0 at a = 0."""
+    return _truncation(_mu(a, point) if any(a) else 0, point, prec)
+
+
+def _lines(point, bound, a):
+    """Lines of the n in Z^g with (n+a)^t (Im Sigma) (n+a) <= bound."""
+    return ellipsoid_lines(point._elim, bound * point._den, [-x for x in a])
 
 
 def test_characteristic_parity():
@@ -157,7 +180,7 @@ def test_theta_row_grid_memory():
                                     for j in range(g)) for i in range(g)))
     tracemalloc.start()
     try:
-        _theta_row((0.5, 0, 0, 0), point, 53)
+        _row((0.5, 0, 0, 0), point, 53)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -171,7 +194,7 @@ def _roadmap_point(g):
 
 
 def _ellipsoid_points(point, bound, a):
-    return [(n0,) + rest for lo, hi, rest in point._lines(bound, a) for n0 in range(lo, hi + 1)]
+    return [(n0,) + rest for lo, hi, rest in _lines(point, bound, a) for n0 in range(lo, hi + 1)]
 
 
 @pytest.mark.parametrize("sigma, prec", [
@@ -187,7 +210,7 @@ def test_theta_within_bound_of_doubled_radius(sigma, prec):
     S = np.array(point.sigma)
     bits = np.array(list(itertools.product((0, 1), repeat=g)))   # 2b, first coordinate high
     for a in itertools.product((Fraction(0), Fraction(1, 2)), repeat=g):
-        bound, eps = _truncation(a, point, prec)
+        bound, eps = _row_truncation(a, point, prec)
         inner = set(_ellipsoid_points(point, bound, a))
         wide = _ellipsoid_points(point, 4 * bound, a)          # radius 2R
         shell = np.array([n not in inner for n in wide])
@@ -199,7 +222,7 @@ def test_theta_within_bound_of_doubled_radius(sigma, prec):
         terms = np.exp(1j * np.pi * quad)[:, None] * phase
         tail = terms[shell].sum(axis=0)
         assert np.all(np.abs(tail) <= float(eps)), (a, tail, eps)
-        row = np.array([complex(z) for z in _theta_row(a, point, prec)[0]])
+        row = np.array([complex(z) for z in _row(a, point, prec)[0]])
         rounding = 1e-14 * np.abs(terms).sum(axis=0)
         assert np.all(np.abs(row - terms.sum(axis=0)) <= float(eps) + rounding), a
 
@@ -231,17 +254,31 @@ def test_tail_bound_premise(g):
             assert ratio(mpmath.mpf(d)) >= 1, d
 
 
+_PEAK_GROWTH = """
+from test_siegel_theta import _roadmap_point, _row
+
+def peak():   # VmHWM, the peak resident size of this process's own memory, in KiB
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+_row((0.5,) * 3, _roadmap_point(3), 53)   # imports, code paths and allocator pools
+before = peak()
+point = _roadmap_point(5)
+_row((0.5,) * 5, point, 53)
+print(peak() - before)
+"""
+
+
 def test_theta_row_ellipsoid_memory():
-    # g = 5 at the ROADMAP Sigma: about 12,000 ellipsoid points, where the
-    # cube [-10, 10]^5 had 4,084,101
-    point = _roadmap_point(5)
-    tracemalloc.start()
-    try:
-        _theta_row((0.5,) * 5, point, 53)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    # g = 5 at the ROADMAP Sigma: the pass streams its lines, where the cube
+    # [-10, 10]^5 had 4,084,101 points; the peak resident size of a fresh
+    # process grows by less than 4 MB over a warm-up g = 3 table.  Not
+    # ru_maxrss: Linux carries the parent's peak into a forked child
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(siegel.__file__)), here])
+    proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH], env=dict(os.environ, PYTHONPATH=path),
+                          cwd=here, capture_output=True, text=True, check=True)
+    assert int(proc.stdout) * 1024 < 4 * 2 ** 20
 
 
 def _sp_word(sig, rng, length):
@@ -297,7 +334,7 @@ def test_chi_g_makes_one_pass_per_point(monkeypatch):
     point = SiegelPoint(((0.2 + 1.1j, 0.1 + 0.2j, -0.1 + 0.15j),
                          (0.1 + 0.2j, -0.3 + 1.3j, 0.2 + 0.1j),
                          (-0.1 + 0.15j, 0.2 + 0.1j, 0.15 + 1.05j)))
-    point._least([0, 0, 0])   # the minima's own search, once per point
+    point._mins   # the minima's own search, once per point
     calls = {"ellipsoid_lines": 0, "_truncation": 0, "_pass": 0}
     for name in calls:
         fn = getattr(siegel, name)
@@ -311,6 +348,18 @@ def test_chi_g_makes_one_pass_per_point(monkeypatch):
             prod *= theta_constant(ch, point, 53)
     assert calls == {"ellipsoid_lines": 1, "_truncation": 1, "_pass": 1}
     assert prod == chi
+
+
+def test_genus_beyond_five_is_refused_before_any_pass(monkeypatch):
+    # the even characteristics stop at g = 5: a genus-6 point is refused
+    # before any pass builds its table
+    calls = []
+    monkeypatch.setattr(siegel, "_pass", lambda *args: calls.append(args))
+    point = _diagonal_point(6, 1, 0)
+    for fn in (chi_g, chi_g8_petersson):
+        with pytest.raises(ValueError, match="genus must be between 0 and 5"):
+            fn(point, 53)
+    assert calls == []
 
 
 @pytest.mark.parametrize("prec", [-40, 0, "64"])
@@ -448,8 +497,8 @@ def test_vanishing_slope_genus1():
 def _within_eps_of_higher_precision(point, a, prec):
     """The row at `prec` against the row at prec + 64 bits: the two differ by
     at most the sum of their returned bounds.  Returns (row, eps, ref)."""
-    row, eps = _theta_row(a, point, prec)
-    ref, eps_ref = _theta_row(a, point, prec + 64)
+    row, eps = _row(a, point, prec)
+    ref, eps_ref = _row(a, point, prec + 64)
     with mpmath.workprec(prec + 64):
         for b, (z, w) in enumerate(zip(row, ref)):
             assert abs(z - w) <= eps + eps_ref, (a, b, prec)
@@ -522,8 +571,8 @@ def test_float_rows_within_their_bound(sigma, floats):
     # bound itself stays within 2^-36 of the row's largest entry
     point = SiegelPoint(sigma)
     for a in itertools.product((0, 0.5), repeat=point.g):
-        row, eps = _theta_row(a, point, 53)
-        ref, eps_ref = _theta_row(a, point, 100)
+        row, eps = _row(a, point, 53)
+        ref, eps_ref = _row(a, point, 100)
         assert all(isinstance(z, complex) for z in row) == floats
         with mpmath.workprec(100):
             largest = max(abs(w) for w in ref)
@@ -589,14 +638,14 @@ def test_multiprecision_rows_seed_once_per_sheet(sigma, a, monkeypatch):
     seed = siegel._fixed_exp
     monkeypatch.setattr(siegel, "_fixed_exp", lambda *args, **kw: calls.append(1) or seed(*args, **kw))
     point = SiegelPoint(sigma)
-    _theta_row(a, point, 64)
+    _row(a, point, 64)
     g, halves = point.g, list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=point.g))
-    bound, _ = _truncation(max(halves[1:], key=point._least), point, 64)
-    lines = list(point._lines(4 * bound, [0] * g))
+    bound, _ = _truncation(max(point._mins[1:]), point, 64)
+    lines = list(_lines(point, 4 * bound, [0] * g))
     chains = len({rest[1:] for _, _, rest in lines})
     sheets = len({rest[2:] for _, _, rest in lines})
     assert len(calls) <= 9 + 4 * sheets
-    per_a = sum(9 + 4 * len({rest[2:] for _, _, rest in point._lines(_truncation(h, point, 64)[0], h)})
+    per_a = sum(9 + 4 * len({rest[2:] for _, _, rest in _lines(point, _row_truncation(h, point, 64)[0], h)})
                 for h in halves)
     assert len(calls) < per_a
     # three seeds per line, or per chain at g >= 3, would take more
@@ -666,7 +715,7 @@ def _assert_least_matches_box_scan(Y, s):
         W = math.isqrt(math.ceil((q(a) if any(a) else Y[0][0]) / s)) + 1
         want = min(q([n + x for n, x in zip(ns, a)])
                    for ns in itertools.product(range(-W, W + 1), repeat=g) if any(ns) or any(a))
-        assert point._least(a) == want, a
+        assert _mu(a, point) == want, a
 
 
 def test_least_matches_a_box_scan():

@@ -8,6 +8,7 @@ from twoelem import (
     borcherds_divisor,
     borcherds_weight,
     construct_F,
+    delta_ledger,
     lift_oracle_numeric,
     parse_lattice_expr,
 )
@@ -24,7 +25,7 @@ for expr in ["U+U(2)+E8(2)", "U+U+E8(2)", "U+U+D4", "U+U+E8",
 print("\nThe principal part encodes the lift divisor.  For the rank-13")
 print("lattice the characteristic class enters with a negative sign:")
 L13 = parse_lattice_expr("U+U+E8(2)+A1")
-ledger = borcherds_divisor(construct_F(L13, order=2)).delta_ledger()
+ledger = delta_ledger(L13, borcherds_divisor(construct_F(L13, order=2)))
 print(f"  U+U+E8(2)+A1 ledger: {ledger}")
 
 print("\nIndependent check: rebuild the form at one point as a sum over the")

@@ -43,15 +43,15 @@ from .lattices import (
     parse_lattice_expr,
 )
 from .modforms import eta_power, theta_a1, f0, f1, g_i, eisenstein_e4
-from .mp2 import Mp2Element, mp2_word, MP2_S, MP2_T, MP2_Z, MP2_V
+from .mp2 import Mp2Element, mp2_word, MP2_S, MP2_T, MP2_Z
 from .weil import WeilColumn, weil_rep, weil_column
 from .vvmf import (
     VVForm,
-    HeegnerSum,
     construct_F,
     restrict,
     borcherds_weight,
     borcherds_divisor,
+    delta_ledger,
     lift_oracle_numeric,
 )
 from .borcherds import TubePoint, product_eval, separating_walls

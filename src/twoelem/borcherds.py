@@ -274,6 +274,9 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
         raise ValueError("form does not live on the lattice L")
     det, adj = L._elim.det, L._elim.adj   # lam^2 = m^t adj m / det for lam = G^{-1} m
     v1, v2 = [_rational(x, "v1") for x in v1], [_rational(x, "v2") for x in v2]
+    for name, v in (("v1", v1), ("v2", v2)):
+        if len(v) != n:
+            raise ValueError(f"{name} must have {n} entries, got {len(v)}")
     if L.norm(v1) <= 0 or L.norm(v2) <= 0:
         raise ValueError("endpoints must have positive norm")
     norm_set = {_rational(x, "norm_set entry") for x in norm_set}

@@ -55,6 +55,14 @@ def even_characteristics(g: int):
     return list(_even_table(g))
 
 
+def pinched_count(g: int):
+    """The number of even characteristics with a_1 = 1/2, whose theta constants
+    vanish along a pinched first handle (1/4 at g = 0: no theta side)."""
+    if g == 0:
+        return Fraction(1, 4)
+    return sum(ch.a[0] == Fraction(1, 2) for ch in even_characteristics(g))
+
+
 def chi8_weight(g: int) -> int:
     """Weight of chi_g^8 as a Siegel modular form."""
     return 2 ** (g + 1) * (2 ** g + 1)

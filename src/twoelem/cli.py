@@ -108,7 +108,7 @@ def cmd_qseries(args) -> int:
 
 def cmd_borcherds_report(args) -> int:
     from .lattices import discriminant_group, parse_lattice_expr, signature
-    from .vvmf import borcherds_divisor, borcherds_weight, construct_F
+    from .vvmf import borcherds_divisor, borcherds_weight, construct_F, delta_ledger
 
     try:
         L = parse_lattice_expr(args.expr)
@@ -129,9 +129,9 @@ def cmd_borcherds_report(args) -> int:
         "divisor classes  (class coords, exponent) -> multiplicity",
     ]
     # index order is coordinate order: the first coordinate is the top bit
-    for (i, e), m in sorted(div.terms.items()):
+    for (i, e), m in sorted(div.items()):
         lines.append(f"  {data.coords(i)} q^{e}: {m}")
-    lines.append(f"ledger           {div.delta_ledger()}")
+    lines.append(f"ledger           {delta_ledger(L, div)}")
     lines.append(f"e_0 expansion    {F.components[0].to_text()}")
     lines.append("")
     _emit("\n".join(lines), args.out)

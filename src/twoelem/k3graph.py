@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .lattices import (
     LatticeTriple,
+    _integer,
     genus_g,
     genus_k,
     parse_lattice_expr,
@@ -30,7 +31,7 @@ from .lattices import (
     signature,
     two_elementary_invariants,
 )
-from .characteristics import chi8_weight, even_characteristics
+from .characteristics import chi8_weight, pinched_count
 from .vvmf import borcherds_weight, divisor_ledger
 
 EDGE_KINDS = ("odd", "even_wu", "even_nonwu")
@@ -81,7 +82,7 @@ def validate_row(row: Table1Row) -> dict:
     checks = {
         "signature_plus": sig[0] == 2,
         "delta": triple.delta == row.delta_perp,
-        "genus": (triple.r - triple.l) // 2 == row.g,
+        "genus": genus_k(triple) == row.g,
     }
     if not all(checks.values()):
         raise AssertionError(f"row {row} failed validation: {checks}")
@@ -237,11 +238,10 @@ def thm91_consistency(row: Table1Row, ell: int = 1) -> dict:
     All quantities are exact rationals (g = 0 uses 2^{g-1} = 1/2 and, with
     no theta side, 2 c = 1/2).
     """
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
+    ell = _integer(ell, "ell", positive=True)
     L = parse_lattice_expr(row.perp_expr)
     t = two_elementary_invariants(L)
-    g = (t.r - t.l) // 2
+    g = genus_k(t)
     assert g == row.g
     r_m = 22 - t.r
     two = Fraction(2)
@@ -250,7 +250,7 @@ def thm91_consistency(row: Table1Row, ell: int = 1) -> dict:
     checks = {}
     checks["weight_balance"] = pg1 * w == pg1 * (2 ** g + 1) * (r_m - 6)
     ledger = divisor_ledger(L)
-    checks["dprime_balance"] = (pg1 * ledger["dprime"] + 2 * _pinched_count(g)
+    checks["dprime_balance"] = (pg1 * ledger["dprime"] + 2 * pinched_count(g)
                                 == pg1 * (2 ** g + 1))
     if ledger["dsecond"] is None:
         checks["dsecond_balance"] = "vacuous (Delta'' empty)"
@@ -263,13 +263,6 @@ def thm91_consistency(row: Table1Row, ell: int = 1) -> dict:
             "checks": checks, "ok": ok}
 
 
-def _pinched_count(g: int):
-    """The even characteristics with a_1 = 1/2 (1/4 at g = 0: no theta side)."""
-    if g == 0:
-        return Fraction(1, 4)
-    return sum(ch.a[0] == Fraction(1, 2) for ch in even_characteristics(g))
-
-
 def thm93_check() -> dict:
     """The rank-13 complement: exponent pattern (40; 4; 16) and weight 15.
 
@@ -278,7 +271,7 @@ def thm93_check() -> dict:
     """
     L = parse_lattice_expr("U+U+E8(2)+A1")
     t = two_elementary_invariants(L)
-    g = (t.r - t.l) // 2
+    g = genus_k(t)
     w, _ = borcherds_weight(L)
     checks = {
         "g": g == 2,
@@ -345,6 +338,7 @@ def rhs_invariant(tube_point, F, sigma_point, ell: int = 1):
     from .borcherds import product_eval
     from .siegel import chi_g8_petersson
 
+    ell = _integer(ell, "ell", positive=True)
     g = sigma_point.g
     val, _tail = product_eval(F, tube_point, order=2)
     w, _ = borcherds_weight(tube_point.ambient())

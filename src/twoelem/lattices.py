@@ -269,6 +269,8 @@ class Lattice:
 
     def pairing(self, x, y) -> Fraction:
         """<x, y> for rational coordinate vectors in the lattice basis."""
+        if len(x) != self.rank or len(y) != self.rank:
+            raise ValueError(f"vectors must have {self.rank} entries, got {len(x)} and {len(y)}")
         (xs, dx), (ys, dy) = (_clear([Fraction(v) for v in u]) for u in (x, y))
         return Fraction(sum(xi * _dot(row, ys) for xi, row in zip(xs, self.gram) if xi), dx * dy)
 

@@ -76,7 +76,6 @@ MP2_ONE = Mp2Element(1, 0, 0, 1, 0)
 MP2_S = Mp2Element(0, -1, 1, 0, 0)      # (S, sqrt(tau))
 MP2_T = Mp2Element(1, 1, 0, 1, 0)       # (T, 1)
 MP2_Z = MP2_S * MP2_S                   # (-I, i), central of order 4
-MP2_V = (MP2_S ** 7) * (MP2_T ** 2) * MP2_S   # ((1 0; -2 1), sqrt(-2 tau + 1))
 
 
 def evaluate_word(word) -> Mp2Element:

@@ -198,6 +198,7 @@ class QSeries:
         With leading exponent e0 the result is valid to order
         alpha*e0 + (trunc - e0): it has as many known terms as self.
         """
+        alpha = _integer(alpha, "alpha")
         if alpha == 0:
             return QSeries.one()
         a, trunc = self.coeffs, self.trunc

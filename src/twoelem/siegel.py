@@ -551,8 +551,6 @@ def chi_g8_petersson(point: SiegelPoint, prec: int = 53):
     integer matrix den Im Sigma that `SiegelPoint` keeps, den a power of 2.
     """
     chi, g = chi_g(point, prec), point.g
-    if g == 0:
-        return mpmath.mpf(1)
     det, den, w = point._elim.det, point._den, chi8_weight(g)
     with mpmath.workprec(max(prec, 53) + 10):
         modulus = abs(chi)

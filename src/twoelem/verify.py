@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattices import hyperbolic_split, parse_lattice_expr, two_elementary_invariants
+from .lattices import genus_k, hyperbolic_split, parse_lattice_expr, two_elementary_invariants
 from .modforms import eisenstein_e4, eta_power
 from .mp2 import MP2_S, MP2_T, evaluate_word, mp2_word
 from .vvmf import borcherds_weight, construct_F, divisor_ledger, restrict
@@ -106,7 +106,7 @@ def suite_borcherds():
         L = parse_lattice_expr(expr)
         ledger = divisor_ledger(L)
         t = two_elementary_invariants(L)
-        want_second = 2 ** ((t.r - t.l) // 2) + 1
+        want_second = 2 ** genus_k(t) + 1
         ok = (ledger["dprime"] == 1 and ledger["extra_char"] == 0
               and ledger["dsecond"] == want_second)
         checks.append(_check(
@@ -127,8 +127,7 @@ def suite_borcherds():
 def suite_siegel():
     import mpmath
 
-    from .characteristics import ThetaChar, even_characteristics
-    from .k3graph import _pinched_count
+    from .characteristics import ThetaChar, even_characteristics, pinched_count
     from .siegel import SiegelPoint, chi_g, fay_family, theta_constant, vanishing_order_fit
 
     checks = []
@@ -173,8 +172,8 @@ def suite_siegel():
     psi2 = [[0.1 + 0.3j, 0.15 + 0.05j], [0.15 + 0.05j, 0.2 + 1.1j]]
     fam2 = lambda t: fay_family(2, psi2, t)
     fam_split = lambda t: SiegelPoint(((0.1 + 1.5j, t), (t, -0.2 + 1.2j)))
-    for name, fam, want in [("pinched handle, genus 1", fam1, _pinched_count(1)),
-                            ("pinched handle, genus 2", fam2, _pinched_count(2)),
+    for name, fam, want in [("pinched handle, genus 1", fam1, pinched_count(1)),
+                            ("pinched handle, genus 2", fam2, pinched_count(2)),
                             ("separating pinch, genus 2", fam_split, 8)]:
         slope, resid = vanishing_order_fit(fam, grid, prec=64)
         checks.append(_check(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .lattices import Lattice, _dot, _integer, discriminant_group, hyperbolic_split, signature
 from .modforms import f0, f1, g_slices
@@ -117,48 +116,11 @@ def restrict(F: VVForm, N: int, L_small: Lattice) -> VVForm:
 # Borcherds lift bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HeegnerSum:
-    """Formal Z-combination of Heegner classes (class index, n < 0)."""
-
-    lattice: Lattice
-    terms: dict  # (class index, Fraction n) -> int
-
-    def delta_ledger(self):
-        """Interpret the raw classes as multiplicities on D', D''.
-
-        The class (0, -1) puts weight m0 on every (-2)-hyperplane (both D'
-        and D''); the classes with q = 3/2 at n = -1/4 add to D'' only.  A
-        deviating multiplicity on the characteristic class is reported
-        separately ('extra_char', as in the rank-13 signed divisor).
-        """
-        data = discriminant_group(self.lattice)
-        m0 = self.terms.get((0, Fraction(-1)), 0)
-        half_classes = [i for i, t in enumerate(data.two_q) if t == 3]
-        generic = None
-        extra_char = 0
-        char, quarter = data.one_index, Fraction(-1, 4)
-        for i in half_classes:
-            m = self.terms.get((i, quarter), 0)
-            if i == char and len(half_classes) > 1:
-                continue
-            if generic is None:
-                generic = m
-            elif m != generic:
-                raise AssertionError("non-uniform D'' multiplicities")
-        if half_classes and char in half_classes and len(half_classes) > 1:
-            extra_char = self.terms.get((char, quarter), 0) - generic
-        if generic is None:
-            return {"dprime": m0, "dsecond": None, "extra_char": 0}
-        return {"dprime": m0, "dsecond": m0 + generic, "extra_char": extra_char}
-
-
-def borcherds_divisor(F: VVForm) -> HeegnerSum:
-    """Read the Heegner divisor off the principal part of F: (class index, n)
+def borcherds_divisor(F: VVForm) -> dict:
+    """The Heegner divisor read off the principal part of F: (class index, n)
     -> multiplicity for the n < 0 terms of its components, the first -start
-    entries of each: one Fraction per distinct exponent."""
-    terms, parts = {}, {}
-    exponent = lru_cache(maxsize=None)(Fraction)
+    entries of each."""
+    divisor, parts = {}, {}
     for k, ser in enumerate(F.components):
         part = parts.get(id(ser))
         if part is None:   # classes with equal q share one series object
@@ -167,16 +129,40 @@ def borcherds_divisor(F: VVForm) -> HeegnerSum:
                 if c:
                     if c.denominator != 1:
                         raise AssertionError(f"non-integral divisor multiplicity {c}")
-                    part.append((exponent(n, ser.denom), int(c)))
+                    part.append((Fraction(n, ser.denom), int(c)))
         for e, m in part:
-            terms[(k, e)] = m
-    return HeegnerSum(F.lattice, terms)
+            divisor[(k, e)] = m
+    return divisor
+
+
+def delta_ledger(L: Lattice, divisor: dict) -> dict:
+    """Interpret the Heegner divisor of a form on L as multiplicities on D', D''.
+
+    The class (0, -1) puts weight m0 on every (-2)-hyperplane (both D' and
+    D''); the classes with q = 3/2 at n = -1/4 add to D'' only, with one
+    generic multiplicity over the classes other than the characteristic one
+    (its own when it is the only such class).  A deviating multiplicity on
+    the characteristic class is reported separately ('extra_char', as in the
+    rank-13 signed divisor).
+    """
+    data = discriminant_group(L)
+    m0 = divisor.get((0, Fraction(-1)), 0)
+    char, quarter = data.one_index, Fraction(-1, 4)
+    half = {i: divisor.get((i, quarter), 0) for i, t in enumerate(data.two_q) if t == 3}
+    generic = {m for i, m in half.items() if i != char} or set(half.values())
+    if len(generic) > 1:
+        raise AssertionError("non-uniform D'' multiplicities")
+    if not generic:
+        return {"dprime": m0, "dsecond": None, "extra_char": 0}
+    (generic,) = generic
+    extra_char = half[char] - generic if char in half else 0
+    return {"dprime": m0, "dsecond": m0 + generic, "extra_char": extra_char}
 
 
 def divisor_ledger(L: Lattice) -> dict:
     """The D', D'' multiplicities of the lift's divisor, from the principal
     parts of the components alone (F cut at order 0)."""
-    return borcherds_divisor(construct_F(L, 0)).delta_ledger()
+    return delta_ledger(L, borcherds_divisor(construct_F(L, 0)))
 
 
 def borcherds_weight(L: Lattice):

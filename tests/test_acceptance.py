@@ -18,6 +18,7 @@ from twoelem import (
     chi_g,
     chi_g8_petersson,
     construct_F,
+    delta_ledger,
     eisenstein_e4,
     eta_power,
     even_characteristics,
@@ -150,14 +151,14 @@ def test_criterion_06_divisor_ledger():
         L = parse_lattice_expr(expr)
         from twoelem import two_elementary_invariants
         t = two_elementary_invariants(L)
-        ledger = borcherds_divisor(construct_F(L, order=2)).delta_ledger()
+        ledger = delta_ledger(L, borcherds_divisor(construct_F(L, order=2)))
         ok = ok and ledger == {
             "dprime": 1,
             "dsecond": 2 ** ((t.r - t.l) // 2) + 1,
             "extra_char": 0,
         }
-    signed = borcherds_divisor(
-        construct_F(parse_lattice_expr("U+U+E8(2)+A1"), order=2)).delta_ledger()
+    L13 = parse_lattice_expr("U+U+E8(2)+A1")
+    signed = delta_ledger(L13, borcherds_divisor(construct_F(L13, order=2)))
     ok = ok and signed == {"dprime": 1, "dsecond": 5, "extra_char": -8}
     _report(6, "Heegner divisor ledgers (generic and rank-13 signed)", ok)
 

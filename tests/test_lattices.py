@@ -299,6 +299,9 @@ def test_pairing_and_norm():
     U = standard_lattice("U")
     assert U.pairing((1, 0), (0, 1)) == 1
     assert U.norm((1, 1)) == 2
+    for x, y in [((1, 0, 1), (0, 1)), ((1,), (1,))]:
+        with pytest.raises(ValueError, match="vectors must have 2 entries"):
+            U.pairing(x, y)
     assert direct_sum(U, U).rank == 4
 
 

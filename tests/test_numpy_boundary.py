@@ -75,13 +75,14 @@ def test_one_exact_linear_algebra_layer():
 
 
 def test_no_module_imports_private_siegel_names():
-    # the other layers reach the Siegel numerics through its public entry points
+    # the other layers reach the Siegel numerics and the graph layer through
+    # their public entry points
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (
-                    (node.level and node.module == "siegel")
-                    or (not node.level and node.module == "twoelem.siegel")):
+                    (node.level and node.module in ("siegel", "k3graph"))
+                    or (not node.level and node.module in ("twoelem.siegel", "twoelem.k3graph"))):
                 found += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
     assert found == []
 

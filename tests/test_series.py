@@ -57,6 +57,9 @@ def test_pow_matches_repeated_product():
     s = QSeries({Fraction(0): 2, Fraction(1, 2): -1, Fraction(2): 3}, trunc=6)
     assert (s ** 3).eq_below(s * s * s)
     assert (s ** 0).eq_below(QSeries.one())
+    assert (s ** 2.0).eq_below(s * s)
+    with pytest.raises(ValueError, match="alpha must be an integer"):
+        s ** 0.5
 
 
 @settings(deadline=None, max_examples=50)

@@ -53,8 +53,9 @@ def test_balance_scales_with_multiplier():
     row = table1()[25]
     for ell in (1, 2, 5):
         assert thm91_consistency(row, ell)["ok"]
-    with pytest.raises(ValueError):
-        thm91_consistency(row, 0)
+    for ell in (0, 1.5):
+        with pytest.raises(ValueError, match="ell must be a positive integer"):
+            thm91_consistency(row, ell)
 
 
 def test_rank13_exponent_pattern():

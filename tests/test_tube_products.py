@@ -221,6 +221,11 @@ def test_borcherds_bounds_fail_clearly():
             separating_walls(L, [1, 2, bad], v2)
         with pytest.raises(ValueError, match="v2 must be a finite rational"):
             separating_walls(L, v1, [bad, 2, Fraction(-1, 3)])
+    # an endpoint of the wrong length is refused, not cut or padded
+    with pytest.raises(ValueError, match="v1 must have 3 entries"):
+        separating_walls(L, v1 + [1], v2)
+    with pytest.raises(ValueError, match="v2 must have 3 entries"):
+        separating_walls(L, v1, v2[:2])
     for bound in (math.inf, math.nan, "x"):
         with pytest.raises(ValueError, match="bound must be a finite rational"):
             short_vectors([[1, 0], [0, 1]], bound)
@@ -397,6 +402,9 @@ def test_rhs_invariant_powers():
     sig = SiegelPoint(((0.1 + 1.2j,),))
     one, two = rhs_invariant(p, F, sig), rhs_invariant(p, F, sig, ell=2)
     assert one > 0 and math.isclose(two, one ** 2, rel_tol=1e-12)
+    for ell in (0, 1.5):
+        with pytest.raises(ValueError, match="ell must be a positive integer"):
+            rhs_invariant(p, F, sig, ell=ell)
 
 
 def _product_eval_pointwise(F, point, order, min_margin):

@@ -77,6 +77,8 @@ class TubePoint:
     def __post_init__(self):
         self.N = _integer(self.N, "N", positive=True)
         self.z = tuple(complex(w) for w in self.z)
+        if not all(cmath.isfinite(w) for w in self.z):
+            raise ValueError("tube coordinates must be finite")
         if len(self.z) != self.L.rank:
             raise ValueError("tube coordinate length must match rank of L")
         if self.y_norm2() <= 0:

@@ -182,7 +182,7 @@ def _positive_definite(elim: Elimination) -> bool:
     return elim.det > 0 and all(d > 0 for d in elim.minors)
 
 
-def ellipsoid_lines(elim: Elimination, bound, centre=None):
+def ellipsoid_lines(elim: Elimination, bound, centre=None, half=False):
     """The integer m with (m - c)^t M (m - c) <= bound, line by line.
 
     M is a positive definite integer matrix given by its `_eliminate` record
@@ -194,7 +194,14 @@ def ellipsoid_lines(elim: Elimination, bound, centre=None):
     each interval comes from one `isqrt` and holds exactly the admissible
     m_k.  Yields (lo, hi, rest), the points (m_0, *rest) with lo <= m_0 <= hi;
     every line is nonempty, and the last coordinate varies slowest.
+
+    `half` walks each pair +-m once, and takes no centre: it yields the lines
+    whose rest has its last nonzero coordinate > 0, and the line rest = 0
+    from m_0 = 0, so the origin once.  A layer whose higher coordinates are
+    all 0 starts at 0 (Fincke and Pohst, Math. Comp. 44, 1985).
     """
+    if half and centre is not None:
+        raise ValueError("the half-space search takes no centre")
     minors, pivots = elim.minors, elim.pivots
     n = len(minors)
     p, q = _clear([Fraction(x) for x in ([0] * n if centre is None else centre)])
@@ -203,11 +210,13 @@ def ellipsoid_lines(elim: Elimination, bound, centre=None):
     weight = [scale // w for w in prods]
     m, x = [0] * n, [0] * n
 
-    def descend(k, rest):   # scale q^2 bound - sum_{j>k} weight_j t_j^2
+    def descend(k, rest, zero):   # scale q^2 bound - sum_{j>k} weight_j t_j^2; zero: m_j = 0, j > k
         d = minors[k]
         c = _dot(pivots[k][k + 1:], x[k + 1:]) - d * p[k]
         s = math.isqrt(rest // weight[k])
         lo, hi = -((s + c) // (d * q)), (s - c) // (d * q)
+        if zero:
+            lo = max(lo, 0)
         if k == 0:
             if lo <= hi:
                 yield lo, hi, ()
@@ -219,17 +228,19 @@ def ellipsoid_lines(elim: Elimination, bound, centre=None):
                 t, c1 = d * q * v + c, c0 + a01 * (q * v - p[1])
                 s0 = math.isqrt((rest - weight[1] * t * t) // weight[0])
                 lo0, hi0 = -((s0 + c1) // (d0 * q)), (s0 - c1) // (d0 * q)
+                if zero and not v:
+                    lo0 = max(lo0, 0)
                 if lo0 <= hi0:
                     yield lo0, hi0, (v,) + tail
         else:
             for v in range(lo, hi + 1):
                 m[k], x[k] = v, q * v - p[k]
                 t = d * q * v + c
-                yield from descend(k - 1, rest - weight[k] * t * t)
+                yield from descend(k - 1, rest - weight[k] * t * t, zero and not v)
 
     bound = math.floor(q * q * Fraction(bound))
     if n and bound >= 0:
-        yield from descend(n - 1, scale * bound)
+        yield from descend(n - 1, scale * bound, half)
 
 
 # ---------------------------------------------------------------------------

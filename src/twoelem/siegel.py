@@ -18,18 +18,26 @@ up to at most eps(R) <= eps(R_a).  `_truncation` bisects for it once per
 point and precision.  Gamma(s, x) at half-integer s is erfc or exp plus the
 recursion Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}, in the log domain.
 
-One pass serves every (a, b).  It walks x = 2(n + a) over all of Z^g, each
-term exp(pi i x^t Sigma x / 4): the lines of the integer Fincke-Pohst search
-`lattices.ellipsoid_lines` with x^t (den Im Sigma) x <= 4 den R^2 / pi, den
-the power of two that makes den Im Sigma integral, so membership is decided
-exactly.  Since exp(2 pi i (n+a).b) = i^{x.2b} depends only on x mod 4, the
-pass sums the terms into the 4^g classes of x mod 4, split along a line by
-their steps from its peak mod 4.  Row a, alpha = 2a, owns the 2^g classes
-alpha + 2 nu, and theta_{a,b} is i^{popcount(alpha & 2b)} times entry 2b of
-the Walsh-Hadamard transform of their sums over nu.  Bit vectors put the
-first coordinate in the most significant bit.  `_table` keeps the rows by
-packed 2a, each with its eps(R) plus its own rounding bound, on the point
-per precision; `chi_g`, `chi_g8_petersson` and `theta_constant` read them.
+One pass serves every (a, b).  It walks x = 2(n + a) over Z^g up to sign,
+each term exp(pi i x^t Sigma x / 4), which is even in x: the lines of the
+half-space integer Fincke-Pohst search `lattices.ellipsoid_lines`, one of
+each pair +-x and the origin once, with x^t (den Im Sigma) x <= 4 den R^2 /
+pi, den the power of two that makes den Im Sigma integral, so membership is
+decided exactly.  Since exp(2 pi i (n+a).b) = i^{x.2b} depends only on x mod
+4, the pass sums the terms into the 4^g classes of x mod 4, split along a
+line by their steps from its peak mod 4.  Row a, alpha = 2a, owns the 2^g
+classes alpha + 2 nu, and theta_{a,b} is i^k times entry 2b of the
+Walsh-Hadamard transform of their sums over nu, k = popcount(alpha & 2b).
+The mirror -x of x lies in alpha + 2 (nu ^ alpha), in the same row, so the
+sums over Z^g are the half-space ones folded, s[nu] + s[nu ^ alpha], less
+the origin's term 1, its own mirror, once.  After the transform the fold is
+the factor 1 + (-1)^k: 2 on the even characteristics, exactly 0 on the odd
+ones.  So a pass takes half the origin's 1 off class 0, transforms the
+half-space sums and multiplies entry 2b by i^k (1 + (-1)^k), `_MIRROR`.
+Bit vectors put the first coordinate in the most significant bit.  `_table`
+keeps the rows by packed 2a, each with its eps(R) plus its own rounding
+bound, on the point per precision; `chi_g`, `chi_g8_petersson` and
+`theta_constant` read them.
 
 The chain walk.  A line (x_1, ... fixed) is summed in x_0 both ways from
 its peak, the integer nearest its exact minimiser of x^t (Im Sigma) x, by
@@ -43,7 +51,9 @@ delta_21, 1, 0, ...) with delta_21 nearest the x_1 shift of the slice
 minimiser per unit x_2, delta_20 nearest the x_0 shift of the line minimiser
 along (0, delta_21, 1); the directions depend only on ratios of Im Sigma,
 so the quarter leaves them alone.  A sheet is seeded once, at the peak of
-the centre line x_1^* (nearest the slice minimiser) of its middle chain: the
+the centre line x_1^* (nearest the slice minimiser) of its middle chain; the
+zero sheet, x_3 = ... = 0, whose half holds the chains x_2 >= 0 and in the
+chain x_2 = 0 the lines x_1 >= 0, at its chain x_2 = 0, so at the origin.  The
 term and the R_u from exact Gaussian integers (X^t A X / 2^(K+4) and (u^t A
 u + u^t A X) / 2^(K+2), 2^K Sigma = A, X = 2x), R_-u = exp(2 pi i u^t Sigma
 u / 4) / R_u; the step factors once per pass.  The walk goes outward, so that
@@ -75,11 +85,13 @@ each carried value by a factor within 35 u: a carried ratio is within (D +
 1) e, and the term j steps from the peak within e (m + 1)(m + 2)/2 of its
 modulus, m = D + j.  A line walked f steps forward and b back adds its n =
 f + b + 1 terms into four sums within u n per term, the class sums add u
-(N - 1) and the transform u g times the sum of the row's |terms|, N the
-lines with terms in the row.  So row a returns the tail bound plus (1 + 2^-10) u
-sum_lines (19 (M + 1)(M + 2) + n) S + (N + g) sum_lines S, S the sum of the
-computed |terms| of the row on the line, M = D + max(f, b): each row is
-charged with its own terms.
+(N - 1), N the lines with terms in the row, taking half the origin off class
+0 adds u, and the transform u g, each times the sum of the row's |terms|.
+The fold multiplies by 2 or 0 exactly; as each mirrored term is an exact
+copy of a computed one, it doubles every error.  So row a returns the tail
+bound plus 2 (1 + 2^-10) u (sum_lines (19 (M + 1)(M + 2) + n) S + (N + g)
+sum_lines S), S the sum of the computed |terms| of the row on the line, M =
+D + max(f, b): each row is charged with its own terms, twice.
 
 Above 53 bits a carried value is a `_Gauss` (re + i im) 2^e floored to p
 bits in the larger part after each product, a seed one libmp
@@ -93,17 +105,18 @@ less than sqrt 2 units of 2^-(wp+k).  So the j-th term from a peak is
 within 3 (j + 1) units plus e (m + 1)(m + 2)/2 T, T the largest term of its
 parity on the line: the peak term for those an even number of steps out,
 else |z| |R_{+-e_0}| at the peak, as each side shrinks away from the peak.
-Row a is within 3 W_a 2^-(wp+k) + (1 + 2^-10) e sum T (tet(D + f) + tet(D +
-b)) over its parts of lines, tet(k) = (k+1)(k+2)(k+3)/6, W_a the sum over
-its terms of (steps from the peak + 1), plus 2^-prec |theta| from its one
-rounding.  The sizes come from exact extents of x^t M x <= B, M = den Im
-Sigma: |x_i| <= e_i = floor sqrt(B adj(M)_ii / det M), a line has at most L =
-floor sqrt(4 B / M_00) steps, and there are at most N' = prod_{i >= 1} (2
-e_i + 1) lines.  wp = prec + bitlen(3 W') + 4, W' = N' (L + 1)(L + 2)/2 >=
-W_a, and p = prec + 4 + bitlen(12 N' tet(D' + L)), D' = 7 + 4 e_1 + 8 e_2,
-keep both below 2^-(prec+4) 2^-k, and so below 2^-(prec+4) times each row's
-largest term, also for a row far below 1; p grows with log D, so the walk
-never re-seeds.
+The class sums, the transform and the fold are exact, and the fold doubles
+every term's error: row a is within 2 (3 W_a 2^-(wp+k) + (1 + 2^-10) e sum T
+(tet(D + f) + tet(D + b))) over its parts of lines, tet(k) = C(k + 3, 3),
+W_a the sum over its walked terms of (steps from the peak + 1), plus 2^-prec
+|theta| from its one rounding.  The sizes come from exact extents of x^t M x
+<= B, M = den Im Sigma: |x_i| <= e_i = floor sqrt(B adj(M)_ii / det M), a
+line has at most L = floor sqrt(4 B / M_00) steps, and there are at most
+N' = prod_{i >= 1} (2 e_i + 1) lines.  wp = prec + bitlen(6 W') + 4, W' =
+N' (L + 1)(L + 2)/2 >= W_a, and p = prec + 4 + bitlen(24 N' tet(D' + L)),
+D' = 7 + 4 e_1 + 8 e_2, keep both below 2^-(prec+4) 2^-k, and so below
+2^-(prec+4) times each row's largest term, also for a row far below 1; p
+grows with log D, so the walk never re-seeds.
 """
 from __future__ import annotations
 
@@ -180,13 +193,14 @@ class SiegelPoint:
     @functools.cached_property
     def _mins(self) -> list:
         """[mu_a for packed 2a = 0 .. 2^g - 1], mu_a the least v^t (Im Sigma) v
-        over v != 0 in Z^g + a, exactly, from one search for every a."""
+        over v != 0 in Z^g + a, exactly, from one half-space search for every a."""
         M, g = self._imag, self.g
         # den x^t M x over x = 2v != 0 per class of x mod 2 (2a packed), each at most
-        # that of x = 2a or of x = 2 e_i, the largest of them bounding the search
+        # that of x = 2a or of x = 2 e_i, the largest of them bounding the search; -x
+        # is in the class of x, so the half-space search finds every least
         best = [_quad(x, M, x) for x in itertools.product((0, 1), repeat=g)]
         best[0] = 4 * min(M[i][i] for i in range(g))
-        for lo, hi, rest in ellipsoid_lines(self._elim, max(best)):
+        for lo, hi, rest in ellipsoid_lines(self._elim, max(best), half=True):
             # the line is symmetric about its minimiser, whose floor is c, so each
             # parity's least on it is at c or c + 1 (x = +-2 e_0 is in best[0])
             c = -_dot(M[0][1:], rest) // M[0][0]
@@ -296,12 +310,10 @@ def _fixed_exp(re: int, im: int, e: int, p: int, signs=(1, -1)):
     return out
 
 
-def _tet(m: int) -> int:
-    return (m + 1) * (m + 2) * (m + 3) // 6
-
-
 # the slot x_0 - peak mod 4 of the terms 1, 2, ... steps ahead of a line's peak and back
 _AHEAD, _BACK = (1, 2, 3, 0), (3, 2, 1, 0)
+# i^k (1 + (-1)^k) by k = popcount(alpha & 2b) mod 4: the phase and the fold (module docstring)
+_MIRROR = (2, 0, -2, 0)
 
 
 class _Fixed:
@@ -314,9 +326,9 @@ class _Fixed:
         # x^t M x <= bound: |x_i| <= e_i, a line has at most L steps, and there are at most N lines
         e = [math.isqrt(bound * adj[i][i] // det) for i in range(g)] + [0, 0]
         L, N = math.isqrt(4 * bound // M[0][0]), math.prod(2 * t + 1 for t in e[1:g])
-        self.wp = prec + (3 * N * (L + 1) * (L + 2) // 2).bit_length() + 4
+        self.wp = prec + (3 * N * (L + 1) * (L + 2)).bit_length() + 4
         self.x = self.wp + self.k + L.bit_length()
-        self.p = prec + 4 + (12 * N * _tet(7 + 4 * e[1] + 8 * e[2] + L)).bit_length()
+        self.p = prec + 4 + (24 * N * math.comb(10 + 4 * e[1] + 8 * e[2] + L, 3)).bit_length()
         self.prec, self.g = prec, g
         self.re, self.im = [0] * 4 ** g, [0] * 4 ** g
         self.W, self.weight = [0] * 2 ** g, [0] * 2 ** g
@@ -343,7 +355,7 @@ class _Fixed:
         for k, c in enumerate(cls):
             self.re[c] += re[k]
             self.im[c] += im[k]
-        even, other, tets = cls[0] >> self.g, cls[1] >> self.g, _tet(D + f) + _tet(D + b)
+        even, other, tets = cls[0] >> self.g, cls[1] >> self.g, math.comb(D + f + 3, 3) + math.comb(D + b + 3, 3)
         hf, hb = f + 1 >> 1, b + 1 >> 1   # sum (j + 1) over the j = 0..f, 1..b of each parity
         self.W[even] += ((f >> 1) + 1) ** 2 + ((b >> 1) + 1) ** 2 - 1
         self.W[other] += hf * (hf + 1) + hb * (hb + 1)
@@ -352,17 +364,18 @@ class _Fixed:
 
     def finish(self, eps):
         g, shift, prec, p, out = self.g, self.wp + self.k, self.prec, self.p, []
+        self.re[0] -= 1 << shift - 1   # half the origin's term 1
         for alpha in range(2 ** g):
             cut, row, largest = slice(alpha << g, alpha + 1 << g), [], 0
             for beta, (re, im) in enumerate(zip(_fwht(self.re[cut]), _fwht(self.im[cut]))):
-                for _ in range((alpha & beta).bit_count() % 4):
-                    re, im = -im, re
+                m = _MIRROR[(alpha & beta).bit_count() % 4]
+                re, im = m * re, m * im
                 largest = max(largest, abs(re) + abs(im))
                 row.append(mpmath.mp.make_mpc((from_man_exp(re, -shift, prec, round_nearest),
                                                from_man_exp(im, -shift, prec, round_nearest))))
-            # 3 W + 2^-prec |theta| + (1 + 2^-10) 6 2^-p weight, in units of 2^-shift
-            num = (((3 * self.W[alpha] << prec) + largest << p + 10)
-                   + (6 * 1025 * self.weight[alpha] << prec))
+            # 2 (3 W + (1 + 2^-10) 6 2^-p weight) + 2^-prec |theta|, in units of 2^-shift
+            num = (((6 * self.W[alpha] << prec) + largest << p + 10)
+                   + (12 * 1025 * self.weight[alpha] << prec))
             out.append((row, eps + mpmath.mp.make_mpf(from_man_exp(num, -(shift + prec + p + 10)))))
         return out
 
@@ -404,17 +417,19 @@ class _Floats:
 
     def finish(self, eps):
         g, out = self.g, []
+        self.sums[0] -= 0.5   # half the origin's term 1
         for alpha in range(2 ** g):
             row = _fwht(self.sums[alpha << g:alpha + 1 << g])
-            weight = self.weight[alpha] + self.mass[alpha] * (self.lines[alpha] + g)
-            out.append(([z * (1, 1j, -1, -1j)[(alpha & beta).bit_count() % 4]
-                         for beta, z in enumerate(row)], eps + weight * _ULP))
+            weight = 2 * (self.weight[alpha] + self.mass[alpha] * (self.lines[alpha] + g))
+            out.append(([z * _MIRROR[(alpha & beta).bit_count() % 4] for beta, z in enumerate(row)],
+                        eps + weight * _ULP))
         return out
 
 
 def _pass(point: SiegelPoint, prec: int):
     """[(row, eps) for packed 2a = 0 .. 2^g - 1], g >= 1, from one chain walk
-    over the x in Z^g of the widest a's ellipsoid (module docstring)."""
+    over the x of the widest a's ellipsoid, one of each pair +-x (module
+    docstring)."""
     g, mu = point.g, max(point._mins[1:])   # the largest mu_a
     bound, eps = _truncation(mu, point, prec)
     K, Are, Y = point._K + 2, point._real, point._imag   # Sigma / 4 = A / 2^K
@@ -431,11 +446,11 @@ def _pass(point: SiegelPoint, prec: int):
     den = 2 * y00   # a line's peak is (y00 - Im C) // den
     bit1, bit0 = (1 << g - 2 if g > 1 else 0), 1 << g - 1
     lines = ((lo, hi, rest + (0, 0))
-             for lo, hi, rest in ellipsoid_lines(point._elim, 4 * bound * point._den))
+             for lo, hi, rest in ellipsoid_lines(point._elim, 4 * bound * point._den, half=True))
     every = (list(ch) for _, ch in itertools.groupby(lines, key=lambda ln: ln[2][1:]))
     for _, sheet in itertools.groupby(every, key=lambda ch: ch[0][2][2:]):
         chains = list(sheet)
-        c = len(chains) // 2
+        c = len(chains) // 2 if any(chains[0][0][2][2:]) else 0   # the zero sheet: at x_2 = 0
         rest = chains[c][0][2]
         Xr = [2 * r for r in rest]
         # Im C = 2 y01 x_1 + b_0, b_i = sum_{j >= 2} (Im A)_ij X_j = hb_i + 2 y_i2 x_2

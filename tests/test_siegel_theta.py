@@ -338,8 +338,8 @@ def test_chi_g_makes_one_pass_per_point(monkeypatch):
     calls = {"ellipsoid_lines": 0, "_truncation": 0, "_pass": 0}
     for name in calls:
         fn = getattr(siegel, name)
-        monkeypatch.setattr(siegel, name, lambda *args, fn=fn, name=name:
-                            calls.__setitem__(name, calls[name] + 1) or fn(*args))
+        monkeypatch.setattr(siegel, name, lambda *args, fn=fn, name=name, **kw:
+                            calls.__setitem__(name, calls[name] + 1) or fn(*args, **kw))
     chi = chi_g(point, 53)
     assert calls == {"ellipsoid_lines": 1, "_truncation": 1, "_pass": 1}
     with mpmath.workprec(63):
@@ -348,6 +348,25 @@ def test_chi_g_makes_one_pass_per_point(monkeypatch):
             prod *= theta_constant(ch, point, 53)
     assert calls == {"ellipsoid_lines": 1, "_truncation": 1, "_pass": 1}
     assert prod == chi
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("prec", [53, 64])
+def test_pass_walks_each_pair_once(g, prec, monkeypatch):
+    # the terms exp(pi i x^t Sigma x / 4) are even in x: the pass hands its
+    # lines one of each pair +-x of the full ellipsoid, and the origin once
+    count = []
+    for arith in (siegel._Floats, siegel._Fixed):
+        def line(self, z, rf, rb, f, b, *rest, line=arith.line):
+            count.append(f + b + 1)
+            return line(self, z, rf, rb, f, b, *rest)
+        monkeypatch.setattr(arith, "line", line)
+    point = _roadmap_point(g)
+    _row((0,) * g, point, prec)
+    bound, _ = _truncation(max(point._mins[1:]), point, prec)
+    full = sum(hi - lo + 1 for lo, hi, _ in _lines(point, 4 * bound, [0] * g))
+    assert full % 2 == 1
+    assert sum(count) == (full + 1) // 2
 
 
 def test_genus_beyond_five_is_refused_before_any_pass(monkeypatch):

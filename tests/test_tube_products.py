@@ -2,6 +2,7 @@
 import cmath
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -133,6 +134,37 @@ def test_ellipsoid_lines_match_box_scan(form, centre, x):
     assert set(got) == want
 
 
+@st.composite
+def definite_forms(draw):
+    """B^t B + s I: a positive definite integer form of rank 1 to 6."""
+    n = draw(st.integers(1, 6))
+    B = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    s = draw(st.integers(1, 3))
+    return [[sum(B[k][i] * B[k][j] for k in range(n)) + s * (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(definite_forms(), st.fractions(0, 10, max_denominator=4))
+def test_half_space_search_walks_each_pair_once(M, bound):
+    # the half-space lines hold one of each pair +-x of the full search, the
+    # origin once: rest has its last nonzero coordinate > 0, or rest = 0 and m_0 >= 0
+    elim = _eliminate(M)
+    full = {(m0,) + rest for lo, hi, rest in ellipsoid_lines(elim, bound)
+            for m0 in range(lo, hi + 1)}
+    half = []
+    for lo, hi, rest in ellipsoid_lines(elim, bound, half=True):
+        assert lo <= hi
+        assert next((r > 0 for r in reversed(rest) if r), lo >= 0)
+        half.extend((m0,) + rest for m0 in range(lo, hi + 1))
+    seen = Counter(half)
+    assert set(seen) <= full
+    for x in full:
+        assert seen[x] + seen[tuple(-t for t in x)] == (1 if any(x) else 2)
+    with pytest.raises(ValueError, match="takes no centre"):
+        list(ellipsoid_lines(elim, bound, [0] * len(M), half=True))
+
+
 def test_short_vectors_needs_positive_definite():
     with pytest.raises(ValueError):
         short_vectors([[0, 1], [1, 0]], 4)
@@ -168,6 +200,17 @@ def test_tube_point_validation():
         TubePoint(1, L, (1j, -2j))  # negative norm imaginary part
     with pytest.raises(ValueError):
         TubePoint(1, L, (1j,))      # wrong length
+
+
+def test_tube_point_refuses_non_finite_coordinates():
+    # a NaN real part made product_eval return nan + nanj, an infinite
+    # imaginary part an OverflowError from Fraction
+    L = standard_lattice("U")
+    nan, inf = float("nan"), float("inf")
+    for z in ((complex(nan, 1), 2j), (1j, complex(0, inf)), (complex(inf, 1), 2j),
+              (1j, complex(0, nan))):
+        with pytest.raises(ValueError, match="tube coordinates must be finite"):
+            TubePoint(1, L, z)
 
 
 def test_tube_point_refuses_non_integral_level():

@@ -24,7 +24,7 @@ exact; numpy serves only the `weil.is_unitary` oracle, and the names of
 `siegel` resolve on first access.
 """
 
-from .series import QSeries, qseries_mul, qseries_eval
+from .series import QSeries, qseries_eval
 from .lattices import (
     Lattice,
     DiscGroup,

@@ -40,10 +40,10 @@ def _rational(x, name: str) -> Fraction:
         raise ValueError(f"{name} must be a finite rational number, got {x!r}") from None
 
 
-def _lines(A, bound: Fraction, centre=None):
+def _lines(A, bound: Fraction, centre=None, half=False):
     """Lines (lo, hi, rest) of `lattices.ellipsoid_lines` on den*A: the integer m with
     (m - c)^t A (m - c) <= bound, A rational symmetric positive definite, c rational
-    (0 if None)."""
+    (0 if None); with `half`, one of each pair +-m and the origin once (no centre)."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
@@ -53,7 +53,7 @@ def _lines(A, bound: Fraction, centre=None):
     elim = _eliminate([ints[i * n:(i + 1) * n] for i in range(n)])
     if not _positive_definite(elim):
         raise ValueError("matrix is not positive definite")
-    return ellipsoid_lines(elim, bound * den, centre)
+    return ellipsoid_lines(elim, bound * den, centre, half)
 
 
 def short_vectors(A, bound):
@@ -264,12 +264,13 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
 
     v1, v2: rational vectors of positive norm in the same cone component.
     Enumerates the compact slab {lam : |<lam, v_i>| <= pairing_bound}
-    exactly; completeness for the segment [v1, v2] holds once pairing_bound
-    is at least the largest realized |<lam, v_i>|, which is reported in the
-    result.  With F given, only walls whose principal-part coefficient
-    c_{lam}(lam^2/2) is nonzero are kept; F must live on L itself.
-    Returns (walls, realized_bound).  Raises if either endpoint lies on a
-    candidate wall.
+    exactly on the half-space lines, one of each pair +-lam, and lists a
+    wall by its sign with <lam, v1> > 0; completeness for the segment
+    [v1, v2] holds once pairing_bound is at least the largest realized
+    |<lam, v_i>|, which is reported in the result.  With F given, only walls
+    whose principal-part coefficient c_{lam}(lam^2/2) is nonzero are kept; F
+    must live on L itself.  Returns (walls, realized_bound).  Raises if
+    either endpoint lies on a candidate wall, naming the last one met.
     """
     n, G = L.rank, L.gram
     if F is not None and F.lattice.gram != G:
@@ -296,10 +297,10 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
     V, dv = _clear(v1 + v2)
     V1, V2, top = V[:n], V[n:], math.floor(Pb * dv)
     norms = {x * det for x in norm_set}
-    walls, seen, realized = [], set(), 0
-    for m in short_vectors(A, B):
+    walls, on_wall = [], None
+    for m in ((v,) + r for lo, hi, r in _lines(A, B, half=True) for v in range(lo, hi + 1)):
         num = _quad(m, adj, m)
-        if num not in norms:
+        if num not in norms or not any(m):
             continue
         p1, p2 = _dot(m, V1), _dot(m, V2)
         if abs(p1) > top or abs(p2) > top:
@@ -308,14 +309,11 @@ def separating_walls(L: Lattice, v1, v2, norm_set=(-2, Fraction(-1, 2)),
         if F is not None and not F.components[data.index_of(m)].coeff(lam2 / 2):
             continue
         if p1 == 0 or p2 == 0:
-            raise ValueError(f"endpoint lies on the wall {m} (degenerate case)")
-        if p1 * p2 > 0:
-            continue
-        canonical = m if p1 > 0 else tuple(-x for x in m)
-        if canonical in seen:
-            continue
-        seen.add(canonical)
-        walls.append(Wall(canonical, lam2, Fraction(abs(p1), dv), Fraction(-abs(p2), dv)))
-        realized = max(realized, abs(p1), abs(p2))
+            on_wall = m
+        elif p1 * p2 < 0:
+            walls.append(Wall(m if p1 > 0 else tuple(-x for x in m), lam2,
+                              Fraction(abs(p1), dv), Fraction(-abs(p2), dv)))
+    if on_wall:   # the last met, the greatest in the search's order: -(short_vectors' first)
+        raise ValueError(f"endpoint lies on the wall {on_wall} (degenerate case)")
     walls.sort(key=lambda w: (w.norm, w.dual_coords))
-    return walls, Fraction(realized, dv)
+    return walls, max([Fraction(0)] + [max(w.pairing_v1, -w.pairing_v2) for w in walls])

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lattices import _integer
+
 
 def _half_plane(c: int, d: int) -> int:
     """Where arg(c*tau + d) lies for tau in H: 1 for (0, pi], -1 for (-pi, 0), 0 at 0."""
@@ -29,9 +31,11 @@ class Mp2Element:
     branch: int = 0  # 0 or 1
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix must have determinant 1")
-        object.__setattr__(self, "branch", self.branch & 1)
+        object.__setattr__(self, "branch", _integer(self.branch, "branch") & 1)
 
     def j(self, tau: complex) -> complex:
         """j(g, tau) = (-1)^branch * principal sqrt(c*tau + d)."""
@@ -82,8 +86,9 @@ def evaluate_word(word) -> Mp2Element:
     """Multiply out a word: list of ('S'|'T', exponent) pairs, left to right."""
     acc = MP2_ONE
     for gen, exp in word:
-        base = MP2_S if gen == "S" else MP2_T
-        acc = acc * base ** exp
+        if gen not in ("S", "T"):
+            raise ValueError(f"unknown generator {gen!r}")
+        acc = acc * (MP2_S if gen == "S" else MP2_T) ** _integer(exp, "exponent")
     return acc
 
 

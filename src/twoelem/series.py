@@ -121,10 +121,6 @@ class QSeries:
         """Smallest stored exponent, or None for the (known-)zero series."""
         return Fraction(self.start, self.denom) if self.coeffs else None
 
-    def _low_bound(self):
-        """A lower bound for every exponent this series can carry (None: none)."""
-        return self.min_exp() if self.coeffs else self.trunc
-
     def coeff(self, e):
         e = Fraction(e)
         if self.trunc is not None and e >= self.trunc:
@@ -175,7 +171,15 @@ class QSeries:
                                  [_num(c * other) for c in self.coeffs], self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
-        return qseries_mul(self, other)
+        # Cauchy product; a factor's exponents are >= its least term, or its trunc without one
+        denom = lcm(self.denom, other.denom)
+        (sa, x), (sb, y) = self._on(denom), other._on(denom)
+        trunc = _least(_plus(self.trunc, Fraction(sb, denom) if y else other.trunc),
+                       _plus(other.trunc, Fraction(sa, denom) if x else self.trunc))
+        n = len(x) + len(y) - 1 if trunc is None else ceil(trunc * denom) - sa - sb
+        if n <= 0 or not x or not y:
+            return QSeries.zero(trunc, denom)
+        return QSeries._grid(denom, sa + sb, _kronecker(x[:n], y[:n]), trunc)
 
     __rmul__ = __mul__
 
@@ -247,17 +251,6 @@ class QSeries:
         return "\n".join(lines) + "\n"
 
 
-def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product with pessimistic truncation propagation."""
-    trunc = _least(_plus(a.trunc, b._low_bound()), _plus(b.trunc, a._low_bound()))
-    denom = lcm(a.denom, b.denom)
-    (sa, x), (sb, y) = a._on(denom), b._on(denom)
-    n = len(x) + len(y) - 1 if trunc is None else ceil(trunc * denom) - sa - sb
-    if n <= 0 or not x or not y:
-        return QSeries.zero(trunc, denom)
-    return QSeries._grid(denom, sa + sb, _kronecker(x[:n], y[:n]), trunc)
-
-
 def _tail(a: QSeries, im_tau) -> float:
     """The heuristic tail |q|^trunc / (1 - |q|) * max(1, |last five stored
     coefficients|), formed in the log domain: finite, or inf on overflow."""
@@ -270,6 +263,19 @@ def _tail(a: QSeries, im_tau) -> float:
     log_scale = max([0.0] + [math.log(abs(c.numerator)) - math.log(c.denominator) for c in last])
     log_tail = log_scale - t * float(a.trunc) - math.log(-math.expm1(-t))
     return math.exp(log_tail) if log_tail < 709 else math.inf
+
+
+def _upper_half(tau, prec: int):
+    """mpc(tau) at `prec` bits; a ValueError unless it is finite with Im tau > 0."""
+    import mpmath
+
+    with mpmath.workprec(prec):
+        tau = mpmath.mpc(tau)
+        if not mpmath.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
+        if mpmath.im(tau) <= 0:
+            raise ValueError("tau must lie in the upper half-plane")
+    return tau
 
 
 def qseries_eval(a: QSeries, tau, prec: int = 53):
@@ -316,12 +322,7 @@ def qseries_eval(a: QSeries, tau, prec: int = 53):
     import mpmath
 
     prec = _integer(prec, "prec", positive=True)
-    with mpmath.workprec(prec):
-        tau = mpmath.mpc(tau)
-        if not mpmath.isfinite(tau):
-            raise ValueError(f"tau must be finite, got {tau}")
-        if mpmath.im(tau) <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
+    tau = _upper_half(tau, prec)
     im_tau = float(tau.imag)
     step = gcd(*compress(range(len(a.coeffs)), a.coeffs)) or 1
     ints, d = _clear(a.coeffs[::step])

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .lattices import Lattice, _dot, _integer, discriminant_group, hyperbolic_split, signature
 from .modforms import f0, f1, g_slices
 from .mp2 import evaluate_word, mp2_word
-from .series import QSeries, qseries_eval
+from .series import QSeries, _upper_half, qseries_eval
 from .weil import weil_column
 
 # coset representatives of the theta group in Mp2(Z), as words in S, T
@@ -225,9 +225,7 @@ def lift_oracle_numeric(L: Lattice, tau, prec: int = 128, target: float = 1e-26)
     data = discriminant_group(L)
     k = 8 + data.sigma
     with mpmath.workprec(prec):
-        tau = mpmath.mpc(tau)
-        if mpmath.im(tau) <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
+        tau = _upper_half(tau, prec)
         values = [mpmath.mpc(0)] * len(data)
         zeta = mpmath.expjpi(mpmath.mpf(1) / 4)
         zeta_pows = [zeta ** j for j in range(4)]

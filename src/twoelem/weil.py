@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattices import DiscGroup, Lattice, _fwht, discriminant_group
+from .lattices import DiscGroup, Lattice, _fwht, _integer, discriminant_group
 from .mp2 import Mp2Element, mp2_word
 
 _DENSE_L_CAP = 8
@@ -112,17 +112,17 @@ def weil_column(L: Lattice, word, start: int = 0) -> WeilColumn:
     data.coords(start)   # a ValueError for a start outside the class indices
     scale, comp = Fraction(1), _basis(len(data.two_q), start)
     for gen, exp in reversed(list(word)):
+        if gen not in ("S", "T"):
+            raise ValueError(f"unknown generator {gen!r}")
+        e = _integer(exp, "exponent") % 8
         if gen == "T":
-            comp = _zeta_shift(comp, [2 * q * (exp % 8) for q in data.two_q])
-        elif gen == "S":
-            e = exp % 8
+            comp = _zeta_shift(comp, [2 * q * e for q in data.two_q])
+        else:
             # S^2 = Z and rho(Z) = i^{-sigma} * (e_g -> e_{-g}), with -g = g here
             comp = _zeta_shift(comp, -2 * data.sigma * (e // 2))
             if e % 2:
                 col = _s_step(scale, comp, data)
                 scale, comp = col.scale, col.comp
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
     return WeilColumn(scale, comp)
 
 

@@ -5,7 +5,9 @@ computes, or a helper that only the tests read; none of it is package API.
 A discriminant class is passed as its coordinates tuple, as
 `DiscGroup.coords` gives it.
 """
+import itertools
 import json
+import math
 from fractions import Fraction
 
 from twoelem.k3graph import K3Edge, K3Graph, K3Vertex
@@ -93,6 +95,53 @@ def petersson_norm_point(L, eta, l_ref, p, value=1.0):
         raise ValueError("eta pairs trivially with the reference vector")
     K = h.real / abs(ref) ** 2
     return K ** float(p) * abs(complex(value)) ** 2
+
+
+def inverse(A):
+    """The inverse of a nonsingular rational matrix, by Gauss-Jordan on Fractions."""
+    n = len(A)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(A)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def slab_walls(L, v1, v2, norm_set, pairing_bound):
+    """The walls of `borcherds.separating_walls`, by a box scan of the slab.
+
+    lam = G^-1 m runs over the dual lattice in dual coordinates m.  The slab
+    |<lam, v_i>| <= pairing_bound lies in {Q(m) <= bound} for the positive
+    definite Q = <lam, v1>^2 + <lam, v2>^2 - lam^2 and bound = 2 pairing_bound^2
+    - min(norm_set), hence in the box |m_i| <= sqrt(bound (Q^-1)_ii).  Returns
+    (walls, realized): the (m, lam^2, <lam, v1>, <lam, v2>) with lam^2 in
+    norm_set and <lam, v1> > 0 > <lam, v2>, sorted by (lam^2, m), and the
+    largest |<lam, v_i>| among them (0 if none).  Raises a ValueError if an
+    m != 0 of the slab with lam^2 in norm_set pairs to 0 with v1 or v2.
+    """
+    n, Ginv = L.rank, inverse(L.gram)
+    Q = [[v1[i] * v1[j] + v2[i] * v2[j] - Ginv[i][j] for j in range(n)] for i in range(n)]
+    bound = 2 * Fraction(pairing_bound) ** 2 - min(norm_set)
+    box = [math.isqrt(math.floor(bound * d[i])) for i, d in enumerate(inverse(Q))]
+    walls = []
+    for m in itertools.product(*(range(-k, k + 1) for k in box)):
+        p1, p2 = _dot(m, v1), _dot(m, v2)
+        if not any(m) or max(abs(p1), abs(p2)) > pairing_bound:
+            continue
+        lam2 = sum(m[i] * Ginv[i][j] * m[j] for i in range(n) for j in range(n))
+        if lam2 not in norm_set:
+            continue
+        if p1 == 0 or p2 == 0:
+            raise ValueError(f"endpoint lies on the wall {m}")
+        if p1 > 0 > p2:
+            walls.append((m, lam2, p1, p2))
+    walls.sort(key=lambda w: (w[1], w[0]))
+    return walls, max([Fraction(0)] + [max(p1, -p2) for _, _, p1, p2 in walls])
 
 
 # ---------------------------------------------------------------------------

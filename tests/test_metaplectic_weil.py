@@ -21,7 +21,7 @@ from twoelem import (
     weil_rep,
 )
 from twoelem import lattices
-from twoelem.mp2 import MP2_ONE, evaluate_word
+from twoelem.mp2 import MP2_ONE, Mp2Element, evaluate_word
 from twoelem.weil import (
     _s_step,
     _zeta_shift,
@@ -149,6 +149,41 @@ def test_weil_column_refuses_start_out_of_range(expr, word):
         with pytest.raises(ValueError,
                            match=f"class index {start} out of range for {n} classes"):
             weil_column(L, word, start)
+
+
+@pytest.mark.parametrize("word, message", [
+    ([("X", 1)], "unknown generator 'X'"),
+    ([("S", 1), ("t", 2)], "unknown generator 't'"),
+    ([("T", 1.5)], "exponent must be an integer, got 1.5"),
+    ([("S", 1), ("S", "1")], "exponent must be an integer, got '1'"),
+])
+def test_word_evaluators_refuse_bad_words(word, message):
+    # evaluate_word read every generator but "S" as T, and a float exponent
+    # ended in a bare TypeError in both evaluators
+    with pytest.raises(ValueError, match=message):
+        evaluate_word(word)
+    with pytest.raises(ValueError, match=message):
+        weil_column(parse_lattice_expr("U+A1+"), word)
+
+
+def test_word_evaluators_read_integral_exponents():
+    word = [("S", 1.0), ("T", Fraction(3)), ("S", 3)]
+    exact = [("S", 1), ("T", 3), ("S", 3)]
+    assert evaluate_word(word) == evaluate_word(exact)
+    L = parse_lattice_expr("U+A1+")
+    assert weil_column(L, word, 1) == weil_column(L, exact, 1)
+
+
+def test_mp2_element_reads_integers():
+    # integral floats were kept as floats, and mp2_word then raised a TypeError
+    g = Mp2Element(2.0, 1, 1, 1.0, branch=Fraction(1))
+    assert (g.a, g.b, g.c, g.d, g.branch) == (2, 1, 1, 1, 1)
+    assert all(type(x) is int for x in (g.a, g.d, g.branch))
+    assert evaluate_word(mp2_word(g)) == g
+    for args, name in [((1.5, 0, 0, 1), "a"), ((1, 0, 0, 1, 0.5), "branch"),
+                       ((1, "0", 0, 1), "b")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Mp2Element(*args)
 
 
 @pytest.mark.parametrize("expr", ["A1+^2+A1^4", "A1+^2+A1^8"])

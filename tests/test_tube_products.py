@@ -28,7 +28,7 @@ from twoelem.borcherds import _lines, _slab_majorant, short_vectors
 from twoelem.vvmf import borcherds_weight
 from twoelem.lattices import _eliminate, ellipsoid_lines
 
-from oracles import class_of, period_vector, petersson_norm_point, rep
+from oracles import class_of, inverse, period_vector, petersson_norm_point, rep, slab_walls
 
 
 def test_short_vectors_identity_form():
@@ -596,6 +596,51 @@ def test_slab_majorant_search_is_small():
     lines = list(_lines(*_slab_majorant(L, p.y(), Fraction(6), min(low, 0))))
     assert len(lines) <= 1100
     assert sum(hi - lo + 1 for lo, hi, _ in lines) <= 2500
+
+
+@st.composite
+def cone_segments(draw):
+    """(L, v1, v2, norm_set, pairing_bound) on U+A1 or U+A1+A1: v1, v2 of norm
+    >= 1/4 pairing positively with the timelike t, so in its cone component,
+    and a norm set that may hold 0."""
+    expr = draw(st.sampled_from(["U+A1", "U+A1+A1"]))
+    L, t = parse_lattice_expr(expr), _TIMELIKE[expr]
+    vs = []
+    for _ in range(2):
+        v = [draw(st.fractions(-2, 2, max_denominator=6)) for _ in t]
+        while L.norm(v) < Fraction(1, 4) or L.pairing(v, t) <= 0:
+            v = [vi + ti for vi, ti in zip(v, t)]
+        vs.append(v)
+    norms = draw(st.sets(st.sampled_from([0, -2, Fraction(-1, 2), -1, -4]), min_size=1))
+    bound = draw(st.sampled_from([1, Fraction(3, 2), 2, 3]))
+    return L, vs[0], vs[1], norms, bound
+
+
+@settings(deadline=None, max_examples=60)
+@given(cone_segments())
+def test_separating_walls_match_box_scan(case):
+    # the half-space walk lists each wall once, by its sign with p1 > 0, and
+    # agrees with the box scan on the walls, on `realized` and on raising
+    L, v1, v2, norms, bound = case
+    try:
+        want = slab_walls(L, v1, v2, norms, bound)
+    except ValueError:
+        with pytest.raises(ValueError, match="endpoint lies on the wall"):
+            separating_walls(L, v1, v2, norm_set=norms, pairing_bound=bound)
+        return
+    walls, realized = separating_walls(L, v1, v2, norm_set=norms, pairing_bound=bound)
+    got = [(w.dual_coords, w.norm, w.pairing_v1, w.pairing_v2) for w in walls]
+    assert len({w.dual_coords for w in walls}) == len(walls)
+    assert all(w.pairing_v1 > 0 for w in walls)
+    assert (got, realized) == want
+    # v1 moved onto the first wall lam^perp of negative norm keeps its pairing
+    # with v2, and stays in the cone (lam^2 < 0), so lam is a candidate at 0
+    m, lam2, p1, _ = next((w for w in want[0] if w[1] < 0), (None, 0, 0, 0))
+    if m is not None:
+        Ginv = inverse(L.gram)
+        on = [x - p1 / lam2 * sum(g * mj for g, mj in zip(row, m)) for x, row in zip(v1, Ginv)]
+        with pytest.raises(ValueError, match="endpoint lies on the wall"):
+            separating_walls(L, on, v2, norm_set=norms, pairing_bound=bound)
 
 
 def test_product_eval_refuses_nonpositive_cut():

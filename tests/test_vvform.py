@@ -1,4 +1,5 @@
 """The distinguished vector-valued form: support, symmetry, weight, divisor."""
+import math
 from fractions import Fraction
 
 import mpmath
@@ -138,3 +139,17 @@ def test_oracle_matches_exact_form_small():
     direct = eval_vvform(F, tau, 128)
     for i, el in enumerate(data.elements):
         assert abs(values[i] - direct[el.coords]) < 1e-20
+
+
+@pytest.mark.parametrize("tau, message", [
+    (complex("nan+1j"), "tau must be finite"),
+    (complex(0.1, math.inf), "tau must be finite"),
+    (complex(math.inf, 1), "tau must be finite"),
+    (0.1 - 1j, "tau must lie in the upper half-plane"),
+    (0.5, "tau must lie in the upper half-plane"),
+])
+def test_oracle_gates_tau_like_qseries_eval(tau, message):
+    # a non-finite tau reached adaptive_order and failed there with
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=message):
+        lift_oracle_numeric(parse_lattice_expr("U+U+A1"), tau)

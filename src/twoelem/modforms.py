@@ -6,36 +6,34 @@ theta(tau) = sum q^{(n+s)^2} (s in {0, 1/2}), the weight -4+k/2 blocks
     f0(k) = eta(2t)^8 * theta_0^k / (eta(t)^8 eta(4t)^8)     = q^{-1} + 8+2k + ...
     f1(k) = -16 eta(4t)^8 * theta_{1/2}^k / eta(2t)^16       = -2^{k+4} q^{k/4} (1 + ...)
 
-their quarter-exponent slices g_i(k), and the Eisenstein series E4.  All
-expansions are exact integer series (see `series`) with explicit truncation
-orders.  Each factor of a product is built to exactly the order the product
-needs: a factor with leading exponent l, in a product with leading exponent L
-that must hold below `order`, is needed below l + (order - L).
+their quarter-exponent slices g_i(k), and the Eisenstein series E4, as exact
+integer series (see `series`) with explicit truncation orders.
+
+By Jacobi's identities theta_0 = eta(2t)^5 / (eta(t)^2 eta(4t)^2) and
+theta_{1/2} = 2 eta(4t)^2 / eta(2t) (G. Koehler, Eta Products and Theta
+Series Identities, 2011), both blocks are eta quotients:
+
+    f0(k) = eta(2t)^{8+5k} eta(t)^{-8-2k} eta(4t)^{-8-2k},
+    f1(k) = -2^{k+4} eta(4t)^{8+2k} eta(2t)^{-16-k}.
+
+An eta quotient prod_m eta(m t)^{e_m} is q^{sum e_m m/24} P, P = prod_m
+E(q^m)^{e_m} with E(q) = prod_{n>=1} (1 - q^n); the logarithmic derivative
+q P'/P = sum_j h_j q^j, h_j = -sum_{m|j} e_m m sigma(j/m), gives n P_n =
+sum_{j=1..n} h_j P_{n-j} (Knuth, TAOCP Vol. 2, sec. 4.7).  E and 1/E have
+integer coefficients and constant term 1, so P has too: the division by n
+is exact.
 
 f0, f1 and the g_i are built once per k, to the highest order asked for so
-far; a request at a lower order is that build truncated, which is the same
-series (coefficients, grid, start and truncation order) as a build to the
-lower order.
+far; a lower order is that build truncated, which is the same series
+(coefficients, grid, start and truncation order) as a build to it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, gcd
+from operator import mul
 
-from .series import QSeries
-
-
-def _euler_product(scale: int, order) -> QSeries:
-    """prod_{n>=1} (1 - q^{scale*n}) to exponents < order, by Euler's
-    pentagonal-number theorem."""
-    terms = {}
-    k = 0
-    while scale * k * (3 * k - 1) // 2 < order:
-        # generalized pentagonal numbers kk*(3*kk - 1)/2, kk = k and -k
-        for kk in {k, -k}:
-            terms[scale * kk * (3 * kk - 1) // 2] = (-1) ** k
-        k += 1
-    return QSeries(terms, order)
+from .series import QSeries, _num
 
 
 def theta_a1(shift, order) -> QSeries:
@@ -51,26 +49,37 @@ def theta_a1(shift, order) -> QSeries:
     return QSeries(terms, order)
 
 
-def _eta_theta(factors, shift, k: int, order: Fraction) -> QSeries:
-    """prod eta(m t)^e over (m, e) in factors, times theta_shift^k, below order.
+def _divisor_sums(n: int, p: int = 1) -> list:
+    """[sigma_p(j) for j < n] (0 at j = 0), by one sieve."""
+    sigma = [0] * n
+    for d in range(1, n):
+        sigma[d::d] = [s + d ** p for s in sigma[d::d]]
+    return sigma
 
-    Every factor is multiplied without its offset q^{e m/24} or q^{shift^2},
-    so on the integer grid, and the product is shifted once by their sum onto
-    the grid the offsets span."""
-    offsets = [Fraction(e * m, 24) for m, e in factors]
-    lead = sum(offsets) + k * shift * shift
-    # every factor keeps its leading term, so the product's order holds
-    rel = max(order - lead, 1)
-    acc = theta_a1(shift, shift * shift + rel).shift(-shift * shift) ** k
-    for m, e in factors:
-        acc = acc * _euler_product(m, rel) ** e
-    grid = lcm(*(x.denominator for x in offsets), Fraction(shift * shift if k else 0).denominator)
-    return QSeries({x + lead: c for x, c in acc.items()}, min(order, acc.trunc + lead), grid)
+
+def _eta_quotient(exps: dict, order: Fraction, grid: int) -> QSeries:
+    """prod eta(m t)^e over m: e in exps, below `order`, on the grid 1/grid.
+
+    It is q^lead P(q^g), lead = sum e m/24 and g the gcd of the m; P runs
+    through the log-derivative recurrence in the variable q^g."""
+    lead = sum(Fraction(e * m, 24) for m, e in exps.items())
+    g = gcd(*exps)
+    n = max(ceil((order - lead) / g), 1)
+    sigma, h = _divisor_sums(n), [0] * n
+    for m, e in exps.items():
+        m //= g
+        h[m::m] = [x - e * m * s for x, s in zip(h[m::m], sigma[1:])]
+    h, P = h[1:], [1]
+    for i in range(1, n):
+        P.append(sum(map(mul, h, reversed(P))) // i)
+    out = [0] * (n * g * grid)
+    out[::g * grid] = P
+    return QSeries._grid(grid, int(lead * grid), out, order)
 
 
 def eta_power(m: int, e: int, order) -> QSeries:
     """eta(m t)^e = q^{e*m/24} * prod_{n>=1} (1 - q^{mn})^e, valid below `order`."""
-    return _eta_theta([(m, e)], 0, 0, order)
+    return _eta_quotient({m: e}, Fraction(order), Fraction(e * m, 24).denominator)
 
 
 # (builder, k) -> (order, value): the highest-order build made so far
@@ -88,11 +97,13 @@ def _served(build, cut, k: int, order):
 
 
 def _build_f0(k: int, order: Fraction) -> QSeries:
-    return _eta_theta([(2, 8), (1, -8), (4, -8)], 0, k, order)
+    return _eta_quotient({2: 8 + 5 * k, 1: -8 - 2 * k, 4: -8 - 2 * k}, order, 3)
 
 
 def _build_f1(k: int, order: Fraction) -> QSeries:
-    return _eta_theta([(4, 8), (2, -16)], Fraction(1, 2), k, order) * -16
+    # theta_{1/2}^k carries q^{k/4}, so the grid is 1/12 (1/3 at k = 0)
+    return (_eta_quotient({4: 8 + 2 * k, 2: -16 - k}, order, 12 if k else 3)
+            * -_num(Fraction(2) ** (k + 4)))
 
 
 def f0(k: int, order) -> QSeries:
@@ -106,13 +117,17 @@ def f1(k: int, order) -> QSeries:
 
 
 def _slice(f: QSeries, order: Fraction) -> tuple:
-    """The four g_i below `order`, from one pass over the grid of f = f0(k, 4 order)."""
-    terms = ({}, {}, {}, {})
-    for n, c in enumerate(f.coeffs, f.start):
-        if c and n % f.denom == 0:   # the integer exponent l = n / denom goes to g_{l mod 4}
-            l = n // f.denom
-            terms[l % 4][Fraction(l, 4)] = c
-    return tuple(QSeries(t, order) for t in terms)
+    """The four g_i below `order`, cut by stride from f = f0(k, 4 order): the
+    coefficient at the integer exponent l goes to g_{l mod 4} at q^{l/4}."""
+    first = -f.start % f.denom
+    ints, l0 = f.coeffs[first::f.denom], (f.start + first) // f.denom
+    slices = []
+    for i, d in enumerate((1, 4, 2, 4)):       # g_i lies on the grid 1/d
+        j = (i - l0) % 4
+        out = [0] * (d * len(ints[j::4]))
+        out[::d] = ints[j::4]
+        slices.append(QSeries._grid(d, (l0 + j) * d // 4, out, order))
+    return _cut_slices(slices, order)
 
 
 def _build_slices(k: int, order: Fraction) -> tuple:
@@ -120,8 +135,7 @@ def _build_slices(k: int, order: Fraction) -> tuple:
 
 
 def _cut_slices(slices: tuple, order: Fraction) -> tuple:
-    # a slice with no term left is the zero series on the integer grid, as
-    # QSeries({}, order) builds it
+    # a slice with no term left is QSeries({}, order): zero, on the integer grid
     cut = (g.truncate(order) for g in slices)
     return tuple(g if g.coeffs else QSeries.zero(order) for g in cut)
 
@@ -143,9 +157,5 @@ def g_i(k: int, i: int, order) -> QSeries:
 
 def eisenstein_e4(order) -> QSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n."""
-    terms = {0: 1}
-    n = 1
-    while n < order:
-        terms[n] = 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
-        n += 1
-    return QSeries(terms, order)
+    sigma3 = _divisor_sums(max(ceil(order), 1), 3)
+    return QSeries._grid(1, 0, [1] + [240 * s for s in sigma3[1:]], Fraction(order))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from twoelem.k3graph import K3Edge, K3Graph, K3Vertex
 from twoelem.lattices import LatticeTriple, _dot, discriminant_group
+from twoelem.modforms import theta_a1
 from twoelem.mp2 import MP2_S, MP2_T, mp2_word
 from twoelem.series import QSeries
 from twoelem.weil import weil_column
@@ -215,6 +216,58 @@ def scale_exponents(s, factor):
     trunc = None if s.trunc is None else s.trunc * factor
     return QSeries({e * factor: c for e, c in s.items()}, trunc)
 
+
+
+def euler_product(scale: int, order) -> QSeries:
+    """prod_{n>=1} (1 - q^{scale*n}) to exponents < order, by Euler's
+    pentagonal-number theorem."""
+    terms = {}
+    k = 0
+    while scale * k * (3 * k - 1) // 2 < order:
+        # generalized pentagonal numbers kk*(3*kk - 1)/2, kk = k and -k
+        for kk in {k, -k}:
+            terms[scale * kk * (3 * kk - 1) // 2] = (-1) ** k
+        k += 1
+    return QSeries(terms, order)
+
+
+def eta_power(m: int, e: int, order) -> QSeries:
+    """eta(m t)^e below `order`: the pentagonal product to the power e,
+    shifted by its offset q^{e m/24}."""
+    lead = Fraction(e * m, 24)
+    return (euler_product(m, max(order - lead, 1)) ** e).shift(lead).truncate(order)
+
+
+def eta_theta(factors, shift, k: int, order) -> QSeries:
+    """prod eta(m t)^e over (m, e) in factors, times theta_shift^k, below
+    `order`: each factor carries its own offset, and the factors are
+    multiplied by `QSeries.__mul__` on the grid their offsets span."""
+    lead = sum(Fraction(e * m, 24) for m, e in factors) + k * shift * shift
+    rel = max(order - lead, 1)
+    acc = theta_a1(shift, shift * shift + rel) ** k
+    for m, e in factors:
+        acc = acc * eta_power(m, e, Fraction(e * m, 24) + rel)
+    return acc.truncate(order)
+
+
+def f0(k: int, order) -> QSeries:
+    """eta(2t)^8 theta_0^k / (eta(t)^8 eta(4t)^8) by the product route."""
+    return eta_theta([(2, 8), (1, -8), (4, -8)], 0, k, order)
+
+
+def f1(k: int, order) -> QSeries:
+    """-16 eta(4t)^8 theta_{1/2}^k / eta(2t)^16 by the product route."""
+    return -16 * eta_theta([(4, 8), (2, -16)], Fraction(1, 2), k, order)
+
+
+def g_slices(k: int, order) -> tuple:
+    """(g_0, .., g_3) below `order`: the terms c q^l of f0(k, 4 order) with
+    integer l, as c q^{l/4} in g_{l mod 4}."""
+    terms = ({}, {}, {}, {})
+    for e, c in f0(k, 4 * order).items():
+        if e.denominator == 1:
+            terms[e.numerator % 4][e / 4] = c
+    return tuple(QSeries(t, order) for t in terms)
 
 def from_text(text: str):
     """The `QSeries` of `QSeries.to_text`'s format; refuses a nonzero zeta_8 column."""

@@ -1,10 +1,13 @@
 """The batch command-line interface: parsing, outputs, determinism."""
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from twoelem.cli import main
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +230,20 @@ def test_qseries_exact_text(capsys, name, order):
     assert out == QSERIES_TEXT[name, order]
 
 
+@pytest.mark.parametrize("k", [-3, 0, 8])
+@pytest.mark.parametrize("order", ["37/3", "60"])
+def test_qseries_text_matches_the_product_route(capsys, k, order):
+    # the blocks and eta^24 as the CLI prints them, against the text of the
+    # product route (pentagonal eta factors, theta powers, Kronecker products)
+    o = Fraction(order)
+    want = {"f0": oracles.f0(k, o), "f1": oracles.f1(k, o), "eta24": oracles.eta_power(1, 24, o),
+            **{f"g{i}": g for i, g in enumerate(oracles.g_slices(k, o))}}
+    for name, ser in want.items():
+        code, out, _ = run_cli(capsys, "qseries", name, "-k", str(k), "--order", order)
+        assert code == 0
+        assert out == ser.to_text() + "\n", (name, k, order)
+
+
 def test_borcherds_report_exact_text(capsys):
     code, out, _ = run_cli(capsys, "borcherds", "report", "U+U+E8(2)",
                            "--order", "2")
@@ -389,8 +406,8 @@ def test_table_round_does_each_exact_step_once(capsys, monkeypatch):
     lattices.parse_lattice_expr.cache_clear()
     monkeypatch.setattr(lattices, "_GROUPS", {})
     monkeypatch.setattr(modforms, "_BUILDS", {})
-    calls = {"_eliminate": 0, "_eta_theta": 0}
-    for module, name in ((lattices, "_eliminate"), (modforms, "_eta_theta")):
+    calls = {"_eliminate": 0, "_eta_quotient": 0}
+    for module, name in ((lattices, "_eliminate"), (modforms, "_eta_quotient")):
         def counted(*args, fn=getattr(module, name), name=name):
             calls[name] += 1
             return fn(*args)
@@ -398,7 +415,7 @@ def test_table_round_does_each_exact_step_once(capsys, monkeypatch):
     for row in table1():
         assert run_cli(capsys, "borcherds", "report", row.perp_expr, "--order", "4")[0] == 0
     assert run_cli(capsys, "export-graph", "--format", "json")[0] == 0
-    assert calls == {"_eliminate": 56, "_eta_theta": 22}
+    assert calls == {"_eliminate": 56, "_eta_quotient": 22}
 
 
 def test_report_builds_no_class_element(capsys, monkeypatch):

@@ -11,6 +11,7 @@ import mpmath
 from twoelem import QSeries, eisenstein_e4, eta_power, f0, f1, g_i, modforms, qseries_eval
 from twoelem.modforms import theta_a1
 
+import oracles
 from oracles import scale_exponents
 
 TAU = mpmath.mpc("-0.13", "1.05")
@@ -103,32 +104,28 @@ def test_eisenstein_oracle():
     assert abs(val - want) < 1e-22
 
 
-def _offset_product(factors, shift, k, order):
-    """The eta-theta product with every factor carrying its own offset, on the
-    grid those offsets span."""
-    lead = sum(Fraction(e * m, 24) for m, e in factors) + k * shift * shift
-    rel = max(order - lead, 1)
-    acc = theta_a1(shift, shift * shift + rel) ** k
-    for m, e in factors:
-        acc = acc * eta_power(m, e, Fraction(e * m, 24) + rel)
-    return acc.truncate(order)
-
-
-def test_blocks_on_the_integer_grid_match_the_offset_products():
-    # f0 and f1 multiply their factors on the integer grid and shift once;
-    # the series, its grid and its order are those of the offset products
-    for k in (-3, 0, 5, 8):
-        for order in (Fraction(1, 3), Fraction(5, 2), Fraction(37, 3), Fraction(60)):
-            for got, want in [
-                    (f0(k, order), _offset_product([(2, 8), (1, -8), (4, -8)], 0, k, order)),
-                    (f1(k, order),
-                     -16 * _offset_product([(4, 8), (2, -16)], Fraction(1, 2), k, order))]:
-                assert (got.denom, got.start, got.coeffs, got.trunc) == \
-                    (want.denom, want.start, want.coeffs, want.trunc), (k, order)
-
-
 def _fields(s):
     return s.coeffs, s.denom, s.start, s.trunc
+
+
+def test_blocks_on_the_integer_grid_match_the_offset_products(monkeypatch):
+    # f0, f1, the g_i and eta powers come from the eta-quotient recurrence;
+    # the product route (pentagonal eta factors with their own offsets, theta
+    # powers, Kronecker products) gives the same coefficients, grid, start
+    # and truncation order
+    monkeypatch.setattr(modforms, "_BUILDS", {})
+    orders = [Fraction(1, 3), Fraction(5, 2), Fraction(37, 3), Fraction(60)]
+    for k in range(-8, 30):
+        for order in orders + [Fraction(384)] * (k in (0, 8)):
+            pairs = [(f0(k, order), oracles.f0(k, order)), (f1(k, order), oracles.f1(k, order))]
+            pairs += zip(modforms.g_slices(k, order), oracles.g_slices(k, order))
+            for got, want in pairs:
+                assert _fields(got) == _fields(want), (k, order)
+    for m in (1, 2, 3, 4, 8):
+        for e in (1, -1, 5, 8, -8, 24, -24):
+            for order in orders:
+                assert _fields(eta_power(m, e, order)) == \
+                    _fields(oracles.eta_power(m, e, order)), (m, e, order)
 
 
 def test_served_blocks_equal_direct_builds(monkeypatch):
@@ -157,9 +154,9 @@ def test_coset_oracle_builds_each_block_once(monkeypatch):
     from twoelem.vvmf import construct_F, eval_vvform, lift_oracle_numeric
     monkeypatch.setattr(modforms, "_BUILDS", {})
     builds = []
-    eta_theta = modforms._eta_theta
-    monkeypatch.setattr(modforms, "_eta_theta",
-                        lambda *args: builds.append(args[0]) or eta_theta(*args))
+    eta_quotient = modforms._eta_quotient
+    monkeypatch.setattr(modforms, "_eta_quotient",
+                        lambda *args: builds.append(args[0]) or eta_quotient(*args))
     tau = mpmath.mpc("-0.2", "1.4")
     for expr in ("U+U(2)", "U(2)+U(2)"):
         L = parse_lattice_expr(expr)

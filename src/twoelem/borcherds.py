@@ -12,9 +12,16 @@ is taken without the Weyl-vector prefactor e(<rho, z>):
 Index enumeration is exact and float-free: with y the exact binary value of
 Im z, the integer Fincke-Pohst search `lattices.ellipsoid_lines` runs on an
 ellipsoid centred in the cut slab 0 < <lam, y> <= cut, built on a short
-dyadic rounding of y.  Indices stay in their integer dual coordinates
-m = G lam; the product walks the search's lines m = (v, *rest) clipped to the
-slab, reading lam^2 det G, the class index and the coefficient index as ints.
+dyadic rounding of y.  That form is then rounded down in Loewner order to
+entries of about 16 bits and its centre moved to a dyadic grid, with the
+bound raised by the triangle inequality (proof in `_slab_majorant`), so
+the search's integers stay small.  The search visits its points in
+lexicographic order of their coordinates whatever the ellipsoid, so this
+superset meets the exact ellipsoid's points in the same order, and the
+factor list and its sums are unchanged.  Indices stay in their integer dual
+coordinates m = G lam; the product walks the search's lines m = (v, *rest)
+clipped to the slab, reading lam^2 det G, the class index and the
+coefficient index as ints.
 """
 from __future__ import annotations
 
@@ -100,9 +107,10 @@ class TubePoint:
 # ---------------------------------------------------------------------------
 
 def _slab_majorant(L, y, cut, low):
-    """(M, bound, c), M an integer positive definite matrix, bound and c
-    rational: every m = G lam of the slab 0 < <lam, y> <= cut (cut > 0) with
-    lam^2 >= 2 low has (m - c)^t M (m - c) <= bound.
+    """(M, bound, c), M an integer positive definite matrix with short entries,
+    bound and c rational, c on a dyadic grid: every m = G lam of the slab
+    0 < <lam, y> <= cut (cut > 0) with lam^2 >= 2 low has
+    (m - c)^t M (m - c) <= bound.
 
     y~ is y rounded to the grid 2^-k, k = 10, 11, ... until 2 y~^2 >= y^2 and
     <y, y~> > 0 (y~ = y at the latest).  With t = <lam, y>, split lam = (t/y^2) y
@@ -117,10 +125,31 @@ def _slab_majorant(L, y, cut, low):
         (a + 1/y~^2) <mu, y~>^2 - mu^2 = a (t~ - mid)^2 + t~^2/y~^2 - lam^2
                                        <= a h^2 + t_hi^2/y~^2 - 2 low,
 
-    a positive definite form (a <mu, y~>^2 plus minus mu's part in y~^perp
+    a positive definite form A (a <mu, y~>^2 plus minus mu's part in y~^perp
     squared).  Its ellipsoid's volume goes as bound^(n/2) / sqrt(a), least at
     a = (t_hi^2/y~^2 - 2 low) / ((n - 1) h^2), rounded to a power of 2; a = 1
-    at rank 1.
+    at rank 1.  M0 is the primitive integer multiple of A, with entries of
+    40 bits and more.
+
+    The search gets M0 rounded down in Loewner order.  Sherman-Morrison gives
+    A^-1 = -G + (a + 1/y~^2) / (a y~^2) (G y~)(G y~)^t, so lambda = 1/tr M0^-1 is
+    at most M0's least eigenvalue.  With 2^b <= lambda / (S (n + 1)), S = _SLACK,
+    M = round(M0 / 2^b) - ceil(n/2) I: the rounding error R has |R_ij| <= 1/2,
+    so by Gershgorin R + ceil(n/2) I has its eigenvalues in [0, n + 1/2], and
+    M0/2^b - (n + 1) I <= M <= M0/2^b.  The right side keeps every point of the
+    exact ellipsoid at bound/2^b; the left, as (n + 1) I <= M0 / (S 2^b), gives
+    M >= (1 - 1/S) M0/2^b, so M is positive definite and its ellipsoid at most
+    (1 - 1/S)^(-1/2) times as wide.  b follows the least eigenvalue, so a thin
+    slab (a small cut) keeps more bits.  The centre goes to the grid 2^-f, f
+    small with 4^(-f-1) sum |M_ij| <= bound / S^2 (unless its denominator is
+    already at most 2^f): the shift d has |d_i| <= 2^(-f-1), so
+    P = d^t M d <= bound / S^2, and the triangle inequality in the norm of M
+    bounds the new form by (sqrt(bound) + sqrt(P))^2 <= (1 + 2^-j) bound +
+    (1 + 2^j) P, j near log2 sqrt(bound / P).
+
+    Every step is exact, and the search visits its points in lexicographic
+    order of (m_{n-1}, ..., m_0) whatever the ellipsoid, so the points of the
+    exact one reach the product in the same order on this superset.
     """
     n, G, det, adj = L.rank, L.gram, L._elim.det, L._elim.adj
     Y, den = _clear(y)
@@ -135,15 +164,40 @@ def _slab_majorant(L, y, cut, low):
     e = Fraction(math.isqrt(math.ceil(e2) - 1) + 1 if e2 > 0 else 0, s)
     t_hi = Fraction(math.ceil(cut * p * den / qy), s) + e
     mid, h, rest = (t_hi - e) / 2, (t_hi + e) / 2, t_hi ** 2 * s * s / q - 2 * low
-    r = rest / ((n - 1) * h * h) if n > 1 else Fraction(1)
-    a = Fraction(2) ** (r.numerator.bit_length() - r.denominator.bit_length())
+    a = Fraction(2) ** (_log2(rest / ((n - 1) * h * h)) + 1) if n > 1 else Fraction(1)
     # D A = D (a + s^2/q) T T^t / s^2 - D adj / det, divided by g, sign(g) = sign(det)
     w, D = a.numerator * q + a.denominator * s * s, a.denominator * q * s * s * det
-    M = [[w * det * ti * tj - D // det * aij for tj, aij in zip(T, row)]
-         for ti, row in zip(T, adj)]
-    g = math.gcd(*(x for row in M for x in row)) * (1 if det > 0 else -1)
-    return ([[x // g for x in row] for row in M], (a * h * h + rest) * D / g,
-            [mid * s * _dot(row, T) / q for row in G])
+    M0 = [[w * det * ti * tj - D // det * aij for tj, aij in zip(T, row)]
+          for ti, row in zip(T, adj)]
+    g = math.gcd(*(x for row in M0 for x in row)) * (1 if det > 0 else -1)
+    GT = [_dot(row, T) for row in G]
+    trace = (a * q + s * s) / (a * q * q) * _dot(GT, GT) - sum(G[i][i] for i in range(n))
+    b = max(0, _log2(D / (g * trace * _SLACK * (n + 1))))   # tr A^-1 = trace, M0 = D A / g
+    half, k = 1 << b >> 1, (n + 1) // 2 if b else 0
+    M = [[(x // g + half >> b) - k * (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(M0)]
+    bound = (a * h * h + rest) * D / (g << b)
+    c = [mid * s * x / q for x in GT]
+    f = max(0, (_log2(_SLACK ** 2 * sum(abs(x) for row in M for x in row) / bound) + 1) // 2)
+    if _clear(c)[1] <= 2 ** f:
+        return M, bound, c
+    grid = [Fraction(round(x * 2 ** f), 2 ** f) for x in c]
+    d = [x - y for x, y in zip(grid, c)]
+    P = _quad(d, M, d)
+    if P:
+        j = max(0, _log2(bound / P) // 2)
+        bound += P + bound / 2 ** j + P * 2 ** j
+    return M, bound, grid
+
+
+# the rounded majorant's error per unit of its least eigenvalue, and the
+# centre shift's per unit of its radius, are at most 1/_SLACK
+_SLACK = 64
+
+
+def _log2(x: Fraction) -> int:
+    """floor(log2 x) or one less, for a rational x > 0."""
+    return x.numerator.bit_length() - x.denominator.bit_length() - 1
 
 
 def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05):
@@ -159,7 +213,10 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     by floor division to the slab 0 < Y.m <= cut den (Y = den y integral).
     Along it num = m^t adj(G) m is an integer quadratic in v, the class index
     that of rest XOR the mask of v's parity, and c(num / 2det) an integer
-    division on the component's flat tuple.
+    division on the component's flat tuple, read once per (class, num).  The
+    lines of one tail rest[1:] come in a row, so the tail's parts of Y.m, num
+    and the class are summed once and each line adds m1's in O(1) ints.
+    `min_margin` must be a finite real number.
 
     Raises if the point is too shallow: every enumerated direction must
     satisfy <lam, y> - 2 sqrt(max(lam^2, 0)/2) >= min_margin, otherwise the
@@ -173,6 +230,7 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     cut = _rational(order, "order")
     if cut <= 0:
         raise ValueError(f"product cut on <lam, Im z> must be positive, got order={order}")
+    margin_floor = _rational(min_margin, "min_margin")
     data = discriminant_group(ambient)
     det, adj = L._elim.det, L._elim.adj
     if det < 0:   # so that c(num / 2det) compares with the truncation in integers
@@ -185,7 +243,6 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
     A, B, centre = _slab_majorant(L, y, cut, low)
     # (n/N, 0, lam) has dual coordinates (0, n, m), class nn_part[n] XOR that of m
     nn_part = [data.index_of((0, nn) + (0,) * n) for nn in range(N)]
-    mask0 = data.index_of((0, 0, 1) + (0,) * (n - 1))
     two_det = 2 * det
     # c_k(num / 2det) is cfs[i] for num denom - start = 2det i; num >= lim is beyond trunc
     comps = [(s.denom, s.start * two_det, [float(c) for c in s.coeffs],
@@ -204,10 +261,20 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
                 out.append((nn, cfs[i]))
         return out
 
-    Y0, Y_rest = Y[0], Y[1:]
-    factors, worst_margin = [], math.inf
+    # m = (v, m1, *tail): each tail's parts of Y.m, b, num and the class once, each line's in O(1)
+    Y0, a00, mask0 = Y[0], adj[0][0], data.index_of((0, 0, 1) + (0,) * (n - 1))
+    Y1, a01, a11, at1, mask1 = (
+        (Y[1], adj[0][1], adj[1][1], adj[1][2:], data.index_of((0, 0, 0, 1) + (0,) * (n - 2)))
+        if n > 1 else (0, 0, 0, (), 0))   # rank 1: no m1, read as 0
+    Yt, at0, att = Y[2:], adj[0][2:], [row[2:] for row in adj[2:]]
+    memo = {}   # (class k, num) -> hits_at(num, rows[k])
+    factors, worst_margin, tail = [], math.inf, None
     for lo, hi, rest in _lines(A, B, centre):
-        cy = _dot(Y_rest, rest)
+        if rest[1:] != tail:
+            tail, parts = rest[1:], None
+            cy_t = _dot(Yt, tail)
+        m1 = rest[0] if rest else 0
+        cy = Y1 * m1 + cy_t
         # clip [lo, hi] to 1 <= Y0 v + cy <= top
         if Y0 > 0:
             lo, hi = max(lo, -((cy - 1) // Y0)), min(hi, (top - cy) // Y0)
@@ -217,20 +284,25 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
             continue
         if lo > hi:
             continue
+        if parts is None:   # the tail's first line that meets the slab
+            parts = (_dot(at0, tail), _dot(at1, tail), _quad(tail, att, tail),
+                     data.index_of((0,) * (n + 2 - len(tail)) + tail))
+        b_t, b1_t, c_t, k_t = parts
         # num(v) = m^t adj(G) m = adj_00 v^2 + 2 b v + c
-        m0 = (0,) + rest
-        b, c = _dot(adj[0], m0), _quad(m0, adj, m0)
-        k_rest = data.index_of((0, 0) + m0)
+        b, c = a01 * m1 + b_t, (a11 * m1 + 2 * b1_t) * m1 + c_t
+        k = k_t ^ mask1 if m1 & 1 else k_t
         for v in range(lo, hi + 1):
-            num = (adj[0][0] * v + 2 * b) * v + c
-            hits = hits_at(num, rows[k_rest ^ mask0 if v & 1 else k_rest])
+            key = (k ^ mask0 if v & 1 else k, (a00 * v + 2 * b) * v + c)
+            hits = memo.get(key)
+            if hits is None:
+                hits = memo[key] = hits_at(key[1], rows[key[0]])
             if hits:
                 pair_y = Y0 * v + cy
                 pair_z = _dot((v,) + rest, point.z)
                 factors += [(pair_y, pair_z, nn, cf) for nn, cf in hits]
-                margin = pair_y / den - 2 * math.sqrt(max(num / det, 0.0) / 2)
+                margin = pair_y / den - 2 * math.sqrt(max(key[1] / det, 0.0) / 2)
                 worst_margin = min(worst_margin, margin)
-    if worst_margin < min_margin:
+    if worst_margin < margin_floor:
         raise ValueError(
             "tube point too shallow for convergence: worst direction margin "
             f"{worst_margin:.4f} < {min_margin} (deepen Im z accordingly)")
@@ -242,8 +314,8 @@ def product_eval(F: VVForm, point: TubePoint, order=6, min_margin: float = 0.05)
         log_acc += cf * cmath.log(1 - cmath.exp(2j * cmath.pi * (pair_z + nn / N)))
     # heuristic tail: coefficients ~ exp(4 pi sqrt(m)) against e^{-2 pi <lam,y>}
     tail_exp = -2 * math.pi * float(cut) + 4 * math.pi * math.sqrt(float(cut ** 2 / point.y_norm2()))
-    tail = math.exp(tail_exp) if tail_exp < 0 else float("inf")
-    return cmath.exp(log_acc), tail
+    tail_bound = math.exp(tail_exp) if tail_exp < 0 else float("inf")
+    return cmath.exp(log_acc), tail_bound
 
 
 # ---------------------------------------------------------------------------

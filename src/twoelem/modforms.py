@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import ceil, gcd
 from operator import mul
 
+from .lattices import _integer
 from .series import QSeries, _num
 
 
@@ -78,7 +79,9 @@ def _eta_quotient(exps: dict, order: Fraction, grid: int) -> QSeries:
 
 
 def eta_power(m: int, e: int, order) -> QSeries:
-    """eta(m t)^e = q^{e*m/24} * prod_{n>=1} (1 - q^{mn})^e, valid below `order`."""
+    """eta(m t)^e = q^{e*m/24} * prod_{n>=1} (1 - q^{mn})^e, valid below `order`;
+    m a positive integer, e an integer."""
+    m, e = _integer(m, "m", positive=True), _integer(e, "e")
     return _eta_quotient({m: e}, Fraction(order), Fraction(e * m, 24).denominator)
 
 

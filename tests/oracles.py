@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from twoelem.k3graph import K3Edge, K3Graph, K3Vertex
-from twoelem.lattices import LatticeTriple, _dot, discriminant_group
+from twoelem.lattices import LatticeTriple, _clear, _dot, _quad, discriminant_group
 from twoelem.modforms import theta_a1
 from twoelem.mp2 import MP2_S, MP2_T, mp2_word
 from twoelem.series import QSeries
@@ -111,6 +111,34 @@ def inverse(A):
             if i != k and rows[i][k]:
                 rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
     return [row[n:] for row in rows]
+
+
+def slab_majorant(L, y, cut, low):
+    """The exact slab majorant (M0, bound, c) of `borcherds._slab_majorant`,
+    before its rounding: M0 the primitive integer multiple of
+    (a + 1/y~^2) y~ y~^t - G^-1 (entries of 40 bits and more), c = mid G y~/y~^2
+    with its full denominator.  The derivation is in that docstring."""
+    n, G, det, adj = L.rank, L.gram, L._elim.det, L._elim.adj
+    Y, den = _clear(y)
+    qy, s = _quad(Y, G, Y), 2 ** 10
+    while True:
+        T = [(2 * s * x + den) // (2 * den) for x in Y]
+        q, p = _quad(T, G, T), _quad(Y, G, T)
+        if 2 * q * den * den >= qy * s * s and p > 0:
+            break
+        s *= 2
+    e2 = (cut ** 2 * den * den / qy - 2 * low) * Fraction(p * p - qy * q, qy)
+    e = Fraction(math.isqrt(math.ceil(e2) - 1) + 1 if e2 > 0 else 0, s)
+    t_hi = Fraction(math.ceil(cut * p * den / qy), s) + e
+    mid, h, rest = (t_hi - e) / 2, (t_hi + e) / 2, t_hi ** 2 * s * s / q - 2 * low
+    r = rest / ((n - 1) * h * h) if n > 1 else Fraction(1)
+    a = Fraction(2) ** (r.numerator.bit_length() - r.denominator.bit_length())
+    w, D = a.numerator * q + a.denominator * s * s, a.denominator * q * s * s * det
+    M = [[w * det * ti * tj - D // det * aij for tj, aij in zip(T, row)]
+         for ti, row in zip(T, adj)]
+    g = math.gcd(*(x for row in M for x in row)) * (1 if det > 0 else -1)
+    return ([[x // g for x in row] for row in M], (a * h * h + rest) * D / g,
+            [mid * s * _dot(row, T) / q for row in G])
 
 
 def slab_walls(L, v1, v2, norm_set, pairing_bound):

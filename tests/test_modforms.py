@@ -7,6 +7,7 @@ import os
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from twoelem import QSeries, eisenstein_e4, eta_power, f0, f1, g_i, modforms, qseries_eval
 from twoelem.modforms import theta_a1
@@ -41,6 +42,18 @@ def test_eta_power_against_product():
     with mpmath.workprec(80):
         want = _eta(2 * TAU) ** 8
         assert abs(val - want) < 1e-22
+
+
+def test_eta_power_gates_its_arguments():
+    # m = 0 divided by zero, m = -1 failed in a slice assignment, and a float
+    # m or e raised a TypeError, each from inside the recurrence
+    for m, e in ((0, 1), (-1, 1), (1.5, 1), ("2", 1)):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            eta_power(m, e, 5)
+    with pytest.raises(ValueError, match="e must be an integer, got 1.5"):
+        eta_power(1, 1.5, 5)
+    assert eta_power(2.0, 8, 30) == eta_power(2, 8, 30)
+    assert eta_power(3, -2.0, 12) == eta_power(3, -2, 12)
 
 
 def test_theta_series_against_sum():

@@ -1,5 +1,6 @@
 """Short-vector enumeration, tube points, truncated products, wall queries."""
 import cmath
+import functools
 import itertools
 import math
 from collections import Counter
@@ -28,7 +29,8 @@ from twoelem.borcherds import _lines, _slab_majorant, short_vectors
 from twoelem.vvmf import borcherds_weight
 from twoelem.lattices import _eliminate, ellipsoid_lines
 
-from oracles import class_of, inverse, period_vector, petersson_norm_point, rep, slab_walls
+from oracles import (class_of, inverse, period_vector, petersson_norm_point, rep, slab_majorant,
+                     slab_walls)
 
 
 def test_short_vectors_identity_form():
@@ -582,20 +584,99 @@ def test_slab_majorant_premise(case):
             assert m in found
 
 
-def test_slab_majorant_search_is_small():
-    # cut 6 at the generic point of the benchmark's U(2)+U+D4: the
-    # origin-centred majorant on the exact Im z searched 2,183 lines and
-    # 6,157 points
+@functools.lru_cache(maxsize=None)
+def _bench_points():
+    """(F, generic, walls): the benchmark's U(2)+U+D4 form at order 6, its
+    generic point and its five points approaching a wall (t = 0.01 / 2^j)."""
     L = parse_lattice_expr("U+D4")
     det, adj, _, _ = _eliminate([row[2:] for row in L.gram[2:]])
     y_d4 = [-0.07 * float(sum(Fraction(a, det) for a in row)) for row in adj]
     z_d4 = [complex(0.013 * (i + 1), y) for i, y in enumerate(y_d4)]
-    p = TubePoint(2, L, tuple([0.1 + 2.5j, -0.05 + 2.3j] + z_d4))
-    F = construct_F(p.ambient(), order=6)
-    low = min(ser.min_exp() for ser in F.components if ser.coeffs)
-    lines = list(_lines(*_slab_majorant(L, p.y(), Fraction(6), min(low, 0))))
+    generic = TubePoint(2, L, tuple([0.1 + 2.5j, -0.05 + 2.3j] + z_d4))
+    walls = [TubePoint(2, L, tuple([1j * (2.5 + t), 1j * (2.5 - t)] + z_d4))
+             for t in (0.01 * 2 ** -j for j in range(5))]
+    return construct_F(generic.ambient(), order=6), generic, walls
+
+
+@functools.lru_cache(maxsize=None)
+def _rounding_cases():
+    """(F, point, cut, min_margin) where the rounded majorant must act as the
+    exact one: the benchmark's generic point at cuts 1/64 .. 6 and its first
+    wall point, criterion 10's first wall point, and ranks 1 and 2; two of
+    them raise, one too shallow and one beyond F's truncation."""
+    F, generic, walls = _bench_points()
+    cases = [(F, generic, cut, 0.05) for cut in (Fraction(1, 64), Fraction(1, 8), 1, 2, 3, 4, 5, 6)]
+    cases += [(F, generic, 6, 0.5), (F, walls[0], 2, 0.0)]
+    p = TubePoint(1, standard_lattice("U"), (0.1 + 1.5j, 0.2 + 1.25j))
+    cases.append((construct_F(p.ambient(), order=2), p, 4, 0.0))
+    L = parse_lattice_expr("U+E8(2)")
+    F10 = construct_F(direct_sum(rescale(standard_lattice("U"), 2), L), order=2)
+    cases.append((F10, TubePoint(2, L, tuple([2.51j, 2.49j] + [0j] * 8)), 2, 0.0))
+    for expr, z in (("A1+", (0.1 + 1.3j,)), ("A1+A1+", (0.1 + 0j, -0.03 + 1.25j))):
+        p = TubePoint(2, parse_lattice_expr(expr), z)
+        Fp = construct_F(p.ambient(), order=8)
+        cases += [(Fp, p, cut, margin) for cut, margin in
+                  ((1, 0.0), (2, 0.0), (Fraction(5, 2), 0.0), (3, 0.0), (2, 0.05))]
+    return cases
+
+
+def _low(F):
+    return min([0] + [ser.min_exp() for ser in F.components if ser.coeffs])
+
+
+def test_slab_majorant_search_is_small():
+    # cut 6 at the generic point of the benchmark's U(2)+U+D4: the
+    # origin-centred majorant on the exact Im z searched 2,183 lines and
+    # 6,157 points
+    F, p, _ = _bench_points()
+    lines = list(_lines(*_slab_majorant(p.L, p.y(), Fraction(6), _low(F))))
     assert len(lines) <= 1100
     assert sum(hi - lo + 1 for lo, hi, _ in lines) <= 2500
+
+
+def test_rounded_majorant_gives_the_exact_products(monkeypatch):
+    # the search meets the exact majorant's points in the same order on the
+    # rounded superset, so value, tail and error message are all ==
+    from twoelem import borcherds
+    got = [_outcome(product_eval, F, p, cut, margin) for F, p, cut, margin in _rounding_cases()]
+    monkeypatch.setattr(borcherds, "_slab_majorant", slab_majorant)
+    want = [_outcome(product_eval, F, p, cut, margin) for F, p, cut, margin in _rounding_cases()]
+    assert got == want
+    assert any(isinstance(x, str) for x in want) and any(isinstance(x, tuple) for x in want)
+
+
+def test_rounded_majorant_is_tight_and_short():
+    # the rounded form searches at most 1.25x the exact form's lines (floor
+    # division to 16-bit entries keyed on the largest one is not positive
+    # definite at cut 1/64 and takes cut 1/8 from 17 lines to 32), and at the
+    # benchmark's points its entries have at most 20 bits (the exact form's
+    # have about 47)
+    for F, p, cut, _ in _rounding_cases():
+        args = (p.L, p.y(), Fraction(cut), _low(F))
+        rounded, exact = (sum(1 for _ in _lines(*maj(*args))) for maj in (_slab_majorant, slab_majorant))
+        assert rounded <= 1.25 * exact, (p.L.label, cut, rounded, exact)
+    F, generic, walls = _bench_points()
+    for p, cut in [(generic, cut) for cut in range(1, 7)] + [(p, 2) for p in walls]:
+        M, _, _ = _slab_majorant(p.L, p.y(), Fraction(cut), _low(F))
+        assert max(abs(x) for row in M for x in row).bit_length() <= 20
+
+
+@settings(deadline=None, max_examples=60)
+@given(slab_cases())
+@example((parse_lattice_expr("A1+A1+"), [Fraction(821502375098295, 2 ** 51),
+                                         Fraction(2460011326299437, 2 ** 51)],
+          Fraction(23, 16), Fraction(-1, 4)))
+@example((parse_lattice_expr("U+A1"), [Fraction(832281850372487, 2 ** 48),
+                                       Fraction(483657097488759, 2 ** 51),
+                                       Fraction(-157644238872133, 2 ** 49)],
+          Fraction(17, 16), Fraction(-1, 2)))
+def test_rounded_majorant_contains_the_exact_ellipsoid(case):
+    # M <= M0 / 2^b, and the bound pays the centre's move by the triangle
+    # inequality: every integer point of the exact majorant's ellipsoid is in
+    # the rounded one's (at the examples, the moved centre alone drops one)
+    found = {(v,) + rest for lo, hi, rest in _lines(*_slab_majorant(*case)) for v in range(lo, hi + 1)}
+    for lo, hi, rest in _lines(*slab_majorant(*case)):
+        assert all((v,) + rest in found for v in range(lo, hi + 1))
 
 
 @st.composite
@@ -649,6 +730,18 @@ def test_product_eval_refuses_nonpositive_cut():
     for order in (0, -1, Fraction(-1, 2)):
         with pytest.raises(ValueError, match="must be positive"):
             product_eval(F, p, order=order)
+
+
+def test_product_eval_refuses_a_non_finite_margin():
+    # a NaN margin let the shallow point U at cut 1 (worst margin -2.03)
+    # through to cmath.exp, which overflowed
+    p = TubePoint(1, standard_lattice("U"), (0.1 + 0.3j, 0.2 + 0.25j))
+    F = construct_F(p.ambient(), order=4)
+    for margin in (math.nan, math.inf, -math.inf, 1j, None):
+        with pytest.raises(ValueError, match="min_margin must be a finite rational number"):
+            product_eval(F, p, order=1, min_margin=margin)
+    with pytest.raises(ValueError, match=r"worst direction margin -2\.0284 < 0 "):
+        product_eval(F, p, order=1, min_margin=0)
 
 
 def test_rhs_invariant_at_large_im_z():
